@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import cached_property, wraps
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 SIZE_CAP = 64
@@ -51,6 +51,19 @@ class AxiomFailure(AlgebraError):
 
 def _freeze_table(table: Sequence[Sequence[int]]) -> Table:
     return tuple(tuple(row) for row in table)
+
+
+def _check_square(n: int, **tables: Table) -> None:
+    """Reject tables that are not n-by-n or hold entries outside 0..n-1."""
+    for label, table in tables.items():
+        if len(table) != n:
+            raise TableError(f"{label} table has {len(table)} rows, expected {n}")
+        for i, row in enumerate(table):
+            if len(row) != n:
+                raise TableError(f"{label} row {i} has {len(row)} entries, expected {n}")
+            for j, v in enumerate(row):
+                if not isinstance(v, int) or not 0 <= v < n:
+                    raise TableError(f"{label}[{i}][{j}] = {v!r} is not an element id")
 
 
 def mask_iter(mask: int) -> Iterator[int]:
@@ -96,17 +109,7 @@ class FiniteAlgebra:
             raise TableError("algebras are nonempty: need at least one element")
         if n > SIZE_CAP:
             raise SizeCapError(f"size {n} exceeds the cap of {SIZE_CAP} elements")
-        for label, table in (("minus", minus_t), ("restrict", restrict_t)):
-            if len(table) != n:
-                raise TableError(f"{label} table has {len(table)} rows, expected {n}")
-            for i, row in enumerate(table):
-                if len(row) != n:
-                    raise TableError(
-                        f"{label} row {i} has {len(row)} entries, expected {n}"
-                    )
-                for j, v in enumerate(row):
-                    if not isinstance(v, int) or not 0 <= v < n:
-                        raise TableError(f"{label}[{i}][{j}] = {v!r} is not an element id")
+        _check_square(n, minus=minus_t, restrict=restrict_t)
         zero = minus_t[0][0]
         for a in range(n):
             if minus_t[a][a] != zero:
@@ -143,8 +146,11 @@ class FiniteAlgebra:
         """Domain preorder: the domain of ``a`` is contained in that of ``b``."""
         return self.restrict[b][a] == a
 
-    def domeq(self, a: int, b: int) -> bool:
-        return self.domleq(a, b) and self.domleq(b, a)
+    @cached_property
+    def meet_table(self) -> Table:
+        """meet_table[a][b] = meet(a, b)."""
+        n = self.size
+        return tuple(tuple(self.meet(a, b) for b in range(n)) for a in range(n))
 
     @cached_property
     def down_masks(self) -> tuple[int, ...]:
@@ -182,8 +188,27 @@ class FiniteAlgebra:
                 out.append(a)
         return tuple(out)
 
+    @cached_property
+    def _memo(self) -> dict:
+        """Results of ``per_algebra`` functions on this value."""
+        return {}
+
     def __repr__(self) -> str:  # keep test failure output readable
         return f"FiniteAlgebra(size={self.size}, zero={self.zero})"
+
+
+def per_algebra(fn):
+    """Compute ``fn(alg, *args)`` once per algebra value and keep the
+    result on that value, so it lives exactly as long as the algebra."""
+
+    @wraps(fn)
+    def cached(alg: FiniteAlgebra, *args):
+        key = (fn, *args)
+        if key not in alg._memo:
+            alg._memo[key] = fn(alg, *args)
+        return alg._memo[key]
+
+    return cached
 
 
 # ---------------------------------------------------------------------------
@@ -339,11 +364,13 @@ def _scan_laws(alg: FiniteAlgebra, laws: Sequence[Law]) -> AxiomReport:
     return AxiomReport(tuple(verdicts))
 
 
+@per_algebra
 def check_axioms(alg: FiniteAlgebra) -> AxiomReport:
     """Exhaustively evaluate the five defining laws.
 
     Each law is scanned over all variable assignments in lexicographic
-    order; the first counterexample is recorded as the witness.
+    order; the first counterexample is recorded as the witness.  The
+    report is computed once per algebra value.
     """
     return _scan_laws(alg, AXIOM_LAWS)
 
@@ -361,6 +388,9 @@ def check_subtraction_axioms(minus: Sequence[Sequence[int]]) -> AxiomReport:
     """Evaluate the three complement-only laws on a bare minus table."""
     minus_t = _freeze_table(minus)
     n = len(minus_t)
+    if n == 0:
+        raise TableError("a minus table needs at least one element")
+    _check_square(n, minus=minus_t)
     restrict_identityish = tuple(tuple(b for b in range(n)) for _ in range(n))
     probe = FiniteAlgebra(n, minus_t, restrict_identityish, minus_t[0][0])
     return _scan_laws(probe, SUBTRACTION_LAWS)
@@ -445,7 +475,7 @@ class DomainQuotient:
         return self.class_of[self.parent.zero]
 
 
-@lru_cache(maxsize=None)
+@per_algebra
 def domain_quotient(alg: FiniteAlgebra) -> DomainQuotient:
     """Partition elements by domain equality and build the class tables.
 
@@ -569,64 +599,75 @@ class BooleanDownset:
         )
 
 
-@lru_cache(maxsize=None)
+def _boolean_law_failure(
+    meet: Table, comp: Sequence[int], top: int, bottom: int, members: Sequence[int]
+) -> tuple[str, tuple[int, ...]] | None:
+    """The first Boolean law, with its witness, that ``members`` (the
+    downset of ``top``) breaks under a full ``meet`` table and the
+    complements ``comp[b]``, joins being their De Morgan duals; None if
+    the downset is a Boolean algebra."""
+    member_set = set(members)
+
+    def join(b: int, c: int) -> int:
+        return comp[meet[comp[b]][comp[c]]]
+
+    if bottom not in member_set:
+        return "bottom-member", (top,)
+    for b in members:
+        if comp[b] not in member_set:
+            return "complement-closure", (b,)
+        for c in members:
+            if meet[b][c] not in member_set:
+                return "meet-closure", (b, c)
+            if join(b, c) not in member_set:
+                return "join-closure", (b, c)
+    for b in members:
+        mb = meet[b]
+        if mb[b] != b:
+            return "meet-idempotent", (b,)
+        if join(b, b) != b:
+            return "join-idempotent", (b,)
+        if mb[top] != b:
+            return "top-identity", (b,)
+        if join(b, bottom) != b:
+            return "bottom-identity", (b,)
+        if mb[comp[b]] != bottom:
+            return "complement-meet", (b,)
+        if join(b, comp[b]) != top:
+            return "complement-join", (b,)
+        for c in members:
+            if mb[c] != meet[c][b]:
+                return "meet-commutative", (b, c)
+            if join(b, c) != join(c, b):
+                return "join-commutative", (b, c)
+            if mb[join(b, c)] != b:
+                return "absorption-meet", (b, c)
+            if join(b, mb[c]) != b:
+                return "absorption-join", (b, c)
+            for d in members:
+                if meet[mb[c]][d] != mb[meet[c][d]]:
+                    return "meet-associative", (b, c, d)
+                if join(join(b, c), d) != join(b, join(c, d)):
+                    return "join-associative", (b, c, d)
+                if mb[join(c, d)] != join(mb[c], mb[d]):
+                    return "distributive", (b, c, d)
+    return None
+
+
+@per_algebra
 def boolean_downset(alg: FiniteAlgebra, a: int) -> BooleanDownset:
     """Carve out the downset of ``a`` and certify it is a Boolean algebra."""
     if not 0 <= a < alg.size:
         raise TableError(f"no element {a}")
-    members = tuple(b for b in range(alg.size) if alg.leq(b, a))
-    complement = tuple(alg.minus[a][b] for b in members)
-    ds = BooleanDownset(alg, a, members, complement)
-
-    def fail(law: str, *witness: int):
+    members = tuple(mask_iter(alg.down_masks[a]))
+    failure = _boolean_law_failure(alg.meet_table, alg.minus[a], a, alg.zero, members)
+    if failure is not None:
+        law, witness = failure
         raise InconsistencyError(
             f"downset of {alg.element_name(a)} violates Boolean law {law} "
             f"at {tuple(alg.element_name(w) for w in witness)}"
         )
-
-    z = alg.zero
-    if z not in members:
-        fail("bottom-member", a)
-    mt = alg.meet
-    member_set = set(members)
-    for b in members:
-        if ds.complement_of(b) not in member_set:
-            fail("complement-closure", b)
-        for c in members:
-            if mt(b, c) not in member_set:
-                fail("meet-closure", b, c)
-            if ds.join(b, c) not in member_set:
-                fail("join-closure", b, c)
-    for b in members:
-        if mt(b, b) != b:
-            fail("meet-idempotent", b)
-        if ds.join(b, b) != b:
-            fail("join-idempotent", b)
-        if mt(b, a) != b:
-            fail("top-identity", b)
-        if ds.join(b, z) != b:
-            fail("bottom-identity", b)
-        if mt(b, ds.complement_of(b)) != z:
-            fail("complement-meet", b)
-        if ds.join(b, ds.complement_of(b)) != a:
-            fail("complement-join", b)
-        for c in members:
-            if mt(b, c) != mt(c, b):
-                fail("meet-commutative", b, c)
-            if ds.join(b, c) != ds.join(c, b):
-                fail("join-commutative", b, c)
-            if mt(b, ds.join(b, c)) != b:
-                fail("absorption-meet", b, c)
-            if ds.join(b, mt(b, c)) != b:
-                fail("absorption-join", b, c)
-            for d in members:
-                if mt(mt(b, c), d) != mt(b, mt(c, d)):
-                    fail("meet-associative", b, c, d)
-                if ds.join(ds.join(b, c), d) != ds.join(b, ds.join(c, d)):
-                    fail("join-associative", b, c, d)
-                if mt(b, ds.join(c, d)) != ds.join(mt(b, c), mt(b, d)):
-                    fail("distributive", b, c, d)
-    return ds
+    return BooleanDownset(alg, a, members, tuple(alg.minus[a][b] for b in members))
 
 
 # ---------------------------------------------------------------------------
@@ -655,22 +696,13 @@ class ComplementedSemilattice:
         n = len(meet_t)
         if n == 0:
             raise TableError("semilattice must be nonempty")
-        for label, table in (("meet", meet_t), ("complement", comp_t)):
-            if len(table) != n or any(len(row) != n for row in table):
-                raise TableError(f"{label} table is not {n}-by-{n}")
-            for i, row in enumerate(table):
-                for j, v in enumerate(row):
-                    if not isinstance(v, int) or not 0 <= v < n:
-                        raise TableError(f"{label}[{i}][{j}] = {v!r} is not an element id")
+        _check_square(n, meet=meet_t, complement=comp_t)
         return cls(n, meet_t, comp_t)
 
 
 def complemented_semilattice_of(alg: FiniteAlgebra) -> ComplementedSemilattice:
     """Extract the meet table and per-downset complements of an algebra."""
-    n = alg.size
-    meet_t = tuple(tuple(alg.meet(a, b) for b in range(n)) for a in range(n))
-    comp_t = tuple(tuple(alg.minus[a][b] for b in range(n)) for a in range(n))
-    return ComplementedSemilattice(n, meet_t, comp_t)
+    return ComplementedSemilattice(alg.size, alg.meet_table, alg.minus)
 
 
 def subtraction_from_boolean_downsets(sl: ComplementedSemilattice) -> Table:
@@ -699,43 +731,14 @@ def subtraction_from_boolean_downsets(sl: ComplementedSemilattice) -> Table:
         raise InconsistencyError(f"expected a unique bottom, found {bottoms}")
     bottom = bottoms[0]
 
-    def sl_leq(x: int, y: int) -> bool:
-        return mt[x][y] == x
-
     for a in range(n):
-        members = [b for b in range(n) if sl_leq(b, a)]
-        member_set = set(members)
-        comp = {b: sl.complement[a][b] for b in members}
-
-        def fail(law: str, *witness: int):
+        members = [b for b in range(n) if mt[b][a] == b]
+        failure = _boolean_law_failure(mt, sl.complement[a], a, bottom, members)
+        if failure is not None:
+            law, witness = failure
             raise InconsistencyError(
                 f"downset of {a} is not Boolean: law {law} fails at {witness}"
             )
-
-        for b in members:
-            if comp[b] not in member_set:
-                fail("complement-closure", b)
-            if mt[b][comp[b]] != bottom:
-                fail("complement-meet", b)
-
-        def join(x: int, y: int) -> int:
-            return comp[mt[comp[x]][comp[y]]]
-
-        for b in members:
-            if join(b, comp[b]) != a:
-                fail("complement-join", b)
-            if join(b, bottom) != b:
-                fail("bottom-identity", b)
-            for c in members:
-                if join(b, c) not in member_set:
-                    fail("join-closure", b, c)
-                if mt[b][join(b, c)] != b:
-                    fail("absorption-meet", b, c)
-                if join(b, mt[b][c]) != b:
-                    fail("absorption-join", b, c)
-                for d in members:
-                    if mt[b][join(c, d)] != join(mt[b][c], mt[b][d]):
-                        fail("distributive", b, c, d)
 
     minus_t = tuple(
         tuple(sl.complement[a][mt[a][b]] for b in range(n)) for a in range(n)

@@ -104,11 +104,6 @@ def _gate(alg: FiniteAlgebra, structured: bool) -> AxiomReport | None:
     return report
 
 
-def _filter_label(alg: FiniteAlgebra, members) -> str:
-    inner = ", ".join(alg.element_name(a) for a in sorted(members))
-    return "{" + inner + "}"
-
-
 def cmd_check(args) -> int:
     alg = _load_single(args.file)
     report = check_axioms(alg)
@@ -146,7 +141,7 @@ def cmd_filters(args) -> int:
             members = ",".join(alg.element_name(a) for a in sorted(f.members))
             print(f"FILTER index={i} members={members} class={family.approx_class[i]}{suffix}")
         else:
-            print(f"FILTER {_filter_label(alg, f.members)} class={family.approx_class[i]}{suffix}")
+            print(f"FILTER {f.render()} class={family.approx_class[i]}{suffix}")
 
     # Order on classes induced by the lifted preorder, printed as covers.
     n_classes = family.n_classes

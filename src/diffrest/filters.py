@@ -15,7 +15,7 @@ the members of F by the members of G never leaves F (the product set
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 
 from .algebra import (
     AlgebraError,
@@ -25,6 +25,7 @@ from .algebra import (
     domain_quotient,
     mask_iter,
     mask_of,
+    per_algebra,
 )
 
 
@@ -106,7 +107,7 @@ class FilterFamily:
     def index_of(self, f: Filter) -> int:
         return self._index[f.members]
 
-    @property
+    @cached_property
     def _index(self) -> dict[frozenset[int], int]:
         return {g.members: i for i, g in enumerate(self.all_filters)}
 
@@ -118,7 +119,7 @@ class FilterFamily:
         return tuple(i for i, x in enumerate(self.approx_class) if x == c)
 
 
-@lru_cache(maxsize=None)
+@per_algebra
 def enumerate_filters(alg: FiniteAlgebra) -> FilterFamily:
     """Enumerate every filter, the lifted preorder, and its classes."""
     n = alg.size
@@ -155,23 +156,21 @@ def enumerate_filters(alg: FiniteAlgebra) -> FilterFamily:
     return FilterFamily(alg, filters, maximal, frozenset(domhat), tuple(approx))
 
 
-def is_maximal(f: Filter) -> bool:
-    """Maximality test by the single-witness criterion.
+def _single_witness_maximal(members, zero: int, w: int, size: int, meet, minus) -> bool:
+    """A filter with least member ``w`` is maximal precisely when it is
+    proper and for every ``b`` exactly one of ``w meet b`` and ``w - b``
+    belongs to it."""
+    return zero not in members and all(
+        (meet[w][b] in members) != (minus[w][b] in members) for b in range(size)
+    )
 
-    With ``a`` the least member, the filter is maximal precisely when
-    for every ``b`` exactly one of ``a meet b`` and ``a - b`` belongs to
-    the filter.
-    """
-    if not f.proper:
-        return False
+
+def is_maximal(f: Filter) -> bool:
+    """Maximality test by the single-witness criterion."""
     alg = f.parent
-    a = f.generator()
-    for b in range(alg.size):
-        in_meet = alg.meet(a, b) in f.members
-        in_minus = alg.minus[a][b] in f.members
-        if in_meet == in_minus:
-            return False
-    return True
+    return _single_witness_maximal(
+        f.members, alg.zero, f.generator(), alg.size, alg.meet_table, alg.minus
+    )
 
 
 def maximal_filters(alg: FiniteAlgebra) -> tuple[Filter, ...]:
@@ -303,18 +302,13 @@ def project_filter(f: Filter) -> frozenset[int]:
 
 
 def _quotient_filter_is_maximal(quot, image: frozenset[int]) -> bool:
-    if quot.zero_class in image:
-        return False
     w = None
     for c in image:
         if w is None or quot.qleq(c, w):
             w = c
-    for d in range(quot.n_classes):
-        in_meet = quot.meet[w][d] in image
-        in_minus = quot.qminus[w][d] in image
-        if in_meet == in_minus:
-            return False
-    return True
+    return _single_witness_maximal(
+        image, quot.zero_class, w, quot.n_classes, quot.meet, quot.qminus
+    )
 
 
 def filter_down(mu: Filter) -> frozenset[int]:

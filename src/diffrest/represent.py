@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .algebra import (
     AlgebraError,
@@ -25,7 +25,7 @@ from .algebra import (
     mask_iter,
     mask_of,
 )
-from .filters import enumerate_filters
+from .filters import Filter, enumerate_filters
 from .pfun import ConcreteAlgebra, PartialFunction, is_injective_pf
 
 
@@ -95,9 +95,10 @@ class CompletenessReport:
 # ---------------------------------------------------------------------------
 
 
-def _glb(alg: FiniteAlgebra, subset_mask: int) -> int | None:
-    """Greatest lower bound of a nonempty subset, decided order-theoretically."""
-    lower = alg.all_mask
+def _glb(alg: FiniteAlgebra, subset_mask: int, within: int | None = None) -> int | None:
+    """Greatest lower bound of a nonempty subset, decided order-theoretically
+    among the elements of ``within`` (default: all elements)."""
+    lower = alg.all_mask if within is None else within
     for s in mask_iter(subset_mask):
         lower &= alg.down_masks[s]
     for g in mask_iter(lower):
@@ -106,9 +107,10 @@ def _glb(alg: FiniteAlgebra, subset_mask: int) -> int | None:
     return None
 
 
-def _lub(alg: FiniteAlgebra, subset_mask: int) -> int | None:
-    """Least upper bound of a subset; the empty subset yields the bottom."""
-    upper = alg.all_mask
+def _lub(alg: FiniteAlgebra, subset_mask: int, within: int | None = None) -> int | None:
+    """Least upper bound of a subset among the elements of ``within``
+    (default: all elements); the empty subset yields the least one."""
+    upper = alg.all_mask if within is None else within
     for s in mask_iter(subset_mask):
         upper &= alg.up_masks[s]
     for u in mask_iter(upper):
@@ -172,140 +174,95 @@ def is_atomistic(alg: FiniteAlgebra) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _gate_axioms(alg: FiniteAlgebra) -> None:
+def _maximal_filter_states(alg: FiniteAlgebra):
+    family = enumerate_filters(alg)
+    mf = sorted(family.maximal, key=lambda f: f.sort_key())
+    classes = tuple(family.approx_class[family.index_of(f)] for f in mf)
+    return "filter", tuple(f.sort_key() for f in mf), tuple(mask_of(f.members) for f in mf), classes
+
+
+def _atom_states(alg: FiniteAlgebra):
+    if not is_atomic(alg):
+        raise NotAtomicError("the atom-based construction needs an atomic algebra")
+    ats = atoms(alg)
+    quot = domain_quotient(alg)
+    return "atom", ats, tuple(alg.up_masks[x] for x in ats), tuple(quot.class_of[x] for x in ats)
+
+
+def _build(alg: FiniteAlgebra, kind: str, provider, injective: bool) -> Representation:
+    """Gate on the axioms, then build over the states ``provider(alg)``
+    gives as (tag, labels, masks of the elements containing each state,
+    class ids).  An element acts on equivalent states, sending each to
+    the states containing it; the injective kind sends a tag per class
+    instead, and is checked injective and coherent with the plain kind.
+    """
     report = check_axioms(alg)
     if not report.passed:
         raise AxiomFailure(report)
-
-
-def canonical_theta(alg: FiniteAlgebra) -> Representation:
-    """States are maximal filters; an element acts on equivalent filters
-    containing it."""
-    _gate_axioms(alg)
-    family = enumerate_filters(alg)
-    index = {f.members: i for i, f in enumerate(family.all_filters)}
-    mf = sorted(family.maximal, key=lambda f: f.sort_key())
-    cls = [family.approx_class[index[f.members]] for f in mf]
-
-    # Functionality certificate: equivalent maximal filters sharing any
-    # element coincide.
-    for i, f in enumerate(mf):
-        for j, g in enumerate(mf):
-            if cls[i] == cls[j] and f.members & g.members and f.members != g.members:
+    tag, labels, masks, cls = provider(alg)
+    k = len(labels)
+    # Functionality certificate: equivalent states sharing any element
+    # coincide.
+    for i in range(k):
+        for j in range(k):
+            if cls[i] == cls[j] and masks[i] & masks[j] and masks[i] != masks[j]:
+                f, g = (Filter(alg, frozenset(mask_iter(m))) for m in (masks[i], masks[j]))
                 raise InconsistencyError(
                     f"equivalent maximal filters {f.render()} and {g.render()} "
                     "share an element but differ"
                 )
+    theta = [
+        {(i, j) for j in range(k) if masks[j] >> a & 1 for i in range(k) if cls[i] == cls[j]}
+        for a in range(alg.size)
+    ]
+    if not injective:
+        base = frozenset(range(k))
+        return Representation(alg, kind, labels, tuple(PartialFunction(base, g) for g in theta))
 
-    states = tuple(f.sort_key() for f in mf)
-    base = frozenset(range(len(mf)))
-    assignment = []
-    for a in range(alg.size):
-        graph = {
-            (i, j)
-            for i in range(len(mf))
-            for j in range(len(mf))
-            if cls[i] == cls[j] and a in mf[j].members
-        }
-        assignment.append(PartialFunction(base, graph))
-    return Representation(alg, "canonical-theta", states, tuple(assignment))
-
-
-def injective_eta(alg: FiniteAlgebra) -> Representation:
-    """States are class tags plus maximal filters; values are injective.
-
-    The construction is checked coherent with the canonical one: a
-    filter pair lies in an element's canonical graph exactly when the
-    corresponding class/filter pair lies in its injective graph.
-    """
-    _gate_axioms(alg)
-    family = enumerate_filters(alg)
-    index = {f.members: i for i, f in enumerate(family.all_filters)}
-    mf = sorted(family.maximal, key=lambda f: f.sort_key())
-    cls = [family.approx_class[index[f.members]] for f in mf]
     class_ids = sorted(set(cls))
     cpos = {c: i for i, c in enumerate(class_ids)}
     nc = len(class_ids)
-
-    states = tuple(("class", c) for c in class_ids) + tuple(
-        ("filter", f.sort_key()) for f in mf
+    base = frozenset(range(nc + k))
+    assignment = tuple(
+        PartialFunction(base, {(cpos[cls[j]], nc + j) for j in range(k) if masks[j] >> a & 1})
+        for a in range(alg.size)
     )
-    base = frozenset(range(len(states)))
-    assignment = []
-    for a in range(alg.size):
-        graph = {
-            (cpos[cls[j]], nc + j)
-            for j in range(len(mf))
-            if a in mf[j].members
-        }
-        assignment.append(PartialFunction(base, graph))
-    rep = Representation(alg, "injective-eta", states, tuple(assignment))
-
-    for a in range(alg.size):
-        f = rep.assignment[a]
+    for a, f in enumerate(assignment):
         if not is_injective_pf(f):
             raise InconsistencyError(
                 f"injective construction produced a non-injective value for "
                 f"{alg.element_name(a)}"
             )
-        for i in range(len(mf)):
-            for j in range(len(mf)):
-                canonical = cls[i] == cls[j] and a in mf[j].members
-                injective = (cpos[cls[i]], nc + j) in f.graph
-                if canonical != injective:
+        for i in range(k):
+            for j in range(k):
+                if ((i, j) in theta[a]) != ((cpos[cls[i]], nc + j) in f.graph):
                     raise InconsistencyError(
                         f"canonical/injective coherence fails at element "
                         f"{alg.element_name(a)}, states ({i}, {j})"
                     )
-    return rep
+    tagged = tuple(("class", c) for c in class_ids) + tuple((tag, x) for x in labels)
+    return Representation(alg, kind, tagged, assignment)
+
+
+def canonical_theta(alg: FiniteAlgebra) -> Representation:
+    """States are maximal filters; an element acts on equivalent filters
+    containing it."""
+    return _build(alg, "canonical-theta", _maximal_filter_states, injective=False)
+
+
+def injective_eta(alg: FiniteAlgebra) -> Representation:
+    """States are class tags plus maximal filters; values are injective."""
+    return _build(alg, "injective-eta", _maximal_filter_states, injective=True)
 
 
 def atomic_theta(alg: FiniteAlgebra) -> Representation:
     """States are atoms; an element acts on equivalent-domain atoms below it."""
-    _gate_axioms(alg)
-    if not is_atomic(alg):
-        raise NotAtomicError("the atom-based construction needs an atomic algebra")
-    ats = atoms(alg)
-    base = frozenset(range(len(ats)))
-    assignment = []
-    for a in range(alg.size):
-        graph = {
-            (i, j)
-            for i, x in enumerate(ats)
-            for j, y in enumerate(ats)
-            if alg.domeq(x, y) and alg.leq(y, a)
-        }
-        assignment.append(PartialFunction(base, graph))
-    return Representation(alg, "atomic-theta", tuple(ats), tuple(assignment))
+    return _build(alg, "atomic-theta", _atom_states, injective=False)
 
 
 def atomic_eta(alg: FiniteAlgebra) -> Representation:
     """States are atom classes plus atoms; values are injective."""
-    _gate_axioms(alg)
-    if not is_atomic(alg):
-        raise NotAtomicError("the atom-based construction needs an atomic algebra")
-    ats = atoms(alg)
-    quot = domain_quotient(alg)
-    class_ids = sorted({quot.class_of[x] for x in ats})
-    cpos = {c: i for i, c in enumerate(class_ids)}
-    nc = len(class_ids)
-    states = tuple(("class", c) for c in class_ids) + tuple(("atom", x) for x in ats)
-    base = frozenset(range(len(states)))
-    assignment = []
-    for a in range(alg.size):
-        graph = {
-            (cpos[quot.class_of[x]], nc + i)
-            for i, x in enumerate(ats)
-            if alg.leq(x, a)
-        }
-        assignment.append(PartialFunction(base, graph))
-    rep = Representation(alg, "atomic-eta", states, tuple(assignment))
-    for a in range(alg.size):
-        if not is_injective_pf(rep.assignment[a]):
-            raise InconsistencyError(
-                f"atom-based injective value for {alg.element_name(a)} is not injective"
-            )
-    return rep
+    return _build(alg, "atomic-eta", _atom_states, injective=True)
 
 
 # ---------------------------------------------------------------------------
@@ -458,34 +415,33 @@ def completeness_report(
 # ---------------------------------------------------------------------------
 
 
-def _map_is_meet_complete(
-    source: FiniteAlgebra, target: FiniteAlgebra, h: Sequence[int], masks: list[int]
+def _map_preserves(
+    bound: Callable[..., int | None],
+    source: FiniteAlgebra,
+    target: FiniteAlgebra,
+    h: Sequence[int],
+    masks,
+    within: tuple[int | None, int | None] = (None, None),
 ) -> bool:
+    """Whether ``h`` sends the ``bound`` (``_glb`` or ``_lub``) of every
+    subset in ``masks`` that has one to the bound of the subset's image,
+    bounds taken among the source and target elements of ``within``."""
     for mask in masks:
-        if not mask:
-            continue
-        w = _glb(source, mask)
+        w = bound(source, mask, within[0])
         if w is None:
             continue
         image = mask_of(h[s] for s in mask_iter(mask))
-        tw = _glb(target, image)
-        if tw is None or tw != h[w]:
+        if bound(target, image, within[1]) != h[w]:
             return False
     return True
 
 
-def _map_is_join_complete(
-    source: FiniteAlgebra, target: FiniteAlgebra, h: Sequence[int], masks: list[int]
-) -> bool:
-    for mask in masks:
-        w = _lub(source, mask)
-        if w is None:
-            continue
-        image = mask_of(h[s] for s in mask_iter(mask))
-        tw = _lub(target, image)
-        if tw is None or tw != h[w]:
-            return False
-    return True
+def _submasks(mask: int):
+    """The nonempty submasks of ``mask``."""
+    sub = mask
+    while sub:
+        yield sub
+        sub = (sub - 1) & mask
 
 
 def verify_hom_restriction(
@@ -536,62 +492,14 @@ def verify_hom_restriction(
 
     if source.size > subset_cap:
         return True
-    masks = list(range(1 << source.size))
-    complete = _map_is_meet_complete(source, target, h, masks) or _map_is_join_complete(
-        source, target, h, masks
+    masks = range(1 << source.size)
+    complete = _map_preserves(_glb, source, target, h, masks[1:]) or _map_preserves(
+        _lub, source, target, h, masks
     )
-    if not complete:
+    if not complete or len(b1.members) > subset_cap:
         return True
-
-    member_mask = mask_of(b1.members)
-    member2_mask = mask_of(b2.members)
-    sub_members = sorted(b1.members)
-    if len(sub_members) > subset_cap:
-        return True
-    for mask in range(1, 1 << len(sub_members)):
-        subset = [sub_members[i] for i in range(len(sub_members)) if mask >> i & 1]
-        smask = mask_of(subset)
-        # glb within the downset
-        lower = member_mask
-        for s in subset:
-            lower &= source.down_masks[s]
-        m1 = None
-        for g in mask_iter(lower):
-            if lower & ~source.down_masks[g] == 0:
-                m1 = g
-                break
-        if m1 is None:
-            continue
-        image = [h[s] for s in subset]
-        lower2 = member2_mask
-        for s in image:
-            lower2 &= target.down_masks[s]
-        m2 = None
-        for g in mask_iter(lower2):
-            if lower2 & ~target.down_masks[g] == 0:
-                m2 = g
-                break
-        if m2 is None or h[m1] != m2:
-            return False
-        # lub within the downset
-        upper = member_mask
-        for s in subset:
-            upper &= source.up_masks[s]
-        j1 = None
-        for u in mask_iter(upper):
-            if upper & ~source.up_masks[u] == 0:
-                j1 = u
-                break
-        if j1 is None:
-            continue
-        upper2 = member2_mask
-        for s in image:
-            upper2 &= target.up_masks[s]
-        j2 = None
-        for u in mask_iter(upper2):
-            if upper2 & ~target.up_masks[u] == 0:
-                j2 = u
-                break
-        if j2 is None or h[j1] != j2:
-            return False
-    return True
+    within = (mask_of(b1.members), mask_of(b2.members))
+    return all(
+        _map_preserves(bound, source, target, h, _submasks(within[0]), within)
+        for bound in (_glb, _lub)
+    )

@@ -1,8 +1,11 @@
 """Tables, law checking, derived relations, quotients, and downsets."""
 
+import gc
+import weakref
+
 import pytest
 
-from conftest import F, G, H, K, M, N1_C, N1_D, F2_ZERO
+from conftest import F, G, H, K, M, N1_C, N1_D, F2_ZERO, make_f2
 
 from diffrest import (
     ComplementedSemilattice,
@@ -18,6 +21,7 @@ from diffrest import (
     derived_relations,
     domain_quotient,
     enumerate_axiom_models,
+    enumerate_filters,
     evaluate_law,
     subtraction_from_boolean_downsets,
 )
@@ -219,6 +223,23 @@ def test_subtraction_one_element():
 def test_check_subtraction_axioms_flags_bad_table():
     report = check_subtraction_axioms([[0, 0], [0, 0]])
     assert not report.passed
+
+
+@pytest.mark.parametrize("minus", [[], [[0, 5], [1, 0]], [[0, 1]]])
+def test_check_subtraction_axioms_rejects_malformed_tables(minus):
+    with pytest.raises(TableError):
+        check_subtraction_axioms(minus)
+
+
+def test_derived_structure_is_computed_once_and_freed_with_its_algebra():
+    alg = make_f2().abstract
+    for derive in (check_axioms, domain_quotient, enumerate_filters):
+        assert derive(alg) is derive(alg)
+    assert boolean_downset(alg, H) is boolean_downset(alg, H)
+    family = weakref.ref(enumerate_filters(alg))
+    del alg
+    gc.collect()
+    assert family() is None
 
 
 def test_monotonicity_failure_witness(f2):

@@ -20,6 +20,7 @@ from diffrest import (
     is_atomic,
     is_atomistic,
     is_injective_pf,
+    principal_filter,
     verify_hom_restriction,
     verify_representation,
 )
@@ -113,6 +114,20 @@ def test_atomic_theta_f0(f0):
     rep = atomic_theta(f0)
     assert rep.states == ()
     assert rep.assignment[0].graph == frozenset()
+
+
+def test_atomic_theta_agrees_with_canonical_theta(f0, f1, f2, f3, f4, corpus200):
+    # Atom x stands for the maximal filter above it.
+    algebras = [f0] + [conc.abstract for conc in (f1, f2, f3, f4, *corpus200)]
+    for alg in algebras:
+        canonical = canonical_theta(alg)
+        atomic = atomic_theta(alg)
+        position = {state: i for i, state in enumerate(canonical.states)}
+        to_filter = [position[principal_filter(alg, x).sort_key()] for x in atomic.states]
+        assert len(to_filter) == len(canonical.states)
+        for a in range(alg.size):
+            mapped = {(to_filter[i], to_filter[j]) for i, j in atomic.graph_of(a)}
+            assert mapped == canonical.graph_of(a)
 
 
 def test_atomic_eta_is_injective(f2, f3, f4):
