@@ -68,11 +68,16 @@ MODES = {
 }
 
 
+class UsageError(AlgebraError):
+    """A command-line setting is malformed."""
+
+
 def _default_seed() -> int:
+    raw = os.environ.get("DIFFREST_SEED", "0")
     try:
-        return int(os.environ.get("DIFFREST_SEED", "0"))
+        return int(raw)
     except ValueError:
-        return 0
+        raise UsageError(f"DIFFREST_SEED must be an integer, got {raw!r}") from None
 
 
 def _law_lines(report: AxiomReport, alg: FiniteAlgebra, structured: bool) -> list[str]:
@@ -348,7 +353,6 @@ def _add_seed(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--seed",
         type=int,
-        default=_default_seed(),
         help="seed recorded in reports and used for sampling "
         "(default: DIFFREST_SEED or 0)",
     )
@@ -443,11 +447,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # DIFFREST_SEED is read only by verbs that take --seed and lack one.
+        if getattr(args, "seed", 0) is None:
+            args.seed = _default_seed()
         return args.func(args)
     except AxiomFailure as err:
         print(f"FAIL {err}")
         return EXIT_FAIL
-    except (ParseError, TableError, SizeCapError, PfunError, BudgetExceededError, OSError) as err:
+    except (
+        ParseError, TableError, SizeCapError, PfunError, BudgetExceededError, UsageError, OSError
+    ) as err:
         print(f"ERROR {err}", file=sys.stderr)
         return EXIT_INPUT
     except AlgebraError as err:

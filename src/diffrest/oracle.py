@@ -29,6 +29,7 @@ from .algebra import (
     AxiomReport,
     FiniteAlgebra,
     InconsistencyError,
+    TableError,
     check_axioms,
     mask_iter,
 )
@@ -412,7 +413,7 @@ def enumerate_axiom_models(
     models are deduplicated by canonical form.
     """
     if n < 1:
-        raise AlgebraError("algebras are nonempty")
+        raise TableError(f"algebras are nonempty, so size {n} has no models")
     counter = [0]
     found: dict[str, FiniteAlgebra] = {}
 

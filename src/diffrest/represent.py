@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .algebra import (
     AlgebraError,
@@ -329,9 +329,9 @@ SUBSET_CAP_DEFAULT = 20
 SAMPLE_COUNT_DEFAULT = 10_000
 
 
-def _subset_masks(n: int, cap: int, samples: int, seed: int) -> tuple[list[int], bool]:
+def _subset_masks(n: int, cap: int, samples: int, seed: int) -> tuple[Iterable[int], bool]:
     if n <= cap:
-        return list(range(1 << n)), True
+        return range(1 << n), True
     picked = {0, (1 << n) - 1}
     for i in range(n):
         picked.add(1 << i)
@@ -341,6 +341,24 @@ def _subset_masks(n: int, cap: int, samples: int, seed: int) -> tuple[list[int],
     for _ in range(samples):
         picked.add(rng.getrandbits(n))
     return sorted(picked), False
+
+
+def _fold_tables(alg: FiniteAlgebra, graphs: Sequence[int]) -> list[list[tuple]]:
+    """One table per chunk of 8 element ids, indexed by the subsets of
+    the chunk: (AND of down masks, AND of up masks, AND of graphs, OR of
+    graphs), each entry folded from the one without its lowest bit."""
+    down, up, everything = alg.down_masks, alg.up_masks, alg.all_mask
+    tables = []
+    for base in range(0, alg.size, 8):
+        table = [(everything, everything, -1, 0)]
+        for m in range(1, 1 << min(8, alg.size - base)):
+            low = m & -m
+            e = base + low.bit_length() - 1
+            d, u, a, o = table[m ^ low]
+            g = graphs[e]
+            table.append((d & down[e], u & up[e], a & g, o | g))
+        tables.append(table)
+    return tables
 
 
 def completeness_report(
@@ -354,36 +372,56 @@ def completeness_report(
     Existing meets and joins are found order-theoretically.  Below the
     subset cap every subset is scanned; above it, all singletons and
     pairs plus seeded random subsets are used and the report says so.
+    Graphs are bitmasks over the pairs the representation uses, and a
+    subset's bounds, intersection and union are read from per-8-element
+    fold tables, so each subset costs one lookup per 8 elements.  The
+    subsets are streamed, not listed, so memory does not grow with the
+    cap: it holds the tables and one bound per distinct bound set.
     """
     alg = rep.source
     n = alg.size
     masks, exhaustive = _subset_masks(n, subset_cap, samples, seed)
+    bit: dict[tuple[int, int], int] = {}
+    graphs = []
+    for f in rep.assignment:
+        g = 0
+        for pair in f.graph:
+            g |= 1 << bit.setdefault(pair, len(bit))
+        graphs.append(g)
+    first, *rest = _fold_tables(alg, graphs)
+    # A subset's glb depends only on its lower bounds, its lub only on
+    # its upper bounds.
+    glbs: dict[int, int | None] = {}
+    lubs: dict[int, int | None] = {}
     checked = 0
 
     meet_ok, meet_witness = True, None
     join_ok, join_witness = True, None
     for mask in masks:
-        subset = frozenset(mask_iter(mask))
+        lower, upper, inter, union = first[mask & 255]
+        high = mask >> 8
+        for table in rest:
+            d, u, a, o = table[high & 255]
+            lower &= d
+            upper &= u
+            inter &= a
+            union |= o
+            high >>= 8
         if mask:
-            w = _glb(alg, mask)
+            w = glbs.get(lower, -1)
+            if w == -1:
+                w = glbs[lower] = _glb(alg, 0, lower)
             if w is not None:
                 checked += 1
-                expected = rep.assignment[w].graph
-                inter = None
-                for s in subset:
-                    g = rep.assignment[s].graph
-                    inter = g if inter is None else inter & g
-                if inter != expected and meet_ok:
-                    meet_ok, meet_witness = False, subset
-        w = _lub(alg, mask)
+                if inter != graphs[w] and meet_ok:
+                    meet_ok, meet_witness = False, frozenset(mask_iter(mask))
+        w = lubs.get(upper, -1)
+        if w == -1:
+            w = lubs[upper] = _lub(alg, 0, upper)
         if w is not None:
             checked += 1
-            expected = rep.assignment[w].graph
-            union = frozenset()
-            for s in subset:
-                union |= rep.assignment[s].graph
-            if union != expected and join_ok:
-                join_ok, join_witness = False, subset
+            if union != graphs[w] and join_ok:
+                join_ok, join_witness = False, frozenset(mask_iter(mask))
 
     atom_list = alg.order_atoms()
     covered = frozenset()

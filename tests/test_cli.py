@@ -180,3 +180,23 @@ def test_seed_env_variable_is_the_default(files):
     )
     assert result.returncode == 0
     assert "seed=17" in result.stdout
+
+
+def test_malformed_seed_env_variable_is_an_input_error(files):
+    import os
+
+    env = dict(os.environ, DIFFREST_SEED="abc")
+    result = run_cli(
+        "search", "embed", "--file", files["f2"], "--max-base", "2", env=env
+    )
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("ERROR DIFFREST_SEED")
+
+
+@pytest.mark.parametrize("size", ("0", "-3"))
+def test_model_search_below_size_one_is_an_input_error(size):
+    result = run_cli("search", "models", "--size", size)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("ERROR ")
