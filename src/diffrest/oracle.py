@@ -10,11 +10,19 @@ the embedding search on whole corpora.
 The embedding search works point by point.  The trace of a base point
 assigns to every algebra element either "undefined" or a value point;
 traces are locally constrained by the two pointwise operation rules and
-are fully determined by their values on a generating set, so the search
-enumerates consistent traces once and then covers the injectivity
-requirements.  A representation on fewer points extends to one on more
-points by padding the base, so exhausting the maximum base size alone
-decides non-representability up to that size.
+are fully determined by their values on a generating set.  Which
+elements the first k generators determine depends only on the tables,
+so a propagation plan is built once per search: per generator, the
+steps that derive each newly determined element from two known ones,
+and the remaining equations to check.  The search then assigns one
+generator at a time, runs that generator's derivations and checks, and
+prunes the prefix at the first clash.  The consistent traces come out
+in lexicographic order of their generator values; a second search then
+covers the injectivity requirements with them.  A representation on
+fewer points extends to one on more points by padding the base, so
+exhausting the maximum base size alone decides non-representability up
+to that size.  The search prunes only with the tables, never with the
+laws or the filter theory it is meant to cross-check.
 """
 
 from __future__ import annotations
@@ -136,10 +144,18 @@ def generating_set(alg: FiniteAlgebra) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class EmbeddingResult:
+    """The verdict of one embedding search.
+
+    ``nodes`` counts every search node: one per generator value tried
+    while enumerating traces, plus one per cover-search node.
+    ``trace_nodes`` is the share spent enumerating traces.
+    """
+
     verdict: str  # "found" | "none" | "inconclusive"
     assignment: tuple[PartialFunction, ...] | None
     base_size: int
     nodes: int
+    trace_nodes: int
     seed: int
 
     @property
@@ -147,70 +163,135 @@ class EmbeddingResult:
         return self.verdict == "found"
 
 
+# The operation of a plan step (cell, op, a, b): tau[cell] = op(tau[a], tau[b]).
+_MINUS, _RESTRICT = 0, 1
+
+
+@dataclass(frozen=True)
+class _PlanLevel:
+    """What assigning one generator makes known and what it must satisfy.
+
+    ``free`` is false when the generator is already known from earlier
+    generators; its value is then a check, not a choice.  ``derive``
+    fills each newly known element from two known ones, in breadth-first
+    order; ``checks`` are the remaining equations among known elements
+    that involve a new one.
+    """
+
+    gen: int
+    free: bool
+    derive: tuple[tuple[int, int, int, int], ...]
+    checks: tuple[tuple[int, int, int, int], ...]
+
+
+def _propagation_plan(alg: FiniteAlgebra, gens: Sequence[int]) -> tuple[_PlanLevel, ...]:
+    """Per generator, the derivations and checks that follow from its value.
+
+    Which elements become known depends only on the tables, not on the
+    values chosen, so the plan is built once per search.  Every equation
+    tau[op(a, b)] = op(tau[a], tau[b]) among the elements is either a
+    derivation or a check at exactly one level.
+    """
+    n = alg.size
+    tables = (alg.minus, alg.restrict)
+    known: list[int] = []
+    is_known = [False] * n
+    levels = []
+    for g in gens:
+        free = not is_known[g]
+        start = len(known)
+        if free:
+            is_known[g] = True
+            known.append(g)
+        derive, checks = [], []
+        qi = start
+        while qi < len(known):
+            e = known[qi]
+            qi += 1
+            for x in known[:qi]:
+                for a, b in ((e, x), (x, e)) if x != e else ((e, e),):
+                    for op in (_MINUS, _RESTRICT):
+                        cell = tables[op][a][b]
+                        if is_known[cell]:
+                            checks.append((cell, op, a, b))
+                        else:
+                            is_known[cell] = True
+                            known.append(cell)
+                            derive.append((cell, op, a, b))
+        levels.append(_PlanLevel(g, free, tuple(derive), tuple(checks)))
+    if len(known) < n:
+        raise InconsistencyError("generating set failed to reach every element")
+    return tuple(levels)
+
+
 def _valid_columns(
     alg: FiniteAlgebra, gens: Sequence[int], m: int, counter: list[int], limit: int
 ) -> list[tuple[int, ...]]:
     """Enumerate consistent point traces: element -> 0 (undefined) or value.
 
-    A trace is propagated from generator values through the tables; any
-    clash kills the candidate.  Traces are returned as full tuples.
+    Generators are assigned one at a time, values in ascending order; each
+    value is propagated and checked through the plan, and a clash prunes
+    the prefix.  Traces come out in lexicographic order of the generator
+    values, as full tuples.
     """
-    n = alg.size
-    minus, restrict = alg.minus, alg.restrict
+    plan = _propagation_plan(alg, gens)
+    tau = [0] * alg.size
     columns: list[tuple[int, ...]] = []
-    for combo in itertools.product(range(m + 1), repeat=len(gens)):
-        counter[0] += 1
-        if counter[0] > limit:
-            raise _NodeLimit
-        tau: list[int | None] = [None] * n
-        known: list[int] = []
-        ok = True
+    values = range(m + 1)
 
-        def put(e: int, v: int) -> bool:
-            if tau[e] is None:
-                tau[e] = v
-                known.append(e)
-                return True
-            return tau[e] == v
+    def assign(k: int) -> None:
+        if k == len(plan):
+            columns.append(tuple(tau))
+            return
+        level = plan[k]
+        g, free, derive, checks = level.gen, level.free, level.derive, level.checks
+        for v in values:
+            counter[0] += 1
+            if counter[0] > limit:
+                raise _NodeLimit
+            if free:
+                tau[g] = v
+            elif tau[g] != v:
+                continue
+            for cell, op, a, b in derive:
+                ta = tau[a]
+                if op:
+                    tau[cell] = tau[b] if ta else 0
+                else:
+                    tau[cell] = ta if ta and tau[b] != ta else 0
+            for cell, op, a, b in checks:
+                ta = tau[a]
+                if op:
+                    if tau[cell] != (tau[b] if ta else 0):
+                        break
+                elif tau[cell] != (ta if ta and tau[b] != ta else 0):
+                    break
+            else:
+                assign(k + 1)
 
-        for g, v in zip(gens, combo):
-            if not put(g, v):
-                ok = False
-                break
-        if not ok:
-            continue
-        qi = 0
-        while ok and qi < len(known):
-            e = known[qi]
-            qi += 1
-            snapshot = len(known)
-            for idx in range(snapshot):
-                x = known[idx]
-                te, tx = tau[e], tau[x]
-                # pair (e, x)
-                v = te if (te != 0 and tx != te) else 0
-                if not put(minus[e][x], v):
-                    ok = False
-                    break
-                v = tx if te != 0 else 0
-                if not put(restrict[e][x], v):
-                    ok = False
-                    break
-                # pair (x, e)
-                v = tx if (tx != 0 and te != tx) else 0
-                if not put(minus[x][e], v):
-                    ok = False
-                    break
-                v = te if tx != 0 else 0
-                if not put(restrict[x][e], v):
-                    ok = False
-                    break
-        if not ok:
-            continue
-        if any(t is None for t in tau):
-            raise InconsistencyError("generating set failed to reach every element")
-        columns.append(tuple(tau))
+    assign(0)
     return columns
+
+
+def _separation_masks(columns: list[tuple[int, ...]], n: int, m: int) -> list[int]:
+    """Per column, a bit for each pair i < j it separates (col[i] != col[j]).
+
+    Pairs are numbered row by row, so the pairs (i, j) with j > i fill one
+    contiguous block of bits and a whole row is one shift of the
+    complement of i's value class.
+    """
+    offsets = [i * n - i * (i + 1) // 2 for i in range(n)]
+    rows = [(1 << (n - i - 1)) - 1 for i in range(n)]
+    masks = []
+    for col in columns:
+        classes = [0] * (m + 1)
+        for e, v in enumerate(col):
+            classes[v] |= 1 << e
+        mask = 0
+        for i in range(n - 1):
+            mask |= ((~classes[col[i]] >> (i + 1)) & rows[i]) << offsets[i]
+        masks.append(mask)
+    return masks
 
 
 def brute_force_embedding(
@@ -231,23 +312,16 @@ def brute_force_embedding(
     m = budget.max_base_size
     gens = generating_set(alg)
     counter = [0]
-
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    pair_pos = {p: k for k, p in enumerate(pairs)}
-    all_pairs_mask = (1 << len(pairs)) - 1
+    all_pairs_mask = (1 << (n * (n - 1) // 2)) - 1
 
     try:
         columns = _valid_columns(alg, gens, m, counter, budget.node_limit)
     except _NodeLimit:
-        return EmbeddingResult("inconclusive", None, m, counter[0], budget.seed)
-
-    sep_masks = []
-    for col in columns:
-        mask = 0
-        for (i, j), k in pair_pos.items():
-            if col[i] != col[j]:
-                mask |= 1 << k
-        sep_masks.append(mask)
+        return EmbeddingResult(
+            "inconclusive", None, m, counter[0], counter[0], budget.seed
+        )
+    trace_nodes = counter[0]
+    sep_masks = _separation_masks(columns, n, m)
 
     order = sorted(
         range(len(columns)), key=lambda ci: (-sep_masks[ci].bit_count(), columns[ci])
@@ -293,10 +367,12 @@ def brute_force_embedding(
     try:
         solution = dfs(0, all_pairs_mask)
     except _NodeLimit:
-        return EmbeddingResult("inconclusive", None, m, counter[0], budget.seed)
+        return EmbeddingResult(
+            "inconclusive", None, m, counter[0], trace_nodes, budget.seed
+        )
 
     if solution is None:
-        return EmbeddingResult("none", None, m, counter[0], budget.seed)
+        return EmbeddingResult("none", None, m, counter[0], trace_nodes, budget.seed)
 
     assignment = build(solution)
     rep = Representation(alg, "external", tuple(range(1, m + 1)), assignment)
@@ -305,7 +381,9 @@ def brute_force_embedding(
         raise InconsistencyError(
             f"search produced an assignment that fails verification: {report.failures[0]}"
         )
-    return EmbeddingResult("found", assignment, m, counter[0], budget.seed)
+    return EmbeddingResult(
+        "found", assignment, m, counter[0], trace_nodes, budget.seed
+    )
 
 
 # ---------------------------------------------------------------------------

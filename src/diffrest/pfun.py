@@ -45,6 +45,10 @@ class BaseMismatchError(PfunError):
     """Two operands live over different base sets."""
 
 
+class NotClosedError(PfunError, InconsistencyError):
+    """A product of two listed partial functions is not in the list."""
+
+
 @dataclass(frozen=True)
 class PartialFunction:
     """An immutable partial function on a finite base set."""
@@ -160,13 +164,31 @@ def _close_graphs(seeds: Sequence[Graph], cap: int = SIZE_CAP) -> list[Graph]:
 
 def _tables_for(graphs: Sequence[Graph]) -> tuple[Table, Table]:
     index = {g: i for i, g in enumerate(graphs)}
-    minus_t = tuple(
-        tuple(index[_graph_minus(g, h)] for h in graphs) for g in graphs
-    )
-    restrict_t = tuple(
-        tuple(index[_graph_restrict(g, h)] for h in graphs) for g in graphs
-    )
+    try:
+        minus_t = tuple(
+            tuple(index[_graph_minus(g, h)] for h in graphs) for g in graphs
+        )
+        restrict_t = tuple(
+            tuple(index[_graph_restrict(g, h)] for h in graphs) for g in graphs
+        )
+    except KeyError:
+        raise _not_closed(graphs, index) from None
     return minus_t, restrict_t
+
+
+def _not_closed(graphs: Sequence[Graph], index: dict[Graph, int]) -> NotClosedError:
+    """The error naming the first pair whose product is missing."""
+    for name, op in (("minus", _graph_minus), ("restrict", _graph_restrict)):
+        for i, g in enumerate(graphs):
+            for j, h in enumerate(graphs):
+                product = op(g, h)
+                if product not in index:
+                    literal = ", ".join(f"{x}->{y}" for x, y in sorted(product))
+                    return NotClosedError(
+                        f"elements are not closed: {name}({i}, {j}) = "
+                        f"{{{literal}}} is not an element"
+                    )
+    raise AssertionError("every product is an element")
 
 
 @dataclass(frozen=True)

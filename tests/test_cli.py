@@ -9,6 +9,7 @@ from conftest import make_f0, make_f2, make_n1
 
 from diffrest import (
     ConcreteAlgebra,
+    boolean_as_diffrest,
     parse_algebras,
     serialize_algebra,
     serialize_concrete,
@@ -159,6 +160,18 @@ def test_parse_error_exit_code(files, tmp_path):
     result = run_cli("check", str(bad))
     assert result.returncode == 2
     assert "line 1" in result.stderr
+
+
+def test_dictionary_not_closed_is_an_input_error(tmp_path):
+    bad = tmp_path / "open.alg"
+    text = serialize_concrete(boolean_as_diffrest(2))
+    bad.write_text(text.replace("\n3 {2->2}", "\n3 {1->2}"))
+    result = run_cli("check", str(bad))
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == (
+        "ERROR elements are not closed: minus(2, 1) = {2->2} is not an element\n"
+    )
 
 
 def test_missing_file_exit_code():

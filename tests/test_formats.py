@@ -5,8 +5,10 @@ import pytest
 from diffrest import (
     ConcreteAlgebra,
     FiniteAlgebra,
+    InconsistencyError,
     ParseError,
     abstract_of,
+    boolean_as_diffrest,
     parse_algebras,
     parse_pf_literal,
     serialize_algebra,
@@ -91,6 +93,14 @@ def test_empty_base():
 def test_dictionary_id_errors(f2):
     text = serialize_concrete(f2).replace("\n0 {1->1}", "\n9 {1->1}")
     with pytest.raises(ParseError, match="bad dictionary id"):
+        parse_algebras(text)
+
+
+def test_dictionary_not_closed_names_the_missing_product():
+    text = serialize_concrete(boolean_as_diffrest(2)).replace("\n3 {2->2}", "\n3 {1->2}")
+    with pytest.raises(
+        InconsistencyError, match=r"minus\(2, 1\) = \{2->2\} is not an element"
+    ):
         parse_algebras(text)
 
 
