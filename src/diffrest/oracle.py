@@ -23,12 +23,22 @@ fewer points extends to one on more points by padding the base, so
 exhausting the maximum base size alone decides non-representability up
 to that size.  The search prunes only with the tables, never with the
 laws or the filter theory it is meant to cross-check.
+
+The model enumerator fills the minus table cell by cell and then, for
+each complete minus table, the restrict table.  After each cell it
+checks only the instances of the five laws that read that cell: every
+other instance whose cells are all known was checked when its last
+cell was filled, or at the stage's first node if all its cells were
+seeded.  It prunes with the five laws alone, never with
+derived laws or filter theory, since it is the oracle for the claim
+that they follow.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Sequence
 
 from .algebra import (
@@ -428,57 +438,180 @@ def canonical_form(alg: FiniteAlgebra) -> str:
     return best
 
 
-def _laws_on_partial_minus(minus: list[list[int | None]], n: int) -> bool:
-    # The three complement laws, skipping instances with unknown cells.
-    for a in range(n):
-        for b in range(n):
-            t = minus[b][a]
-            if t is not None:
-                u = minus[a][t]
-                if u is not None and u != a:
-                    return False
-            ab = minus[a][b]
-            ba = minus[b][a]
-            if ab is not None and ba is not None:
-                mab = minus[a][ab]
-                mba = minus[b][ba]
-                if mab is not None and mba is not None and mab != mba:
-                    return False
-            for c in range(n):
-                if ab is not None:
-                    left = minus[ab][c]
-                    ac = minus[a][c]
-                    if left is not None and ac is not None:
-                        right = minus[ac][b]
-                        if right is not None and left != right:
-                            return False
-    return True
+def _minus_cell_ok(minus: list[list[int | None]], x: int, y: int) -> bool:
+    """Whether every known Ax.1-Ax.3 instance that reads minus[x][y] holds.
 
-
-def _laws_on_partial_restrict(
-    minus: list[list[int]], restrict: list[list[int | None]], n: int
-) -> bool:
-    # The two restriction laws, skipping instances with unknown cells.
-    def meet(a: int, b: int) -> int:
-        return minus[a][minus[a][b]]
-
-    for a in range(n):
-        for b in range(n):
-            ab = meet(a, b)
-            r = restrict[ab][a]
-            if r is not None and r != ab:
+    Instances with an unknown cell are skipped.  Those that read the
+    cell as the outer minus[ab][c] of Ax.3 are left to
+    ``_minus_outer_ok``.
+    """
+    v = minus[x][y]
+    # Ax.1, a - (b - a) = a: (x, y) is (b, a), or it is (a, b - a).
+    u = minus[y][v]
+    if u is not None and u != y:
+        return False
+    if v != x:
+        for row in minus:
+            if row[x] == y:
                 return False
-            rab = restrict[a][b]
-            for c in range(n):
-                rac = restrict[a][c]
-                rbc = restrict[b][c]
-                if rac is None or rbc is None or rab is None:
-                    continue
-                lhs = meet(rac, rbc)
-                rhs = restrict[rab][c]
-                if rhs is not None and lhs != rhs:
+    # Ax.2, a - (a - b) = b - (b - a), reads cells in rows a and b
+    # only and is symmetric in a and b: a is x.
+    row_x = minus[x]
+    for b, row_b in enumerate(minus):
+        ab = row_x[b]
+        ba = row_b[x]
+        if ab is None or ba is None:
+            continue
+        p = row_x[ab]
+        q = row_b[ba]
+        if p is not None and q is not None and p != q:
+            return False
+    # Ax.3, (a - b) - c = (a - c) - b, is symmetric in b and c: (x, y)
+    # is (a, b).
+    row_v = minus[v]
+    for c, ac in enumerate(row_x):
+        left = row_v[c]
+        if left is None or ac is None:
+            continue
+        right = minus[ac][y]
+        if right is not None and left != right:
+            return False
+    return _minus_outer_ok(minus, x, y)
+
+
+def _minus_outer_ok(minus: list[list[int | None]], x: int, y: int) -> bool:
+    """The Ax.3 instances (a, b, y) with minus[a][b] = x, found by one
+    reverse lookup over the table."""
+    v = minus[x][y]
+    for row_a in minus:
+        if x not in row_a:
+            continue
+        ac = row_a[y]
+        if ac is None:
+            continue
+        row_ac = minus[ac]
+        for b, ab in enumerate(row_a):
+            if ab == x:
+                right = row_ac[b]
+                if right is not None and right != v:
                     return False
     return True
+
+
+def _restrict_cell_ok(
+    meet: list[list[int]], restrict: list[list[int | None]], x: int, y: int
+) -> bool:
+    """Whether every known Ax.4 or Ax.5 instance that reads restrict[x][y] holds.
+
+    ``meet`` is the table of a - (a - b) over a complete minus table.
+    Instances with an unknown cell are skipped.  Those that read the
+    cell as the outer restrict[rab][c] of Ax.4 are left to
+    ``_restrict_outer_ok``.
+    """
+    v = restrict[x][y]
+    # Ax.5, restrict[meet(a, b)][a] = meet(a, b): (x, y) is its cell.
+    if v != x and x in meet[y]:
+        return False
+    # Ax.4, meet(restrict[a][c], restrict[b][c]) = restrict[restrict[a][b]][c]:
+    # (x, y) is (a, c), (b, c) or (a, b).
+    row_x = restrict[x]
+    row_y = restrict[y]
+    row_v = restrict[v]
+    meet_v = meet[v]
+    for z, row_z in enumerate(restrict):
+        xz = row_x[z]
+        zy = row_z[y]
+        if zy is not None:
+            # (a, b, c) = (x, z, y)
+            if xz is not None:
+                rhs = restrict[xz][y]
+                if rhs is not None and meet_v[zy] != rhs:
+                    return False
+            # (a, b, c) = (z, x, y)
+            zx = row_z[x]
+            if zx is not None:
+                rhs = restrict[zx][y]
+                if rhs is not None and meet[zy][v] != rhs:
+                    return False
+        # (a, b, c) = (x, y, z)
+        yz = row_y[z]
+        if xz is not None and yz is not None:
+            rhs = row_v[z]
+            if rhs is not None and meet[xz][yz] != rhs:
+                return False
+    return _restrict_outer_ok(meet, restrict, x, y)
+
+
+def _restrict_outer_ok(
+    meet: list[list[int]], restrict: list[list[int | None]], x: int, y: int
+) -> bool:
+    """The Ax.4 instances (a, b, y) with restrict[a][b] = x, found by one
+    reverse lookup over the table."""
+    v = restrict[x][y]
+    for row_a in restrict:
+        if x not in row_a:
+            continue
+        ay = row_a[y]
+        if ay is None:
+            continue
+        meet_ay = meet[ay]
+        for b, ab in enumerate(row_a):
+            if ab == x:
+                by = restrict[b][y]
+                if by is not None and meet_ay[by] != v:
+                    return False
+    return True
+
+
+def _known_cells_ok(table: list[list[int | None]], cell_ok) -> bool:
+    """Whether every law instance whose cells are all known holds.
+
+    Each such instance reads some known cell of ``table``.
+    """
+    return all(
+        cell_ok(a, b)
+        for a, row in enumerate(table)
+        for b, t in enumerate(row)
+        if t is not None
+    )
+
+
+def _fill_cells(
+    table: list[list[int | None]],
+    free: Sequence[tuple[int, int]],
+    cell_ok,
+    counter: list[int],
+    limit: int,
+    complete,
+) -> None:
+    """Assign the free cells of ``table`` in order, values ascending.
+
+    One node per call, counted against ``limit``.  The first node that
+    assigns a cell checks the cells already known; after that, each
+    value is checked only against the law instances that read its cell
+    (``cell_ok(a, b)``), since every other instance that is fully known
+    held at an earlier node.  ``complete`` runs when no free cell is left.
+    """
+    values = range(len(table))
+
+    def fill(k: int) -> None:
+        counter[0] += 1
+        if counter[0] > limit:
+            raise _NodeLimit
+        if k == len(free):
+            complete()
+            return
+        if k == 0 and not _known_cells_ok(table, cell_ok):
+            return
+        a, b = free[k]
+        row = table[a]
+        for v in values:
+            row[b] = v
+            if cell_ok(a, b):
+                fill(k + 1)
+        row[b] = None
+
+    fill(0)
 
 
 def enumerate_axiom_models(
@@ -486,9 +619,11 @@ def enumerate_axiom_models(
 ) -> ModelCatalog:
     """All law-abiding algebras of a given size, up to isomorphism.
 
-    Backtracks over the two tables with the forced cells seeded (bottom
-    fixed at element 0) and the laws re-checked as cells fill; complete
-    models are deduplicated by canonical form.
+    Backtracks over the minus table and then, for each complete minus
+    table, over the restrict table, with the forced cells seeded (bottom
+    fixed at element 0).  Each filled cell is checked against the law
+    instances that read it; complete models are checked once more with
+    ``check_axioms`` and deduplicated by canonical form.
     """
     if n < 1:
         raise TableError(f"algebras are nonempty, so size {n} has no models")
@@ -510,43 +645,36 @@ def enumerate_axiom_models(
         (a, b) for a in range(n) for b in range(n) if restrict[a][b] is None
     ]
 
-    def fill_restrict(k: int) -> None:
-        counter[0] += 1
-        if counter[0] > budget.node_limit:
-            raise _NodeLimit
-        if k == len(free_restrict):
-            alg = FiniteAlgebra.from_tables(minus, restrict)
-            report = check_axioms(alg)
-            if not report.passed:
-                raise InconsistencyError(
-                    "incremental pruning admitted a non-model"
-                )
-            found.setdefault(canonical_form(alg), alg)
-            return
-        a, b = free_restrict[k]
-        for v in range(n):
-            restrict[a][b] = v
-            if _laws_on_partial_restrict(minus, restrict, n):
-                fill_restrict(k + 1)
-            restrict[a][b] = None
+    def model_found() -> None:
+        alg = FiniteAlgebra.from_tables(minus, restrict)
+        report = check_axioms(alg)
+        if not report.passed:
+            raise InconsistencyError(
+                "incremental pruning admitted a non-model"
+            )
+        found.setdefault(canonical_form(alg), alg)
 
-    def fill_minus(k: int) -> None:
-        counter[0] += 1
-        if counter[0] > budget.node_limit:
-            raise _NodeLimit
-        if k == len(free_minus):
-            fill_restrict(0)
-            return
-        a, b = free_minus[k]
-        for v in range(n):
-            minus[a][b] = v
-            if _laws_on_partial_minus(minus, n):
-                fill_minus(k + 1)
-            minus[a][b] = None
+    def minus_complete() -> None:
+        meet = [[row[t] for t in row] for row in minus]
+        _fill_cells(
+            restrict,
+            free_restrict,
+            partial(_restrict_cell_ok, meet, restrict),
+            counter,
+            budget.node_limit,
+            model_found,
+        )
 
     exhaustive = True
     try:
-        fill_minus(0)
+        _fill_cells(
+            minus,
+            free_minus,
+            partial(_minus_cell_ok, minus),
+            counter,
+            budget.node_limit,
+            minus_complete,
+        )
     except _NodeLimit:
         exhaustive = False
 

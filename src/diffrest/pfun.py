@@ -45,7 +45,11 @@ class BaseMismatchError(PfunError):
     """Two operands live over different base sets."""
 
 
-class NotClosedError(PfunError, InconsistencyError):
+class DictionaryError(PfunError, InconsistencyError):
+    """A list of partial functions does not certify the abstract tables."""
+
+
+class NotClosedError(DictionaryError):
     """A product of two listed partial functions is not in the list."""
 
 
@@ -207,17 +211,17 @@ class ConcreteAlgebra:
     def __post_init__(self):
         graphs = [f.graph for f in self.elements]
         if len(set(graphs)) != len(graphs):
-            raise InconsistencyError("concrete elements are not distinct")
+            raise DictionaryError("concrete elements are not distinct")
         for f in self.elements:
             if f.base != self.base:
                 raise BaseMismatchError("element base differs from algebra base")
         if self.abstract.size != len(self.elements):
-            raise InconsistencyError(
+            raise DictionaryError(
                 f"abstract size {self.abstract.size} != {len(self.elements)} elements"
             )
         minus_t, restrict_t = _tables_for(graphs)
         if minus_t != self.abstract.minus or restrict_t != self.abstract.restrict:
-            raise InconsistencyError(
+            raise DictionaryError(
                 "abstract tables disagree with pointwise evaluation"
             )
 

@@ -18,9 +18,11 @@ import pytest
 from diffrest import (
     FiniteAlgebra,
     PartialFunction,
+    boolean_as_diffrest,
     close_generators,
     close_relations,
     random_generators,
+    serialize_concrete,
 )
 
 K = 0
@@ -36,6 +38,19 @@ N1_D = 1
 N1_E = 3
 
 CORPUS_SEED = 74
+
+# Concrete files of boolean_as_diffrest(2) whose dictionary does not
+# certify the tables, keyed by the error message.
+_TWO_ATOMS = serialize_concrete(boolean_as_diffrest(2))
+MALFORMED_DICTIONARIES = {
+    # entry 3 lists the same partial function as entry 1
+    "concrete elements are not distinct": _TWO_ATOMS.replace("\n3 {2->2}", "\n3 {1->1}"),
+    # minus[2][3] changed from 1 to 2
+    "abstract tables disagree with pointwise evaluation": _TWO_ATOMS.replace(
+        "\n2 3 0 1\n", "\n2 3 0 2\n"
+    ),
+}
+assert all(text != _TWO_ATOMS for text in MALFORMED_DICTIONARIES.values())
 
 
 def named(conc, names):

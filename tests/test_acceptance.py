@@ -198,6 +198,13 @@ def test_c7_boolean_interpretation():
 def test_c8_model_counts():
     assert len(enumerate_axiom_models(1).models) == 1
     assert len(enumerate_axiom_models(2).models) == 1
-    # regression pin, recorded from the first exhaustive run
+    # regression pins, recorded from the first exhaustive runs
     assert len(enumerate_axiom_models(3).models) == 2
-    print("\nC8 PASS model counts: 1 at size 1, 1 at size 2, 2 at size 3 (pinned)")
+    four = enumerate_axiom_models(4)
+    assert (len(four.models), four.nodes, four.exhaustive) == (4, 133, True)
+    five = enumerate_axiom_models(5)
+    assert (len(five.models), five.nodes, five.exhaustive) == (7, 5314, True)
+    print(
+        "\nC8 PASS model counts: 1 at size 1, 1 at size 2, 2 at size 3, "
+        "4 at size 4 (133 nodes), 7 at size 5 (5314 nodes) (pinned)"
+    )

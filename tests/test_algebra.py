@@ -124,11 +124,12 @@ def test_axiom_implies_derived_exhaustively_at_small_sizes():
 
 @pytest.mark.slow
 def test_axiom_implies_derived_exhaustively_at_size_six():
-    # Completes the soundness sweep at size 6; takes about two minutes.
+    # Completes the soundness sweep at size 6; takes about 12 seconds.
     from diffrest import SearchBudget
 
     catalog = enumerate_axiom_models(6, SearchBudget(node_limit=500_000_000))
     assert catalog.exhaustive
+    assert (len(catalog.models), catalog.nodes) == (14, 1_029_123)
     for model in catalog.models:
         assert check_derived_laws(model).passed
 

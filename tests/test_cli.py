@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from conftest import make_f0, make_f2, make_n1
+from conftest import MALFORMED_DICTIONARIES, make_f0, make_f2, make_n1
 
 from diffrest import (
     ConcreteAlgebra,
@@ -172,6 +172,16 @@ def test_dictionary_not_closed_is_an_input_error(tmp_path):
     assert result.stderr == (
         "ERROR elements are not closed: minus(2, 1) = {2->2} is not an element\n"
     )
+
+
+@pytest.mark.parametrize("message", MALFORMED_DICTIONARIES)
+def test_malformed_dictionary_is_an_input_error(tmp_path, message):
+    bad = tmp_path / "bad.alg"
+    bad.write_text(MALFORMED_DICTIONARIES[message])
+    result = run_cli("check", str(bad))
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == f"ERROR {message}\n"
 
 
 def test_missing_file_exit_code():

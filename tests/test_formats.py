@@ -2,11 +2,14 @@
 
 import pytest
 
+from conftest import MALFORMED_DICTIONARIES
+
 from diffrest import (
     ConcreteAlgebra,
     FiniteAlgebra,
     InconsistencyError,
     ParseError,
+    PfunError,
     abstract_of,
     boolean_as_diffrest,
     parse_algebras,
@@ -102,6 +105,13 @@ def test_dictionary_not_closed_names_the_missing_product():
         InconsistencyError, match=r"minus\(2, 1\) = \{2->2\} is not an element"
     ):
         parse_algebras(text)
+
+
+@pytest.mark.parametrize("message", MALFORMED_DICTIONARIES)
+def test_malformed_dictionary_is_a_partial_function_error(message):
+    with pytest.raises(PfunError, match=message) as err:
+        parse_algebras(MALFORMED_DICTIONARIES[message])
+    assert isinstance(err.value, InconsistencyError)
 
 
 def test_names_roundtrip():
