@@ -8,13 +8,23 @@ meet semilattice, the element order, the domain preorder and its
 quotient, Boolean downsets, and exhaustive checkers for the defining
 laws with deterministic first-counterexample witnesses.
 
+Each law is written once, as a pair of terms over minus, restrict, meet
+and 0, related by ``=`` or ``<=`` and optionally guarded by antecedents
+``x <= y``.  At import every law is compiled into a row scan: the
+variables but the last are fixed in lexicographic order, both sides are
+computed as whole rows over the last variable from table rows and
+columns, and only a row where the sides differ is walked element by
+element.  So the witness is the lexicographically first counterexample
+among the assignments that satisfy the antecedents.
+
 Element subsets are handled as machine-word bitmasks, which is why the
 library caps algebra size at ``SIZE_CAP`` (64).
 """
 
 from __future__ import annotations
 
-import itertools
+import ast
+import re
 from dataclasses import dataclass, replace
 from functools import cached_property, wraps
 from typing import Callable, Iterator, NamedTuple, Sequence
@@ -147,10 +157,14 @@ class FiniteAlgebra:
         return self.restrict[b][a] == a
 
     @cached_property
+    def tables(self) -> "LawTables":
+        """The tables, columns and up-sets that law scans read."""
+        return LawTables(self.minus, self.restrict)
+
+    @cached_property
     def meet_table(self) -> Table:
         """meet_table[a][b] = meet(a, b)."""
-        n = self.size
-        return tuple(tuple(self.meet(a, b) for b in range(n)) for a in range(n))
+        return tuple(map(tuple, self.tables.rows["meet"]))
 
     @cached_property
     def down_masks(self) -> tuple[int, ...]:
@@ -163,10 +177,7 @@ class FiniteAlgebra:
     @cached_property
     def up_masks(self) -> tuple[int, ...]:
         """up_masks[a] = bitmask of all b with a <= b."""
-        return tuple(
-            mask_of(b for b in range(self.size) if self.leq(a, b))
-            for a in range(self.size)
-        )
+        return self.tables.up_masks
 
     @cached_property
     def all_mask(self) -> int:
@@ -216,95 +227,183 @@ def per_algebra(fn):
 # ---------------------------------------------------------------------------
 
 
+# A term is a variable name, "0", or (op, left, right) with op "minus",
+# "restrict" or "meet".
+Term = str | tuple
+
+_OPS = {ast.Sub: "minus", ast.RShift: "restrict", ast.BitAnd: "meet"}
+
+
 class Law(NamedTuple):
+    """``lhs relation rhs``, relation "=" or "<=", for every assignment to
+    ``varnames`` that satisfies each antecedent ``x <= y``."""
+
     name: str
     varnames: tuple[str, ...]
-    holds: Callable[..., bool]  # holds(minus, restrict, zero, *assignment)
-    scan: Callable[[FiniteAlgebra], tuple[int, ...] | None] | None = None
+    lhs: Term
+    relation: str
+    rhs: Term
+    antecedents: tuple[tuple[str, str], ...] = ()
 
 
-def _mt(m: Table, a: int, b: int) -> int:
-    return m[a][m[a][b]]
+def _term(node: ast.expr) -> Term:
+    if isinstance(node, ast.BinOp):
+        return (_OPS[type(node.op)], _term(node.left), _term(node.right))
+    return node.id if isinstance(node, ast.Name) else str(node.value)
 
 
-def _le(m: Table, a: int, b: int) -> bool:
-    return _mt(m, a, b) == a
-
-
-def _scan_monotone(alg: FiniteAlgebra) -> tuple[int, ...] | None:
-    # Quantifies over comparable pairs only; iteration order is still the
-    # lexicographic order on (a, b, c, d) restricted to the antecedent.
-    m, r = alg.minus, alg.restrict
-    n = alg.size
-    pairs = [(a, b) for a in range(n) for b in range(n) if _le(m, a, b)]
-    for a, b in pairs:
-        for c, d in pairs:
-            if not _le(m, r[a][c], r[b][d]):
-                return (a, b, c, d)
-    return None
+def parse_law(name: str, varnames: str, text: str) -> Law:
+    """Read ``[x <= y, ... =>] term (== | <=) term``.  Terms combine the
+    variables, 0 and parentheses with ``-`` (minus), ``|>`` (restrict)
+    and ``&`` (meet), which bind in that order."""
+    *given, claim = text.replace("|>", ">>").split("=>")
+    antecedents = [tuple(p.split("<=")) for p in "".join(given).replace(" ", "").split(",") if p]
+    compare = ast.parse(claim.strip(), mode="eval").body
+    relation = {ast.Eq: "=", ast.LtE: "<="}[type(compare.ops[0])]
+    lhs, rhs = _term(compare.left), _term(compare.comparators[0])
+    return Law(name, tuple(varnames), lhs, relation, rhs, tuple(antecedents))
 
 
 AXIOM_LAWS: tuple[Law, ...] = (
-    Law("Ax.1", ("a", "b"), lambda m, r, z, a, b: m[a][m[b][a]] == a),
-    Law("Ax.2", ("a", "b"), lambda m, r, z, a, b: _mt(m, a, b) == _mt(m, b, a)),
-    Law("Ax.3", ("a", "b", "c"), lambda m, r, z, a, b, c: m[m[a][b]][c] == m[m[a][c]][b]),
-    Law(
-        "Ax.4",
-        ("a", "b", "c"),
-        lambda m, r, z, a, b, c: _mt(m, r[a][c], r[b][c]) == r[r[a][b]][c],
-    ),
-    Law("Ax.5", ("a", "b"), lambda m, r, z, a, b: r[_mt(m, a, b)][a] == _mt(m, a, b)),
+    parse_law("Ax.1", "ab", "a - (b - a) == a"),
+    parse_law("Ax.2", "ab", "a & b == b & a"),
+    parse_law("Ax.3", "abc", "(a - b) - c == (a - c) - b"),
+    parse_law("Ax.4", "abc", "(a |> c) & (b |> c) == (a |> b) |> c"),
+    parse_law("Ax.5", "ab", "(a & b) |> a == a & b"),
 )
 
 SUBTRACTION_LAWS: tuple[Law, ...] = AXIOM_LAWS[:3]
 
 DERIVED_LAWS: tuple[Law, ...] = (
-    Law(
-        "meet-minus-disjoint",
-        ("a", "b"),
-        lambda m, r, z, a, b: _mt(m, b, m[a][b]) == z,
-    ),
-    Law(
-        "minus-absorbs-meet",
-        ("a", "b"),
-        lambda m, r, z, a, b: m[a][_mt(m, a, b)] == m[a][b],
-    ),
-    Law(
-        "meet-minus-assoc",
-        ("a", "b", "c"),
-        lambda m, r, z, a, b, c: _mt(m, a, m[b][c]) == m[_mt(m, a, b)][c],
-    ),
-    Law("restrict-below", ("a", "b"), lambda m, r, z, a, b: _le(m, r[b][a], a)),
-    Law(
-        "restrict-assoc",
-        ("a", "b", "c"),
-        lambda m, r, z, a, b, c: r[a][r[b][c]] == r[r[a][b]][c],
-    ),
-    Law(
-        "restrict-meet-absorb",
-        ("a", "b"),
-        lambda m, r, z, a, b: r[r[a][b]][_mt(m, a, b)] == _mt(m, a, b),
-    ),
-    Law(
-        "restrict-over-meet",
-        ("a", "b", "c"),
-        lambda m, r, z, a, b, c: r[a][_mt(m, b, c)] == _mt(m, r[a][b], c),
-    ),
-    Law(
-        "restrict-over-minus",
-        ("a", "b", "c"),
-        lambda m, r, z, a, b, c: m[r[a][b]][c] == r[a][m[b][c]],
-    ),
-    Law(
-        "restrict-monotone",
-        ("a", "b", "c", "d"),
-        lambda m, r, z, a, b, c, d: not (_le(m, a, b) and _le(m, c, d))
-        or _le(m, r[a][c], r[b][d]),
-        scan=_scan_monotone,
-    ),
+    parse_law("meet-minus-disjoint", "ab", "b & (a - b) == 0"),
+    parse_law("minus-absorbs-meet", "ab", "a - (a & b) == a - b"),
+    parse_law("meet-minus-assoc", "abc", "a & (b - c) == (a & b) - c"),
+    parse_law("restrict-below", "ab", "b |> a <= a"),
+    parse_law("restrict-assoc", "abc", "a |> (b |> c) == (a |> b) |> c"),
+    parse_law("restrict-meet-absorb", "ab", "(a |> b) |> (a & b) == a & b"),
+    parse_law("restrict-over-meet", "abc", "a |> (b & c) == (a |> b) & c"),
+    parse_law("restrict-over-minus", "abc", "(a |> b) - c == a |> (b - c)"),
+    parse_law("restrict-monotone", "abcd", "a <= b, c <= d => a |> c <= b |> d"),
 )
 
 LAW_TABLE: dict[str, Law] = {law.name: law for law in AXIOM_LAWS + DERIVED_LAWS}
+
+
+class LawTables:
+    """What law scans read: each operation's rows and columns (meet
+    derived from minus), and the element order as up-sets.
+
+    Rows are lists, as are the rows a scan computes: ``tuple(map(...))``
+    would leave each freed row on CPython's tuple free list for its
+    length, up to 2,000 of them per length below 20."""
+
+    def __init__(self, minus: Table, restrict: Table | None = None):
+        self.zero, self.everything = minus[0][0], range(len(minus))
+        self.rows = {"minus": list(map(list, minus))}
+        # meet(a, b) = a - (a - b): row a of minus read through itself.
+        self.rows["meet"] = [list(map(row.__getitem__, row)) for row in minus]
+        if restrict is not None:
+            self.rows["restrict"] = list(map(list, restrict))
+        self.cols = {op: list(map(list, zip(*table))) for op, table in self.rows.items()}
+
+    @cached_property
+    def up_lists(self) -> tuple[tuple[int, ...], ...]:
+        """up_lists[a] = the b with a <= b, ascending."""
+        meet = self.rows["meet"]
+        return tuple(tuple([b for b, m in enumerate(meet[a]) if m == a]) for a in self.everything)
+
+    @cached_property
+    def up_masks(self) -> tuple[int, ...]:
+        """up_masks[a] = up_lists[a] as a bitmask."""
+        return tuple(map(mask_of, self.up_lists))
+
+
+def _variables(term: Term) -> set[str]:
+    if isinstance(term, str):
+        return set() if term == "0" else {term}
+    return _variables(term[1]) | _variables(term[2])
+
+
+def _compile(law: Law) -> Callable[[LawTables], Iterator[tuple[int, ...]]]:
+    """Compile ``law`` into a scan that yields every assignment breaking
+    it, in lexicographic order.
+
+    The scan is Python source with one loop per variable but the last;
+    an antecedent ``x <= y`` makes y run over the up-set of x.  Inside,
+    each side is a whole row of values over the last variable, built
+    from table rows (``op[x]``), columns (``op_cols[x]``) and ``map``; a
+    row is walked element by element only where the two sides differ.  A
+    fixed left side x of "<=" is tested by the bitmask of the right
+    side's row against up(x), kept per value of the variables it reads."""
+    name = {v: f"v{i}" for i, v in enumerate(law.varnames)} | {"0": "zero"}
+    *fixed, last = law.varnames
+    above = {y: name[x] for x, y in law.antecedents}
+    domain = {v: f"up_lists[{above[v]}]" if v in above else "everything" for v in law.varnames}
+
+    def code(term: Term) -> tuple[str, bool]:
+        """Source for ``term``, and whether it is a row over the last variable."""
+        if isinstance(term, str):
+            return ("dom", True) if term == last else (name[term], False)
+        op, (x, x_row), (y, y_row) = term[0], code(term[1]), code(term[2])
+        if not (x_row or y_row):
+            return f"{op}[{x}][{y}]", False
+        if x_row and y_row:
+            return f"list(map(list.__getitem__, map({op}.__getitem__, {x}), {y}))", True
+        line, values = (f"{op}[{x}]", y) if y_row else (f"{op}_cols[{y}]", x)
+        if values == "dom" and domain[last] == "everything":
+            return line, True
+        return f"list(map({line}.__getitem__, {values}))", True
+
+    def row(term: Term) -> str:
+        source, is_row = code(term)
+        if not is_row:
+            return f"[{source}] * len(dom)"
+        return "list(dom)" if source == "dom" else source
+
+    witness = "(" + "".join(name[v] + ", " for v in law.varnames) + ")"
+    body = [f"dom = {domain[last]}"]
+    left, left_row = code(law.lhs)
+    if law.relation == "<=" and not left_row:
+        reads = sorted(name[v] for v in _variables(law.rhs) - {last})
+        reads += [above[last]] if last in above else []
+        body += [
+            f"key = ({''.join(v + ', ' for v in reads)})",
+            f"image, ups = images.get(key), up_masks[{left}]",
+            "if image is None:",
+            f"    image = images[key] = mask_of({row(law.rhs)})",
+            "if image & ~ups:",
+            f"    for {name[last]}, y in zip(dom, {row(law.rhs)}):",
+            f"        if not ups >> y & 1: yield {witness}",
+        ]
+    else:
+        # x <= y holds where x & y == x.
+        right = law.rhs if law.relation == "=" else ("meet", law.lhs, law.rhs)
+        body += [
+            f"p, q = {row(law.lhs)}, {row(right)}",
+            "if p != q:",
+            f"    for {name[last]}, x, y in zip(dom, p, q):",
+            f"        if x != y: yield {witness}",
+        ]
+    lines = ["    " * depth + f"for {name[v]} in {domain[v]}:" for depth, v in enumerate(fixed, 1)]
+    lines += ["    " * len(law.varnames) + line for line in body]
+    # The scan binds only the tables and helpers its loops read.
+    local = {"images": "{}", "zero": "t.zero", "everything": "t.everything"}
+    local |= {"up_lists": "t.up_lists", "up_masks": "t.up_masks"}
+    for op in _OPS.values():
+        local |= {op: f"t.rows[{op!r}]", f"{op}_cols": f"t.cols[{op!r}]"}
+    words = set(re.findall(r"\w+", "\n".join(lines)))
+    lines[:0] = [f"    {k} = {v}" for k, v in local.items() if k in words]
+    namespace = {"mask_of": mask_of}
+    exec(compile("def scan(t):\n" + "\n".join(lines), f"<law {law.name}>", "exec"), namespace)
+    return namespace["scan"]
+
+
+_SCANS = {law: _compile(law) for law in LAW_TABLE.values()}
+
+
+def law_failures(law: Law, t: LawTables) -> Iterator[tuple[int, ...]]:
+    """Every assignment that breaks ``law``, in lexicographic order."""
+    return (_SCANS.get(law) or _compile(law))(t)
 
 
 @dataclass(frozen=True)
@@ -344,22 +443,27 @@ class AxiomReport:
 
 def evaluate_law(alg: FiniteAlgebra, law: str, assignment: Sequence[int]) -> bool:
     """Re-evaluate a single law instance against the tables."""
-    entry = LAW_TABLE[law]
-    return entry.holds(alg.minus, alg.restrict, alg.zero, *assignment)
+    entry, t = LAW_TABLE[law], alg.tables
+    env = {"0": t.zero, **dict(zip(entry.varnames, assignment))}
+
+    def value(term: Term) -> int:
+        if isinstance(term, str):
+            return env[term]
+        return t.rows[term[0]][value(term[1])][value(term[2])]
+
+    def leq(x: int, y: int) -> bool:
+        return t.up_masks[x] >> y & 1 == 1
+
+    if not all(leq(env[x], env[y]) for x, y in entry.antecedents):
+        return True
+    lhs, rhs = value(entry.lhs), value(entry.rhs)
+    return lhs == rhs if entry.relation == "=" else leq(lhs, rhs)
 
 
-def _scan_laws(alg: FiniteAlgebra, laws: Sequence[Law]) -> AxiomReport:
-    m, r, z = alg.minus, alg.restrict, alg.zero
+def _scan_laws(t: LawTables, laws: Sequence[Law]) -> AxiomReport:
     verdicts = []
     for law in laws:
-        if law.scan is not None:
-            witness = law.scan(alg)
-        else:
-            witness = None
-            for assignment in itertools.product(range(alg.size), repeat=len(law.varnames)):
-                if not law.holds(m, r, z, *assignment):
-                    witness = assignment
-                    break
+        witness = next(law_failures(law, t), None)
         verdicts.append(LawVerdict(law.name, witness is None, witness))
     return AxiomReport(tuple(verdicts))
 
@@ -372,7 +476,7 @@ def check_axioms(alg: FiniteAlgebra) -> AxiomReport:
     order; the first counterexample is recorded as the witness.  The
     report is computed once per algebra value.
     """
-    return _scan_laws(alg, AXIOM_LAWS)
+    return _scan_laws(alg.tables, AXIOM_LAWS)
 
 
 def check_derived_laws(alg: FiniteAlgebra) -> AxiomReport:
@@ -381,7 +485,7 @@ def check_derived_laws(alg: FiniteAlgebra) -> AxiomReport:
     Intended for algebras that already pass ``check_axioms``; running it
     there is a self-test of table construction.
     """
-    return _scan_laws(alg, DERIVED_LAWS)
+    return _scan_laws(alg.tables, DERIVED_LAWS)
 
 
 def check_subtraction_axioms(minus: Sequence[Sequence[int]]) -> AxiomReport:
@@ -391,9 +495,7 @@ def check_subtraction_axioms(minus: Sequence[Sequence[int]]) -> AxiomReport:
     if n == 0:
         raise TableError("a minus table needs at least one element")
     _check_square(n, minus=minus_t)
-    restrict_identityish = tuple(tuple(b for b in range(n)) for _ in range(n))
-    probe = FiniteAlgebra(n, minus_t, restrict_identityish, minus_t[0][0])
-    return _scan_laws(probe, SUBTRACTION_LAWS)
+    return _scan_laws(LawTables(minus_t), SUBTRACTION_LAWS)
 
 
 # ---------------------------------------------------------------------------

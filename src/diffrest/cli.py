@@ -8,7 +8,8 @@ brute-force oracles, ``diff`` cross-validates a corpus, and
 algebra.  Every verdict line starts with PASS, FAIL, or INCONCLUSIVE;
 ``--format structured`` switches the remaining payload to key=value
 form.  Exit codes: 0 all pass, 1 any failure, 2 input error, 3
-inconclusive search.
+inconclusive search, 141 (as for SIGPIPE) when standard output closes
+early.
 """
 
 from __future__ import annotations
@@ -59,6 +60,7 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_INCONCLUSIVE = 3
+EXIT_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a reader that left
 
 MODES = {
     "theta": canonical_theta,
@@ -450,7 +452,14 @@ def main(argv=None) -> int:
         # DIFFREST_SEED is read only by verbs that take --seed and lack one.
         if getattr(args, "seed", 0) is None:
             args.seed = _default_seed()
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # The reader went away (``| head``): stop quietly, as SIGPIPE would,
+        # and send what is still buffered to the null device.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except AxiomFailure as err:
         print(f"FAIL {err}")
         return EXIT_FAIL

@@ -17,6 +17,12 @@ from .algebra import AlgebraError, FiniteAlgebra
 from .pfun import ConcreteAlgebra, PartialFunction, format_pf_literal
 
 
+# The most points a ``base lo..hi`` range may name.  The range is built
+# point by point, so a file of a few bytes could otherwise fill memory;
+# larger bases are written as point lists.
+BASE_RANGE_CAP = 1 << 16
+
+
 class ParseError(AlgebraError):
     def __init__(self, message: str, line: int, col: int = 1):
         self.line = line
@@ -107,6 +113,12 @@ def _parse_base(line: _Line) -> frozenset[int]:
             raise ParseError(
                 f"malformed base range {line.tokens[1]!r}", line.number, line.cols[1]
             ) from None
+        if hi - lo >= BASE_RANGE_CAP:
+            raise ParseError(
+                f"base range {line.tokens[1]!r} has more than {BASE_RANGE_CAP} points",
+                line.number,
+                line.cols[1],
+            )
         return frozenset(range(lo, hi + 1))
     points = [_int_at(line, i, "a base point") for i in range(1, len(line.tokens))]
     return frozenset(points)
@@ -199,7 +211,7 @@ def serialize_algebra(alg: FiniteAlgebra) -> str:
 
 def serialize_concrete(conc: ConcreteAlgebra) -> str:
     points = sorted(conc.base)
-    if points and points == list(range(points[0], points[-1] + 1)):
+    if points and len(points) <= BASE_RANGE_CAP and points[-1] - points[0] == len(points) - 1:
         base_line = f"base {points[0]}..{points[-1]}"
     elif not points:
         base_line = "base 1..0"

@@ -1,7 +1,10 @@
 """End-to-end command-line behaviour, including exit codes and stability."""
 
+import io
+import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -14,6 +17,7 @@ from diffrest import (
     serialize_algebra,
     serialize_concrete,
 )
+from diffrest.cli import main
 
 
 def run_cli(*argv, **kwargs):
@@ -23,6 +27,24 @@ def run_cli(*argv, **kwargs):
         text=True,
         **kwargs,
     )
+
+
+def run_with_closed_stdout(*argv):
+    """Run the CLI with stdout a pipe whose reader has already gone, and
+    stdout buffered, as in a shell pipeline."""
+    read, write = os.pipe()
+    os.close(read)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "diffrest", *argv],
+            stdout=write,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+    finally:
+        os.close(write)
 
 
 @pytest.fixture(scope="module")
@@ -223,3 +245,32 @@ def test_model_search_below_size_one_is_an_input_error(size):
     assert result.returncode == 2
     assert result.stdout == ""
     assert result.stderr.startswith("ERROR ")
+
+
+def test_closed_stdout_after_small_output_exits_quietly(files):
+    # The output fits the buffer, so the first write is at exit.
+    result = run_with_closed_stdout("represent", "--mode", "theta", files["f2"])
+    assert (result.returncode, result.stderr) == (141, "")
+
+
+def test_closed_stdout_during_large_output_exits_quietly(tmp_path):
+    path = tmp_path / "B6.alg"
+    path.write_text(serialize_concrete(boolean_as_diffrest(6)))
+    assert len(run_cli("filters", str(path)).stdout) > io.DEFAULT_BUFFER_SIZE
+    result = run_with_closed_stdout("filters", str(path))
+    assert (result.returncode, result.stderr) == (141, "")
+
+
+def test_huge_base_range_is_an_input_error_in_little_memory(tmp_path, capsys):
+    path = tmp_path / "huge.alg"
+    path.write_text("size 1\nminus\n0\nrestrict\n0\nbase 1..1000000000\ndictionary\n0 {}\n")
+    tracemalloc.start()
+    try:
+        code = main(["check", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert capsys.readouterr().err.startswith("ERROR line 6, column 6: base range")
+    # Building the range point by point took 84 MB already at 10**6 points.
+    assert peak < 2**21

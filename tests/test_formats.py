@@ -9,14 +9,17 @@ from diffrest import (
     FiniteAlgebra,
     InconsistencyError,
     ParseError,
+    PartialFunction,
     PfunError,
     abstract_of,
     boolean_as_diffrest,
+    close_generators,
     parse_algebras,
     parse_pf_literal,
     serialize_algebra,
     serialize_concrete,
 )
+from diffrest.formats import BASE_RANGE_CAP
 
 
 def test_algebra_roundtrip(f2):
@@ -91,6 +94,20 @@ def test_empty_base():
     text = "size 1\nminus\n0\nrestrict\n0\nbase 1..0\ndictionary\n0 {}\n"
     conc = parse_algebras(text)[0]
     assert conc.base == frozenset()
+
+
+def test_base_range_beyond_the_cap_is_rejected_at_its_token():
+    text = f"size 1\nminus\n0\nrestrict\n0\nbase 1..{BASE_RANGE_CAP + 1}\ndictionary\n0 {{}}\n"
+    with pytest.raises(ParseError, match=r"line 6, column 6: base range .* more than"):
+        parse_algebras(text)
+
+
+def test_contiguous_base_beyond_the_cap_round_trips_as_a_point_list():
+    base = range(1, BASE_RANGE_CAP + 2)
+    conc = close_generators(base, [PartialFunction(base, [(1, 1)])])
+    text = serialize_concrete(conc)
+    assert "\nbase 1 2 3 " in text
+    assert parse_algebras(text)[0].base == conc.base
 
 
 def test_dictionary_id_errors(f2):

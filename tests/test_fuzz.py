@@ -1,6 +1,7 @@
-"""Mutated algebra files give input errors or verdicts, never crashes.
+"""Mutated algebra files give input errors or verdicts, never crashes,
+and random tables get the reference specification's law reports.
 
-Each example takes a valid serialization and inserts, deletes or
+Each file example takes a valid serialization and inserts, deletes or
 replaces a few characters.  The runs are derandomized, so the examples
 are the same on every run.
 """
@@ -15,12 +16,16 @@ from conftest import make_f0, make_f2, make_n1
 
 from diffrest import (
     AlgebraError,
+    FiniteAlgebra,
     boolean_as_diffrest,
+    check_axioms,
+    check_derived_laws,
     parse_algebras,
     serialize_algebra,
     serialize_concrete,
 )
 from diffrest.cli import main
+from test_law_engine import REFERENCE_AXIOM_LAWS, REFERENCE_DERIVED_LAWS, _scan_laws
 
 VALID_TEXTS = (
     serialize_concrete(make_f2()),
@@ -34,7 +39,6 @@ CHARACTERS = st.one_of(
     st.sampled_from("0123456789 \n{}->,.#"),
     st.characters(codec="utf-8"),
 )
-
 
 
 def fuzz(max_examples):
@@ -78,3 +82,21 @@ def test_check_returns_a_known_exit_code(tmp_path_factory, text):
     assert code in (0, 1, 2, 3)
     if code == 2:
         assert err.getvalue().startswith("ERROR ")
+
+
+@st.composite
+def random_tables(draw):
+    """Arbitrary tables of up to 6 elements with a constant minus diagonal."""
+    n = draw(st.integers(1, 6))
+    cell = st.integers(0, n - 1)
+    zero = draw(cell)
+    minus = [[zero if a == b else draw(cell) for b in range(n)] for a in range(n)]
+    restrict = [[draw(cell) for _ in range(n)] for _ in range(n)]
+    return FiniteAlgebra.from_tables(minus, restrict)
+
+
+@fuzz(300)
+@given(random_tables())
+def test_law_reports_match_the_reference_spec(alg):
+    assert check_axioms(alg) == _scan_laws(alg, REFERENCE_AXIOM_LAWS)
+    assert check_derived_laws(alg) == _scan_laws(alg, REFERENCE_DERIVED_LAWS)
