@@ -14,15 +14,15 @@ are fully determined by their values on a generating set.  Which
 elements the first k generators determine depends only on the tables,
 so a propagation plan is built once per search: per generator, the
 steps that derive each newly determined element from two known ones,
-and the remaining equations to check.  The search then assigns one
-generator at a time, runs that generator's derivations and checks, and
-prunes the prefix at the first clash.  The consistent traces come out
-in lexicographic order of their generator values; a second search then
-covers the injectivity requirements with them.  A representation on
-fewer points extends to one on more points by padding the base, so
-exhausting the maximum base size alone decides non-representability up
-to that size.  The search prunes only with the tables, never with the
-laws or the filter theory it is meant to cross-check.
+and the remaining equations to check.  The search assigns one generator
+at a time and prunes the prefix at the first clash.  The plan only
+compares values, so the points are interchangeable: one trace per
+equality pattern is searched and its relabelings are counted and
+listed.  A second search covers the injectivity requirements with the
+traces.  A representation on fewer points extends to one on more points
+by padding the base, so exhausting the maximum base size decides
+non-representability up to that size.  The search prunes only with the
+tables, never with the laws or the filter theory it cross-checks.
 
 The model enumerator fills the minus table cell by cell and then, for
 each complete minus table, the restrict table.  After each cell it
@@ -37,6 +37,7 @@ that they follow.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Sequence
@@ -156,8 +157,9 @@ def generating_set(alg: FiniteAlgebra) -> tuple[int, ...]:
 class EmbeddingResult:
     """The verdict of one embedding search.
 
-    ``nodes`` counts every search node: one per generator value tried
-    while enumerating traces, plus one per cover-search node.
+    ``nodes`` counts every search node: one per generator value that the
+    full trace enumeration tries, plus one per cover-search node.  Copies
+    of a trace under relabeling of the points are counted but not visited.
     ``trace_nodes`` is the share spent enumerating traces.
     """
 
@@ -237,32 +239,46 @@ def _propagation_plan(alg: FiniteAlgebra, gens: Sequence[int]) -> tuple[_PlanLev
 def _valid_columns(
     alg: FiniteAlgebra, gens: Sequence[int], m: int, counter: list[int], limit: int
 ) -> list[tuple[int, ...]]:
-    """Enumerate consistent point traces: element -> 0 (undefined) or value.
+    """The columns of ``_columns_and_masks``: every consistent trace on
+    ``m`` points, relabeled copies counted and listed but not searched."""
+    return _columns_and_masks(alg, gens, m, counter, limit)[0]
 
-    Generators are assigned one at a time, values in ascending order; each
-    value is propagated and checked through the plan, and a clash prunes
-    the prefix.  Traces come out in lexicographic order of the generator
-    values, as full tuples.
+
+def _columns_and_masks(
+    alg: FiniteAlgebra, gens: Sequence[int], m: int, counter: list[int], limit: int
+) -> tuple[list[tuple[int, ...]], list[int]]:
+    """Consistent point traces (element -> 0 or a value) and their masks.
+
+    Generators are assigned one at a time through the plan, and a clash
+    prunes the prefix.  The plan only compares values with each other and
+    with 0, so permuting the points 1..m keeps prefixes consistent: the
+    symmetry comes from the tables, not from the laws.  A free generator
+    tries 0, the values in use and one fresh value, so one canonical trace
+    per equality pattern is searched; ``counter`` still counts every value
+    the full search tries.  The traces come out as all relabelings of the
+    canonical ones, in lexicographic order of the generator values, and
+    share the canonical trace's mask, since a relabeling separates the
+    same pairs.
     """
     plan = _propagation_plan(alg, gens)
     tau = [0] * alg.size
-    columns: list[tuple[int, ...]] = []
-    values = range(m + 1)
+    traces: list[tuple[int, ...]] = []
 
-    def assign(k: int) -> None:
+    def assign(k: int, used: int, copies: int) -> None:
+        # The prefix uses the values 1..used and stands for ``copies``
+        # relabeled prefixes, all of which the full search visits.
         if k == len(plan):
-            columns.append(tuple(tau))
+            traces.append(tuple(tau))
             return
+        counter[0] += copies * (m + 1)
+        if counter[0] > limit:
+            counter[0] = limit + 1
+            raise _NodeLimit
         level = plan[k]
-        g, free, derive, checks = level.gen, level.free, level.derive, level.checks
-        for v in values:
-            counter[0] += 1
-            if counter[0] > limit:
-                raise _NodeLimit
-            if free:
-                tau[g] = v
-            elif tau[g] != v:
-                continue
+        g, derive, checks = level.gen, level.derive, level.checks
+        # A generator determined by earlier ones keeps its value.
+        for v in range(min(used + 1, m) + 1) if level.free else (tau[g],):
+            tau[g] = v
             for cell, op, a, b in derive:
                 ta = tau[a]
                 if op:
@@ -277,10 +293,22 @@ def _valid_columns(
                 elif tau[cell] != (ta if ta and tau[b] != ta else 0):
                     break
             else:
-                assign(k + 1)
+                if v <= used:
+                    assign(k + 1, used, copies)
+                else:
+                    assign(k + 1, v, copies * (m - used))
 
-    assign(0)
-    return columns
+    assign(0, 0, 1)
+    trace_masks = _separation_masks(traces, alg.size, m)
+    points = range(1, m + 1)
+    relabeled = [
+        (tuple([sigma[v] for v in trace]), mask)
+        for trace, mask in zip(traces, trace_masks)
+        for sigma in map((0,).__add__, itertools.permutations(points, max(trace)))
+    ]
+    by_gens = operator.itemgetter(*gens)
+    relabeled.sort(key=lambda pair: by_gens(pair[0]))
+    return [col for col, _ in relabeled], [mask for _, mask in relabeled]
 
 
 def _separation_masks(columns: list[tuple[int, ...]], n: int, m: int) -> list[int]:
@@ -325,13 +353,14 @@ def brute_force_embedding(
     all_pairs_mask = (1 << (n * (n - 1) // 2)) - 1
 
     try:
-        columns = _valid_columns(alg, gens, m, counter, budget.node_limit)
+        columns, sep_masks = _columns_and_masks(
+            alg, gens, m, counter, budget.node_limit
+        )
     except _NodeLimit:
         return EmbeddingResult(
             "inconclusive", None, m, counter[0], counter[0], budget.seed
         )
     trace_nodes = counter[0]
-    sep_masks = _separation_masks(columns, n, m)
 
     order = sorted(
         range(len(columns)), key=lambda ci: (-sep_masks[ci].bit_count(), columns[ci])

@@ -29,6 +29,17 @@ Pair = tuple[int, int]
 Graph = frozenset[Pair]
 
 
+def _base_text(base: Iterable[int]) -> str:
+    """A base for an error message: in full up to 12 points, otherwise
+    its first and last three points and its size."""
+    points = sorted(base)
+    if len(points) <= 12:
+        return str(points)
+    head = ", ".join(map(str, points[:3]))
+    tail = ", ".join(map(str, points[-3:]))
+    return f"[{head}, ..., {tail}] ({len(points)} points)"
+
+
 class PfunError(AlgebraError):
     """Base class for partial-function construction errors."""
 
@@ -66,7 +77,7 @@ class PartialFunction:
         seen: dict[int, int] = {}
         for x, y in sorted(graph_f):
             if x not in base_f or y not in base_f:
-                raise PfunError(f"pair ({x}, {y}) is outside the base {sorted(base_f)}")
+                raise PfunError(f"pair ({x}, {y}) is outside the base {_base_text(base_f)}")
             if x in seen and seen[x] != y:
                 raise FunctionalityError(((x, seen[x]), (x, y)))
             seen[x] = y
@@ -106,14 +117,18 @@ def format_pf_literal(f: PartialFunction) -> str:
 def pf_minus(f: PartialFunction, g: PartialFunction) -> PartialFunction:
     """Relative complement: the pairs of ``f`` not in ``g``."""
     if f.base != g.base:
-        raise BaseMismatchError(f"bases differ: {sorted(f.base)} vs {sorted(g.base)}")
+        raise BaseMismatchError(
+            f"bases differ: {_base_text(f.base)} vs {_base_text(g.base)}"
+        )
     return PartialFunction(f.base, f.graph - g.graph)
 
 
 def pf_restrict(f: PartialFunction, g: PartialFunction) -> PartialFunction:
     """Domain restriction: ``g`` cut down to the domain of ``f``."""
     if f.base != g.base:
-        raise BaseMismatchError(f"bases differ: {sorted(f.base)} vs {sorted(g.base)}")
+        raise BaseMismatchError(
+            f"bases differ: {_base_text(f.base)} vs {_base_text(g.base)}"
+        )
     dom = f.domain
     return PartialFunction(f.base, frozenset(p for p in g.graph if p[0] in dom))
 
@@ -252,7 +267,7 @@ def close_generators(
     for g in generators:
         if g.base != base_f:
             raise BaseMismatchError(
-                f"generator base {sorted(g.base)} differs from {sorted(base_f)}"
+                f"generator base {_base_text(g.base)} differs from {_base_text(base_f)}"
             )
     graphs = _close_graphs([g.graph for g in generators])
     minus_t, restrict_t = _tables_for(graphs)
@@ -275,7 +290,7 @@ def close_relations(
         graph = frozenset((int(x), int(y)) for x, y in g)
         for x, y in graph:
             if x not in base_f or y not in base_f:
-                raise PfunError(f"pair ({x}, {y}) is outside the base {sorted(base_f)}")
+                raise PfunError(f"pair ({x}, {y}) is outside the base {_base_text(base_f)}")
         seeds.append(graph)
     if not seeds:
         raise AlgebraError(

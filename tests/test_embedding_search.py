@@ -1,12 +1,15 @@
-"""The plan-driven trace search against the plain product loop.
+"""The canonical trace search against the searches it replaced.
 
-``reference_valid_columns`` is the loop that the plan-driven search
-replaced, kept verbatim as the oracle: it enumerates every combination
-of generator values and only then propagates it through the tables.
-``reference_separation_masks`` is the pair walk that the row-shift
-masks replaced.  The search must return the identical columns in the
-identical order, and ``brute_force_embedding`` the identical verdict
-and assignment.
+``reference_valid_columns`` is the plan-driven loop that the canonical
+search replaced, kept verbatim: it tries every value of every free
+generator.  It is the reference for the columns, the node counter and
+the node limit.  ``product_valid_columns`` is the loop before it, kept
+verbatim as an independent oracle for the columns: it enumerates every
+combination of generator values and only then propagates it through the
+tables.  ``reference_separation_masks`` is the pair walk that the
+row-shift masks replaced.  The search must return the identical columns
+in the identical order and the identical node count, and
+``brute_force_embedding`` the identical verdict and assignment.
 """
 
 import dataclasses
@@ -31,10 +34,59 @@ from diffrest import (
     random_generators,
 )
 from diffrest import oracle
-from diffrest.oracle import _NodeLimit, _valid_columns
+from diffrest.oracle import _NodeLimit, _propagation_plan, _valid_columns
 
 
 def reference_valid_columns(
+    alg: FiniteAlgebra, gens: Sequence[int], m: int, counter: list[int], limit: int
+) -> list[tuple[int, ...]]:
+    """Enumerate consistent point traces: element -> 0 (undefined) or value.
+
+    Generators are assigned one at a time, values in ascending order; each
+    value is propagated and checked through the plan, and a clash prunes
+    the prefix.  Traces come out in lexicographic order of the generator
+    values, as full tuples.
+    """
+    plan = _propagation_plan(alg, gens)
+    tau = [0] * alg.size
+    columns: list[tuple[int, ...]] = []
+    values = range(m + 1)
+
+    def assign(k: int) -> None:
+        if k == len(plan):
+            columns.append(tuple(tau))
+            return
+        level = plan[k]
+        g, free, derive, checks = level.gen, level.free, level.derive, level.checks
+        for v in values:
+            counter[0] += 1
+            if counter[0] > limit:
+                raise _NodeLimit
+            if free:
+                tau[g] = v
+            elif tau[g] != v:
+                continue
+            for cell, op, a, b in derive:
+                ta = tau[a]
+                if op:
+                    tau[cell] = tau[b] if ta else 0
+                else:
+                    tau[cell] = ta if ta and tau[b] != ta else 0
+            for cell, op, a, b in checks:
+                ta = tau[a]
+                if op:
+                    if tau[cell] != (tau[b] if ta else 0):
+                        break
+                elif tau[cell] != (ta if ta and tau[b] != ta else 0):
+                    break
+            else:
+                assign(k + 1)
+
+    assign(0)
+    return columns
+
+
+def product_valid_columns(
     alg: FiniteAlgebra, gens: Sequence[int], m: int, counter: list[int], limit: int
 ) -> list[tuple[int, ...]]:
     """Enumerate consistent point traces: element -> 0 (undefined) or value.
@@ -174,14 +226,41 @@ def large():
     return [boolean_as_diffrest(6).abstract, relabel_until(seed1_closure(), 1, 5)]
 
 
+def outcome(search, alg, gens, m, limit=10**9):
+    """The columns a trace search returns, or "limit" when it runs out of
+    nodes, with its node counter."""
+    counter = [0]
+    try:
+        return search(alg, gens, m, counter, limit), counter[0]
+    except _NodeLimit:
+        return "limit", counter[0]
+
+
+def reference_columns_and_masks(alg, gens, m, counter, limit):
+    columns = reference_valid_columns(alg, gens, m, counter, limit)
+    return columns, reference_separation_masks(columns, alg.size, m)
+
+
+def reference_embedding(alg, budget):
+    """``brute_force_embedding`` over the reference columns, masks and
+    node counter, with the unchanged cover search."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "_columns_and_masks", reference_columns_and_masks)
+        return brute_force_embedding(alg, budget)
+
+
 def assert_same_columns(alg):
-    """The new search gives the reference columns and masks; returns them."""
+    """The new search gives the reference columns, node count and masks;
+    returns the columns."""
     gens = generating_set(alg)
     m = base_size(alg)
-    expected = reference_valid_columns(alg, gens, m, [0], 10**9)
-    assert _valid_columns(alg, gens, m, [0], 10**9) == expected
+    expected = product_valid_columns(alg, gens, m, [0], 10**9)
+    want = outcome(reference_valid_columns, alg, gens, m)
+    assert want[0] == expected
+    assert outcome(_valid_columns, alg, gens, m) == want
     masks = reference_separation_masks(expected, alg.size, m)
     assert oracle._separation_masks(expected, alg.size, m) == masks
+    assert oracle._columns_and_masks(alg, gens, m, [0], 10**9) == (expected, masks)
     return expected
 
 
@@ -194,11 +273,12 @@ def assert_same_as_reference(algebras, monkeypatch):
     verdicts = []
     for alg in algebras:
         expected = assert_same_columns(alg)
-        budget = SearchBudget(max_base_size=base_size(alg), node_limit=5_000_000)
+        m = base_size(alg)
+        budget = SearchBudget(max_base_size=m, node_limit=5_000_000)
         got = brute_force_embedding(alg, budget)
+        masks = reference_separation_masks(expected, alg.size, m)
         with monkeypatch.context() as patch:
-            patch.setattr(oracle, "_valid_columns", lambda *args: expected)
-            patch.setattr(oracle, "_separation_masks", reference_separation_masks)
+            patch.setattr(oracle, "_columns_and_masks", lambda *args: (expected, masks))
             want = brute_force_embedding(alg, budget)
         assert (got.verdict, got.assignment) == (want.verdict, want.assignment)
         assert 0 < got.trace_nodes < got.nodes
@@ -247,8 +327,60 @@ def test_determined_generator_is_checked_not_chosen(small):
         for extra in (gens[0], alg.zero):
             padded = (*gens, extra)
             m = base_size(alg)
-            expected = reference_valid_columns(alg, padded, m, [0], 10**9)
+            expected = product_valid_columns(alg, padded, m, [0], 10**9)
             assert _valid_columns(alg, padded, m, [0], 10**9) == expected
+
+
+def test_large_node_counts_are_pinned(large):
+    counts = []
+    for alg in large:
+        result = brute_force_embedding(
+            alg, SearchBudget(max_base_size=len(alg.order_atoms()))
+        )
+        counts.append((result.verdict, result.nodes, result.trace_nodes))
+    assert counts == [("found", 679, 672), ("found", 62_316, 62_309)]
+
+
+def test_budget_one_below_the_trace_nodes_ends_in_the_trace_phase(small, corpus, large):
+    # The limit is passed only by the last value that the full trace
+    # search tries, after every fresh-value copy has been counted.
+    for alg in [*small, *corpus, *large]:
+        gens = generating_set(alg)
+        m = base_size(alg)
+        _, total = outcome(reference_valid_columns, alg, gens, m)
+        expected = ("limit", total)
+        assert outcome(reference_valid_columns, alg, gens, m, total - 1) == expected
+        assert outcome(_valid_columns, alg, gens, m, total - 1) == expected
+        if total > 1:
+            budget = SearchBudget(max_base_size=m, node_limit=total - 1)
+            got = brute_force_embedding(alg, budget)
+            assert got == reference_embedding(alg, budget)
+            assert (got.verdict, got.nodes, got.trace_nodes) == (
+                "inconclusive", total, total
+            )
+
+
+def test_base_sizes_where_the_fresh_value_copies_differ(small):
+    # At base 0 no value is fresh, at base 1 the fresh value stands only
+    # for itself, and from 2 points on each fresh subtree stands for several.
+    # Padding with a determined generator adds a level with no choice.
+    below_atoms = []
+    for alg in small:
+        gens = generating_set(alg)
+        atoms = len(alg.order_atoms())
+        for m in sorted({0, 1, max(atoms - 1, 0), atoms + 2}):
+            for padded in (gens, (*gens, gens[0]), (*gens, alg.zero)):
+                want = outcome(reference_valid_columns, alg, padded, m)
+                assert outcome(_valid_columns, alg, padded, m) == want
+                assert want[0] == product_valid_columns(alg, padded, m, [0], 10**9)
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(oracle, "generating_set", lambda alg: padded)
+                    budget = SearchBudget(max_base_size=m)
+                    got = brute_force_embedding(alg, budget)
+                    assert got == reference_embedding(alg, budget)
+                if m == atoms - 1:
+                    below_atoms.append(got.verdict)
+    assert "none" in below_atoms and "found" in below_atoms
 
 
 def test_generating_set_must_reach_every_element(f2):

@@ -1,5 +1,6 @@
 """Mutated algebra files give input errors or verdicts, never crashes,
-and random tables get the reference specification's law reports.
+random tables get the reference specification's law reports, and the
+embedding search's trace phase matches its reference on random closures.
 
 Each file example takes a valid serialization and inserts, deletes or
 replaces a few characters.  The runs are derandomized, so the examples
@@ -17,14 +18,19 @@ from conftest import make_f0, make_f2, make_n1
 from diffrest import (
     AlgebraError,
     FiniteAlgebra,
+    PartialFunction,
     boolean_as_diffrest,
     check_axioms,
     check_derived_laws,
+    close_generators,
+    generating_set,
     parse_algebras,
     serialize_algebra,
     serialize_concrete,
 )
 from diffrest.cli import main
+from diffrest.oracle import _valid_columns
+from test_embedding_search import outcome, reference_valid_columns
 from test_law_engine import REFERENCE_AXIOM_LAWS, REFERENCE_DERIVED_LAWS, _scan_laws
 
 VALID_TEXTS = (
@@ -100,3 +106,28 @@ def random_tables(draw):
 def test_law_reports_match_the_reference_spec(alg):
     assert check_axioms(alg) == _scan_laws(alg, REFERENCE_AXIOM_LAWS)
     assert check_derived_laws(alg) == _scan_laws(alg, REFERENCE_DERIVED_LAWS)
+
+
+@st.composite
+def random_closures(draw):
+    """The closure of up to 3 random partial functions on up to 4 points."""
+    points = range(1, draw(st.integers(1, 4)) + 1)
+    image = st.sampled_from((0, *points))
+    generators = []
+    for _ in range(draw(st.integers(1, 3))):
+        values = [draw(image) for _ in points]
+        graph = [(x, y) for x, y in zip(points, values) if y]
+        generators.append(PartialFunction(points, graph))
+    return close_generators(points, generators).abstract
+
+
+@fuzz(150)
+@given(random_closures(), st.data())
+def test_trace_search_matches_the_reference(alg, data):
+    gens = generating_set(alg)
+    m = data.draw(st.integers(0, len(alg.order_atoms()) + 2), label="base")
+    full = outcome(reference_valid_columns, alg, gens, m)
+    limit = data.draw(st.integers(1, full[1] + 1), label="node limit")
+    expected = outcome(reference_valid_columns, alg, gens, m, limit)
+    assert outcome(_valid_columns, alg, gens, m, limit) == expected
+    assert expected == (full if limit >= full[1] else ("limit", limit + 1))

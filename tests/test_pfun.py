@@ -55,6 +55,30 @@ def test_base_mismatch():
         pf_minus(pf([(1, 1)]), pf([(1, 1)], base=frozenset({1})))
 
 
+def test_base_mismatch_message_lists_small_bases_in_full():
+    with pytest.raises(BaseMismatchError) as err:
+        pf_restrict(pf([(1, 1)]), pf([(1, 1)], base=frozenset({1})))
+    assert str(err.value) == "bases differ: [1, 2] vs [1]"
+
+
+def test_base_mismatch_message_stays_short_for_large_bases():
+    big, other = range(1, 131_073), range(1, 65_538)
+    with pytest.raises(BaseMismatchError) as err:
+        close_generators(other, [PartialFunction(big, [(1, 1)])])
+    message = str(err.value)
+    assert len(message) < 300
+    assert message == (
+        "generator base [1, 2, 3, ..., 131070, 131071, 131072] (131072 points) "
+        "differs from [1, 2, 3, ..., 65535, 65536, 65537] (65537 points)"
+    )
+    with pytest.raises(BaseMismatchError) as err:
+        pf_minus(PartialFunction(big, ()), PartialFunction(other, ()))
+    assert len(str(err.value)) < 300
+    with pytest.raises(AlgebraError, match="outside the base") as err:
+        PartialFunction(other, [(1, 70_000)])
+    assert len(str(err.value)) < 300
+
+
 def test_functionality_rejected():
     with pytest.raises(FunctionalityError) as err:
         pf([(1, 1), (1, 2)])
