@@ -17,6 +17,10 @@ columns, and only a row where the sides differ is walked element by
 element.  So the witness is the lexicographically first counterexample
 among the assignments that satisfy the antecedents.
 
+A downset is certified Boolean in O(k^2) by its atom map (the Stone
+representation); the O(k^3) battery of Boolean laws runs only when the
+certificate fails, to name the first broken law.
+
 Element subsets are handled as machine-word bitmasks, which is why the
 library caps algebra size at ``SIZE_CAP`` (64).
 """
@@ -48,6 +52,14 @@ class SizeCapError(AlgebraError):
 
 class InconsistencyError(AlgebraError):
     """A derived-structure check failed; the input violates the laws."""
+
+
+class BooleanLawError(InconsistencyError):
+    """The downset of ``top`` breaks ``law``, first at the ids ``witness``."""
+
+    def __init__(self, message: str, top: int, law: str, witness: tuple[int, ...]):
+        super().__init__(message)
+        self.top, self.law, self.witness = top, law, witness
 
 
 class AxiomFailure(AlgebraError):
@@ -663,18 +675,18 @@ def domain_quotient(alg: FiniteAlgebra) -> DomainQuotient:
 class BooleanDownset:
     """The downset of an element, as a Boolean algebra.
 
-    ``members`` lists the elements below ``top`` in increasing id order;
-    ``complement`` is parallel to ``members`` and holds ``top - b``.
-    Construction verifies the full set of Boolean laws exhaustively.
+    ``members`` lists the elements below ``top`` in increasing id order.
+    Construction certifies the Boolean laws (``_boolean_law_failure``).
     """
 
     parent: FiniteAlgebra
     top: int
     members: tuple[int, ...]
-    complement: tuple[int, ...]
 
     def complement_of(self, b: int) -> int:
-        return self.complement[self.members.index(b)]
+        if b < 0 or not self.parent.down_masks[self.top] >> b & 1:
+            raise InconsistencyError(f"element {b} is not in the downset of element {self.top}")
+        return self.parent.minus[self.top][b]
 
     def join(self, b: int, c: int) -> int:
         alg = self.parent
@@ -683,22 +695,46 @@ class BooleanDownset:
         ]
 
     def atoms(self) -> tuple[int, ...]:
-        member_mask = mask_of(self.members)
-        out = []
-        for b in self.members:
-            if b == self.parent.zero:
-                continue
-            below = self.parent.down_masks[b] & member_mask
-            if below == (1 << b) | (1 << self.parent.zero):
-                out.append(b)
-        return tuple(out)
+        down, zero = self.parent.down_masks, self.parent.zero
+        return tuple(
+            b for b in self.members if b != zero and down[b] & down[self.top] == 1 << b | 1 << zero
+        )
 
     def ultrafilters(self) -> tuple[frozenset[int], ...]:
         """Maximal proper filters of the downset, one per atom."""
         return tuple(
-            frozenset(b for b in self.members if self.parent.leq(x, b))
+            frozenset(mask_iter(self.parent.up_masks[x] & self.parent.down_masks[self.top]))
             for x in self.atoms()
         )
+
+
+def _boolean_certificate(
+    meet: Table, comp: Sequence[int], top: int, bottom: int, members: Sequence[int]
+) -> bool:
+    """Whether the atom map certifies ``members`` Boolean, in O(k^2).
+
+    phi(b) is the mask of the atoms below b, an atom being a member other
+    than ``bottom`` with nothing but itself and ``bottom`` below it (c <= b
+    iff ``meet[c][b] == c``).  phi must be injective, send ``bottom`` and
+    ``top`` to 0 and full, and send ``comp`` and ``meet``, which must stay
+    in ``members``, to complement and intersection.  Then phi embeds
+    ``members`` in the powerset of the atoms, the De Morgan join going to
+    union, so every closure and identity of the battery in
+    ``_boolean_law_failure`` holds.  Conversely, if the battery passes,
+    phi is the Stone isomorphism of a finite Boolean algebra.
+    """
+    down = {b: mask_of(c for c in members if meet[c][b] == c) for b in members}
+    atoms = [b for b in members if b != bottom and down[b] == 1 << b | 1 << bottom]
+    phi = {b: mask_of(i for i, x in enumerate(atoms) if down[b] >> x & 1) for b in members}
+    full = (1 << len(atoms)) - 1
+    if len(set(phi.values())) != len(members) or phi.get(bottom) != 0 or phi.get(top) != full:
+        return False
+    # phi.get gives None outside ``members``, which fails every test.
+    return all(
+        phi.get(comp[b]) == full & ~pb
+        and all(phi.get(meet[b][c]) == pb & pc for c, pc in phi.items())
+        for b, pb in phi.items()
+    )
 
 
 def _boolean_law_failure(
@@ -707,7 +743,10 @@ def _boolean_law_failure(
     """The first Boolean law, with its witness, that ``members`` (the
     downset of ``top``) breaks under a full ``meet`` table and the
     complements ``comp[b]``, joins being their De Morgan duals; None if
-    the downset is a Boolean algebra."""
+    the downset is a Boolean algebra.  The battery runs only when
+    ``_boolean_certificate`` fails, to name the law."""
+    if _boolean_certificate(meet, comp, top, bottom, members):
+        return None
     member_set = set(members)
 
     def join(b: int, c: int) -> int:
@@ -765,11 +804,11 @@ def boolean_downset(alg: FiniteAlgebra, a: int) -> BooleanDownset:
     failure = _boolean_law_failure(alg.meet_table, alg.minus[a], a, alg.zero, members)
     if failure is not None:
         law, witness = failure
-        raise InconsistencyError(
+        raise BooleanLawError(
             f"downset of {alg.element_name(a)} violates Boolean law {law} "
-            f"at {tuple(alg.element_name(w) for w in witness)}"
+            f"at {tuple(alg.element_name(w) for w in witness)}", a, law, witness
         )
-    return BooleanDownset(alg, a, members, tuple(alg.minus[a][b] for b in members))
+    return BooleanDownset(alg, a, members)
 
 
 # ---------------------------------------------------------------------------
@@ -838,8 +877,8 @@ def subtraction_from_boolean_downsets(sl: ComplementedSemilattice) -> Table:
         failure = _boolean_law_failure(mt, sl.complement[a], a, bottom, members)
         if failure is not None:
             law, witness = failure
-            raise InconsistencyError(
-                f"downset of {a} is not Boolean: law {law} fails at {witness}"
+            raise BooleanLawError(
+                f"downset of {a} is not Boolean: law {law} fails at {witness}", a, law, witness
             )
 
     minus_t = tuple(

@@ -8,8 +8,9 @@ directly and the tests cross-check exhaustiveness against a subset
 scan.
 
 The domain preorder lifts to filters: F sits below G when restricting
-the members of F by the members of G never leaves F (the product set
-{g |> f : g in G, f in F} is contained in F).
+the members of F by the members of G never leaves F: the up-set of every
+g |> f (g in G, f in F) lies in F.  So one mask per F, of the g that pass
+for every f, decides every G.
 """
 
 from __future__ import annotations
@@ -44,12 +45,16 @@ class Filter:
         alg = self.parent
         if not self.members:
             raise InconsistencyError("filters are nonempty")
+        bad = [a for a in self.members if not 0 <= a < alg.size]
+        if bad:
+            raise InconsistencyError(f"filter member {min(bad)} is not an element id")
         mask = mask_of(self.members)
         if alg.up_closure(mask) != mask:
             raise InconsistencyError(f"{sorted(self.members)} is not upward closed")
         for a in self.members:
+            row = alg.meet_table[a]
             for b in self.members:
-                if alg.meet(a, b) not in self.members:
+                if not mask >> row[b] & 1:
                     raise InconsistencyError(
                         f"{sorted(self.members)} is not meet-closed at ({a}, {b})"
                     )
@@ -84,9 +89,23 @@ def _product_upset(alg: FiniteAlgebra, left: frozenset[int], right: frozenset[in
     return frozenset(mask_iter(alg.up_closure(products)))
 
 
+def _inside(alg: FiniteAlgebra, mask: int) -> int:
+    """The elements whose whole up-set lies in ``mask``."""
+    return mask_of(x for x, up in enumerate(alg.up_masks) if not up & ~mask)
+
+
+def _stable(alg: FiniteAlgebra, members) -> int:
+    """The g such that the up-set of each g |> f, f in ``members``, lies in ``members``."""
+    inside = _inside(alg, mask_of(members))
+    return mask_of(
+        g for g, row in enumerate(alg.restrict) if all(inside >> row[f] & 1 for f in members)
+    )
+
+
 def domhat_pair(alg: FiniteAlgebra, f: Filter, g: Filter) -> bool:
     """Lifted domain preorder: F below G iff restricting F by G stays in F."""
-    return _product_upset(alg, g.members, f.members) <= f.members
+    inside = _inside(alg, mask_of(f.members))
+    return all(inside >> alg.restrict[s][t] & 1 for s in g.members for t in f.members)
 
 
 @dataclass(frozen=True)
@@ -127,19 +146,15 @@ def enumerate_filters(alg: FiniteAlgebra) -> FilterFamily:
     if len({f.members for f in filters}) != n:
         raise InconsistencyError("principal upsets are not distinct")
 
-    domhat = set()
-    for i, f in enumerate(filters):
-        for j, g in enumerate(filters):
-            if domhat_pair(alg, f, g):
-                domhat.add((i, j))
-
+    # below[i] is the mask of the j with filter i below filter j.
+    below = [_inside(alg, _stable(alg, f.members)) for f in filters]
     # The lifted preorder must contain reverse inclusion.
-    for i, f in enumerate(filters):
-        for j, g in enumerate(filters):
-            if g.members <= f.members and (i, j) not in domhat:
-                raise InconsistencyError(
-                    f"lifted preorder misses inclusion at ({i}, {j})"
-                )
+    for i, up in enumerate(alg.up_masks):
+        missing = _inside(alg, up) & ~below[i]
+        if missing:
+            raise InconsistencyError(
+                f"lifted preorder misses inclusion at ({i}, {next(mask_iter(missing))})"
+            )
 
     approx = [-1] * n
     next_class = 0
@@ -148,12 +163,13 @@ def enumerate_filters(alg: FiniteAlgebra) -> FilterFamily:
             continue
         approx[i] = next_class
         for j in range(i + 1, n):
-            if (i, j) in domhat and (j, i) in domhat:
+            if below[i] >> j & below[j] >> i & 1:
                 approx[j] = next_class
         next_class += 1
 
+    domhat = frozenset((i, j) for i in range(n) for j in mask_iter(below[i]))
     maximal = tuple(f for f in filters if f.proper and is_maximal(f))
-    return FilterFamily(alg, filters, maximal, frozenset(domhat), tuple(approx))
+    return FilterFamily(alg, filters, maximal, domhat, tuple(approx))
 
 
 def _single_witness_maximal(members, zero: int, w: int, size: int, meet, minus) -> bool:
@@ -173,6 +189,7 @@ def is_maximal(f: Filter) -> bool:
     )
 
 
+@per_algebra
 def maximal_filters(alg: FiniteAlgebra) -> tuple[Filter, ...]:
     """Maximal proper filters, cross-checked against the inclusion poset."""
     family = enumerate_filters(alg)
@@ -232,8 +249,11 @@ def ultrafilter_bijection(
             )
         forward[mu] = nu
     backward: dict[frozenset[int], Filter] = {}
+    family = enumerate_filters(alg)
     for nu in sorted(ufs, key=sorted):
-        mu = Filter(alg, frozenset(mask_iter(alg.up_closure(mask_of(nu)))))
+        up = frozenset(mask_iter(alg.up_closure(mask_of(nu))))
+        # Reuse the family's filter, already checked upward and meet closed.
+        mu = family.all_filters[family._index[up]] if up in family._index else Filter(alg, up)
         if not is_maximal(mu):
             raise InconsistencyError("upward closure of an ultrafilter is not maximal")
         backward[nu] = mu

@@ -8,6 +8,7 @@ import pytest
 from conftest import F, G, H, K, M, N1_C, N1_D, F2_ZERO, make_f2
 
 from diffrest import (
+    BooleanLawError,
     ComplementedSemilattice,
     FiniteAlgebra,
     InconsistencyError,
@@ -201,8 +202,20 @@ def _three_chain():
 
 
 def test_boolean_downset_rejects_non_boolean():
-    with pytest.raises(InconsistencyError, match="Boolean law"):
+    with pytest.raises(BooleanLawError, match="Boolean law") as caught:
         boolean_downset(_three_chain(), 2)
+    error = caught.value
+    assert (error.top, error.law, error.witness) == (2, "join-idempotent", (1,))
+    assert str(error) == "downset of 2 violates Boolean law join-idempotent at ('1',)"
+
+
+def test_complement_of_members_and_non_members(f2):
+    ds = boolean_downset(f2.abstract, K)
+    assert [ds.complement_of(b) for b in ds.members] == [F2_ZERO, K]
+    for b in (M, H, -1, 4):
+        message = f"element {b} is not in the downset of element {K}"
+        with pytest.raises(InconsistencyError, match=message):
+            ds.complement_of(b)
 
 
 def test_subtraction_roundtrip(f2, f3, f0):
@@ -214,6 +227,18 @@ def test_subtraction_roundtrip(f2, f3, f0):
 def test_subtraction_rejects_non_boolean_downsets():
     with pytest.raises(InconsistencyError):
         subtraction_from_boolean_downsets(complemented_semilattice_of(_three_chain()))
+
+
+def test_subtraction_names_the_broken_boolean_law():
+    # the meet of the chain 0 < 1 < 2, whose downset of 2 has no complements
+    sl = ComplementedSemilattice.from_tables(
+        [[0, 0, 0], [0, 1, 1], [0, 1, 2]], [[0, 0, 0], [1, 0, 0], [2, 2, 0]]
+    )
+    with pytest.raises(BooleanLawError) as caught:
+        subtraction_from_boolean_downsets(sl)
+    error = caught.value
+    assert (error.top, error.law, error.witness) == (2, "join-idempotent", (1,))
+    assert str(error) == "downset of 2 is not Boolean: law join-idempotent fails at (1,)"
 
 
 def test_subtraction_one_element():

@@ -1,0 +1,259 @@
+"""The Boolean-downset certificate and the mask-based lifted preorder
+against the paths they replaced.
+
+The battery of ``_boolean_law_failure``, run with the certificate
+switched off, is the reference for ``_boolean_certificate``: on every
+downset below the certificate holds exactly when the battery finds no
+broken law.  ``reference_family`` is the pair-walk ``enumerate_filters``
+as it was before the lifted preorder moved to masks, kept verbatim with
+``_product_upset`` and ``domhat_pair``; the family, its errors and
+``domhat_pair`` must agree with it everywhere below.
+"""
+
+import random
+
+import pytest
+
+from conftest import build_corpus
+
+from diffrest import (
+    BooleanLawError,
+    FiniteAlgebra,
+    Filter,
+    FilterFamily,
+    InconsistencyError,
+    boolean_as_diffrest,
+    boolean_downset,
+    domhat_pair,
+    enumerate_filters,
+    is_maximal,
+    principal_filter,
+)
+from diffrest import algebra
+from diffrest.algebra import _boolean_certificate, mask_iter, mask_of
+from test_embedding_search import relabel_until, seed1_closure, small_algebras
+
+# ---------------------------------------------------------------------------
+# References
+# ---------------------------------------------------------------------------
+
+
+def battery(meet, comp, top, bottom, members):
+    """``_boolean_law_failure`` with the certificate switched off."""
+    certificate = algebra._boolean_certificate
+    algebra._boolean_certificate = lambda *args: False
+    try:
+        return algebra._boolean_law_failure(meet, comp, top, bottom, members)
+    finally:
+        algebra._boolean_certificate = certificate
+
+
+def _product_upset(alg: FiniteAlgebra, left: frozenset[int], right: frozenset[int]) -> frozenset[int]:
+    """Upward closure of all restrictions of ``right`` members by ``left`` members."""
+    products = mask_of(alg.restrict[s][t] for s in left for t in right)
+    return frozenset(mask_iter(alg.up_closure(products)))
+
+
+def reference_domhat_pair(alg, f, g) -> bool:
+    """Lifted domain preorder: F below G iff restricting F by G stays in F."""
+    return _product_upset(alg, g.members, f.members) <= f.members
+
+
+def reference_filter_error(alg: FiniteAlgebra, members: frozenset[int]) -> str | None:
+    """The checks of ``Filter`` before meet closure moved to masks."""
+    if not members:
+        return "filters are nonempty"
+    mask = mask_of(members)
+    if alg.up_closure(mask) != mask:
+        return f"{sorted(members)} is not upward closed"
+    for a in members:
+        for b in members:
+            if alg.meet(a, b) not in members:
+                return f"{sorted(members)} is not meet-closed at ({a}, {b})"
+    return None
+
+
+def reference_family(alg: FiniteAlgebra) -> FilterFamily:
+    """Enumerate every filter, the lifted preorder, and its classes."""
+    n = alg.size
+    filters = tuple(principal_filter(alg, a) for a in range(n))
+    if len({f.members for f in filters}) != n:
+        raise InconsistencyError("principal upsets are not distinct")
+
+    domhat = set()
+    for i, f in enumerate(filters):
+        for j, g in enumerate(filters):
+            if reference_domhat_pair(alg, f, g):
+                domhat.add((i, j))
+
+    # The lifted preorder must contain reverse inclusion.
+    for i, f in enumerate(filters):
+        for j, g in enumerate(filters):
+            if g.members <= f.members and (i, j) not in domhat:
+                raise InconsistencyError(
+                    f"lifted preorder misses inclusion at ({i}, {j})"
+                )
+
+    approx = [-1] * n
+    next_class = 0
+    for i in range(n):
+        if approx[i] != -1:
+            continue
+        approx[i] = next_class
+        for j in range(i + 1, n):
+            if (i, j) in domhat and (j, i) in domhat:
+                approx[j] = next_class
+        next_class += 1
+
+    maximal = tuple(f for f in filters if f.proper and is_maximal(f))
+    return FilterFamily(alg, filters, maximal, frozenset(domhat), tuple(approx))
+
+
+# ---------------------------------------------------------------------------
+# Comparisons
+# ---------------------------------------------------------------------------
+
+
+def downset_verdicts(alg: FiniteAlgebra) -> list[bool]:
+    """Certificate against battery on every downset of ``alg``, and
+    ``boolean_downset`` against the battery's law and witness; returns
+    the certificate's verdicts."""
+    verdicts = []
+    for a in range(alg.size):
+        members = tuple(mask_iter(alg.down_masks[a]))
+        args = (alg.meet_table, alg.minus[a], a, alg.zero, members)
+        holds = _boolean_certificate(*args)
+        failure = battery(*args)
+        assert holds == (failure is None), (a, failure)
+        if failure is None:
+            assert boolean_downset(alg, a).members == members
+        else:
+            with pytest.raises(BooleanLawError) as caught:
+                boolean_downset(alg, a)
+            assert (caught.value.top, caught.value.law, caught.value.witness) == (a, *failure)
+        verdicts.append(holds)
+    return verdicts
+
+
+def outcome(build, *args):
+    try:
+        return build(*args)
+    except InconsistencyError as e:
+        return str(e)
+
+
+def checked_filter(alg: FiniteAlgebra, members: frozenset[int]) -> Filter | None:
+    """``Filter(alg, members)``, or None when the reference rejects
+    ``members``, in which case ``Filter`` must raise its message."""
+    built = outcome(Filter, alg, members)
+    expected = reference_filter_error(alg, members)
+    if expected is not None:
+        assert built == expected
+        return None
+    assert built.members == members
+    return built
+
+
+def assert_same_family(alg: FiniteAlgebra) -> bool:
+    """The family or error equals the reference's, each principal filter
+    is checked like the reference, and ``domhat_pair`` agrees on every
+    pair of them; returns whether the family was built."""
+    expected = outcome(reference_family, alg)
+    assert outcome(enumerate_filters, alg) == expected
+    filters = [checked_filter(alg, frozenset(mask_iter(up))) for up in alg.up_masks]
+    if None not in filters:
+        for f in filters:
+            for g in filters:
+                assert domhat_pair(alg, f, g) == reference_domhat_pair(alg, f, g)
+    return isinstance(expected, FilterFamily)
+
+
+def perturbed(alg: FiniteAlgebra, rng: random.Random, table: str) -> FiniteAlgebra:
+    """A copy with one to three entries of ``table`` changed; the minus
+    diagonal stays constant, as FiniteAlgebra requires."""
+    tables = {"minus": [list(row) for row in alg.minus]}
+    tables["restrict"] = [list(row) for row in alg.restrict]
+    for _ in range(rng.randint(1, 3)):
+        a, b = rng.randrange(alg.size), rng.randrange(alg.size)
+        if table == "minus" and a == b:
+            continue
+        tables[table][a][b] = rng.randrange(alg.size)
+    return FiniteAlgebra.from_tables(tables["minus"], tables["restrict"])
+
+
+@pytest.fixture(scope="module")
+def algebras():
+    """F0-F4, N1, the law models of size <= 5, the acceptance corpus and
+    the two algebras of the benchmark's ``large`` workload at seed 1."""
+    corpus = [conc.abstract for conc in build_corpus()]
+    large = [boolean_as_diffrest(6).abstract, relabel_until(seed1_closure(), 1, 5)]
+    return small_algebras() + corpus + large
+
+
+def test_certificate_matches_the_battery_on_law_models(algebras):
+    assert len(algebras) == 21 + 200 + 2
+    verdicts = [v for alg in algebras for v in downset_verdicts(alg)]
+    assert len(verdicts) == sum(alg.size for alg in algebras)
+
+
+def test_certificate_matches_the_battery_on_perturbed_powersets():
+    rng = random.Random(8)
+    powersets = [boolean_as_diffrest(u).abstract for u in (2, 3, 4)]
+    verdicts = []
+    for _ in range(3000):
+        verdicts += downset_verdicts(perturbed(rng.choice(powersets), rng, "minus"))
+    assert verdicts.count(True) > 1000 and verdicts.count(False) > 1000
+
+
+def test_certificate_needs_bottom_among_the_members():
+    # A one-member "downset" without bottom: every other check passes.
+    args = (((0, 0), (0, 1)), (0, 1), 1, 0, (1,))
+    assert not _boolean_certificate(*args)
+    assert battery(*args) == ("bottom-member", (1,))
+
+
+def test_lifted_preorder_matches_the_pair_walk(algebras):
+    assert all(assert_same_family(alg) for alg in algebras)
+
+
+def test_lifted_preorder_matches_the_pair_walk_on_perturbed_restrict_tables():
+    rng = random.Random(8)
+    corpus = [conc.abstract for conc in build_corpus()]
+    sources = [alg for alg in small_algebras() + corpus if 2 <= alg.size <= 12]
+    built = [
+        assert_same_family(perturbed(rng.choice(sources), rng, "restrict")) for _ in range(400)
+    ]
+    assert built.count(True) > 50 and built.count(False) > 50
+
+
+# ---------------------------------------------------------------------------
+# Structured witnesses
+# ---------------------------------------------------------------------------
+
+# (table entry of boolean_as_diffrest(3) changed, new value, top, law, witness)
+BROKEN_POWERSETS = (
+    ((0, 1), 1, 1, "bottom-member", (1,)),
+    ((1, 0), 0, 2, "complement-closure", (5,)),
+    ((1, 0), 0, 3, "meet-closure", (2, 4)),
+    ((2, 0), 0, 3, "join-closure", (1, 5)),
+    ((1, 5), 0, 5, "join-idempotent", (1,)),
+    ((1, 5), 0, 2, "complement-meet", (1,)),
+    ((0, 1), 1, 2, "meet-commutative", (0, 1)),
+    ((0, 2), 2, 3, "meet-associative", (0, 1, 2)),
+    ((1, 2), 1, 3, "distributive", (1, 1, 2)),
+)
+
+
+@pytest.mark.parametrize(
+    "cell, value, top, law, witness", BROKEN_POWERSETS, ids=[c[3] for c in BROKEN_POWERSETS]
+)
+def test_boolean_law_error_names_the_law_and_witness(cell, value, top, law, witness):
+    base = boolean_as_diffrest(3).abstract
+    minus = [list(row) for row in base.minus]
+    minus[cell[0]][cell[1]] = value
+    alg = FiniteAlgebra.from_tables(minus, base.restrict)
+    with pytest.raises(BooleanLawError) as caught:
+        boolean_downset(alg, top)
+    assert (caught.value.top, caught.value.law, caught.value.witness) == (top, law, witness)
+    names = tuple(map(str, witness))
+    assert str(caught.value) == f"downset of {top} violates Boolean law {law} at {names}"

@@ -9,6 +9,7 @@ from conftest import F, G, H, K, M
 from diffrest import (
     Filter,
     ImproperFilterError,
+    InconsistencyError,
     domain_quotient,
     domhat_pair,
     enumerate_filters,
@@ -101,6 +102,12 @@ def test_filter_validation(f2):
         Filter(alg, frozenset({K}))
     with pytest.raises(Exception, match="nonempty"):
         Filter(alg, frozenset())
+
+
+@pytest.mark.parametrize("outside", [7, -1, 4])
+def test_filter_rejects_elements_outside_the_algebra(f2, outside):
+    with pytest.raises(InconsistencyError, match=f"filter member {outside} is not an element id"):
+        Filter(f2.abstract, frozenset({H, outside}))
 
 
 def test_ultrafilter_bijection_f2(f2):

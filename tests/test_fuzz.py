@@ -1,6 +1,8 @@
 """Mutated algebra files give input errors or verdicts, never crashes,
-random tables get the reference specification's law reports, and the
-embedding search's trace phase matches its reference on random closures.
+random tables get the reference specification's law reports, the
+embedding search's trace phase matches its reference on random closures,
+and the Boolean-downset certificate, the filter checks and the lifted
+preorder match theirs on random and perturbed tables.
 
 Each file example takes a valid serialization and inserts, deletes or
 replaces a few characters.  The runs are derandomized, so the examples
@@ -31,6 +33,7 @@ from diffrest import (
 from diffrest.cli import main
 from diffrest.oracle import _valid_columns
 from test_embedding_search import outcome, reference_valid_columns
+from test_certificates import assert_same_family, checked_filter, downset_verdicts
 from test_law_engine import REFERENCE_AXIOM_LAWS, REFERENCE_DERIVED_LAWS, _scan_laws
 
 VALID_TEXTS = (
@@ -131,3 +134,29 @@ def test_trace_search_matches_the_reference(alg, data):
     expected = outcome(reference_valid_columns, alg, gens, m, limit)
     assert outcome(_valid_columns, alg, gens, m, limit) == expected
     assert expected == (full if limit >= full[1] else ("limit", limit + 1))
+
+
+POWERSETS = tuple(boolean_as_diffrest(u).abstract for u in (1, 2, 3))
+
+
+@st.composite
+def perturbed_powersets(draw):
+    """A powerset of up to 8 elements with up to 3 table entries changed."""
+    alg = draw(st.sampled_from(POWERSETS))
+    n = alg.size
+    tables = [[list(row) for row in alg.minus], [list(row) for row in alg.restrict]]
+    for _ in range(draw(st.integers(0, 3))):
+        which = draw(st.integers(0, 1))
+        a, b = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if which == 1 or a != b:
+            tables[which][a][b] = draw(st.integers(0, n - 1))
+    return FiniteAlgebra.from_tables(*tables)
+
+
+@fuzz(200)
+@given(st.one_of(random_tables(), perturbed_powersets()), st.data())
+def test_certificates_match_their_references(alg, data):
+    downset_verdicts(alg)
+    assert_same_family(alg)
+    members = data.draw(st.frozensets(st.integers(0, alg.size - 1)), label="filter members")
+    checked_filter(alg, members)
