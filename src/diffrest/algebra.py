@@ -689,10 +689,8 @@ class BooleanDownset:
         return self.parent.minus[self.top][b]
 
     def join(self, b: int, c: int) -> int:
-        alg = self.parent
-        return alg.minus[self.top][
-            alg.meet(alg.minus[self.top][b], alg.minus[self.top][c])
-        ]
+        alg, comp = self.parent, self.complement_of
+        return alg.minus[self.top][alg.meet(comp(b), comp(c))]
 
     def atoms(self) -> tuple[int, ...]:
         down, zero = self.parent.down_masks, self.parent.zero

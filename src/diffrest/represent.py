@@ -4,15 +4,15 @@ Four constructions are provided: the canonical one over maximal
 filters, its injective refinement over equivalence classes of maximal
 filters, and the two atom-based complete versions.  A verifier checks
 any representation-shaped object independently, and a completeness
-report decides whether existing meets and joins are turned into
-intersections and unions.
+report decides exactly, in polynomial time, whether existing meets and
+joins are turned into intersections and unions: one bound set per
+element and pair stands in for every subset.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .algebra import (
     AlgebraError,
@@ -24,6 +24,7 @@ from .algebra import (
     domain_quotient,
     mask_iter,
     mask_of,
+    per_algebra,
 )
 from .filters import Filter, enumerate_filters
 from .pfun import ConcreteAlgebra, PartialFunction, is_injective_pf
@@ -329,36 +330,24 @@ SUBSET_CAP_DEFAULT = 20
 SAMPLE_COUNT_DEFAULT = 10_000
 
 
-def _subset_masks(n: int, cap: int, samples: int, seed: int) -> tuple[Iterable[int], bool]:
-    if n <= cap:
-        return range(1 << n), True
-    picked = {0, (1 << n) - 1}
-    for i in range(n):
-        picked.add(1 << i)
-        for j in range(i + 1, n):
-            picked.add((1 << i) | (1 << j))
-    rng = random.Random(seed)
-    for _ in range(samples):
-        picked.add(rng.getrandbits(n))
-    return sorted(picked), False
-
-
-def _fold_tables(alg: FiniteAlgebra, graphs: Sequence[int]) -> list[list[tuple]]:
-    """One table per chunk of 8 element ids, indexed by the subsets of
-    the chunk: (AND of down masks, AND of up masks, AND of graphs, OR of
-    graphs), each entry folded from the one without its lowest bit."""
-    down, up, everything = alg.down_masks, alg.up_masks, alg.all_mask
-    tables = []
-    for base in range(0, alg.size, 8):
-        table = [(everything, everything, -1, 0)]
-        for m in range(1, 1 << min(8, alg.size - base)):
-            low = m & -m
-            e = base + low.bit_length() - 1
-            d, u, a, o = table[m ^ low]
-            g = graphs[e]
-            table.append((d & down[e], u & up[e], a & g, o | g))
-        tables.append(table)
-    return tables
+@per_algebra
+def _check_partial_order(alg: FiniteAlgebra) -> None:
+    """Raise unless the element order is reflexive, antisymmetric and
+    transitive; every algebra that passes the axioms has such an order."""
+    down, name = alg.down_masks, alg.element_name
+    for a in range(alg.size):
+        twins = down[a] & alg.up_masks[a] & ~(1 << a)
+        gaps = [(b, down[b] & ~down[a]) for b in mask_iter(down[a]) if down[b] & ~down[a]]
+        if not down[a] >> a & 1:
+            fault = f"not reflexive at {name(a)}"
+        elif twins:
+            fault = f"not antisymmetric at ({name(a)}, {name(twins.bit_length() - 1)})"
+        elif gaps:
+            b, c = gaps[0]
+            fault = f"not transitive at ({name(c.bit_length() - 1)}, {name(b)}, {name(a)})"
+        else:
+            continue
+        raise InconsistencyError(f"the element order is {fault}")
 
 
 def completeness_report(
@@ -367,61 +356,66 @@ def completeness_report(
     samples: int = SAMPLE_COUNT_DEFAULT,
     seed: int = 0,
 ) -> CompletenessReport:
-    """Check meet completeness, join completeness, and atomicity.
+    """Decide exactly whether h, the assignment, turns every existing meet
+    into an intersection and every existing join into a union, and
+    whether the algebra is atomic for it.
 
-    Existing meets and joins are found order-theoretically.  Below the
-    subset cap every subset is scanned; above it, all singletons and
-    pairs plus seeded random subsets are used and the report says so.
-    Graphs are bitmasks over the pairs the representation uses, and a
-    subset's bounds, intersection and union are read from per-8-element
-    fold tables, so each subset costs one lookup per 8 elements.  The
-    subsets are streamed, not listed, so memory does not grow with the
-    cap: it holds the tables and one bound per distinct bound set.
+    Raises ``InconsistencyError`` unless the element order is a partial
+    order.  Let holders(p) be the elements whose graph holds the pair p.
+    h is meet complete iff it is monotone and no element w and pair
+    p not in h(w) give a nonempty U = holders(p) & up(w) with glb(U) = w.
+    It is join complete iff it is monotone and no w and pair p in h(w)
+    give lub(T) = w for T = down(w) - holders(p); for an empty T the lub
+    is the least element, so this also asks that h(bottom) is empty.
+
+    Why this is exact: if a subset S has glb w and p lies in every h(s)
+    but not in h(w), then S is inside U.  The lower bounds of U then lie
+    between down(w) and those of S, which are down(w), so glb(U) = w and
+    U fails too.  If instead some p in h(w) misses h(s) for an s in S,
+    then w <= s breaks monotonicity, and so does the subset {w, s}.
+    Joins are the dual: p in h(w) outside every h(s) puts S inside T.
+
+    A witness is a failing subset: {w, s} for the first monotonicity
+    break (w, then s, by id), else U or T for the first w by id and then
+    the first pair in sorted order.  ``subsets_checked`` counts the bound
+    sets examined, one per element and pair; pairs with equal holders
+    share them, so each is decided once.  The report is always
+    exhaustive: ``subset_cap``, ``samples`` and ``seed`` bounded the
+    former subset scan and no longer change the result.
     """
     alg = rep.source
-    n = alg.size
-    masks, exhaustive = _subset_masks(n, subset_cap, samples, seed)
-    bit: dict[tuple[int, int], int] = {}
-    graphs = []
-    for f in rep.assignment:
-        g = 0
-        for pair in f.graph:
-            g |= 1 << bit.setdefault(pair, len(bit))
-        graphs.append(g)
-    first, *rest = _fold_tables(alg, graphs)
-    # A subset's glb depends only on its lower bounds, its lub only on
-    # its upper bounds.
-    glbs: dict[int, int | None] = {}
-    lubs: dict[int, int | None] = {}
+    _check_partial_order(alg)
+    n, down, up = alg.size, alg.down_masks, alg.up_masks
+    graphs = [f.graph for f in rep.assignment]
+    held_by: dict[tuple[int, int], int] = {}
+    for a, g in enumerate(graphs):
+        for pair in g:
+            held_by[pair] = held_by.get(pair, 0) | 1 << a
+    # Pairs with the same holders share their bound sets: count them, in
+    # sorted order of their first pair.
+    holders: dict[int, int] = {}
+    for pair in sorted(held_by):
+        holders[held_by[pair]] = holders.get(held_by[pair], 0) + 1
+    broken = next(
+        (frozenset((w, s)) for w in range(n) for s in mask_iter(up[w]) if graphs[w] - graphs[s]),
+        None,
+    )
+    witness = {_glb: broken, _lub: broken}
+    bounds: dict[tuple, int | None] = {}
     checked = 0
-
-    meet_ok, meet_witness = True, None
-    join_ok, join_witness = True, None
-    for mask in masks:
-        lower, upper, inter, union = first[mask & 255]
-        high = mask >> 8
-        for table in rest:
-            d, u, a, o = table[high & 255]
-            lower &= d
-            upper &= u
-            inter &= a
-            union |= o
-            high >>= 8
-        if mask:
-            w = glbs.get(lower, -1)
-            if w == -1:
-                w = glbs[lower] = _glb(alg, 0, lower)
-            if w is not None:
-                checked += 1
-                if inter != graphs[w] and meet_ok:
-                    meet_ok, meet_witness = False, frozenset(mask_iter(mask))
-        w = lubs.get(upper, -1)
-        if w == -1:
-            w = lubs[upper] = _lub(alg, 0, upper)
-        if w is not None:
-            checked += 1
-            if union != graphs[w] and join_ok:
-                join_ok, join_witness = False, frozenset(mask_iter(mask))
+    for w in range(n):
+        for held, count in holders.items():
+            if held >> w & 1:
+                bound, bound_set = _lub, down[w] & ~held
+            elif held & up[w]:
+                bound, bound_set = _glb, held & up[w]
+            else:
+                continue
+            checked += count
+            if (bound, bound_set) not in bounds:
+                bounds[bound, bound_set] = bound(alg, bound_set)
+            if bounds[bound, bound_set] == w and witness[bound] is None:
+                witness[bound] = frozenset(mask_iter(bound_set))
 
     atom_list = alg.order_atoms()
     covered = frozenset()
@@ -437,14 +431,14 @@ def completeness_report(
             break
 
     return CompletenessReport(
-        meet_ok,
-        meet_witness,
-        join_ok,
-        join_witness,
+        witness[_glb] is None,
+        witness[_glb],
+        witness[_lub] is None,
+        witness[_lub],
         atomic_ok,
         atomic_witness,
         checked,
-        exhaustive,
+        True,
     )
 
 
@@ -515,9 +509,9 @@ def verify_hom_restriction(
     b1 = boolean_downset(source, a)
     b2 = boolean_downset(target, h[a])
     members2 = set(b2.members)
+    if any(h[b] not in members2 for b in b1.members):
+        return False
     for b in b1.members:
-        if h[b] not in members2:
-            return False
         if h[b1.complement_of(b)] != b2.complement_of(h[b]):
             return False
         for c in b1.members:

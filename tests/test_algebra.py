@@ -218,6 +218,16 @@ def test_complement_of_members_and_non_members(f2):
             ds.complement_of(b)
 
 
+def test_join_of_members_and_non_members(f2):
+    ds = boolean_downset(f2.abstract, K)
+    assert [[ds.join(b, c) for c in ds.members] for b in ds.members] == [[K, K], [K, F2_ZERO]]
+    for b, c in ((M, M), (K, H), (-1, 9), (9, K)):
+        bad = c if b in ds.members else b
+        message = f"element {bad} is not in the downset of element {K}"
+        with pytest.raises(InconsistencyError, match=message):
+            ds.join(b, c)
+
+
 def test_subtraction_roundtrip(f2, f3, f0):
     for alg in (f2.abstract, f3.abstract, f0):
         rebuilt = subtraction_from_boolean_downsets(complemented_semilattice_of(alg))

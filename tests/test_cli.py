@@ -8,11 +8,23 @@ import tracemalloc
 
 import pytest
 
-from conftest import MALFORMED_DICTIONARIES, make_f0, make_f2, make_n1
+from conftest import (
+    MALFORMED_DICTIONARIES,
+    build_corpus,
+    make_f0,
+    make_f1,
+    make_f2,
+    make_f3,
+    make_f4,
+    make_n1,
+)
 
 from diffrest import (
     ConcreteAlgebra,
     boolean_as_diffrest,
+    domhat_pair,
+    enumerate_axiom_models,
+    enumerate_filters,
     parse_algebras,
     serialize_algebra,
     serialize_concrete,
@@ -164,6 +176,50 @@ def test_complete_verb(files):
     assert result.returncode == 0
     assert result.stdout.startswith("PASS completeness")
     assert "meet=yes join=yes atomic=yes" in result.stdout
+
+
+def test_complete_with_a_cap_above_the_size_is_exact(tmp_path, capsys):
+    # Scanning 2**32 subsets under --cap 40 did not finish in 20 s.
+    conc = build_corpus()[52]
+    assert conc.abstract.size == 32
+    path = tmp_path / "corpus52.alg"
+    path.write_text(serialize_concrete(conc))
+    assert main(["complete", "--mode", "theta", "--cap", "40", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("PASS completeness meet=yes join=yes atomic=yes subsets=")
+    assert out.endswith(" exhaustive=yes\n")
+
+
+def reference_cover_lines(alg):
+    """The COVER lines, with the class order read from ``domhat_pair`` on
+    the first filter of each class."""
+    family = enumerate_filters(alg)
+    rep_of = {}
+    for i, c in enumerate(family.approx_class):
+        rep_of.setdefault(c, family.all_filters[i])
+    n = family.n_classes
+    below = {(c, d) for c in range(n) for d in range(n) if domhat_pair(alg, rep_of[c], rep_of[d])}
+    return [
+        f"COVER lower=class{c} upper=class{d}"
+        for c, d in sorted(below)
+        if c != d and not any((c, e) in below and (e, d) in below for e in set(range(n)) - {c, d})
+    ]
+
+
+def test_filters_covers_match_the_pairwise_preorder(tmp_path, capsys):
+    algebras = [make_f0(), *(make().abstract for make in (make_f1, make_f2, make_f3, make_f4))]
+    algebras += [model for n in range(1, 6) for model in enumerate_axiom_models(n).models]
+    algebras.append(boolean_as_diffrest(4).abstract)
+    covers = 0
+    for i, alg in enumerate(algebras):
+        path = tmp_path / f"{i}.alg"
+        path.write_text(serialize_algebra(alg))
+        assert main(["filters", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        got = [line for line in lines if line.startswith("COVER")]
+        assert got == reference_cover_lines(alg), i
+        covers += len(got)
+    assert covers > 0
 
 
 def test_interp_boolean(files, tmp_path):

@@ -1,8 +1,9 @@
 """Mutated algebra files give input errors or verdicts, never crashes,
 random tables get the reference specification's law reports, the
 embedding search's trace phase matches its reference on random closures,
-and the Boolean-downset certificate, the filter checks and the lifted
-preorder match theirs on random and perturbed tables.
+the Boolean-downset certificate, the filter checks and the lifted
+preorder match theirs on random and perturbed tables, and the exact
+completeness test matches the subset scan on perturbed representations.
 
 Each file example takes a valid serialization and inserts, deletes or
 replaces a few characters.  The runs are derandomized, so the examples
@@ -15,17 +16,23 @@ import io
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_f0, make_f2, make_n1
+from conftest import make_f0, make_f1, make_f2, make_f3, make_f4, make_n1
 
 from diffrest import (
     AlgebraError,
     FiniteAlgebra,
     PartialFunction,
+    Representation,
+    atomic_eta,
+    atomic_theta,
     boolean_as_diffrest,
+    canonical_theta,
     check_axioms,
     check_derived_laws,
     close_generators,
+    enumerate_axiom_models,
     generating_set,
+    injective_eta,
     parse_algebras,
     serialize_algebra,
     serialize_concrete,
@@ -34,6 +41,7 @@ from diffrest.cli import main
 from diffrest.oracle import _valid_columns
 from test_embedding_search import outcome, reference_valid_columns
 from test_certificates import assert_same_family, checked_filter, downset_verdicts
+from test_completeness_scan import assert_agrees_with_subset_scan
 from test_law_engine import REFERENCE_AXIOM_LAWS, REFERENCE_DERIVED_LAWS, _scan_laws
 
 VALID_TEXTS = (
@@ -160,3 +168,36 @@ def test_certificates_match_their_references(alg, data):
     assert_same_family(alg)
     members = data.draw(st.frozensets(st.integers(0, alg.size - 1)), label="filter members")
     checked_filter(alg, members)
+
+
+REPRESENTATIONS = tuple(
+    build(alg)
+    for alg in (
+        make_f0(),
+        *(make().abstract for make in (make_f1, make_f2, make_f3, make_f4)),
+        *(model for n in (4, 5) for model in enumerate_axiom_models(n).models),
+        boolean_as_diffrest(3).abstract,
+    )
+    for build in (canonical_theta, injective_eta, atomic_theta, atomic_eta)
+)
+
+
+@st.composite
+def perturbed_representations(draw):
+    """A representation of at most 8 elements with up to 4 values
+    edited: a pair dropped, or a point sent somewhere else."""
+    rep = draw(st.sampled_from(REPRESENTATIONS))
+    assignment = list(rep.assignment)
+    base = sorted(assignment[0].base)
+    for _ in range(draw(st.integers(0, 4)) if base else 0):
+        a = draw(st.integers(0, len(assignment) - 1))
+        x, y = draw(st.sampled_from(base)), draw(st.sampled_from((None, *base)))
+        graph = {p for p in assignment[a].graph if p[0] != x}
+        assignment[a] = PartialFunction(base, graph if y is None else graph | {(x, y)})
+    return Representation(rep.source, "external", rep.states, tuple(assignment))
+
+
+@fuzz(300)
+@given(perturbed_representations())
+def test_exact_completeness_matches_the_subset_scan(rep):
+    assert assert_agrees_with_subset_scan(rep, cap=20)[0]

@@ -1,11 +1,16 @@
 """Representation constructions, verification, and completeness."""
 
+import itertools
+
 import pytest
 
-from conftest import F, G, H, K, M
+from conftest import F, G, H, K, M, make_f0, make_f1, make_f2, make_f3, make_f4
+
+import diffrest.represent
 
 from diffrest import (
     AxiomFailure,
+    FiniteAlgebra,
     NonHomomorphismError,
     PartialFunction,
     Representation,
@@ -13,9 +18,11 @@ from diffrest import (
     atomic_theta,
     atoms,
     boolean_as_diffrest,
+    boolean_downset,
     canonical_theta,
     completeness_report,
     empty_pf,
+    enumerate_axiom_models,
     injective_eta,
     is_atomic,
     is_atomistic,
@@ -219,3 +226,35 @@ def test_verify_hom_restriction_rejects_non_hom(f2):
     alg = f2.abstract
     with pytest.raises(NonHomomorphismError):
         verify_hom_restriction(alg, alg, [H, M, H, 3], H)
+
+
+def test_verify_hom_restriction_holds_for_every_small_homomorphism():
+    algebras = [make_f0(), *(make().abstract for make in (make_f1, make_f2, make_f3, make_f4))]
+    algebras += [model for n in range(1, 5) for model in enumerate_axiom_models(n).models]
+    verdicts = []
+    for source, target in itertools.product(algebras, repeat=2):
+        for h in itertools.product(range(target.size), repeat=source.size):
+            ops = ((source.minus, target.minus), (source.restrict, target.restrict))
+            if all(
+                h[s[x][y]] == t[h[x]][h[y]]
+                for s, t in ops
+                for x, y in itertools.product(range(source.size), repeat=2)
+            ):
+                verdicts += [verify_hom_restriction(source, target, h, a) for a in range(source.size)]
+    # A homomorphism preserves the downsets' operations, so none raises.
+    assert verdicts == [True] * 2226
+
+
+def test_verify_hom_restriction_is_false_when_an_image_leaves_the_target_downset(
+    f2, monkeypatch
+):
+    # Give the target the downset of its bottom, so the images of k, m
+    # and h lie outside it; the join of two of them is then undefined.
+    source = f2.abstract
+    target = FiniteAlgebra.from_tables(source.minus, source.restrict)
+    monkeypatch.setattr(
+        diffrest.represent,
+        "boolean_downset",
+        lambda alg, a: boolean_downset(alg, alg.zero if alg is target else a),
+    )
+    assert verify_hom_restriction(source, target, list(range(source.size)), H) is False
