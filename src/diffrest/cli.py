@@ -393,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("file")
         p.add_argument("--mode", choices=tuple(MODES), required=True)
         p.add_argument("--cap", type=int, default=20, help="ignored: completeness is exact")
-        _add_seed(p)
+        p.add_argument("--seed", type=int, help="ignored: completeness is exact")
         _add_format(p)
         if verb == "represent":
             p.add_argument(

@@ -3,8 +3,11 @@
 A partial function is a functional set of pairs over a base set of
 integer points.  The two pointwise operations are set difference of
 graphs and restriction of the second argument to the domain of the
-first.  Generator sets are closed into concrete algebras whose
-operation tables are handed to :mod:`diffrest.algebra`.
+first.  Closure, table derivation and the verifier index the pairs
+that occur in a list of graphs and hold each graph as an int mask over
+that index, so each operation is one bitwise step.  Generator sets are
+closed into concrete algebras whose operation tables are handed to
+:mod:`diffrest.algebra`.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from .algebra import (
     SizeCapError,
     Table,
     check_axioms,
+    mask_iter,
 )
 
 Pair = tuple[int, int]
@@ -142,72 +146,81 @@ def is_injective_pf(f: PartialFunction) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _graph_minus(g: Graph, h: Graph) -> Graph:
-    return g - h
+def _pair_masks(graphs: Sequence[Graph]):
+    """Index the pairs of ``graphs``: bit i of a mask is the i-th pair of
+    their sorted union.  Returns the pairs, each graph's mask, their
+    domain masks, and the map from a mask to its domain mask, the OR of
+    the rows (pairs by first point) of its first points.  Minus is then
+    ``g & ~h`` and restrict ``h & dom(g)``; products keep to their
+    operands' pairs, so the index of a closure's seeds covers it all.
+    """
+    pairs = sorted(set().union(*graphs))
+    rows: dict[int, int] = {}
+    for i, (x, _) in enumerate(pairs):
+        rows[x] = rows.get(x, 0) | 1 << i
 
-def _graph_restrict(g: Graph, h: Graph) -> Graph:
-    dom = {x for x, _ in g}
-    return frozenset(p for p in h if p[0] in dom)
+    def dom(mask: int) -> int:
+        out = 0
+        while rest := mask & ~out:
+            out |= rows[pairs[(rest & -rest).bit_length() - 1][0]]
+        return out
+
+    bit = {p: 1 << i for i, p in enumerate(pairs)}
+    masks = [sum(bit[p] for p in g) for g in graphs]
+    return pairs, masks, [dom(g) for g in masks], dom
 
 
 def _close_graphs(seeds: Sequence[Graph], cap: int = SIZE_CAP) -> list[Graph]:
     """Close graphs under the two set-theoretic operations.
 
     Discovery order: seeds first (duplicates dropped), then products in
-    breadth-first waves with ties broken by lexicographic graph.  The
-    operations never assume functionality, so relations close fine too.
+    breadth-first waves with ties broken by lexicographic graph.  A wave
+    combines only pairs that involve an element of the previous wave,
+    since older pairs were combined before.  The operations never assume
+    functionality, so relations close fine too.
     """
-    elems: list[Graph] = []
-    index: set[Graph] = set()
-    for g in seeds:
-        if g not in index:
-            index.add(g)
-            elems.append(g)
+    pairs, masks, _, dom = _pair_masks(seeds)
+    elems = list(dict.fromkeys(masks))
+    doms = [dom(g) for g in elems]
+    index, wave = set(elems), 0
     while True:
-        fresh: set[Graph] = set()
-        for g in elems:
-            for h in elems:
-                for product in (_graph_minus(g, h), _graph_restrict(g, h)):
-                    if product not in index and product not in fresh:
-                        fresh.add(product)
+        fresh: set[int] = set()
+        for i, (g, d) in enumerate(zip(elems, doms)):
+            tail = elems if i >= wave else elems[wave:]
+            fresh.update([g & ~h for h in tail], [h & d for h in tail])
+        fresh -= index
         if not fresh:
-            return elems
-        for g in sorted(fresh, key=sorted):
+            return [frozenset(pairs[i] for i in mask_iter(g)) for g in elems]
+        wave = len(elems)
+        for g in sorted(fresh, key=lambda g: list(mask_iter(g))):
             if len(elems) >= cap:
-                raise SizeCapError(
-                    f"closure exceeds the cap of {cap} elements"
-                )
+                raise SizeCapError(f"closure exceeds the cap of {cap} elements")
             index.add(g)
             elems.append(g)
+            doms.append(dom(g))
 
 
 def _tables_for(graphs: Sequence[Graph]) -> tuple[Table, Table]:
-    index = {g: i for i, g in enumerate(graphs)}
+    pairs, masks, doms, _ = _pair_masks(graphs)
+    index = {g: i for i, g in enumerate(masks)}
     try:
-        minus_t = tuple(
-            tuple(index[_graph_minus(g, h)] for h in graphs) for g in graphs
-        )
-        restrict_t = tuple(
-            tuple(index[_graph_restrict(g, h)] for h in graphs) for g in graphs
-        )
+        minus_t = tuple(tuple(index[g & ~h] for h in masks) for g in masks)
+        restrict_t = tuple(tuple(index[h & d] for h in masks) for d in doms)
     except KeyError:
-        raise _not_closed(graphs, index) from None
+        raise _not_closed(pairs, masks, doms, index) from None
     return minus_t, restrict_t
 
 
-def _not_closed(graphs: Sequence[Graph], index: dict[Graph, int]) -> NotClosedError:
+def _not_closed(pairs, masks, doms, index) -> NotClosedError:
     """The error naming the first pair whose product is missing."""
-    for name, op in (("minus", _graph_minus), ("restrict", _graph_restrict)):
-        for i, g in enumerate(graphs):
-            for j, h in enumerate(graphs):
-                product = op(g, h)
-                if product not in index:
-                    literal = ", ".join(f"{x}->{y}" for x, y in sorted(product))
-                    return NotClosedError(
-                        f"elements are not closed: {name}({i}, {j}) = "
-                        f"{{{literal}}} is not an element"
-                    )
-    raise AssertionError("every product is an element")
+    n = len(masks)
+    products = [("minus", i, j, masks[i] & ~masks[j]) for i in range(n) for j in range(n)]
+    products += [("restrict", i, j, masks[j] & doms[i]) for i in range(n) for j in range(n)]
+    name, i, j, product = next(p for p in products if p[3] not in index)
+    literal = ", ".join(f"{x}->{y}" for x, y in (pairs[k] for k in mask_iter(product)))
+    return NotClosedError(
+        f"elements are not closed: {name}({i}, {j}) = {{{literal}}} is not an element"
+    )
 
 
 @dataclass(frozen=True)

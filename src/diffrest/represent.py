@@ -27,7 +27,7 @@ from .algebra import (
     per_algebra,
 )
 from .filters import Filter, enumerate_filters
-from .pfun import ConcreteAlgebra, PartialFunction, is_injective_pf
+from .pfun import ConcreteAlgebra, PartialFunction, _pair_masks, is_injective_pf
 
 
 class NotAtomicError(AlgebraError):
@@ -275,8 +275,9 @@ def verify_representation(rep: Representation) -> VerificationReport:
     """Independently check a representation-shaped object.
 
     Verifies functionality of every value, injectivity of the
-    assignment, and preservation of both operations on all pairs.  On a
-    pass the report carries the concrete image algebra as a certificate.
+    assignment, one base for all values, and preservation of both
+    operations on all pairs, on pair masks.  On a pass the report
+    carries the image algebra, which derives both tables again.
     """
     alg = rep.source
     failures: list[VerificationFailure] = []
@@ -304,16 +305,17 @@ def verify_representation(rep: Representation) -> VerificationReport:
         else:
             graphs[g] = a
 
+    mixed = [a for a, f in enumerate(rep.assignment) if f.base != rep.assignment[0].base]
+    if mixed:
+        failures.append(VerificationFailure("base", (0, mixed[0])))
+        return VerificationReport(False, tuple(failures), None)
+
+    _, masks, doms, _ = _pair_masks([f.graph for f in rep.assignment])
     for a in range(alg.size):
         for b in range(alg.size):
-            want = rep.assignment[alg.minus[a][b]].graph
-            got = rep.assignment[a].graph - rep.assignment[b].graph
-            if want != got:
+            if masks[alg.minus[a][b]] != masks[a] & ~masks[b]:
                 failures.append(VerificationFailure("minus-preserved", (a, b)))
-            dom = rep.assignment[a].domain
-            want_r = rep.assignment[alg.restrict[a][b]].graph
-            got_r = frozenset(p for p in rep.assignment[b].graph if p[0] in dom)
-            if want_r != got_r:
+            if masks[alg.restrict[a][b]] != masks[b] & doms[a]:
                 failures.append(VerificationFailure("restrict-preserved", (a, b)))
 
     if failures:

@@ -190,6 +190,23 @@ def test_complete_with_a_cap_above_the_size_is_exact(tmp_path, capsys):
     assert out.endswith(" exhaustive=yes\n")
 
 
+def test_seed_is_ignored_by_represent_and_complete(tmp_path, capsys):
+    path = tmp_path / "f2.alg"
+    path.write_text(serialize_concrete(make_f2()))
+    for verb in ("represent", "complete"):
+        with pytest.raises(SystemExit):
+            main([verb, "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "--seed SEED ignored: completeness is exact" in help_text
+        for mode in ("theta", "atomic-eta"):
+            for fmt in ("text", "structured"):
+                argv = [verb, "--mode", mode, "--format", fmt, str(path)]
+                assert main(argv) == 0
+                plain = capsys.readouterr()
+                assert main([*argv, "--seed", "12345"]) == 0
+                assert capsys.readouterr() == plain
+
+
 def reference_cover_lines(alg):
     """The COVER lines, with the class order read from ``domhat_pair`` on
     the first filter of each class."""

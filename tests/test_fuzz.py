@@ -2,8 +2,10 @@
 random tables get the reference specification's law reports, the
 embedding search's trace phase matches its reference on random closures,
 the Boolean-downset certificate, the filter checks and the lifted
-preorder match theirs on random and perturbed tables, and the exact
-completeness test matches the subset scan on perturbed representations.
+preorder match theirs on random and perturbed tables, the exact
+completeness test matches the subset scan on perturbed representations,
+and the pair-mask closure matches the set-based closure on random
+functions and relations.
 
 Each file example takes a valid serialization and inserts, deletes or
 replaces a few characters.  The runs are derandomized, so the examples
@@ -20,6 +22,7 @@ from conftest import make_f0, make_f1, make_f2, make_f3, make_f4, make_n1
 
 from diffrest import (
     AlgebraError,
+    SizeCapError,
     FiniteAlgebra,
     PartialFunction,
     Representation,
@@ -30,6 +33,7 @@ from diffrest import (
     check_axioms,
     check_derived_laws,
     close_generators,
+    close_relations,
     enumerate_axiom_models,
     generating_set,
     injective_eta,
@@ -39,10 +43,13 @@ from diffrest import (
 )
 from diffrest.cli import main
 from diffrest.oracle import _valid_columns
+from diffrest.pfun import _close_graphs
 from test_embedding_search import outcome, reference_valid_columns
 from test_certificates import assert_same_family, checked_filter, downset_verdicts
 from test_completeness_scan import assert_agrees_with_subset_scan
 from test_law_engine import REFERENCE_AXIOM_LAWS, REFERENCE_DERIVED_LAWS, _scan_laws
+from test_pair_masks import outcome as closure_outcome
+from test_pair_masks import reference_close_graphs, reference_tables_for
 
 VALID_TEXTS = (
     serialize_concrete(make_f2()),
@@ -201,3 +208,43 @@ def perturbed_representations(draw):
 @given(perturbed_representations())
 def test_exact_completeness_matches_the_subset_scan(rep):
     assert assert_agrees_with_subset_scan(rep, cap=20)[0]
+
+
+@st.composite
+def seed_lists(draw):
+    """Up to 4 random partial functions, or relations, on up to 5 points,
+    and a cap that is small or the default."""
+    points = range(1, draw(st.integers(1, 5)) + 1)
+    functional = draw(st.booleans())
+    pair = st.tuples(st.sampled_from(points), st.sampled_from(points))
+    seeds = []
+    for _ in range(draw(st.integers(1, 4))):
+        if functional:
+            image = {x: draw(st.sampled_from((0, *points))) for x in points}
+            seeds.append(frozenset((x, y) for x, y in image.items() if y))
+        else:
+            seeds.append(frozenset(draw(st.sets(pair, max_size=8))))
+    cap = draw(st.one_of(st.integers(1, 12), st.just(None)))
+    return points, seeds, functional, cap
+
+
+@fuzz(300)
+@given(seed_lists())
+def test_mask_closure_matches_the_set_closure(drawn):
+    points, seeds, functional, cap = drawn
+    capped = () if cap is None else (cap,)
+    want = closure_outcome(reference_close_graphs, seeds, *capped)
+    assert closure_outcome(_close_graphs, seeds, *capped) == want
+    if cap is not None:
+        return
+    try:
+        if functional:
+            conc = close_generators(points, [PartialFunction(points, g) for g in seeds])
+            alg, graphs = conc.abstract, [f.graph for f in conc.elements]
+        else:
+            alg, graphs = close_relations(points, seeds)
+    except SizeCapError as err:
+        assert ("SizeCapError", str(err)) == want
+        return
+    assert list(graphs) == want
+    assert (alg.minus, alg.restrict) == reference_tables_for(want)

@@ -171,6 +171,16 @@ def test_verify_rejects_corrupted_assignment(f2):
     assert ("injectivity", (K, M)) in [(f.check, f.witness) for f in report.failures]
 
 
+def test_verify_reports_values_over_different_bases():
+    # Every operation is preserved, so only the bases tell the values apart.
+    alg = boolean_as_diffrest(1).abstract
+    values = (empty_pf({1}), PartialFunction({1, 2}, [(1, 1)]))
+    report = verify_representation(Representation(alg, "external", (1, 2), values))
+    assert not report.passed and report.image is None
+    assert [(f.check, f.witness) for f in report.failures] == [("base", (0, 1))]
+    assert report.failures[0].render(alg) == "FAIL base witness 0 1"
+
+
 def test_completeness_atomic_theta_f2(f2):
     alg = f2.abstract
     rep = atomic_theta(alg)
