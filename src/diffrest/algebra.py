@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import ast
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, wraps
 from typing import Callable, Iterator, NamedTuple, Sequence
 
@@ -147,10 +147,7 @@ class FiniteAlgebra:
         return cls(n, minus_t, restrict_t, zero, names_t)
 
     def with_names(self, names: Sequence[str]) -> "FiniteAlgebra":
-        names_t = tuple(str(s) for s in names)
-        if len(names_t) != self.size:
-            raise TableError(f"got {len(names_t)} element names, expected {self.size}")
-        return replace(self, names=names_t)
+        return FiniteAlgebra.from_tables(self.minus, self.restrict, names)
 
     def element_name(self, a: int) -> str:
         return self.names[a] if self.names is not None else str(a)
@@ -453,25 +450,6 @@ class AxiomReport:
         raise KeyError(law)
 
 
-def evaluate_law(alg: FiniteAlgebra, law: str, assignment: Sequence[int]) -> bool:
-    """Re-evaluate a single law instance against the tables."""
-    entry, t = LAW_TABLE[law], alg.tables
-    env = {"0": t.zero, **dict(zip(entry.varnames, assignment))}
-
-    def value(term: Term) -> int:
-        if isinstance(term, str):
-            return env[term]
-        return t.rows[term[0]][value(term[1])][value(term[2])]
-
-    def leq(x: int, y: int) -> bool:
-        return t.up_masks[x] >> y & 1 == 1
-
-    if not all(leq(env[x], env[y]) for x, y in entry.antecedents):
-        return True
-    lhs, rhs = value(entry.lhs), value(entry.rhs)
-    return lhs == rhs if entry.relation == "=" else leq(lhs, rhs)
-
-
 def _scan_laws(t: LawTables, laws: Sequence[Law]) -> AxiomReport:
     verdicts = []
     for law in laws:
@@ -580,9 +558,6 @@ class DomainQuotient:
 
     def class_members(self, c: int) -> tuple[int, ...]:
         return tuple(a for a in range(self.parent.size) if self.class_of[a] == c)
-
-    def qleq(self, c: int, d: int) -> bool:
-        return self.meet[c][d] == c
 
     @property
     def zero_class(self) -> int:
@@ -807,91 +782,3 @@ def boolean_downset(alg: FiniteAlgebra, a: int) -> BooleanDownset:
             f"at {tuple(alg.element_name(w) for w in witness)}", a, law, witness
         )
     return BooleanDownset(alg, a, members)
-
-
-# ---------------------------------------------------------------------------
-# Rebuilding complement structure from a complemented semilattice
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ComplementedSemilattice:
-    """A meet table plus, for every element, a complement on its downset.
-
-    ``complement[a][b]`` is consulted only when ``b`` lies below ``a`` in
-    the meet order; other entries are ignored.
-    """
-
-    size: int
-    meet: Table
-    complement: Table
-
-    @classmethod
-    def from_tables(
-        cls, meet: Sequence[Sequence[int]], complement: Sequence[Sequence[int]]
-    ) -> "ComplementedSemilattice":
-        meet_t = _freeze_table(meet)
-        comp_t = _freeze_table(complement)
-        n = len(meet_t)
-        if n == 0:
-            raise TableError("semilattice must be nonempty")
-        _check_square(n, meet=meet_t, complement=comp_t)
-        return cls(n, meet_t, comp_t)
-
-
-def complemented_semilattice_of(alg: FiniteAlgebra) -> ComplementedSemilattice:
-    """Extract the meet table and per-downset complements of an algebra."""
-    return ComplementedSemilattice(alg.size, alg.meet_table, alg.minus)
-
-
-def subtraction_from_boolean_downsets(sl: ComplementedSemilattice) -> Table:
-    """Recover a complement operation from downset complements.
-
-    Checks that ``meet`` really is a semilattice whose every downset is
-    Boolean under the supplied complements, then returns the table
-    ``a - b := complement_a(a meet b)``.  The result is verified to
-    satisfy the complement-only laws and to recover the meet by double
-    complement.
-    """
-    n = sl.size
-    mt = sl.meet
-    for a in range(n):
-        if mt[a][a] != a:
-            raise InconsistencyError(f"meet not idempotent at {a}")
-        for b in range(n):
-            if mt[a][b] != mt[b][a]:
-                raise InconsistencyError(f"meet not commutative at ({a}, {b})")
-            for c in range(n):
-                if mt[mt[a][b]][c] != mt[a][mt[b][c]]:
-                    raise InconsistencyError(f"meet not associative at ({a}, {b}, {c})")
-
-    bottoms = [z for z in range(n) if all(mt[z][a] == z for a in range(n))]
-    if len(bottoms) != 1:
-        raise InconsistencyError(f"expected a unique bottom, found {bottoms}")
-    bottom = bottoms[0]
-
-    for a in range(n):
-        members = [b for b in range(n) if mt[b][a] == b]
-        failure = _boolean_law_failure(mt, sl.complement[a], a, bottom, members)
-        if failure is not None:
-            law, witness = failure
-            raise BooleanLawError(
-                f"downset of {a} is not Boolean: law {law} fails at {witness}", a, law, witness
-            )
-
-    minus_t = tuple(
-        tuple(sl.complement[a][mt[a][b]] for b in range(n)) for a in range(n)
-    )
-    report = check_subtraction_axioms(minus_t)
-    if not report.passed:
-        bad = report.failures()[0]
-        raise InconsistencyError(
-            f"reconstructed complement violates {bad.law} at {bad.witness}"
-        )
-    for a in range(n):
-        for b in range(n):
-            if minus_t[a][minus_t[a][b]] != mt[a][b]:
-                raise InconsistencyError(
-                    f"double complement fails to recover meet at ({a}, {b})"
-                )
-    return minus_t

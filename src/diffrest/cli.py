@@ -351,7 +351,7 @@ def _add_seed(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--seed",
         type=int,
-        help="seed recorded in reports and used for sampling "
+        help="seed recorded in reports; the searches are deterministic "
         "(default: DIFFREST_SEED or 0)",
     )
 
@@ -392,8 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(verb, help=help_text)
         p.add_argument("file")
         p.add_argument("--mode", choices=tuple(MODES), required=True)
-        p.add_argument("--cap", type=int, default=20, help="ignored: completeness is exact")
-        p.add_argument("--seed", type=int, help="ignored: completeness is exact")
         _add_format(p)
         if verb == "represent":
             p.add_argument(

@@ -19,19 +19,13 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .algebra import (
-    AlgebraError,
     FiniteAlgebra,
     InconsistencyError,
     boolean_downset,
-    domain_quotient,
     mask_iter,
     mask_of,
     per_algebra,
 )
-
-
-class ImproperFilterError(AlgebraError):
-    """An operation needing a proper filter was given the full filter."""
 
 
 @dataclass(frozen=True)
@@ -83,12 +77,6 @@ def principal_filter(alg: FiniteAlgebra, a: int) -> Filter:
     return Filter(alg, frozenset(mask_iter(alg.up_masks[a])))
 
 
-def _product_upset(alg: FiniteAlgebra, left: frozenset[int], right: frozenset[int]) -> frozenset[int]:
-    """Upward closure of all restrictions of ``right`` members by ``left`` members."""
-    products = mask_of(alg.restrict[s][t] for s in left for t in right)
-    return frozenset(mask_iter(alg.up_closure(products)))
-
-
 def _inside(alg: FiniteAlgebra, mask: int) -> int:
     """The elements whose whole up-set lies in ``mask``."""
     return mask_of(x for x, up in enumerate(alg.up_masks) if not up & ~mask)
@@ -100,12 +88,6 @@ def _stable(alg: FiniteAlgebra, members) -> int:
     return mask_of(
         g for g, row in enumerate(alg.restrict) if all(inside >> row[f] & 1 for f in members)
     )
-
-
-def domhat_pair(alg: FiniteAlgebra, f: Filter, g: Filter) -> bool:
-    """Lifted domain preorder: F below G iff restricting F by G stays in F."""
-    inside = _inside(alg, mask_of(f.members))
-    return all(inside >> alg.restrict[s][t] & 1 for s in g.members for t in f.members)
 
 
 @dataclass(frozen=True)
@@ -133,9 +115,6 @@ class FilterFamily:
     @property
     def n_classes(self) -> int:
         return max(self.approx_class) + 1 if self.approx_class else 0
-
-    def class_members(self, c: int) -> tuple[int, ...]:
-        return tuple(i for i, x in enumerate(self.approx_class) if x == c)
 
 
 @per_algebra
@@ -172,20 +151,14 @@ def enumerate_filters(alg: FiniteAlgebra) -> FilterFamily:
     return FilterFamily(alg, filters, maximal, domhat, tuple(approx))
 
 
-def _single_witness_maximal(members, zero: int, w: int, size: int, meet, minus) -> bool:
+def is_maximal(f: Filter) -> bool:
     """A filter with least member ``w`` is maximal precisely when it is
     proper and for every ``b`` exactly one of ``w meet b`` and ``w - b``
     belongs to it."""
-    return zero not in members and all(
-        (meet[w][b] in members) != (minus[w][b] in members) for b in range(size)
-    )
-
-
-def is_maximal(f: Filter) -> bool:
-    """Maximality test by the single-witness criterion."""
-    alg = f.parent
-    return _single_witness_maximal(
-        f.members, alg.zero, f.generator(), alg.size, alg.meet_table, alg.minus
+    alg, w, members = f.parent, f.generator(), f.members
+    meet, minus = alg.meet_table[w], alg.minus[w]
+    return f.proper and all(
+        (meet[b] in members) != (minus[b] in members) for b in range(alg.size)
     )
 
 
@@ -206,22 +179,6 @@ def maximal_filters(alg: FiniteAlgebra) -> tuple[Filter, ...]:
             f"{sorted(map(sorted, criterion))} vs {sorted(map(sorted, poset_maxima))}"
         )
     return family.maximal
-
-
-def filter_meet(f: Filter, g: Filter) -> Filter:
-    """Greatest lower bound of two filters modulo the lifted equivalence."""
-    if f.parent is not g.parent and f.parent != g.parent:
-        raise AlgebraError("filters live in different algebras")
-    alg = f.parent
-    h = Filter(alg, _product_upset(alg, g.members, f.members))
-    if not (domhat_pair(alg, h, f) and domhat_pair(alg, h, g)):
-        raise InconsistencyError("filter meet is not a lower bound")
-    for k in enumerate_filters(alg).all_filters:
-        if domhat_pair(alg, k, f) and domhat_pair(alg, k, g) and not domhat_pair(alg, k, h):
-            raise InconsistencyError(
-                f"filter meet is not greatest below {k.render()}"
-            )
-    return h
 
 
 def ultrafilter_bijection(
@@ -265,109 +222,3 @@ def ultrafilter_bijection(
         if forward[mu] != nu:
             raise InconsistencyError("round trip through the algebra moved an ultrafilter")
     return forward, backward
-
-
-def extend_to_maximal(f: Filter) -> Filter:
-    """Deterministically extend a proper filter to a maximal one.
-
-    Policy: take the least member id as witness, then the
-    lexicographically least ultrafilter of its downset extending the
-    trace of the filter there.
-    """
-    if not f.proper:
-        raise ImproperFilterError("the full filter has no maximal extension")
-    alg = f.parent
-    a = min(f.members)
-    downset = boolean_downset(alg, a)
-    trace = f.members & frozenset(downset.members)
-    candidates = [
-        nu for nu in downset.ultrafilters() if trace <= nu
-    ]
-    if not candidates:
-        raise InconsistencyError(
-            f"no ultrafilter of the downset of {alg.element_name(a)} extends the filter"
-        )
-    nu = min(candidates, key=sorted)
-    result = Filter(alg, frozenset(mask_iter(alg.up_closure(mask_of(nu)))))
-    if not is_maximal(result) or not f.members <= result.members:
-        raise InconsistencyError("extension policy produced a non-extension")
-    return result
-
-
-def _quotient_upset(quot, class_ids) -> frozenset[int]:
-    out = set()
-    for c in class_ids:
-        for d in range(quot.n_classes):
-            if quot.qleq(c, d):
-                out.add(d)
-    return frozenset(out)
-
-
-def project_filter(f: Filter) -> frozenset[int]:
-    """Image of a filter in the domain quotient, upward closed there.
-
-    Checks the characterization of the lifted preorder: F is below G
-    exactly when the projected upset of G is contained in that of F.
-    """
-    alg = f.parent
-    quot = domain_quotient(alg)
-    image = _quotient_upset(quot, {quot.class_of[a] for a in f.members})
-    for g in enumerate_filters(alg).all_filters:
-        g_image = _quotient_upset(quot, {quot.class_of[a] for a in g.members})
-        if domhat_pair(alg, f, g) != (g_image <= image):
-            raise InconsistencyError(
-                f"projection mischaracterizes the lifted preorder against {g.render()}"
-            )
-    return image
-
-
-def _quotient_filter_is_maximal(quot, image: frozenset[int]) -> bool:
-    w = None
-    for c in image:
-        if w is None or quot.qleq(c, w):
-            w = c
-    return _single_witness_maximal(
-        image, quot.zero_class, w, quot.n_classes, quot.meet, quot.qminus
-    )
-
-
-def filter_down(mu: Filter) -> frozenset[int]:
-    """Project a maximal filter to the quotient; the image must be maximal."""
-    if not is_maximal(mu):
-        raise AlgebraError("filter_down expects a maximal filter")
-    quot = domain_quotient(mu.parent)
-    image = _quotient_upset(quot, {quot.class_of[a] for a in mu.members})
-    if not _quotient_filter_is_maximal(quot, image):
-        raise InconsistencyError("projected maximal filter is not maximal in the quotient")
-    return image
-
-
-def filter_up_check(mu: Filter, f: Filter) -> str:
-    """Restrict a filter by a maximal one and classify the outcome.
-
-    Returns ``"proper-and-maximal"`` or ``"improper"``.  Properness is
-    checked to be equivalent to the maximal filter being domain-below
-    the other filter, and in the proper case the result is checked to
-    be maximal and equivalent to the maximal filter.
-    """
-    if not is_maximal(mu):
-        raise AlgebraError("filter_up_check expects a maximal filter first")
-    alg = mu.parent
-    members = _product_upset(alg, mu.members, f.members)
-    below = domhat_pair(alg, mu, f)
-    if alg.zero in members:
-        if below:
-            raise InconsistencyError(
-                "improper restriction although the maximal filter is domain-below"
-            )
-        return "improper"
-    result = Filter(alg, members)
-    if not below:
-        raise InconsistencyError(
-            "proper restriction although the maximal filter is not domain-below"
-        )
-    if not is_maximal(result):
-        raise InconsistencyError("proper restriction of a maximal filter is not maximal")
-    if not (domhat_pair(alg, mu, result) and domhat_pair(alg, result, mu)):
-        raise InconsistencyError("proper restriction is not equivalent to the maximal filter")
-    return "proper-and-maximal"

@@ -1,11 +1,10 @@
 """Independent brute-force machinery.
 
-Three oracles: exhaustive enumeration of partial functions on tiny
-bases, an exhaustive embedding search deciding whether an abstract
-algebra is isomorphic to an algebra of partial functions at all, and an
-exhaustive model enumerator for the defining laws with isomorph
-rejection.  A differential driver cross-checks the law checker against
-the embedding search on whole corpora.
+Two oracles: an exhaustive embedding search deciding whether an
+abstract algebra is isomorphic to an algebra of partial functions at
+all, and an exhaustive model enumerator for the defining laws with
+isomorph rejection.  A differential driver cross-checks the law
+checker against the embedding search on whole corpora.
 
 The embedding search works point by point.  The trace of a base point
 assigns to every algebra element either "undefined" or a value point;
@@ -81,41 +80,18 @@ class SearchBudget:
         if self.max_algebra_size <= 0 or self.node_limit <= 0:
             raise BudgetExceededError("budget limits must be positive")
 
+    def check_algebra_size(self, n: int) -> None:
+        if n > self.max_algebra_size:
+            raise BudgetExceededError(
+                f"algebra size {n} exceeds the budget limit {self.max_algebra_size}"
+            )
+
 
 DEFAULT_BUDGET = SearchBudget()
 
 
 class _NodeLimit(Exception):
     pass
-
-
-# ---------------------------------------------------------------------------
-# Exhaustive partial-function enumeration
-# ---------------------------------------------------------------------------
-
-
-def enumerate_pfuns(
-    base_size: int, budget: SearchBudget | None = None
-) -> tuple[PartialFunction, ...]:
-    """All partial functions on a base of the given size, canonically ordered.
-
-    The count is (k+1)^k, so the budget caps the base size (4 by
-    default).  Points are 1-based; ordering is lexicographic in the
-    per-point value vectors with "undefined" first.
-    """
-    limit = budget.max_base_size if budget is not None else 4
-    if base_size < 0 or base_size > limit:
-        raise BudgetExceededError(
-            f"base size {base_size} outside the budget limit {limit}"
-        )
-    base = frozenset(range(1, base_size + 1))
-    out = []
-    for values in itertools.product(range(base_size + 1), repeat=base_size):
-        graph = [
-            (x, values[x - 1]) for x in range(1, base_size + 1) if values[x - 1] != 0
-        ]
-        out.append(PartialFunction(base, graph))
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -236,14 +212,6 @@ def _propagation_plan(alg: FiniteAlgebra, gens: Sequence[int]) -> tuple[_PlanLev
     return tuple(levels)
 
 
-def _valid_columns(
-    alg: FiniteAlgebra, gens: Sequence[int], m: int, counter: list[int], limit: int
-) -> list[tuple[int, ...]]:
-    """The columns of ``_columns_and_masks``: every consistent trace on
-    ``m`` points, relabeled copies counted and listed but not searched."""
-    return _columns_and_masks(alg, gens, m, counter, limit)[0]
-
-
 def _columns_and_masks(
     alg: FiniteAlgebra, gens: Sequence[int], m: int, counter: list[int], limit: int
 ) -> tuple[list[tuple[int, ...]], list[int]]:
@@ -343,10 +311,7 @@ def brute_force_embedding(
     base padding rules out every smaller base as well.
     """
     n = alg.size
-    if n > budget.max_algebra_size:
-        raise BudgetExceededError(
-            f"algebra size {n} exceeds the budget limit {budget.max_algebra_size}"
-        )
+    budget.check_algebra_size(n)
     m = budget.max_base_size
     gens = generating_set(alg)
     counter = [0]
@@ -656,6 +621,7 @@ def enumerate_axiom_models(
     """
     if n < 1:
         raise TableError(f"algebras are nonempty, so size {n} has no models")
+    budget.check_algebra_size(n)
     counter = [0]
     found: dict[str, FiniteAlgebra] = {}
 

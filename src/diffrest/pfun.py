@@ -25,6 +25,7 @@ from .algebra import (
     InconsistencyError,
     SizeCapError,
     Table,
+    TableError,
     check_axioms,
     mask_iter,
 )
@@ -92,24 +93,8 @@ class PartialFunction:
     def domain(self) -> frozenset[int]:
         return frozenset(x for x, _ in self.graph)
 
-    def sort_key(self) -> tuple[Pair, ...]:
-        return tuple(sorted(self.graph))
-
-    def __call__(self, x: int) -> int:
-        for px, py in self.graph:
-            if px == x:
-                return py
-        raise KeyError(x)
-
-    def __len__(self) -> int:
-        return len(self.graph)
-
     def __repr__(self) -> str:
         return f"PartialFunction({format_pf_literal(self)})"
-
-
-def empty_pf(base: Iterable[int]) -> PartialFunction:
-    return PartialFunction(base, ())
 
 
 def format_pf_literal(f: PartialFunction) -> str:
@@ -257,12 +242,6 @@ class ConcreteAlgebra:
     def dictionary(self) -> dict[int, PartialFunction]:
         return dict(enumerate(self.elements))
 
-    def index_of(self, f: PartialFunction) -> int:
-        for i, g in enumerate(self.elements):
-            if g.graph == f.graph:
-                return i
-        raise KeyError(format_pf_literal(f))
-
 
 def close_generators(
     base: Iterable[int], generators: Sequence[PartialFunction]
@@ -289,31 +268,6 @@ def close_generators(
     return ConcreteAlgebra(base_f, elements, abstract)
 
 
-def close_relations(
-    base: Iterable[int], graphs: Sequence[Iterable[Pair]]
-) -> tuple[FiniteAlgebra, tuple[Graph, ...]]:
-    """Close arbitrary relations set-theoretically and tabulate them.
-
-    Functionality is never assumed: this is how non-functional inputs
-    are turned into tables so the law checker can report on them.
-    """
-    base_f = frozenset(base)
-    seeds = []
-    for g in graphs:
-        graph = frozenset((int(x), int(y)) for x, y in g)
-        for x, y in graph:
-            if x not in base_f or y not in base_f:
-                raise PfunError(f"pair ({x}, {y}) is outside the base {_base_text(base_f)}")
-        seeds.append(graph)
-    if not seeds:
-        raise AlgebraError(
-            "at least one generator is required: the closure of nothing is empty"
-        )
-    closed = _close_graphs(seeds)
-    minus_t, restrict_t = _tables_for(closed)
-    return FiniteAlgebra.from_tables(minus_t, restrict_t), tuple(closed)
-
-
 # ---------------------------------------------------------------------------
 # Boolean algebras as identity-function algebras
 # ---------------------------------------------------------------------------
@@ -330,7 +284,12 @@ def boolean_as_diffrest(field: int | Iterable[Iterable[int]]) -> ConcreteAlgebra
     """
     if isinstance(field, int):
         if field < 0:
-            raise AlgebraError("universe size must be nonnegative")
+            raise TableError("universe size must be nonnegative")
+        if field > SIZE_CAP.bit_length() - 1:
+            # Refuse before building the powerset; 2**field is only
+            # spelled out while it is short.
+            size = 2**field if field <= 256 else f"2**{field}"
+            raise SizeCapError(f"size {size} exceeds the cap of {SIZE_CAP} elements")
         universe = frozenset(range(1, field + 1))
         points = sorted(universe)
         sets = [
@@ -346,6 +305,8 @@ def boolean_as_diffrest(field: int | Iterable[Iterable[int]]) -> ConcreteAlgebra
         if universe not in sets:
             raise AlgebraError("not a field of sets: universe is missing")
     family = sorted(set(sets), key=sorted)
+    if len(family) > SIZE_CAP:
+        raise SizeCapError(f"size {len(family)} exceeds the cap of {SIZE_CAP} elements")
     family_set = set(family)
     for s in family:
         if universe - s not in family_set:

@@ -12,14 +12,13 @@ element and pair stands in for every subset.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from functools import partial
 
 from .algebra import (
     AlgebraError,
     AxiomFailure,
     FiniteAlgebra,
     InconsistencyError,
-    boolean_downset,
     check_axioms,
     domain_quotient,
     mask_iter,
@@ -32,10 +31,6 @@ from .pfun import ConcreteAlgebra, PartialFunction, _pair_masks, is_injective_pf
 
 class NotAtomicError(AlgebraError):
     """The atom-based constructions require an atomic algebra."""
-
-
-class NonHomomorphismError(AlgebraError):
-    """A mapping offered as a homomorphism fails to preserve an operation."""
 
 
 @dataclass(frozen=True)
@@ -96,28 +91,21 @@ class CompletenessReport:
 # ---------------------------------------------------------------------------
 
 
-def _glb(alg: FiniteAlgebra, subset_mask: int, within: int | None = None) -> int | None:
-    """Greatest lower bound of a nonempty subset, decided order-theoretically
-    among the elements of ``within`` (default: all elements)."""
-    lower = alg.all_mask if within is None else within
+def _bound(cones: str, alg: FiniteAlgebra, subset_mask: int) -> int | None:
+    """The element of the subset's common cone (the intersection of its
+    members' cones) whose own cone holds all of it, or None.  With the
+    down-sets as ``cones`` this is the greatest lower bound; with the
+    up-sets, the least upper bound (for the empty subset, the least
+    element)."""
+    cone = getattr(alg, cones)
+    common = alg.all_mask
     for s in mask_iter(subset_mask):
-        lower &= alg.down_masks[s]
-    for g in mask_iter(lower):
-        if lower & ~alg.down_masks[g] == 0:
-            return g
-    return None
+        common &= cone[s]
+    return next((g for g in mask_iter(common) if not common & ~cone[g]), None)
 
 
-def _lub(alg: FiniteAlgebra, subset_mask: int, within: int | None = None) -> int | None:
-    """Least upper bound of a subset among the elements of ``within``
-    (default: all elements); the empty subset yields the least one."""
-    upper = alg.all_mask if within is None else within
-    for s in mask_iter(subset_mask):
-        upper &= alg.up_masks[s]
-    for u in mask_iter(upper):
-        if upper & ~alg.up_masks[u] == 0:
-            return u
-    return None
+_glb = partial(_bound, "down_masks")
+_lub = partial(_bound, "up_masks")
 
 
 # ---------------------------------------------------------------------------
@@ -158,16 +146,6 @@ def is_atomic(alg: FiniteAlgebra) -> bool:
         for e in range(alg.size)
         if e != alg.zero
     )
-
-
-def is_atomistic(alg: FiniteAlgebra) -> bool:
-    """Every element is the least upper bound of the atoms below it."""
-    atom_mask = mask_of(alg.order_atoms())
-    for a in range(alg.size):
-        below = alg.down_masks[a] & atom_mask
-        if _lub(alg, below) != a:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -328,10 +306,6 @@ def verify_representation(rep: Representation) -> VerificationReport:
 # Completeness
 # ---------------------------------------------------------------------------
 
-SUBSET_CAP_DEFAULT = 20
-SAMPLE_COUNT_DEFAULT = 10_000
-
-
 @per_algebra
 def _check_partial_order(alg: FiniteAlgebra) -> None:
     """Raise unless the element order is reflexive, antisymmetric and
@@ -353,10 +327,7 @@ def _check_partial_order(alg: FiniteAlgebra) -> None:
 
 
 def completeness_report(
-    rep: Representation,
-    subset_cap: int = SUBSET_CAP_DEFAULT,
-    samples: int = SAMPLE_COUNT_DEFAULT,
-    seed: int = 0,
+    rep: Representation, subset_cap: int | None = None
 ) -> CompletenessReport:
     """Decide exactly whether h, the assignment, turns every existing meet
     into an intersection and every existing join into a union, and
@@ -382,8 +353,8 @@ def completeness_report(
     the first pair in sorted order.  ``subsets_checked`` counts the bound
     sets examined, one per element and pair; pairs with equal holders
     share them, so each is decided once.  The report is always
-    exhaustive: ``subset_cap``, ``samples`` and ``seed`` bounded the
-    former subset scan and no longer change the result.
+    exhaustive.  ``subset_cap`` is accepted and ignored: it bounded the
+    former subset scan, and callers still pass it.
     """
     alg = rep.source
     _check_partial_order(alg)
@@ -441,99 +412,4 @@ def completeness_report(
         atomic_witness,
         checked,
         True,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Homomorphism restriction to downsets
-# ---------------------------------------------------------------------------
-
-
-def _map_preserves(
-    bound: Callable[..., int | None],
-    source: FiniteAlgebra,
-    target: FiniteAlgebra,
-    h: Sequence[int],
-    masks,
-    within: tuple[int | None, int | None] = (None, None),
-) -> bool:
-    """Whether ``h`` sends the ``bound`` (``_glb`` or ``_lub``) of every
-    subset in ``masks`` that has one to the bound of the subset's image,
-    bounds taken among the source and target elements of ``within``."""
-    for mask in masks:
-        w = bound(source, mask, within[0])
-        if w is None:
-            continue
-        image = mask_of(h[s] for s in mask_iter(mask))
-        if bound(target, image, within[1]) != h[w]:
-            return False
-    return True
-
-
-def _submasks(mask: int):
-    """The nonempty submasks of ``mask``."""
-    sub = mask
-    while sub:
-        yield sub
-        sub = (sub - 1) & mask
-
-
-def verify_hom_restriction(
-    source: FiniteAlgebra,
-    target: FiniteAlgebra,
-    h: Sequence[int],
-    a: int,
-    subset_cap: int = SUBSET_CAP_DEFAULT,
-) -> bool:
-    """Check that a homomorphism restricts to a Boolean homomorphism
-    of downsets, completely so whenever the map itself is complete.
-
-    Raises if ``h`` is not a homomorphism; otherwise returns whether all
-    restriction checks succeed.  Completeness of the map is decided by a
-    full subset scan and therefore only attempted up to the subset cap.
-    """
-    if len(h) != source.size:
-        raise NonHomomorphismError(f"mapping has {len(h)} entries, expected {source.size}")
-    for v in h:
-        if not 0 <= v < target.size:
-            raise NonHomomorphismError(f"mapping value {v} is not a target element")
-    for x in range(source.size):
-        for y in range(source.size):
-            if h[source.minus[x][y]] != target.minus[h[x]][h[y]]:
-                raise NonHomomorphismError(
-                    f"complement not preserved at ({x}, {y})"
-                )
-            if h[source.restrict[x][y]] != target.restrict[h[x]][h[y]]:
-                raise NonHomomorphismError(
-                    f"restriction not preserved at ({x}, {y})"
-                )
-
-    b1 = boolean_downset(source, a)
-    b2 = boolean_downset(target, h[a])
-    members2 = set(b2.members)
-    if any(h[b] not in members2 for b in b1.members):
-        return False
-    for b in b1.members:
-        if h[b1.complement_of(b)] != b2.complement_of(h[b]):
-            return False
-        for c in b1.members:
-            if h[source.meet(b, c)] != target.meet(h[b], h[c]):
-                return False
-            if h[b1.join(b, c)] != b2.join(h[b], h[c]):
-                return False
-    if h[source.zero] != target.zero:
-        return False
-
-    if source.size > subset_cap:
-        return True
-    masks = range(1 << source.size)
-    complete = _map_preserves(_glb, source, target, h, masks[1:]) or _map_preserves(
-        _lub, source, target, h, masks
-    )
-    if not complete or len(b1.members) > subset_cap:
-        return True
-    within = (mask_of(b1.members), mask_of(b2.members))
-    return all(
-        _map_preserves(bound, source, target, h, _submasks(within[0]), within)
-        for bound in (_glb, _lub)
     )

@@ -20,10 +20,11 @@ from diffrest import (
     PartialFunction,
     boolean_as_diffrest,
     close_generators,
-    close_relations,
     random_generators,
     serialize_concrete,
 )
+
+from lemmas import close_relations
 
 K = 0
 M = 1

@@ -13,6 +13,7 @@ import pytest
 from conftest import CORPUS_SEED, make_f2, N1_C, N1_D
 
 from diffrest import (
+    PartialFunction,
     Representation,
     SearchBudget,
     atomic_eta,
@@ -24,7 +25,6 @@ from diffrest import (
     check_derived_laws,
     completeness_report,
     differential_check,
-    empty_pf,
     enumerate_axiom_models,
     injective_eta,
     is_injective_pf,
@@ -142,7 +142,7 @@ def test_c5_completeness_equivalences(corpus200, models_small):
         f2,
         "external",
         good.states,
-        (empty_pf(base), empty_pf(base), good.assignment[2], good.assignment[3]),
+        (PartialFunction(base, ()),) * 2 + good.assignment[2:],
     )
     verdict = verify_representation(corrupted)
     assert not verdict.passed

@@ -9,7 +9,6 @@ from conftest import F, G, H, K, M, N1_C, N1_D, F2_ZERO, make_f2
 
 from diffrest import (
     BooleanLawError,
-    ComplementedSemilattice,
     FiniteAlgebra,
     InconsistencyError,
     SizeCapError,
@@ -18,11 +17,14 @@ from diffrest import (
     check_axioms,
     check_derived_laws,
     check_subtraction_axioms,
-    complemented_semilattice_of,
     derived_relations,
     domain_quotient,
     enumerate_axiom_models,
     enumerate_filters,
+)
+from lemmas import (
+    ComplementedSemilattice,
+    complemented_semilattice_of,
     evaluate_law,
     subtraction_from_boolean_downsets,
 )

@@ -4,6 +4,7 @@ import io
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import pytest
@@ -20,9 +21,9 @@ from conftest import (
 )
 
 from diffrest import (
+    BudgetExceededError,
     ConcreteAlgebra,
     boolean_as_diffrest,
-    domhat_pair,
     enumerate_axiom_models,
     enumerate_filters,
     parse_algebras,
@@ -30,6 +31,7 @@ from diffrest import (
     serialize_concrete,
 )
 from diffrest.cli import main
+from lemmas import domhat_pair
 
 
 def run_cli(*argv, **kwargs):
@@ -184,27 +186,23 @@ def test_complete_with_a_cap_above_the_size_is_exact(tmp_path, capsys):
     assert conc.abstract.size == 32
     path = tmp_path / "corpus52.alg"
     path.write_text(serialize_concrete(conc))
-    assert main(["complete", "--mode", "theta", "--cap", "40", str(path)]) == 0
+    assert main(["complete", "--mode", "theta", str(path)]) == 0
     out = capsys.readouterr().out
     assert out.startswith("PASS completeness meet=yes join=yes atomic=yes subsets=")
     assert out.endswith(" exhaustive=yes\n")
 
 
-def test_seed_is_ignored_by_represent_and_complete(tmp_path, capsys):
+def test_cap_and_seed_are_usage_errors_on_represent_and_complete(tmp_path, capsys):
     path = tmp_path / "f2.alg"
     path.write_text(serialize_concrete(make_f2()))
     for verb in ("represent", "complete"):
-        with pytest.raises(SystemExit):
-            main([verb, "--help"])
-        help_text = " ".join(capsys.readouterr().out.split())
-        assert "--seed SEED ignored: completeness is exact" in help_text
-        for mode in ("theta", "atomic-eta"):
-            for fmt in ("text", "structured"):
-                argv = [verb, "--mode", mode, "--format", fmt, str(path)]
-                assert main(argv) == 0
-                plain = capsys.readouterr()
-                assert main([*argv, "--seed", "12345"]) == 0
-                assert capsys.readouterr() == plain
+        for flag in ("--cap", "--seed"):
+            with pytest.raises(SystemExit) as caught:
+                main([verb, "--mode", "theta", str(path), flag, "12"])
+            assert caught.value.code == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert f"unrecognized arguments: {flag} 12" in err
 
 
 def reference_cover_lines(alg):
@@ -318,6 +316,35 @@ def test_model_search_below_size_one_is_an_input_error(size):
     assert result.returncode == 2
     assert result.stdout == ""
     assert result.stderr.startswith("ERROR ")
+
+
+@pytest.mark.parametrize("size", (65, 10**6))
+def test_model_search_above_the_size_budget_is_refused_at_once(size, capsys):
+    # Size 65 ran past 60 s, and 3000 ran out of memory allocating tables.
+    message = f"algebra size {size} exceeds the budget limit 64"
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match=f"^{message}$"):
+        enumerate_axiom_models(size)
+    assert main(["search", "models", "--size", str(size)]) == 2
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr() == ("", f"ERROR {message}\n")
+
+
+@pytest.mark.parametrize(
+    "universe, message",
+    [
+        ("-1", "universe size must be nonnegative"),
+        ("7", "size 128 exceeds the cap of 64 elements"),
+        ("16", "size 65536 exceeds the cap of 64 elements"),
+        ("40", "size 1099511627776 exceeds the cap of 64 elements"),
+    ],
+)
+def test_interp_boolean_refuses_a_bad_universe_at_once(universe, message, capsys):
+    # The powerset was built before the cap applied: 16 ran past 30 s.
+    start = time.perf_counter()
+    assert main(["interp-boolean", "--universe", universe]) == 2
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr() == ("", f"ERROR {message}\n")
 
 
 def test_closed_stdout_after_small_output_exits_quietly(files):

@@ -29,20 +29,17 @@ from diffrest import (
     boolean_as_diffrest,
     canonical_theta,
     completeness_report,
-    empty_pf,
     enumerate_axiom_models,
     injective_eta,
 )
 from diffrest.algebra import mask_iter
-from diffrest.represent import (
-    SAMPLE_COUNT_DEFAULT,
-    SUBSET_CAP_DEFAULT,
-    CompletenessReport,
-    _glb,
-    _lub,
-)
+from diffrest.represent import CompletenessReport, _glb, _lub
 
 CONSTRUCTIONS = (canonical_theta, injective_eta, atomic_theta, atomic_eta)
+
+# The subset scan's default cap and sample count.
+SUBSET_CAP_DEFAULT = 20
+SAMPLE_COUNT_DEFAULT = 10_000
 
 
 def _reference_subset_masks(n, cap, samples, seed):
@@ -197,7 +194,7 @@ def assert_agrees_with_subset_scan(rep, cap, samples=SAMPLE_COUNT_DEFAULT):
     """Compare with the subset scan; return (exhaustive, meet, join) of
     the scan."""
     want = reference_completeness_report(rep, cap, samples, seed=3)
-    got = completeness_report(rep, cap, samples, seed=3)
+    got = completeness_report(rep)
     assert got.exhaustive
     assert (got.atomic, got.atomic_witness) == (want.atomic, want.atomic_witness)
     if want.exhaustive:
@@ -270,7 +267,7 @@ def test_completeness_scan_memory_does_not_grow_with_the_cap():
     for cap in (0, 2, 16, 64):
         tracemalloc.start()
         try:
-            report = completeness_report(rep, subset_cap=cap, samples=cap, seed=cap)
+            report = completeness_report(rep, subset_cap=cap)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -292,7 +289,7 @@ NOT_PARTIAL_ORDERS = {
 def test_an_order_that_is_not_partial_is_an_error(fault):
     minus = NOT_PARTIAL_ORDERS[fault]
     alg = FiniteAlgebra.from_tables(minus, minus)
-    rep = Representation(alg, "external", (), (empty_pf(()),) * alg.size)
+    rep = Representation(alg, "external", (), (PartialFunction((), ()),) * alg.size)
     with pytest.raises(InconsistencyError) as error:
         completeness_report(rep)
     assert str(error.value) == f"the element order is {fault}"

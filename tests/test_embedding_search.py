@@ -34,7 +34,12 @@ from diffrest import (
     random_generators,
 )
 from diffrest import oracle
-from diffrest.oracle import _NodeLimit, _propagation_plan, _valid_columns
+from diffrest.oracle import _NodeLimit, _columns_and_masks, _propagation_plan
+
+
+def _valid_columns(*args) -> list[tuple[int, ...]]:
+    """The columns of the canonical trace search, without their masks."""
+    return _columns_and_masks(*args)[0]
 
 
 def reference_valid_columns(

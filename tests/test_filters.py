@@ -8,20 +8,22 @@ from conftest import F, G, H, K, M
 
 from diffrest import (
     Filter,
-    ImproperFilterError,
     InconsistencyError,
     domain_quotient,
-    domhat_pair,
     enumerate_filters,
+    is_maximal,
+    maximal_filters,
+    principal_filter,
+    ultrafilter_bijection,
+)
+from lemmas import (
+    ImproperFilterError,
+    domhat_pair,
     extend_to_maximal,
     filter_down,
     filter_meet,
     filter_up_check,
-    is_maximal,
-    maximal_filters,
-    principal_filter,
     project_filter,
-    ultrafilter_bijection,
 )
 
 

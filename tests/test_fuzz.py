@@ -33,7 +33,6 @@ from diffrest import (
     check_axioms,
     check_derived_laws,
     close_generators,
-    close_relations,
     enumerate_axiom_models,
     generating_set,
     injective_eta,
@@ -42,9 +41,9 @@ from diffrest import (
     serialize_concrete,
 )
 from diffrest.cli import main
-from diffrest.oracle import _valid_columns
 from diffrest.pfun import _close_graphs
-from test_embedding_search import outcome, reference_valid_columns
+from lemmas import close_relations
+from test_embedding_search import _valid_columns, outcome, reference_valid_columns
 from test_certificates import assert_same_family, checked_filter, downset_verdicts
 from test_completeness_scan import assert_agrees_with_subset_scan
 from test_law_engine import REFERENCE_AXIOM_LAWS, REFERENCE_DERIVED_LAWS, _scan_laws

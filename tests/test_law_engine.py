@@ -23,9 +23,9 @@ from diffrest import (
     boolean_as_diffrest,
     check_axioms,
     check_derived_laws,
-    evaluate_law,
 )
 from diffrest.algebra import LAW_TABLE, law_failures, parse_law
+from lemmas import evaluate_law
 from test_embedding_search import relabel_until, seed1_closure, small_algebras
 
 # ---------------------------------------------------------------------------

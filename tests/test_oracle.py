@@ -10,11 +10,11 @@ from diffrest import (
     check_axioms,
     differential_check,
     enumerate_axiom_models,
-    enumerate_pfuns,
     generating_set,
     verify_representation,
     Representation,
 )
+from lemmas import enumerate_pfuns
 
 
 def test_enumerate_pfuns_counts():

@@ -19,8 +19,6 @@ from diffrest import (
     check_axioms,
     check_derived_laws,
     close_generators,
-    close_relations,
-    empty_pf,
     format_pf_literal,
     is_injective_pf,
     pf_minus,
@@ -39,13 +37,13 @@ def test_pf_minus_examples(f2):
     h, k, m = f2.elements[H], f2.elements[K], f2.elements[M]
     assert pf_minus(h, k).graph == m.graph
     assert pf_minus(k, k).graph == frozenset()
-    assert pf_minus(k, empty_pf(BASE)).graph == k.graph
+    assert pf_minus(k, PartialFunction(BASE, ())).graph == k.graph
 
 
 def test_pf_restrict_examples(f2, f4):
     h, k = f2.elements[H], f2.elements[K]
     assert pf_restrict(k, h).graph == k.graph
-    assert pf_restrict(empty_pf(BASE), h).graph == frozenset()
+    assert pf_restrict(PartialFunction(BASE, ()), h).graph == frozenset()
     f, g = f4.elements[F], f4.elements[G]
     assert pf_restrict(f, g).graph == g.graph
 
@@ -158,15 +156,22 @@ def test_boolean_as_diffrest_rejects_non_field():
         boolean_as_diffrest([{1, 2}, {1}, set()])
 
 
+def test_boolean_as_diffrest_refuses_more_sets_than_the_cap_before_the_field_check():
+    # Not a field either, but the count is refused first.
+    family = [{x} for x in range(65)] + [set(range(65))]
+    with pytest.raises(SizeCapError, match="^size 66 exceeds the cap of 64 elements$"):
+        boolean_as_diffrest(family)
+
+
 def test_is_injective_pf():
-    assert is_injective_pf(empty_pf(BASE))
+    assert is_injective_pf(PartialFunction(BASE, ()))
     assert is_injective_pf(pf([(1, 1)]))
     assert not is_injective_pf(pf([(1, 1), (2, 1)]))
 
 
 def test_literal_format():
     assert format_pf_literal(pf([(2, 2), (1, 1)])) == "{1->1, 2->2}"
-    assert format_pf_literal(empty_pf(BASE)) == "{}"
+    assert format_pf_literal(PartialFunction(BASE, ())) == "{}"
 
 
 def test_random_generators_deterministic():

@@ -6,12 +6,9 @@ import pytest
 
 from conftest import F, G, H, K, M, make_f0, make_f1, make_f2, make_f3, make_f4
 
-import diffrest.represent
-
 from diffrest import (
     AxiomFailure,
     FiniteAlgebra,
-    NonHomomorphismError,
     PartialFunction,
     Representation,
     atomic_eta,
@@ -21,16 +18,15 @@ from diffrest import (
     boolean_downset,
     canonical_theta,
     completeness_report,
-    empty_pf,
     enumerate_axiom_models,
     injective_eta,
     is_atomic,
-    is_atomistic,
     is_injective_pf,
     principal_filter,
-    verify_hom_restriction,
     verify_representation,
 )
+import lemmas
+from lemmas import NonHomomorphismError, is_atomistic, verify_hom_restriction
 
 
 def test_canonical_theta_f4(f4):
@@ -160,8 +156,8 @@ def test_verify_rejects_corrupted_assignment(f2):
         "external",
         good.states,
         (
-            empty_pf(base),
-            empty_pf(base),
+            PartialFunction(base, ()),
+            PartialFunction(base, ()),
             good.assignment[H],
             good.assignment[3],
         ),
@@ -174,7 +170,7 @@ def test_verify_rejects_corrupted_assignment(f2):
 def test_verify_reports_values_over_different_bases():
     # Every operation is preserved, so only the bases tell the values apart.
     alg = boolean_as_diffrest(1).abstract
-    values = (empty_pf({1}), PartialFunction({1, 2}, [(1, 1)]))
+    values = (PartialFunction({1}, ()), PartialFunction({1, 2}, [(1, 1)]))
     report = verify_representation(Representation(alg, "external", (1, 2), values))
     assert not report.passed and report.image is None
     assert [(f.check, f.witness) for f in report.failures] == [("base", (0, 1))]
@@ -263,7 +259,7 @@ def test_verify_hom_restriction_is_false_when_an_image_leaves_the_target_downset
     source = f2.abstract
     target = FiniteAlgebra.from_tables(source.minus, source.restrict)
     monkeypatch.setattr(
-        diffrest.represent,
+        lemmas,
         "boolean_downset",
         lambda alg, a: boolean_downset(alg, alg.zero if alg is target else a),
     )
