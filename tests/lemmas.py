@@ -281,7 +281,7 @@ def filter_up_check(mu: Filter, f: Filter) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _bound(cones: Sequence[int], subset_mask: int, within: int) -> int | None:
+def _bound_within(cones: Sequence[int], subset_mask: int, within: int) -> int | None:
     """The greatest lower bound of a subset among the elements of
     ``within`` when ``cones`` are the down-sets, the least upper bound
     when they are the up-sets; None when there is none."""
@@ -295,7 +295,7 @@ def is_atomistic(alg: FiniteAlgebra) -> bool:
     """Every element is the least upper bound of the atoms below it."""
     atom_mask = mask_of(alg.order_atoms())
     return all(
-        _bound(alg.up_masks, alg.down_masks[a] & atom_mask, alg.all_mask) == a
+        _bound_within(alg.up_masks, alg.down_masks[a] & atom_mask, alg.all_mask) == a
         for a in range(alg.size)
     )
 
@@ -316,9 +316,9 @@ def verify_hom_restriction(
         one to the bound of the subset's image, bounds taken among the
         source and target elements of ``within``."""
         for mask in masks:
-            w = _bound(getattr(source, cones), mask, within[0])
+            w = _bound_within(getattr(source, cones), mask, within[0])
             image = mask_of(h[s] for s in mask_iter(mask))
-            if w is not None and _bound(getattr(target, cones), image, within[1]) != h[w]:
+            if w is not None and _bound_within(getattr(target, cones), image, within[1]) != h[w]:
                 return False
         return True
 
