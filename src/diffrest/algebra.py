@@ -11,11 +11,13 @@ laws with deterministic first-counterexample witnesses.
 Each law is written once, as a pair of terms over minus, restrict, meet
 and 0, related by ``=`` or ``<=`` and optionally guarded by antecedents
 ``x <= y``.  At import every law is compiled into a row scan: the
-variables but the last are fixed in lexicographic order, both sides are
-computed as whole rows over the last variable from table rows and
-columns, and only a row where the sides differ is walked element by
-element.  So the witness is the lexicographically first counterexample
-among the assignments that satisfy the antecedents.
+variables but the last are fixed in lexicographic order, and both sides
+are computed as whole rows over the last variable.  Rows are byte
+strings, so reading one through a table row or column is a single
+``bytes.translate``, and comparing two is a ``memcmp``.  Only a row
+where the sides differ is walked element by element, so the witness is
+the lexicographically first counterexample among the assignments that
+satisfy the antecedents.
 
 A downset is certified Boolean in O(k^2) by its atom map (the Stone
 representation); the O(k^3) battery of Boolean laws runs only when the
@@ -173,7 +175,7 @@ class FiniteAlgebra:
     @cached_property
     def meet_table(self) -> Table:
         """meet_table[a][b] = meet(a, b)."""
-        return tuple(map(tuple, self.tables.rows["meet"]))
+        return tuple(tuple(row[: self.size]) for row in self.tables.rows["meet"])
 
     @cached_property
     def down_masks(self) -> tuple[int, ...]:
@@ -186,7 +188,7 @@ class FiniteAlgebra:
     @cached_property
     def up_masks(self) -> tuple[int, ...]:
         """up_masks[a] = bitmask of all b with a <= b."""
-        return self.tables.up_masks
+        return tuple(map(mask_of, self.tables.up_lists))
 
     @cached_property
     def all_mask(self) -> int:
@@ -302,35 +304,40 @@ class LawTables:
     """What law scans read: each operation's rows and columns (meet
     derived from minus), and the element order as up-sets.
 
-    Rows are lists, as are the rows a scan computes: ``tuple(map(...))``
-    would leave each freed row on CPython's tuple free list for its
-    length, up to 2,000 of them per length below 20."""
+    A row or column is a ``bytes`` string padded to 256 bytes, so it is
+    also the translation table that gathers it: ``ids.translate(row)``
+    is ``bytes(row[i] for i in ids)`` in one C call.  Element ids are
+    below ``SIZE_CAP``, so they fit in a byte; the padding is never
+    read."""
 
     def __init__(self, minus: Table, restrict: Table | None = None):
-        self.zero, self.everything = minus[0][0], range(len(minus))
-        self.rows = {"minus": list(map(list, minus))}
+        n = len(minus)
+        pad = bytes(256 - n)
+        self.zero, self.everything = minus[0][0], bytes(range(n))
+        self.rows = {"minus": [bytes(row) + pad for row in minus]}
         # meet(a, b) = a - (a - b): row a of minus read through itself.
-        self.rows["meet"] = [list(map(row.__getitem__, row)) for row in minus]
+        self.rows["meet"] = [row.translate(row) for row in self.rows["minus"]]
+        square = {"minus": minus, "meet": [row[:n] for row in self.rows["meet"]]}
         if restrict is not None:
-            self.rows["restrict"] = list(map(list, restrict))
-        self.cols = {op: list(map(list, zip(*table))) for op, table in self.rows.items()}
+            self.rows["restrict"] = [bytes(row) + pad for row in restrict]
+            square["restrict"] = restrict
+        self.cols = {op: [bytes(col) + pad for col in zip(*t)] for op, t in square.items()}
+        self._lists: dict[str, list[list[int]]] = {}
+
+    def lists(self, op: str) -> list[list[int]]:
+        """The rows of ``op`` as lists, built on first use, for the
+        pairwise gather ``op[x[i]][y[i]]``: through ``map``, indexing a
+        list is about twice as fast as indexing bytes."""
+        if op not in self._lists:
+            n = len(self.everything)
+            self._lists[op] = [list(row[:n]) for row in self.rows[op]]
+        return self._lists[op]
 
     @cached_property
-    def up_lists(self) -> tuple[tuple[int, ...], ...]:
+    def up_lists(self) -> tuple[bytes, ...]:
         """up_lists[a] = the b with a <= b, ascending."""
-        meet = self.rows["meet"]
-        return tuple(tuple([b for b, m in enumerate(meet[a]) if m == a]) for a in self.everything)
-
-    @cached_property
-    def up_masks(self) -> tuple[int, ...]:
-        """up_masks[a] = up_lists[a] as a bitmask."""
-        return tuple(map(mask_of, self.up_lists))
-
-
-def _variables(term: Term) -> set[str]:
-    if isinstance(term, str):
-        return set() if term == "0" else {term}
-    return _variables(term[1]) | _variables(term[2])
+        ids, meet = self.everything, self.rows["meet"]
+        return tuple(bytes([b for b, m in zip(ids, meet[a]) if m == a]) for a in ids)
 
 
 def _compile(law: Law) -> Callable[[LawTables], Iterator[tuple[int, ...]]]:
@@ -339,70 +346,87 @@ def _compile(law: Law) -> Callable[[LawTables], Iterator[tuple[int, ...]]]:
 
     The scan is Python source with one loop per variable but the last;
     an antecedent ``x <= y`` makes y run over the up-set of x.  Inside,
-    each side is a whole row of values over the last variable, built
-    from table rows (``op[x]``), columns (``op_cols[x]``) and ``map``; a
-    row is walked element by element only where the two sides differ.  A
-    fixed left side x of "<=" is tested by the bitmask of the right
-    side's row against up(x), kept per value of the variables it reads."""
+    each side is a whole row of values over the last variable, a
+    ``bytes`` string.  A row read through a table row (``op[x]``) or
+    column (``op_cols[x]``) is one ``translate``; an operation on two
+    rows is the pairwise gather ``op[x[i]][y[i]]`` over list rows.  A
+    row that does not depend on the innermost loop variable is computed
+    in the outer loop that fixes what it reads.  A row is walked element
+    by element only where the two sides differ.  A fixed left side x of
+    "<=" is tested by deleting up(x) from the right side's row."""
     name = {v: f"v{i}" for i, v in enumerate(law.varnames)} | {"0": "zero"}
+    depth = {name[v]: i for i, v in enumerate(law.varnames, 1)} | {"zero": 0}
     *fixed, last = law.varnames
     above = {y: name[x] for x, y in law.antecedents}
     domain = {v: f"up_lists[{above[v]}]" if v in above else "everything" for v in law.varnames}
+    inner, at_dom = len(fixed), depth[above[last]] if last in above else 0
+    # block[d] runs at loop depth d, before the loops below it.
+    block: list[list[str]] = [[] for _ in range(inner + 1)]
+    block[at_dom].append(f"dom = {domain[last]}")
+    named: dict[str, str] = {}
 
-    def code(term: Term) -> tuple[str, bool]:
-        """Source for ``term``, and whether it is a row over the last variable."""
+    def bind(source: str, at: int) -> str:
+        """``source``, named in the block of depth ``at`` unless innermost."""
+        if at == inner:
+            return source
+        if source not in named:
+            named[source] = f"h{len(named)}"
+            block[at].append(f"{named[source]} = {source}")
+        return named[source]
+
+    def code(term: Term) -> tuple[str, int, bool]:
+        """Source for ``term``, the depth where its value is known, and
+        whether it is a row over the last variable."""
         if isinstance(term, str):
-            return ("dom", True) if term == last else (name[term], False)
-        op, (x, x_row), (y, y_row) = term[0], code(term[1]), code(term[2])
+            if term == last:
+                return "dom", at_dom, True
+            return name[term], depth[name[term]], False
+        op, (x, x_at, x_row), (y, y_at, y_row) = term[0], code(term[1]), code(term[2])
+        at = max(x_at, y_at)
         if not (x_row or y_row):
-            return f"{op}[{x}][{y}]", False
+            return f"{op}[{x}][{y}]", at, False
         if x_row and y_row:
-            return f"list(map(list.__getitem__, map({op}.__getitem__, {x}), {y}))", True
+            rows = f"map({op}_lists.__getitem__, {x})"
+            rows = rows if x_at == inner else bind(f"list({rows})", x_at)
+            return bind(f"bytes(map(list.__getitem__, {rows}, {y}))", at), at, True
         line, values = (f"{op}[{x}]", y) if y_row else (f"{op}_cols[{y}]", x)
-        if values == "dom" and domain[last] == "everything":
-            return line, True
-        return f"list(map({line}.__getitem__, {values}))", True
+        return bind(f"{values}.translate({line})", at), at, True
 
     def row(term: Term) -> str:
-        source, is_row = code(term)
-        if not is_row:
-            return f"[{source}] * len(dom)"
-        return "list(dom)" if source == "dom" else source
+        source, at, is_row = code(term)
+        return source if is_row else bind(f"bytes(({source},)) * len(dom)", max(at, at_dom))
 
     witness = "(" + "".join(name[v] + ", " for v in law.varnames) + ")"
-    body = [f"dom = {domain[last]}"]
-    left, left_row = code(law.lhs)
+    left, _, left_row = code(law.lhs)
     if law.relation == "<=" and not left_row:
-        reads = sorted(name[v] for v in _variables(law.rhs) - {last})
-        reads += [above[last]] if last in above else []
-        body += [
-            f"key = ({''.join(v + ', ' for v in reads)})",
-            f"image, ups = images.get(key), up_masks[{left}]",
-            "if image is None:",
-            f"    image = images[key] = mask_of({row(law.rhs)})",
-            "if image & ~ups:",
-            f"    for {name[last]}, y in zip(dom, {row(law.rhs)}):",
-            f"        if not ups >> y & 1: yield {witness}",
+        block[inner] += [
+            f"q, low = {row(law.rhs)}, {left}",
+            "if q.translate(None, up_lists[low]):",
+            f"    for {name[last]}, y in zip(dom, q):",
+            f"        if y not in up_lists[low]: yield {witness}",
         ]
     else:
         # x <= y holds where x & y == x.
         right = law.rhs if law.relation == "=" else ("meet", law.lhs, law.rhs)
-        body += [
+        block[inner] += [
             f"p, q = {row(law.lhs)}, {row(right)}",
             "if p != q:",
             f"    for {name[last]}, x, y in zip(dom, p, q):",
             f"        if x != y: yield {witness}",
         ]
-    lines = ["    " * depth + f"for {name[v]} in {domain[v]}:" for depth, v in enumerate(fixed, 1)]
-    lines += ["    " * len(law.varnames) + line for line in body]
-    # The scan binds only the tables and helpers its loops read.
-    local = {"images": "{}", "zero": "t.zero", "everything": "t.everything"}
-    local |= {"up_lists": "t.up_lists", "up_masks": "t.up_masks"}
+    lines = []
+    for d, lines_at_d in enumerate(block):
+        if d:
+            lines.append("    " * d + f"for {name[fixed[d - 1]]} in {domain[fixed[d - 1]]}:")
+        lines += ["    " * (d + 1) + line for line in lines_at_d]
+    # The scan binds only the tables its loops read.
+    local = {"zero": "t.zero", "everything": "t.everything", "up_lists": "t.up_lists"}
     for op in _OPS.values():
         local |= {op: f"t.rows[{op!r}]", f"{op}_cols": f"t.cols[{op!r}]"}
+        local |= {f"{op}_lists": f"t.lists({op!r})"}
     words = set(re.findall(r"\w+", "\n".join(lines)))
     lines[:0] = [f"    {k} = {v}" for k, v in local.items() if k in words]
-    namespace = {"mask_of": mask_of}
+    namespace: dict = {}
     exec(compile("def scan(t):\n" + "\n".join(lines), f"<law {law.name}>", "exec"), namespace)
     return namespace["scan"]
 

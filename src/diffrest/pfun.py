@@ -155,14 +155,15 @@ def _pair_masks(graphs: Sequence[Graph]):
     return pairs, masks, [dom(g) for g in masks], dom
 
 
-def _close_graphs(seeds: Sequence[Graph], cap: int = SIZE_CAP) -> list[Graph]:
+def _close_masks(seeds: Sequence[Graph], cap: int = SIZE_CAP):
     """Close graphs under the two set-theoretic operations.
 
     Discovery order: seeds first (duplicates dropped), then products in
     breadth-first waves with ties broken by lexicographic graph.  A wave
     combines only pairs that involve an element of the previous wave,
     since older pairs were combined before.  The operations never assume
-    functionality, so relations close fine too.
+    functionality, so relations close fine too.  Returns the seeds'
+    pairs and the closure's masks and domain masks over them.
     """
     pairs, masks, _, dom = _pair_masks(seeds)
     elems = list(dict.fromkeys(masks))
@@ -175,7 +176,7 @@ def _close_graphs(seeds: Sequence[Graph], cap: int = SIZE_CAP) -> list[Graph]:
             fresh.update([g & ~h for h in tail], [h & d for h in tail])
         fresh -= index
         if not fresh:
-            return [frozenset(pairs[i] for i in mask_iter(g)) for g in elems]
+            return pairs, elems, doms
         wave = len(elems)
         for g in sorted(fresh, key=lambda g: list(mask_iter(g))):
             if len(elems) >= cap:
@@ -185,8 +186,23 @@ def _close_graphs(seeds: Sequence[Graph], cap: int = SIZE_CAP) -> list[Graph]:
             doms.append(dom(g))
 
 
+def _graphs_of(pairs, masks) -> list[Graph]:
+    return [frozenset(pairs[i] for i in mask_iter(g)) for g in masks]
+
+
+def _close_graphs(seeds: Sequence[Graph], cap: int = SIZE_CAP) -> list[Graph]:
+    """The closure of ``seeds``, as graphs in discovery order."""
+    pairs, masks, _ = _close_masks(seeds, cap)
+    return _graphs_of(pairs, masks)
+
+
 def _tables_for(graphs: Sequence[Graph]) -> tuple[Table, Table]:
     pairs, masks, doms, _ = _pair_masks(graphs)
+    return _tables_of(pairs, masks, doms)
+
+
+def _tables_of(pairs, masks, doms) -> tuple[Table, Table]:
+    """Both tables of the graphs with these masks and domain masks."""
     index = {g: i for i, g in enumerate(masks)}
     try:
         minus_t = tuple(tuple(index[g & ~h] for h in masks) for g in masks)
@@ -261,10 +277,10 @@ def close_generators(
             raise BaseMismatchError(
                 f"generator base {_base_text(g.base)} differs from {_base_text(base_f)}"
             )
-    graphs = _close_graphs([g.graph for g in generators])
-    minus_t, restrict_t = _tables_for(graphs)
-    abstract = FiniteAlgebra.from_tables(minus_t, restrict_t)
-    elements = tuple(PartialFunction(base_f, g) for g in graphs)
+    # The closure's masks give the tables; ConcreteAlgebra re-derives them.
+    pairs, masks, doms = _close_masks([g.graph for g in generators])
+    abstract = FiniteAlgebra.from_tables(*_tables_of(pairs, masks, doms))
+    elements = tuple(PartialFunction(base_f, g) for g in _graphs_of(pairs, masks))
     return ConcreteAlgebra(base_f, elements, abstract)
 
 

@@ -95,7 +95,7 @@ def evaluate_law(alg: FiniteAlgebra, law: str, assignment: Sequence[int]) -> boo
         return t.rows[term[0]][value(term[1])][value(term[2])]
 
     def leq(x: int, y: int) -> bool:
-        return t.up_masks[x] >> y & 1 == 1
+        return y in t.up_lists[x]
 
     if not all(leq(env[x], env[y]) for x, y in entry.antecedents):
         return True

@@ -14,7 +14,7 @@ import pytest
 WORKER = Path(__file__).resolve().parent.parent / "bench" / "worker.py"
 
 
-@pytest.mark.parametrize("workload, seed", [("models5", 0), ("large", 1)])
+@pytest.mark.parametrize("workload, seed", [("models5", 0), ("large", 1), ("corpus200", 74)])
 def test_worker_prints_one_json_result(workload, seed):
     result = subprocess.run(
         [sys.executable, str(WORKER), "--workload", workload, "--seed", str(seed), "--trace", "0"],

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from conftest import F, G, H, K, M
 
+import diffrest.pfun
+
 from diffrest import (
     AlgebraError,
     BaseMismatchError,
@@ -116,6 +118,23 @@ def test_close_generators_cap():
     ]
     with pytest.raises(SizeCapError):
         close_generators(base, [full, *co])
+
+
+def test_close_generators_indexes_pairs_twice(monkeypatch):
+    """Once for the closure, whose masks give the tables, and once for
+    the ConcreteAlgebra certificate that re-derives them."""
+    calls, real = [], diffrest.pfun._pair_masks
+
+    def counted(graphs):
+        calls.append(graphs)
+        return real(graphs)
+
+    monkeypatch.setattr(diffrest.pfun, "_pair_masks", counted)
+    rng, base = random.Random(3), range(1, 5)
+    for k in range(1, 30):
+        conc = close_generators(base, random_generators(rng, base, k % 4 + 1))
+        assert len(calls) == 2 * k
+    assert conc.abstract.size > 1
 
 
 def test_close_relations_n1(n1):
