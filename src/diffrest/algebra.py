@@ -542,13 +542,13 @@ def derived_relations(alg: FiniteAlgebra) -> DerivedRelations:
             raise InconsistencyError(f"bottom is not domain-least below {a}")
         if (a, alg.zero) in domleq and a != alg.zero:
             raise InconsistencyError(f"{a} is domain-below bottom but nonzero")
-    for a, b in domleq:
+    for a, b in sorted(domleq):
         for c in range(n):
             if (b, c) in domleq and (a, c) not in domleq:
                 raise InconsistencyError(
                     f"domain preorder is not transitive at ({a}, {b}, {c})"
                 )
-    for a, b in leq:
+    for a, b in sorted(leq):
         if (a, b) not in domleq:
             raise InconsistencyError(f"element order not contained in domain preorder at ({a}, {b})")
         if (b, a) in domleq and a != b:

@@ -28,9 +28,12 @@ each complete minus table, the restrict table.  After each cell it
 checks only the instances of the five laws that read that cell: every
 other instance whose cells are all known was checked when its last
 cell was filled, or at the stage's first node if all its cells were
-seeded.  It prunes with the five laws alone, never with
-derived laws or filter theory, since it is the oracle for the claim
-that they follow.
+seeded.  The check is compiled from the terms of ``AXIOM_LAWS``, one
+scan per occurrence of the table being filled: the laws over minus
+alone (meet read as two minus cells) while minus fills, the rest once
+it is complete.  It prunes with the five laws alone, never with derived
+laws or filter theory, since it is the oracle for the claim that they
+follow.
 """
 
 from __future__ import annotations
@@ -38,16 +41,19 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass, replace
-from functools import partial
-from typing import Sequence
+from functools import cache
+from typing import Iterator, Sequence
 
 from .algebra import (
+    AXIOM_LAWS,
     SIZE_CAP,
     AlgebraError,
     AxiomReport,
     FiniteAlgebra,
     InconsistencyError,
+    Law,
     TableError,
+    Term,
     check_axioms,
     mask_iter,
 )
@@ -432,129 +438,131 @@ def canonical_form(alg: FiniteAlgebra) -> str:
     return best
 
 
-def _minus_cell_ok(minus: list[list[int | None]], x: int, y: int) -> bool:
-    """Whether every known Ax.1-Ax.3 instance that reads minus[x][y] holds.
-
-    Instances with an unknown cell are skipped.  Those that read the
-    cell as the outer minus[ab][c] of Ax.3 are left to
-    ``_minus_outer_ok``.
-    """
-    v = minus[x][y]
-    # Ax.1, a - (b - a) = a: (x, y) is (b, a), or it is (a, b - a).
-    u = minus[y][v]
-    if u is not None and u != y:
-        return False
-    if v != x:
-        for row in minus:
-            if row[x] == y:
-                return False
-    # Ax.2, a - (a - b) = b - (b - a), reads cells in rows a and b
-    # only and is symmetric in a and b: a is x.
-    row_x = minus[x]
-    for b, row_b in enumerate(minus):
-        ab = row_x[b]
-        ba = row_b[x]
-        if ab is None or ba is None:
-            continue
-        p = row_x[ab]
-        q = row_b[ba]
-        if p is not None and q is not None and p != q:
-            return False
-    # Ax.3, (a - b) - c = (a - c) - b, is symmetric in b and c: (x, y)
-    # is (a, b).
-    row_v = minus[v]
-    for c, ac in enumerate(row_x):
-        left = row_v[c]
-        if left is None or ac is None:
-            continue
-        right = minus[ac][y]
-        if right is not None and left != right:
-            return False
-    return _minus_outer_ok(minus, x, y)
+def _rewrite(term: Term, sigma: dict[str, str], target: str = "") -> Term:
+    """``term`` with its variables renamed by ``sigma``, as the stage that
+    fills ``target`` reads it (meet as two minus cells while minus fills)."""
+    if isinstance(term, str):
+        return sigma.get(term, term)
+    op, s, t = term[0], _rewrite(term[1], sigma, target), _rewrite(term[2], sigma, target)
+    return ("minus", s, ("minus", s, t)) if (op, target) == ("meet", "minus") else (op, s, t)
 
 
-def _minus_outer_ok(minus: list[list[int | None]], x: int, y: int) -> bool:
-    """The Ax.3 instances (a, b, y) with minus[a][b] = x, found by one
-    reverse lookup over the table."""
-    v = minus[x][y]
-    for row_a in minus:
-        if x not in row_a:
-            continue
-        ac = row_a[y]
-        if ac is None:
-            continue
-        row_ac = minus[ac]
-        for b, ab in enumerate(row_a):
-            if ab == x:
-                right = row_ac[b]
-                if right is not None and right != v:
-                    return False
-    return True
+def _subterms(*terms: Term) -> Iterator[Term]:
+    """Every subterm, operands before the terms they build."""
+    for term in terms:
+        yield from _subterms(*term[1:]) if isinstance(term, tuple) else ()
+        yield term
 
 
-def _restrict_cell_ok(
-    meet: list[list[int]], restrict: list[list[int | None]], x: int, y: int
-) -> bool:
-    """Whether every known Ax.4 or Ax.5 instance that reads restrict[x][y] holds.
-
-    ``meet`` is the table of a - (a - b) over a complete minus table.
-    Instances with an unknown cell are skipped.  Those that read the
-    cell as the outer restrict[rab][c] of Ax.4 are left to
-    ``_restrict_outer_ok``.
-    """
-    v = restrict[x][y]
-    # Ax.5, restrict[meet(a, b)][a] = meet(a, b): (x, y) is its cell.
-    if v != x and x in meet[y]:
-        return False
-    # Ax.4, meet(restrict[a][c], restrict[b][c]) = restrict[restrict[a][b]][c]:
-    # (x, y) is (a, c), (b, c) or (a, b).
-    row_x = restrict[x]
-    row_y = restrict[y]
-    row_v = restrict[v]
-    meet_v = meet[v]
-    for z, row_z in enumerate(restrict):
-        xz = row_x[z]
-        zy = row_z[y]
-        if zy is not None:
-            # (a, b, c) = (x, z, y)
-            if xz is not None:
-                rhs = restrict[xz][y]
-                if rhs is not None and meet_v[zy] != rhs:
-                    return False
-            # (a, b, c) = (z, x, y)
-            zx = row_z[x]
-            if zx is not None:
-                rhs = restrict[zx][y]
-                if rhs is not None and meet[zy][v] != rhs:
-                    return False
-        # (a, b, c) = (x, y, z)
-        yz = row_y[z]
-        if xz is not None and yz is not None:
-            rhs = row_v[z]
-            if rhs is not None and meet[xz][yz] != rhs:
-                return False
-    return _restrict_outer_ok(meet, restrict, x, y)
+def _symmetries(law: Law, sides: tuple[Term, Term]) -> list[dict[str, str]]:
+    """The permutations of the variables that map the equation onto itself."""
+    perms = (dict(zip(law.varnames, p)) for p in itertools.permutations(law.varnames))
+    return [s for s in perms if {_rewrite(side, s) for side in sides} == set(sides)]
 
 
-def _restrict_outer_ok(
-    meet: list[list[int]], restrict: list[list[int | None]], x: int, y: int
-) -> bool:
-    """The Ax.4 instances (a, b, y) with restrict[a][b] = x, found by one
-    reverse lookup over the table."""
-    v = restrict[x][y]
-    for row_a in restrict:
-        if x not in row_a:
-            continue
-        ay = row_a[y]
-        if ay is None:
-            continue
-        meet_ay = meet[ay]
-        for b, ab in enumerate(row_a):
-            if ab == x:
-                by = restrict[b][y]
-                if by is not None and meet_ay[by] != v:
-                    return False
-    return True
+def _scan(varnames: tuple[str, ...], sides: tuple[Term, Term], occ: tuple, target: str):
+    """A sort key and the lines of the scan of the instances of ``sides``
+    in which ``occ``, whose operands are distinct and not 0, reads the
+    cell (x, y).  A variable operand is bound to x or y; another must
+    evaluate to it, a reverse lookup that first tests that the row holds
+    the value.  The other variables loop, the lookup's first.  Each
+    subterm is computed in the loop that fixes its variables, and each
+    row in the loop that fixes its index.  Instances that read an unknown
+    cell are skipped.  Names spell their terms, so a name holds one value
+    in every scan."""
+    value, wanted = {occ: "cell", "0": "0"}, {}  # wanted: the reverse lookups
+    for operand, at in zip(occ[1:], "xy"):
+        (value if operand in varnames else wanted)[operand] = at
+    free = [u for u in _subterms(*wanted) if u in varnames] + list(varnames)
+    loops = [u for u in dict.fromkeys(free) if u not in value]
+    level = dict.fromkeys(value, 0) | {u: i for i, u in enumerate(loops, 1)}
+    terms = list(dict.fromkeys(u for u in _subterms(*wanted, *sides) if u not in level))
+    for u in terms:
+        level[u] = max(level[u[1]], level[u[2]])
+    rows, lines, spell = {}, [], str.maketrans("[", "_", "]")
+
+    def bind(p: Term, loop: str = "") -> None:
+        """Name the rows of p read in deeper loops, and test lookups on them."""
+        deeper = (u[0] for u in terms if u[1] == p and (p in loops or level[u] > level[p]))
+        for op in dict.fromkeys(deeper):
+            rows[op, p] = row = f"{op}_{value[p]}".translate(spell)
+            header = f"for {loop}, {row} in enumerate({op}):"
+            lines.append(header if loop else f"{row} = {op}[{value[p]}]")
+            lookups = [c for u, c in wanted.items() if u[:2] == (op, p) and level[u[2]] > level[p]]
+            lines.extend(f"if {c} in {row}:" for c in lookups)
+            loop = ""
+        lines.extend([f"for {loop} in R:"] if loop else [])
+
+    for p in list(value):
+        bind(p)
+    compare_at = max((level[side] for side in sides if side not in wanted), default=0)
+    for depth in range(len(loops) + 1):
+        if depth:
+            value[loops[depth - 1]] = f"e{depth}"
+            bind(loops[depth - 1], f"e{depth}")
+        for u in (u for u in terms if level[u] == depth):
+            read = f"{rows.get(u[:2]) or f'{u[0]}[{value[u[1]]}]'}[{value[u[2]]}]"
+            if u in wanted:
+                value[u] = wanted[u]
+                lines.append(f"if {read} == {value[u]}:")
+            elif u[0] == target:
+                value[u] = f"{u[0]}_{value[u[1]]}_{value[u[2]]}".translate(spell)
+                lines += [f"{value[u]} = {read}", f"if {value[u]} is not None:"]
+            else:  # a complete table, read where the value is used
+                value[u] = read
+            bind(u)
+        if depth == compare_at:
+            lhs, rhs = (wanted.get(side) or value[side] for side in sides)
+            lines.append(f"if {lhs} != {rhs}:")
+    return (len(loops), -len(wanted)), lines + ["return False"]
+
+
+def _cell_check(laws: Sequence[Law], target: str):
+    """Compile the cell check of the stage that fills ``target``: a map
+    from the tables to ``check(x, y)``.  Scans with fewer loops run first,
+    then those with a reverse lookup.  Scans of one sort key run their
+    lines before a first test once, and share the loops and tests of
+    their common prefix."""
+    scans = []
+    for law in laws:
+        sides = (_rewrite(law.lhs, {}, target), _rewrite(law.rhs, {}, target))
+        symmetries, seen = _symmetries(law, sides), set()
+        for occ in dict.fromkeys(u for u in _subterms(*sides) if u[0] == target):
+            if occ not in seen:
+                seen |= {_rewrite(occ, sigma) for sigma in symmetries}
+                scans.append(_scan(law.varnames, sides, occ, target))
+    groups, body = {}, []
+    for key, lines in sorted(scans, key=lambda scan: scan[0]):
+        first = next(i for i, line in enumerate(lines) if line.endswith(":"))
+        head, node = groups.setdefault(key, ({}, {}))
+        head.update(dict.fromkeys(lines[:first]))
+        for line in lines[first:]:
+            node = node.setdefault(line, {})
+
+    def emit(node: dict, depth: int) -> None:
+        for line, child in node.items():
+            body.append("    " * depth + line)
+            emit(child, depth + line.endswith(":"))
+
+    for head, node in groups.values():
+        body.extend("        " + line for line in head)
+        emit(node, 2)
+    meet = "[[row[t] for t in row] for row in minus]" if target != "minus" else "None"
+    source = f"def bind(minus, restrict):\n    meet = {meet}\n    R = range(len(minus))\n"
+    source += f"    def check(x, y):\n        cell = {target}[x][y]\n" + "\n".join(body)
+    source += "\n        return True\n    return check"
+    namespace: dict = {}
+    exec(compile(source, f"<{target} cell check>", "exec"), namespace)
+    return namespace["bind"]
+
+
+@cache
+def _cell_checks():
+    """The cell checks of the two stages, compiled on first use: the laws
+    over minus alone while minus fills, the rest once it is complete."""
+    rest = [law for law in AXIOM_LAWS if "restrict" in {u[0] for u in _subterms(law.lhs, law.rhs)}]
+    over_minus = [law for law in AXIOM_LAWS if law not in rest]
+    return _cell_check(over_minus, "minus"), _cell_check(rest, "restrict")
 
 
 def _known_cells_ok(table: list[list[int | None]], cell_ok) -> bool:
@@ -617,13 +625,17 @@ def enumerate_axiom_models(
     table, over the restrict table, with the forced cells seeded (bottom
     fixed at element 0).  Each filled cell is checked against the law
     instances that read it; complete models are checked once more with
-    ``check_axioms`` and deduplicated by canonical form.
+    ``check_axioms`` and deduplicated by canonical form.  Sizes above 8
+    are refused before any table is built.
     """
     if n < 1:
         raise TableError(f"algebras are nonempty, so size {n} has no models")
     budget.check_algebra_size(n)
+    if n > 8:  # the node limit does not bound time: each node's checks scan rows
+        raise BudgetExceededError(f"model search size {n} exceeds the limit 8")
     counter = [0]
     found: dict[str, FiniteAlgebra] = {}
+    minus_check, restrict_check = _cell_checks()
 
     minus: list[list[int | None]] = [[None] * n for _ in range(n)]
     restrict: list[list[int | None]] = [[None] * n for _ in range(n)]
@@ -650,26 +662,13 @@ def enumerate_axiom_models(
         found.setdefault(canonical_form(alg), alg)
 
     def minus_complete() -> None:
-        meet = [[row[t] for t in row] for row in minus]
-        _fill_cells(
-            restrict,
-            free_restrict,
-            partial(_restrict_cell_ok, meet, restrict),
-            counter,
-            budget.node_limit,
-            model_found,
-        )
+        check = restrict_check(minus, restrict)
+        _fill_cells(restrict, free_restrict, check, counter, budget.node_limit, model_found)
 
     exhaustive = True
     try:
-        _fill_cells(
-            minus,
-            free_minus,
-            partial(_minus_cell_ok, minus),
-            counter,
-            budget.node_limit,
-            minus_complete,
-        )
+        check = minus_check(minus, restrict)
+        _fill_cells(minus, free_minus, check, counter, budget.node_limit, minus_complete)
     except _NodeLimit:
         exhaustive = False
 

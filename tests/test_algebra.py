@@ -1,6 +1,7 @@
 """Tables, law checking, derived relations, quotients, and downsets."""
 
 import gc
+import re
 import weakref
 
 import pytest
@@ -13,6 +14,7 @@ from diffrest import (
     InconsistencyError,
     SizeCapError,
     TableError,
+    boolean_as_diffrest,
     boolean_downset,
     check_axioms,
     check_derived_laws,
@@ -150,6 +152,41 @@ def test_derived_relations_f4(f4):
     rels = derived_relations(alg)
     assert (F, G) in rels.domeq and (G, F) in rels.domeq
     assert F != G
+
+
+def one_domain_chain(n: int) -> FiniteAlgebra:
+    """The chain 0 < 1 < ... < n-1 with every nonzero element on one domain,
+    so every pair 0 < a < b is below and domain-above yet distinct."""
+    minus = [[0 if a <= b else a for b in range(n)] for a in range(n)]
+    restrict = [[0 if 0 in (a, b) else b for b in range(n)] for a in range(n)]
+    return FiniteAlgebra.from_tables(minus, restrict)
+
+
+def perturbed_powerset(table: str, a: int, b: int, value: int) -> FiniteAlgebra:
+    alg = boolean_as_diffrest(3).abstract
+    tables = {"minus": alg.minus, "restrict": alg.restrict}
+    tables = {op: [list(row) for row in t] for op, t in tables.items()}
+    tables[table][a][b] = value
+    return FiniteAlgebra.from_tables(tables["minus"], tables["restrict"])
+
+
+@pytest.mark.parametrize(
+    "alg, message",
+    [
+        # The pairs were iterated in set order, which named (5, 6, 3),
+        # (2, 4) and (2, 4) here.
+        (perturbed_powerset("restrict", 3, 5, 1), "domain preorder is not transitive at (5, 2, 3)"),
+        (
+            perturbed_powerset("minus", 2, 5, 2),
+            "element order not contained in domain preorder at (2, 1)",
+        ),
+        (one_domain_chain(5), "(1, 2) are below/domain-above yet distinct"),
+    ],
+    ids=("transitive", "contained", "distinct"),
+)
+def test_derived_relations_names_the_lexicographically_first_witness(alg, message):
+    with pytest.raises(InconsistencyError, match=f"^{re.escape(message)}$"):
+        derived_relations(alg)
 
 
 def test_leq_contained_in_domleq(f2, f3, f4):

@@ -9,12 +9,17 @@ identical node count and ``exhaustive`` flag, also when a node limit
 stops it inside either stage.  ``reference_fill`` is the same fill loop
 for one table, so that the two searches can also be compared from
 start states the enumerator never seeds, including violated ones.
+
+The cell checks are compiled from the law terms, so they are also
+compared one cell at a time with their definition, ``spec_check``: every
+law instance that reads the cell and no unknown cell holds.
 """
 
+import itertools
 import random
 import subprocess
 import sys
-from functools import lru_cache, partial
+from functools import cache, lru_cache
 
 import pytest
 
@@ -28,6 +33,7 @@ from diffrest import (
     serialize_algebra,
 )
 from diffrest import oracle
+from diffrest.algebra import AXIOM_LAWS, SUBTRACTION_LAWS
 from diffrest.oracle import DEFAULT_BUDGET, ModelCatalog, _NodeLimit
 
 
@@ -295,10 +301,8 @@ def full_scan(minus, restrict):
 
 
 def incremental(minus, restrict):
-    if restrict is None:
-        return partial(oracle._minus_cell_ok, minus)
-    meet = [[minus[a][minus[a][b]] for b in range(len(minus))] for a in range(len(minus))]
-    return partial(oracle._restrict_cell_ok, meet, restrict)
+    minus_check, restrict_check = oracle._cell_checks()
+    return (minus_check if restrict is None else restrict_check)(minus, restrict)
 
 
 def start_state_outcomes():
@@ -324,9 +328,113 @@ def test_fill_matches_reference_from_arbitrary_start_states():
     assert sum(len(want[1]) for want, _ in outcomes) > 100
 
 
+class Unknown(Exception):
+    pass
+
+
+def spec_check(tables, target, x, y) -> bool:
+    """Whether every instance of the stage's laws that reads the cell
+    (x, y) of ``target`` and reads no unknown cell holds.
+
+    While minus fills, its laws read meet(a, b) as the two minus cells
+    a - (a - b); once it is complete, the restrict laws read meet from
+    the complete table."""
+    laws = SUBTRACTION_LAWS if target == "minus" else AXIOM_LAWS[3:]
+    n = len(tables["minus"])
+
+    def evaluate(term, env, reads):
+        if isinstance(term, str):
+            return env[term]
+        op, a, b = term[0], evaluate(term[1], env, reads), evaluate(term[2], env, reads)
+        if op == "meet" and target == "minus":
+            op, b = "minus", cell("minus", a, b, reads)
+        return cell(op, a, b, reads)
+
+    def cell(op, a, b, reads):
+        if op == "meet":
+            minus = tables["minus"]
+            return minus[a][minus[a][b]]
+        if tables[op][a][b] is None:
+            raise Unknown
+        if op == target:
+            reads.add((a, b))
+        return tables[op][a][b]
+
+    for law in laws:
+        for values in itertools.product(range(n), repeat=len(law.varnames)):
+            env, reads = dict(zip(law.varnames, values)), set()
+            try:
+                holds = evaluate(law.lhs, env, reads) == evaluate(law.rhs, env, reads)
+            except Unknown:
+                continue
+            if (x, y) in reads and not holds:
+                return False
+    return True
+
+
+def cell_check_cases():
+    """Partial tables of sizes 2-4 for both stages, as (minus, restrict):
+    random ones, and models with cells blanked and one cell changed."""
+    rng = random.Random(14)
+    models = [m for n in (2, 3, 4) for m in reference_enumerate_axiom_models(n).models]
+    cases = []
+    for n in (2, 3, 4):
+        for density in (0.3, 0.6, 0.9, 1.0):
+            for _ in range(6):
+                minus = random_start(rng, n, density)
+                cases.append((minus, None))
+                full = [[rng.randrange(n) if t is None else t for t in row] for row in minus]
+                cases.append((full, random_start(rng, n, density)))
+    for model in models * 4:
+        n = model.size
+        tables = [[list(row) for row in t] for t in (model.minus, model.restrict)]
+        a, b = rng.randrange(n), rng.randrange(n)
+        tables[rng.randrange(2)][a][b] = rng.randrange(n)
+        stage = rng.randrange(2)
+        for row in tables[stage]:
+            for j in range(n):
+                if rng.random() < 0.3:
+                    row[j] = None
+        cases.append((tables[0], tables[1] if stage else None))
+    return cases
+
+
+def test_cell_checks_match_their_definition():
+    outcomes = []
+    for minus, restrict in cell_check_cases():
+        target = "minus" if restrict is None else "restrict"
+        tables = {"minus": minus, "restrict": restrict}
+        table = tables[target]
+        check = incremental(minus, restrict)
+        for x, y in itertools.product(range(len(minus)), repeat=2):
+            if table[x][y] is not None:
+                want = spec_check(tables, target, x, y)
+                assert check(x, y) == want, (minus, restrict, x, y)
+                outcomes.append((target, want))
+    # both stages, with cells that pass and cells that fail
+    assert {(t, w) for t, w in outcomes} == {
+        (t, w) for t in ("minus", "restrict") for w in (True, False)
+    }
+    assert min(outcomes.count(o) for o in set(outcomes)) > 100
+
+
+def every_permutation(law, sides):
+    return [dict(zip(law.varnames, p)) for p in itertools.permutations(law.varnames)]
+
+
+SCAN = oracle._scan
+
+
+def variable_operands_only(varnames, sides, occ, target):
+    key, lines = SCAN(varnames, sides, occ, target)
+    if all(operand in varnames for operand in occ[1:]):
+        return key, lines
+    return key, ["if False:", *lines]
+
+
 MUTANTS = {
-    "no minus reverse lookup": ("_minus_outer_ok", lambda *args: True),
-    "no restrict reverse lookup": ("_restrict_outer_ok", lambda *args: True),
+    "no scans for compound operands": ("_scan", variable_operands_only),
+    "every variable permutation counted as a symmetry": ("_symmetries", every_permutation),
     "no check of the known cells": ("_known_cells_ok", lambda *args: True),
 }
 
@@ -335,6 +443,8 @@ MUTANTS = {
 def test_comparison_catches_mutants(mutant, monkeypatch):
     name, replacement = MUTANTS[mutant]
     monkeypatch.setattr(oracle, name, replacement)
+    # compile the mutated checks into a cache that the monkeypatch discards
+    monkeypatch.setattr(oracle, "_cell_checks", cache(oracle._cell_checks.__wrapped__))
     assert mismatches((n, DEFAULT_BUDGET.node_limit) for n in FULL) or any(
         want != got for want, got in start_state_outcomes()
     )

@@ -137,6 +137,22 @@ def test_close_generators_indexes_pairs_twice(monkeypatch):
     assert conc.abstract.size > 1
 
 
+def test_boolean_as_diffrest_indexes_pairs_once(monkeypatch):
+    """Only in the ConcreteAlgebra certificate: the tables come from the
+    set operations."""
+    calls, real = [], diffrest.pfun._pair_masks
+
+    def counted(graphs):
+        calls.append(graphs)
+        return real(graphs)
+
+    monkeypatch.setattr(diffrest.pfun, "_pair_masks", counted)
+    fields = [0, 1, 2, 3, [[], [1], [2, 3], [1, 2, 3]]]
+    for k, field in enumerate(fields, 1):
+        assert boolean_as_diffrest(field).abstract.size > 0
+        assert len(calls) == k
+
+
 def test_close_relations_n1(n1):
     alg, graphs = n1
     assert alg.size == 4
