@@ -425,15 +425,22 @@ def every_permutation(law, sides):
 SCAN = oracle._scan
 
 
-def variable_operands_only(varnames, sides, occ, target):
-    key, lines = SCAN(varnames, sides, occ, target)
-    if all(operand in varnames for operand in occ[1:]):
-        return key, lines
-    return key, ["if False:", *lines]
+def no_reverse_lookup(stage):
+    """A ``_scan`` that disables the scans with a reverse lookup, which
+    read the cell through a compound operand, in the stage filling ``stage``."""
+
+    def scan(varnames, sides, occ, target):
+        key, lines = SCAN(varnames, sides, occ, target)
+        if target != stage or all(operand in varnames for operand in occ[1:]):
+            return key, lines
+        return key, ["if False:", *lines]
+
+    return scan
 
 
 MUTANTS = {
-    "no scans for compound operands": ("_scan", variable_operands_only),
+    "no minus reverse lookup": ("_scan", no_reverse_lookup("minus")),
+    "no restrict reverse lookup": ("_scan", no_reverse_lookup("restrict")),
     "every variable permutation counted as a symmetry": ("_symmetries", every_permutation),
     "no check of the known cells": ("_known_cells_ok", lambda *args: True),
 }
