@@ -518,9 +518,13 @@ def check_subtraction_axioms(minus: Sequence[Sequence[int]]) -> AxiomReport:
 
 
 class DerivedRelations(NamedTuple):
-    leq: frozenset[tuple[int, int]]
-    domleq: frozenset[tuple[int, int]]
-    domeq: frozenset[tuple[int, int]]
+    """Three relations as row masks: bit b of ``leq[a]`` says a <= b, of
+    ``domleq[a]`` that the domain of a lies in that of b, and of
+    ``domeq[a]`` that the two domains are equal."""
+
+    leq: tuple[int, ...]
+    domleq: tuple[int, ...]
+    domeq: tuple[int, ...]
 
 
 def derived_relations(alg: FiniteAlgebra) -> DerivedRelations:
@@ -528,30 +532,37 @@ def derived_relations(alg: FiniteAlgebra) -> DerivedRelations:
 
     The returned relations are checked to form a preorder containing the
     element order, with bottom behaving as expected, and to satisfy
-    "below and domain-above implies equal".
+    "below and domain-above implies equal".  Each check names its
+    lexicographically first witness.
     """
-    n = alg.size
-    leq = frozenset((a, b) for a in range(n) for b in range(n) if alg.leq(a, b))
-    domleq = frozenset((a, b) for a in range(n) for b in range(n) if alg.domleq(a, b))
-    domeq = frozenset((a, b) for (a, b) in domleq if (b, a) in domleq)
+    n, zero, leq = alg.size, alg.zero, alg.up_masks
+    # a is domain-below b where restrict[b][a] == a: column a of restrict.
+    domleq = tuple(
+        mask_of(b for b, v in enumerate(col) if v == a) for a, col in enumerate(zip(*alg.restrict))
+    )
+    # under[a]: the b domain-below a, from row a.
+    under = tuple(mask_of(b for b, v in enumerate(row) if v == b) for row in alg.restrict)
+    domeq = tuple(d & u for d, u in zip(domleq, under))
 
     for a in range(n):
-        if (a, a) not in domleq:
+        if not domleq[a] >> a & 1:
             raise InconsistencyError(f"domain preorder is not reflexive at {a}")
-        if (alg.zero, a) not in domleq:
+        if not domleq[zero] >> a & 1:
             raise InconsistencyError(f"bottom is not domain-least below {a}")
-        if (a, alg.zero) in domleq and a != alg.zero:
+        if domleq[a] >> zero & 1 and a != zero:
             raise InconsistencyError(f"{a} is domain-below bottom but nonzero")
-    for a, b in sorted(domleq):
-        for c in range(n):
-            if (b, c) in domleq and (a, c) not in domleq:
+    for a in range(n):
+        for b in mask_iter(domleq[a]):
+            if gap := domleq[b] & ~domleq[a]:
+                c = next(mask_iter(gap))
+                raise InconsistencyError(f"domain preorder is not transitive at ({a}, {b}, {c})")
+    for a in range(n):
+        # The first b that fails; each pair fails containment before distinctness.
+        for b in mask_iter(leq[a] & ~domleq[a] | leq[a] & under[a] & ~(1 << a)):
+            if not domleq[a] >> b & 1:
                 raise InconsistencyError(
-                    f"domain preorder is not transitive at ({a}, {b}, {c})"
+                    f"element order not contained in domain preorder at ({a}, {b})"
                 )
-    for a, b in sorted(leq):
-        if (a, b) not in domleq:
-            raise InconsistencyError(f"element order not contained in domain preorder at ({a}, {b})")
-        if (b, a) in domleq and a != b:
             raise InconsistencyError(f"({a}, {b}) are below/domain-above yet distinct")
     return DerivedRelations(leq, domleq, domeq)
 
@@ -606,9 +617,8 @@ def domain_quotient(alg: FiniteAlgebra) -> DomainQuotient:
             continue
         cid = len(reps)
         reps.append(a)
-        for b in range(a, n):
-            if (a, b) in rels.domeq:
-                class_of_list[b] = cid
+        for b in mask_iter(rels.domeq[a]):
+            class_of_list[b] = cid
     class_of = tuple(class_of_list)
     class_rep = tuple(reps)
     k = len(reps)
@@ -653,14 +663,11 @@ def domain_quotient(alg: FiniteAlgebra) -> DomainQuotient:
                 )
 
     # Inside each downset the element order and the domain preorder agree.
-    for a in range(n):
-        below = list(mask_iter(alg.down_masks[a]))
-        for b in below:
-            for c in below:
-                if alg.domleq(b, c) != alg.leq(b, c):
-                    raise InconsistencyError(
-                        f"orders disagree inside the downset of {a} at ({b}, {c})"
-                    )
+    for a, below in enumerate(alg.down_masks):
+        for b in mask_iter(below):
+            if split := (rels.domleq[b] ^ rels.leq[b]) & below:
+                c = next(mask_iter(split))
+                raise InconsistencyError(f"orders disagree inside the downset of {a} at ({b}, {c})")
 
     return DomainQuotient(alg, class_of, class_rep, meet_t, qminus_t)
 
@@ -697,12 +704,10 @@ class BooleanDownset:
             b for b in self.members if b != zero and down[b] & down[self.top] == 1 << b | 1 << zero
         )
 
-    def ultrafilters(self) -> tuple[frozenset[int], ...]:
-        """Maximal proper filters of the downset, one per atom."""
-        return tuple(
-            frozenset(mask_iter(self.parent.up_masks[x] & self.parent.down_masks[self.top]))
-            for x in self.atoms()
-        )
+    def ultrafilters(self) -> tuple[int, ...]:
+        """Maximal proper filters of the downset, one mask per atom."""
+        alg = self.parent
+        return tuple(alg.up_masks[x] & alg.down_masks[self.top] for x in self.atoms())
 
 
 def _boolean_certificate(

@@ -28,6 +28,8 @@ from .algebra import (
     check_axioms,
     check_derived_laws,
     domain_quotient,
+    mask_iter,
+    mask_of,
 )
 from .filters import enumerate_filters
 from .formats import (
@@ -136,40 +138,32 @@ def cmd_filters(args) -> int:
         return EXIT_FAIL
     family = enumerate_filters(alg)
     maximal = {f.members for f in family.maximal}
-    full = frozenset(range(alg.size))
     for i, f in enumerate(family.all_filters):
         flags = []
         if f.members in maximal:
             flags.append("maximal")
-        if f.members == full:
+        if f.members == alg.all_mask:
             flags.append("full")
         suffix = (" " + " ".join(flags)) if flags else ""
         if structured:
-            members = ",".join(alg.element_name(a) for a in sorted(f.members))
+            members = ",".join(alg.element_name(a) for a in f.sort_key())
             print(f"FILTER index={i} members={members} class={family.approx_class[i]}{suffix}")
         else:
             print(f"FILTER {f.render()} class={family.approx_class[i]}{suffix}")
 
     # Order on classes induced by the lifted preorder, printed as covers.
     n_classes = family.n_classes
-    first = {}
-    for i, c in enumerate(family.approx_class):
-        first.setdefault(c, i)
-    below = {
-        (c, d)
+    first = [family.approx_class.index(c) for c in range(n_classes)]
+    # above[c] is the mask of the classes d with class c below class d.
+    above = [
+        mask_of(d for d in range(n_classes) if family.domhat[first[c]] >> first[d] & 1)
         for c in range(n_classes)
-        for d in range(n_classes)
-        if (first[c], first[d]) in family.domhat
-    }
-    for c, d in sorted(below):
-        if c == d:
-            continue
-        strictly_between = any(
-            (c, e) in below and (e, d) in below and e not in (c, d)
-            for e in range(n_classes)
-        )
-        if not strictly_between:
-            print(f"COVER lower=class{c} upper=class{d}")
+    ]
+    for c in range(n_classes):
+        for d in mask_iter(above[c] & ~(1 << c)):
+            between = above[c] & ~(1 << c | 1 << d)
+            if not any(above[e] >> d & 1 for e in mask_iter(between)):
+                print(f"COVER lower=class{c} upper=class{d}")
     return EXIT_PASS
 
 

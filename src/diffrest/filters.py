@@ -10,12 +10,13 @@ scan.
 The domain preorder lifts to filters: F sits below G when restricting
 the members of F by the members of G never leaves F: the up-set of every
 g |> f (g in G, f in F) lies in F.  So one mask per F, of the g that pass
-for every f, decides every G.
+for every f, decides every G.  Filters, the rows of this preorder and
+the ultrafilters of a downset are all bitmasks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .algebra import (
@@ -30,41 +31,40 @@ from .algebra import (
 
 @dataclass(frozen=True)
 class Filter:
-    """An upward-closed, meet-closed, nonempty element subset."""
+    """A nonempty, upward-closed, meet-closed set of elements, held and hashed as a mask."""
 
-    parent: FiniteAlgebra
-    members: frozenset[int]
+    parent: FiniteAlgebra = field(hash=False)
+    members: int
 
     def __post_init__(self):
-        alg = self.parent
-        if not self.members:
+        alg, mask = self.parent, self.members
+        if mask < 0:
+            raise InconsistencyError(f"filter mask {mask} is negative")
+        if not mask:
             raise InconsistencyError("filters are nonempty")
-        bad = [a for a in self.members if not 0 <= a < alg.size]
-        if bad:
-            raise InconsistencyError(f"filter member {min(bad)} is not an element id")
-        mask = mask_of(self.members)
+        if mask >> alg.size:
+            bad = next(mask_iter(mask >> alg.size)) + alg.size
+            raise InconsistencyError(f"filter member {bad} is not an element id")
+        ids, meet = bytes(mask_iter(mask)), alg.tables.rows["meet"]
         if alg.up_closure(mask) != mask:
-            raise InconsistencyError(f"{sorted(self.members)} is not upward closed")
-        for a in self.members:
-            row = alg.meet_table[a]
-            for b in self.members:
-                if not mask >> row[b] & 1:
-                    raise InconsistencyError(
-                        f"{sorted(self.members)} is not meet-closed at ({a}, {b})"
-                    )
+            raise InconsistencyError(f"{list(ids)} is not upward closed")
+        for a in ids:  # a's meets with the members, less the members, are outside
+            if ids.translate(meet[a]).translate(None, ids):
+                b = next(b for b in ids if not mask >> meet[a][b] & 1)
+                raise InconsistencyError(f"{list(ids)} is not meet-closed at ({a}, {b})")
 
     @property
     def proper(self) -> bool:
-        return self.parent.zero not in self.members
+        return not self.members >> self.parent.zero & 1
 
     def sort_key(self) -> tuple[int, ...]:
-        return tuple(sorted(self.members))
+        return tuple(mask_iter(self.members))
 
     def generator(self) -> int:
         """The least element of the filter in the element order."""
-        g = None
-        for a in self.members:
-            if g is None or self.parent.leq(a, g):
+        meet, g = self.parent.meet_table, None
+        for a in mask_iter(self.members):
+            if g is None or meet[a][g] == a:
                 g = a
         return g
 
@@ -74,7 +74,7 @@ class Filter:
 
 
 def principal_filter(alg: FiniteAlgebra, a: int) -> Filter:
-    return Filter(alg, frozenset(mask_iter(alg.up_masks[a])))
+    return Filter(alg, alg.up_masks[a])
 
 
 def _inside(alg: FiniteAlgebra, mask: int) -> int:
@@ -82,34 +82,33 @@ def _inside(alg: FiniteAlgebra, mask: int) -> int:
     return mask_of(x for x, up in enumerate(alg.up_masks) if not up & ~mask)
 
 
-def _stable(alg: FiniteAlgebra, members) -> int:
+def _stable(alg: FiniteAlgebra, members: int) -> int:
     """The g such that the up-set of each g |> f, f in ``members``, lies in ``members``."""
-    inside = _inside(alg, mask_of(members))
-    return mask_of(
-        g for g, row in enumerate(alg.restrict) if all(inside >> row[f] & 1 for f in members)
-    )
+    inside, ids = bytes(mask_iter(_inside(alg, members))), bytes(mask_iter(members))
+    rows = enumerate(alg.tables.rows["restrict"])
+    return mask_of(g for g, row in rows if not ids.translate(row).translate(None, inside))
 
 
 @dataclass(frozen=True)
 class FilterFamily:
     """All filters of an algebra with the lifted preorder precomputed.
 
-    ``domhat`` holds index pairs (i, j) meaning filter i is below filter
-    j; ``approx_class`` assigns each filter its equivalence class id,
-    numbered by least filter index.
+    ``domhat[i]`` is the mask of the j such that filter i is below
+    filter j; ``approx_class`` assigns each filter its equivalence class
+    id, numbered by least filter index.
     """
 
     parent: FiniteAlgebra
     all_filters: tuple[Filter, ...]
     maximal: tuple[Filter, ...]
-    domhat: frozenset[tuple[int, int]]
+    domhat: tuple[int, ...]
     approx_class: tuple[int, ...]
 
     def index_of(self, f: Filter) -> int:
         return self._index[f.members]
 
     @cached_property
-    def _index(self) -> dict[frozenset[int], int]:
+    def _index(self) -> dict[int, int]:
         return {g.members: i for i, g in enumerate(self.all_filters)}
 
     @property
@@ -122,15 +121,14 @@ def enumerate_filters(alg: FiniteAlgebra) -> FilterFamily:
     """Enumerate every filter, the lifted preorder, and its classes."""
     n = alg.size
     filters = tuple(principal_filter(alg, a) for a in range(n))
-    if len({f.members for f in filters}) != n:
+    if len(set(alg.up_masks)) != n:
         raise InconsistencyError("principal upsets are not distinct")
 
     # below[i] is the mask of the j with filter i below filter j.
-    below = [_inside(alg, _stable(alg, f.members)) for f in filters]
+    below = tuple(_inside(alg, _stable(alg, f.members)) for f in filters)
     # The lifted preorder must contain reverse inclusion.
     for i, up in enumerate(alg.up_masks):
-        missing = _inside(alg, up) & ~below[i]
-        if missing:
+        if missing := _inside(alg, up) & ~below[i]:
             raise InconsistencyError(
                 f"lifted preorder misses inclusion at ({i}, {next(mask_iter(missing))})"
             )
@@ -146,72 +144,68 @@ def enumerate_filters(alg: FiniteAlgebra) -> FilterFamily:
                 approx[j] = next_class
         next_class += 1
 
-    domhat = frozenset((i, j) for i in range(n) for j in mask_iter(below[i]))
     maximal = tuple(f for f in filters if f.proper and is_maximal(f))
-    return FilterFamily(alg, filters, maximal, domhat, tuple(approx))
+    return FilterFamily(alg, filters, maximal, below, tuple(approx))
 
 
 def is_maximal(f: Filter) -> bool:
     """A filter with least member ``w`` is maximal precisely when it is
     proper and for every ``b`` exactly one of ``w meet b`` and ``w - b``
     belongs to it."""
-    alg, w, members = f.parent, f.generator(), f.members
-    meet, minus = alg.meet_table[w], alg.minus[w]
-    return f.proper and all(
-        (meet[b] in members) != (minus[b] in members) for b in range(alg.size)
-    )
+    w, members = f.generator(), f.members
+    rows = zip(f.parent.meet_table[w], f.parent.minus[w])
+    return f.proper and all(members >> m & 1 != members >> d & 1 for m, d in rows)
 
 
 @per_algebra
 def maximal_filters(alg: FiniteAlgebra) -> tuple[Filter, ...]:
     """Maximal proper filters, cross-checked against the inclusion poset."""
     family = enumerate_filters(alg)
-    proper = [f for f in family.all_filters if f.proper]
-    poset_maxima = {
-        f.members
-        for f in proper
-        if not any(f.members < g.members for g in proper)
-    }
+    proper = [f.members for f in family.all_filters if f.proper]
+    # f is a poset maximum when no other proper filter holds all of it.
+    poset_maxima = {f for f in proper if not any(f != g and f & g == f for g in proper)}
     criterion = {f.members for f in family.maximal}
     if criterion != poset_maxima:
         raise InconsistencyError(
             "maximality criterion disagrees with the inclusion poset: "
-            f"{sorted(map(sorted, criterion))} vs {sorted(map(sorted, poset_maxima))}"
+            f"{sorted(map(list, map(mask_iter, criterion)))} "
+            f"vs {sorted(map(list, map(mask_iter, poset_maxima)))}"
         )
     return family.maximal
 
 
 def ultrafilter_bijection(
     alg: FiniteAlgebra, a: int
-) -> tuple[dict[Filter, frozenset[int]], dict[frozenset[int], Filter]]:
+) -> tuple[dict[Filter, int], dict[int, Filter]]:
     """Match maximal filters containing ``a`` with ultrafilters of its downset.
 
     Forward: intersect with the downset.  Backward: upward closure.
-    Both composites are checked to be identities.  For ``a`` equal to
-    bottom there is nothing to match and both maps are empty.
+    Ultrafilters are masks.  Both composites are checked to be
+    identities.  For ``a`` equal to bottom both maps are empty.
     """
     if a == alg.zero:
         return {}, {}
     downset = boolean_downset(alg, a)
     ufs = set(downset.ultrafilters())
-    containing = [f for f in maximal_filters(alg) if a in f.members]
+    maximal = maximal_filters(alg)
 
-    forward: dict[Filter, frozenset[int]] = {}
-    for mu in containing:
-        nu = frozenset(mu.members) & frozenset(downset.members)
+    forward: dict[Filter, int] = {}
+    for mu in (f for f in maximal if f.members >> a & 1):
+        nu = mu.members & alg.down_masks[a]
         if nu not in ufs:
             raise InconsistencyError(
                 f"{mu.render()} does not cut the downset of {alg.element_name(a)} "
                 "to an ultrafilter"
             )
         forward[mu] = nu
-    backward: dict[frozenset[int], Filter] = {}
+    backward: dict[int, Filter] = {}
     family = enumerate_filters(alg)
-    for nu in sorted(ufs, key=sorted):
-        up = frozenset(mask_iter(alg.up_closure(mask_of(nu))))
+    for nu in sorted(ufs, key=lambda m: list(mask_iter(m))):
+        up = alg.up_closure(nu)
         # Reuse the family's filter, already checked upward and meet closed.
         mu = family.all_filters[family._index[up]] if up in family._index else Filter(alg, up)
-        if not is_maximal(mu):
+        # The family's maximal filters passed ``is_maximal`` when it was built.
+        if mu not in maximal and not is_maximal(mu):
             raise InconsistencyError("upward closure of an ultrafilter is not maximal")
         backward[nu] = mu
 

@@ -107,22 +107,22 @@ class _NodeLimit(Exception):
 
 def generating_set(alg: FiniteAlgebra) -> tuple[int, ...]:
     """A small generating set, chosen greedily from the top of the order."""
+    m, r = alg.minus, alg.restrict
 
-    def closure(mask: int) -> int:
-        while True:
-            new = mask
-            for x in mask_iter(mask):
-                for y in mask_iter(mask):
-                    new |= 1 << alg.minus[x][y]
-                    new |= 1 << alg.restrict[x][y]
-            if new == mask:
-                return mask
-            mask = new
+    def closure(closed: int, fresh: int) -> int:
+        """Close ``closed | fresh``, ``closed`` being closed: each round
+        combines only the new elements with the rest, both ways."""
+        while fresh:
+            closed |= fresh
+            new = 0
+            for x in mask_iter(fresh):
+                mx, rx = m[x], r[x]
+                for y in mask_iter(closed):
+                    new |= 1 << mx[y] | 1 << m[y][x] | 1 << rx[y] | 1 << r[y][x]
+            fresh = new & ~closed
+        return closed
 
-    order = sorted(
-        range(alg.size),
-        key=lambda e: (-alg.down_masks[e].bit_count(), e),
-    )
+    order = sorted(range(alg.size), key=lambda e: (-alg.down_masks[e].bit_count(), e))
     chosen: list[int] = []
     closed = 0
     for e in order:
@@ -131,7 +131,7 @@ def generating_set(alg: FiniteAlgebra) -> tuple[int, ...]:
         if closed >> e & 1:
             continue
         chosen.append(e)
-        closed = closure(closed | 1 << e)
+        closed = closure(closed, 1 << e)
     return tuple(chosen)
 
 
@@ -479,6 +479,12 @@ def _scan(varnames: tuple[str, ...], sides: tuple[Term, Term], occ: tuple, targe
     terms = list(dict.fromkeys(u for u in _subterms(*wanted, *sides) if u not in level))
     for u in terms:
         level[u] = max(level[u[1]], level[u[2]])
+    # A loop variable read only as the index of a lookup on a row fixed
+    # outside its loop is decided by the test on that row: it gets no loop.
+    decided = {
+        u[2] for u in wanted if u[2] in loops and u[2] not in sides
+        and level[u[1]] < level[u[2]] and [t for t in terms if u[2] in t[1:]] == [u]
+    }
     rows, lines, spell = {}, [], str.maketrans("[", "_", "]")
 
     def bind(p: Term, loop: str = "") -> None:
@@ -499,12 +505,13 @@ def _scan(varnames: tuple[str, ...], sides: tuple[Term, Term], occ: tuple, targe
     for depth in range(len(loops) + 1):
         if depth:
             value[loops[depth - 1]] = f"e{depth}"
-            bind(loops[depth - 1], f"e{depth}")
+            if loops[depth - 1] not in decided:
+                bind(loops[depth - 1], f"e{depth}")
         for u in (u for u in terms if level[u] == depth):
             read = f"{rows.get(u[:2]) or f'{u[0]}[{value[u[1]]}]'}[{value[u[2]]}]"
             if u in wanted:
                 value[u] = wanted[u]
-                lines.append(f"if {read} == {value[u]}:")
+                lines += [] if u[2] in decided else [f"if {read} == {value[u]}:"]
             elif u[0] == target:
                 value[u] = f"{u[0]}_{value[u[1]]}_{value[u[2]]}".translate(spell)
                 lines += [f"{value[u]} = {read}", f"if {value[u]} is not None:"]

@@ -157,7 +157,7 @@ def _maximal_filter_states(alg: FiniteAlgebra):
     family = enumerate_filters(alg)
     mf = sorted(family.maximal, key=lambda f: f.sort_key())
     classes = tuple(family.approx_class[family.index_of(f)] for f in mf)
-    return "filter", tuple(f.sort_key() for f in mf), tuple(mask_of(f.members) for f in mf), classes
+    return "filter", tuple(f.sort_key() for f in mf), tuple(f.members for f in mf), classes
 
 
 def _atom_states(alg: FiniteAlgebra):
@@ -185,7 +185,7 @@ def _build(alg: FiniteAlgebra, kind: str, provider, injective: bool) -> Represen
     for i in range(k):
         for j in range(k):
             if cls[i] == cls[j] and masks[i] & masks[j] and masks[i] != masks[j]:
-                f, g = (Filter(alg, frozenset(mask_iter(m))) for m in (masks[i], masks[j]))
+                f, g = (Filter(alg, m) for m in (masks[i], masks[j]))
                 raise InconsistencyError(
                     f"equivalent maximal filters {f.render()} and {g.render()} "
                     "share an element but differ"

@@ -157,15 +157,16 @@ def subtraction_from_boolean_downsets(sl: ComplementedSemilattice) -> Table:
 # ---------------------------------------------------------------------------
 
 
-def _product_upset(alg: FiniteAlgebra, left: frozenset[int], right: frozenset[int]) -> frozenset[int]:
-    """Upward closure of all restrictions of ``right`` members by ``left`` members."""
-    products = mask_of(alg.restrict[s][t] for s in left for t in right)
-    return frozenset(mask_iter(alg.up_closure(products)))
+def _product_upset(alg: FiniteAlgebra, left: int, right: int) -> int:
+    """Upward closure of all restrictions of ``right`` members by ``left``
+    members, all three as masks."""
+    products = mask_of(alg.restrict[s][t] for s in mask_iter(left) for t in mask_iter(right))
+    return alg.up_closure(products)
 
 
 def domhat_pair(alg: FiniteAlgebra, f: Filter, g: Filter) -> bool:
     """Lifted domain preorder: F below G iff restricting F by G stays in F."""
-    return _product_upset(alg, g.members, f.members) <= f.members
+    return not _product_upset(alg, g.members, f.members) & ~f.members
 
 
 def filter_meet(f: Filter, g: Filter) -> Filter:
@@ -192,26 +193,26 @@ def extend_to_maximal(f: Filter) -> Filter:
     if not f.proper:
         raise ImproperFilterError("the full filter has no maximal extension")
     alg = f.parent
-    a = min(f.members)
+    a = next(mask_iter(f.members))
     downset = boolean_downset(alg, a)
-    trace = f.members & frozenset(downset.members)
+    trace = f.members & alg.down_masks[a]
     candidates = [
-        nu for nu in downset.ultrafilters() if trace <= nu
+        nu for nu in downset.ultrafilters() if not trace & ~nu
     ]
     if not candidates:
         raise InconsistencyError(
             f"no ultrafilter of the downset of {alg.element_name(a)} extends the filter"
         )
-    nu = min(candidates, key=sorted)
-    result = Filter(alg, frozenset(mask_iter(alg.up_closure(mask_of(nu)))))
-    if not is_maximal(result) or not f.members <= result.members:
+    nu = min(candidates, key=lambda m: list(mask_iter(m)))
+    result = Filter(alg, alg.up_closure(nu))
+    if not is_maximal(result) or f.members & ~result.members:
         raise InconsistencyError("extension policy produced a non-extension")
     return result
 
 
-def _quotient_upset(quot, members) -> frozenset[int]:
-    """The classes above the class of some member."""
-    classes = {quot.class_of[a] for a in members}
+def _quotient_upset(quot, members: int) -> frozenset[int]:
+    """The classes above the class of some member of the mask ``members``."""
+    classes = {quot.class_of[a] for a in mask_iter(members)}
     return frozenset(d for c in classes for d in range(quot.n_classes) if quot.meet[c][d] == c)
 
 
@@ -261,7 +262,7 @@ def filter_up_check(mu: Filter, f: Filter) -> str:
     alg = mu.parent
     members = _product_upset(alg, mu.members, f.members)
     below = domhat_pair(alg, mu, f)
-    if (alg.zero not in members) != below:
+    if (not members >> alg.zero & 1) != below:
         raise InconsistencyError(
             "the restriction is proper but the maximal filter is not domain-below, "
             "or the other way round"

@@ -24,6 +24,7 @@ from diffrest import (
     enumerate_axiom_models,
     enumerate_filters,
 )
+from diffrest.algebra import mask_iter, mask_of
 from lemmas import (
     ComplementedSemilattice,
     complemented_semilattice_of,
@@ -32,6 +33,11 @@ from lemmas import (
 )
 
 AXIOMS = ("Ax.1", "Ax.2", "Ax.3", "Ax.4", "Ax.5")
+
+
+def pairs(rows) -> set[tuple[int, int]]:
+    """The pairs of a relation held as row masks."""
+    return {(a, b) for a, row in enumerate(rows) for b in mask_iter(row)}
 
 
 def test_fixture_algebras_pass_axioms(f0, f1, f2, f3, f4):
@@ -142,15 +148,15 @@ def test_axiom_implies_derived_exhaustively_at_size_six():
 def test_derived_relations_f2(f2):
     alg = f2.abstract
     rels = derived_relations(alg)
-    assert (K, H) in rels.domleq
-    assert (H, K) not in rels.domleq
-    assert all((alg.zero, a) in rels.domleq for a in range(alg.size))
+    assert (K, H) in pairs(rels.domleq)
+    assert (H, K) not in pairs(rels.domleq)
+    assert all((alg.zero, a) in pairs(rels.domleq) for a in range(alg.size))
 
 
 def test_derived_relations_f4(f4):
     alg = f4.abstract
     rels = derived_relations(alg)
-    assert (F, G) in rels.domeq and (G, F) in rels.domeq
+    assert (F, G) in pairs(rels.domeq) and (G, F) in pairs(rels.domeq)
     assert F != G
 
 
@@ -192,7 +198,7 @@ def test_derived_relations_names_the_lexicographically_first_witness(alg, messag
 def test_leq_contained_in_domleq(f2, f3, f4):
     for conc in (f2, f3, f4):
         rels = derived_relations(conc.abstract)
-        assert rels.leq <= rels.domleq
+        assert pairs(rels.leq) <= pairs(rels.domleq)
 
 
 def test_domain_quotient_f4(f4):
@@ -220,8 +226,8 @@ def test_boolean_downset_f2(f2):
     assert ds.members == (K, M, H, F2_ZERO)
     assert ds.complement_of(K) == M
     assert set(ds.ultrafilters()) == {
-        frozenset({K, H}),
-        frozenset({M, H}),
+        mask_of({K, H}),
+        mask_of({M, H}),
     }
     small = boolean_downset(alg, K)
     assert small.members == (K, F2_ZERO)

@@ -14,6 +14,18 @@ import pytest
 WORKER = Path(__file__).resolve().parent.parent / "bench" / "worker.py"
 
 
+# Search node counts at the default seeds; they do not depend on the
+# machine.  The embedding counts depend on ``generating_set`` too.
+PINNED_COUNTS = {
+    "models5": {"oracle.enumerate_axiom_models.nodes": 5_463},
+    "large": {
+        "oracle.brute_force_embedding.nodes": 62_995,
+        "represent.completeness_report.subsets": 2_448,
+    },
+    "corpus200": {"oracle.brute_force_embedding.nodes": 6_052},
+}
+
+
 @pytest.mark.parametrize("workload, seed", [("models5", 0), ("large", 1), ("corpus200", 74)])
 def test_worker_prints_one_json_result(workload, seed):
     result = subprocess.run(
@@ -28,3 +40,5 @@ def test_worker_prints_one_json_result(workload, seed):
     record = json.loads(lines[0])
     assert record["checked"] > 0
     assert record["failures"] == []
+    pinned = PINNED_COUNTS[workload]
+    assert {key: record["counts"][key] for key in pinned} == pinned

@@ -49,14 +49,15 @@ def battery(meet, comp, top, bottom, members):
 
 
 def reference_filter_error(alg: FiniteAlgebra, members: frozenset[int]) -> str | None:
-    """The checks of ``Filter`` before meet closure moved to masks."""
+    """The checks of ``Filter`` before meet closure moved to masks, with
+    the pairs taken in increasing order (they were in set order)."""
     if not members:
         return "filters are nonempty"
     mask = mask_of(members)
     if alg.up_closure(mask) != mask:
         return f"{sorted(members)} is not upward closed"
-    for a in members:
-        for b in members:
+    for a in sorted(members):
+        for b in sorted(members):
             if alg.meet(a, b) not in members:
                 return f"{sorted(members)} is not meet-closed at ({a}, {b})"
     return None
@@ -74,11 +75,12 @@ def reference_family(alg: FiniteAlgebra) -> FilterFamily:
         for j, g in enumerate(filters):
             if reference_domhat_pair(alg, f, g):
                 domhat.add((i, j))
+    below = tuple(mask_of(j for j in range(n) if (i, j) in domhat) for i in range(n))
 
     # The lifted preorder must contain reverse inclusion.
     for i, f in enumerate(filters):
         for j, g in enumerate(filters):
-            if g.members <= f.members and (i, j) not in domhat:
+            if not g.members & ~f.members and (i, j) not in domhat:
                 raise InconsistencyError(
                     f"lifted preorder misses inclusion at ({i}, {j})"
                 )
@@ -95,7 +97,7 @@ def reference_family(alg: FiniteAlgebra) -> FilterFamily:
         next_class += 1
 
     maximal = tuple(f for f in filters if f.proper and is_maximal(f))
-    return FilterFamily(alg, filters, maximal, frozenset(domhat), tuple(approx))
+    return FilterFamily(alg, filters, maximal, below, tuple(approx))
 
 
 # ---------------------------------------------------------------------------
@@ -132,14 +134,14 @@ def outcome(build, *args):
 
 
 def checked_filter(alg: FiniteAlgebra, members: frozenset[int]) -> Filter | None:
-    """``Filter(alg, members)``, or None when the reference rejects
-    ``members``, in which case ``Filter`` must raise its message."""
-    built = outcome(Filter, alg, members)
+    """``Filter`` on the mask of ``members``, or None when the reference
+    rejects ``members``, in which case ``Filter`` must raise its message."""
+    built = outcome(Filter, alg, mask_of(members))
     expected = reference_filter_error(alg, members)
     if expected is not None:
         assert built == expected
         return None
-    assert built.members == members
+    assert built.members == mask_of(members)
     return built
 
 

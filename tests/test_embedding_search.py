@@ -7,7 +7,10 @@ the node limit.  ``product_valid_columns`` is the loop before it, kept
 verbatim as an independent oracle for the columns: it enumerates every
 combination of generator values and only then propagates it through the
 tables.  ``reference_separation_masks`` is the pair walk that the
-row-shift masks replaced.  The search must return the identical columns
+row-shift masks replaced.  ``reference_generating_set`` is the greedy
+choice before its closure went semi-naive, kept verbatim: each round
+re-combines every pair of the closed set; it must choose the identical
+generators.  The search must return the identical columns
 in the identical order and the identical node count, and
 ``brute_force_embedding`` the identical verdict and assignment.
 """
@@ -34,6 +37,7 @@ from diffrest import (
     random_generators,
 )
 from diffrest import oracle
+from diffrest.algebra import mask_iter
 from diffrest.oracle import _NodeLimit, _columns_and_masks, _propagation_plan
 
 
@@ -168,6 +172,36 @@ def reference_separation_masks(columns, n, m):
                 mask |= 1 << k
         sep_masks.append(mask)
     return sep_masks
+
+
+def reference_generating_set(alg: FiniteAlgebra) -> tuple[int, ...]:
+    """A small generating set, chosen greedily from the top of the order."""
+
+    def closure(mask: int) -> int:
+        while True:
+            new = mask
+            for x in mask_iter(mask):
+                for y in mask_iter(mask):
+                    new |= 1 << alg.minus[x][y]
+                    new |= 1 << alg.restrict[x][y]
+            if new == mask:
+                return mask
+            mask = new
+
+    order = sorted(
+        range(alg.size),
+        key=lambda e: (-alg.down_masks[e].bit_count(), e),
+    )
+    chosen: list[int] = []
+    closed = 0
+    for e in order:
+        if closed == alg.all_mask:
+            break
+        if closed >> e & 1:
+            continue
+        chosen.append(e)
+        closed = closure(closed | 1 << e)
+    return tuple(chosen)
 
 
 def relabel(alg, sigma):
@@ -344,6 +378,15 @@ def test_large_node_counts_are_pinned(large):
         )
         counts.append((result.verdict, result.nodes, result.trace_nodes))
     assert counts == [("found", 679, 672), ("found", 62_316, 62_309)]
+
+
+def test_generating_set_matches_the_all_pairs_closure(small, corpus):
+    # Not the ``large`` fixture: it relabels until ``generating_set`` has
+    # 5 elements, which a broken closure may never reach.
+    closure, rng = seed1_closure(), random.Random(4)
+    relabelings = [relabel(closure, rng.sample(range(36), 36)) for _ in range(20)]
+    for alg in [*small, *corpus, boolean_as_diffrest(6).abstract, closure, *relabelings]:
+        assert generating_set(alg) == reference_generating_set(alg)
 
 
 def test_budget_one_below_the_trace_nodes_ends_in_the_trace_phase(small, corpus, large):

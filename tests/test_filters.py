@@ -8,7 +8,9 @@ from conftest import F, G, H, K, M
 
 from diffrest import (
     Filter,
+    FiniteAlgebra,
     InconsistencyError,
+    boolean_as_diffrest,
     domain_quotient,
     enumerate_filters,
     is_maximal,
@@ -16,6 +18,7 @@ from diffrest import (
     principal_filter,
     ultrafilter_bijection,
 )
+from diffrest.algebra import mask_of
 from lemmas import (
     ImproperFilterError,
     domhat_pair,
@@ -28,11 +31,12 @@ from lemmas import (
 
 
 def members(alg, *ids):
-    return Filter(alg, frozenset(ids))
+    return Filter(alg, mask_of(ids))
 
 
 def brute_force_filters(alg):
-    """All nonempty, upward-closed, meet-closed subsets, by subset scan."""
+    """All nonempty, upward-closed, meet-closed subsets, by subset scan,
+    as masks."""
     out = set()
     elems = range(alg.size)
     for r in range(1, alg.size + 1):
@@ -41,7 +45,7 @@ def brute_force_filters(alg):
             if all(b in s for a in s for b in elems if alg.leq(a, b)) and all(
                 alg.meet(a, b) in s for a in s for b in s
             ):
-                out.add(s)
+                out.add(mask_of(s))
     return out
 
 
@@ -55,14 +59,14 @@ def test_f2_filters(f2):
     alg = f2.abstract
     family = enumerate_filters(alg)
     assert {f.members for f in family.all_filters} == {
-        frozenset({H}),
-        frozenset({K, H}),
-        frozenset({M, H}),
-        frozenset(range(4)),
+        mask_of({H}),
+        mask_of({K, H}),
+        mask_of({M, H}),
+        mask_of(range(4)),
     }
     assert {f.members for f in family.maximal} == {
-        frozenset({K, H}),
-        frozenset({M, H}),
+        mask_of({K, H}),
+        mask_of({M, H}),
     }
 
 
@@ -83,10 +87,10 @@ def test_f0_has_only_the_full_filter(f0):
 
 def test_filter_meet_examples(f2, f4):
     alg = f2.abstract
-    full = frozenset(range(4))
+    full = mask_of(range(4))
     assert filter_meet(members(alg, K, H), members(alg, M, H)).members == full
     alg4 = f4.abstract
-    assert filter_meet(members(alg4, F), members(alg4, G)).members == frozenset({F})
+    assert filter_meet(members(alg4, F), members(alg4, G)).members == mask_of({F})
     for f in enumerate_filters(alg).all_filters:
         assert filter_meet(f, f).members == f.members
 
@@ -95,34 +99,64 @@ def test_is_maximal_criterion(f2, f1):
     alg = f2.abstract
     assert not is_maximal(members(alg, H))
     assert is_maximal(members(alg, K, H))
-    assert maximal_filters(f1.abstract)[0].members == frozenset({K})
+    assert maximal_filters(f1.abstract)[0].members == mask_of({K})
 
 
 def test_filter_validation(f2):
     alg = f2.abstract
     with pytest.raises(Exception, match="upward closed"):
-        Filter(alg, frozenset({K}))
+        Filter(alg, mask_of({K}))
     with pytest.raises(Exception, match="nonempty"):
-        Filter(alg, frozenset())
+        Filter(alg, 0)
 
 
-@pytest.mark.parametrize("outside", [7, -1, 4])
+@pytest.mark.parametrize("outside", [7, 4])
 def test_filter_rejects_elements_outside_the_algebra(f2, outside):
     with pytest.raises(InconsistencyError, match=f"filter member {outside} is not an element id"):
-        Filter(f2.abstract, frozenset({H, outside}))
+        Filter(f2.abstract, mask_of({H, outside}))
+
+
+@pytest.mark.parametrize("mask", [-1, ~mask_of({H})])
+def test_filter_rejects_a_negative_mask(f2, mask):
+    with pytest.raises(InconsistencyError, match=f"^filter mask {mask} is negative$"):
+        Filter(f2.abstract, mask)
+
+
+def test_meet_closure_error_names_the_lexicographically_first_pair():
+    # The up-sets of 3 and 11 together: a frozenset of these ids
+    # iterates 11 first, so set order would name (11, 3).
+    alg = boolean_as_diffrest(4).abstract
+    mask = alg.up_masks[3] | alg.up_masks[11]
+    with pytest.raises(InconsistencyError, match=r"^\[3, 4, 11\] is not meet-closed at \(3, 11\)$"):
+        Filter(alg, mask)
+
+
+def test_filters_hash_without_hashing_the_algebra(monkeypatch):
+    def refuse(self):
+        raise AssertionError("FiniteAlgebra.__hash__ was called")
+
+    monkeypatch.setattr(FiniteAlgebra, "__hash__", refuse)
+    alg = boolean_as_diffrest(3).abstract
+    family = enumerate_filters(alg)
+    assert {f: i for i, f in enumerate(family.all_filters)}[family.all_filters[5]] == 5
+    pairs = 0
+    for a in range(alg.size):
+        forward, backward = ultrafilter_bijection(alg, a)
+        pairs += len(forward) + len(backward)
+    assert pairs > 0
 
 
 def test_ultrafilter_bijection_f2(f2):
     alg = f2.abstract
     forward, backward = ultrafilter_bijection(alg, H)
     assert len(forward) == len(backward) == 2
-    assert set(forward.values()) == {frozenset({K, H}), frozenset({M, H})}
+    assert set(forward.values()) == {mask_of({K, H}), mask_of({M, H})}
 
     forward, backward = ultrafilter_bijection(alg, K)
     assert len(forward) == 1
     mu, nu = next(iter(forward.items()))
-    assert mu.members == frozenset({K, H})
-    assert nu == frozenset({K})
+    assert mu.members == mask_of({K, H})
+    assert nu == mask_of({K})
 
 
 def test_ultrafilter_bijection_at_bottom(f2):
@@ -132,20 +166,20 @@ def test_ultrafilter_bijection_at_bottom(f2):
 def test_ultrafilter_bijection_at_atom(f4):
     alg = f4.abstract
     forward, backward = ultrafilter_bijection(alg, F)
-    assert list(forward.values()) == [frozenset({F})]
+    assert list(forward.values()) == [mask_of({F})]
 
 
 def test_extend_to_maximal(f2, f4):
     alg = f2.abstract
-    assert extend_to_maximal(members(alg, H)).members == frozenset({K, H})
+    assert extend_to_maximal(members(alg, H)).members == mask_of({K, H})
     for mu in maximal_filters(alg):
         assert extend_to_maximal(mu).members == mu.members
     alg4 = f4.abstract
-    assert extend_to_maximal(members(alg4, F)).members == frozenset({F})
+    assert extend_to_maximal(members(alg4, F)).members == mask_of({F})
 
 
 def test_extend_rejects_improper(f2):
-    full = Filter(f2.abstract, frozenset(range(4)))
+    full = Filter(f2.abstract, f2.abstract.all_mask)
     with pytest.raises(ImproperFilterError):
         extend_to_maximal(full)
 
@@ -192,13 +226,13 @@ def test_preorder_collapses_on_shared_upsets(f2, f3, f4):
         for f in family.all_filters:
             for g in family.all_filters:
                 if f.members & g.members:
-                    assert domhat_pair(alg, f, g) == (g.members <= f.members)
+                    assert domhat_pair(alg, f, g) == (not g.members & ~f.members)
 
 
 def test_below_full_filter_means_full(f2, f4):
     for conc in (f2, f4):
         alg = conc.abstract
-        full = Filter(alg, frozenset(range(alg.size)))
+        full = Filter(alg, alg.all_mask)
         for f in enumerate_filters(alg).all_filters:
             if domhat_pair(alg, f, full):
                 assert f.members == full.members

@@ -9,6 +9,7 @@ from conftest import F, G, H, K, M, make_f0, make_f1, make_f2, make_f3, make_f4
 from diffrest import (
     AxiomFailure,
     FiniteAlgebra,
+    InconsistencyError,
     PartialFunction,
     Representation,
     atomic_eta,
@@ -25,6 +26,8 @@ from diffrest import (
     principal_filter,
     verify_representation,
 )
+from diffrest.algebra import mask_of
+from diffrest.represent import _build
 import lemmas
 from lemmas import NonHomomorphismError, is_atomistic, verify_hom_restriction
 
@@ -264,3 +267,13 @@ def test_verify_hom_restriction_is_false_when_an_image_leaves_the_target_downset
         lambda alg, a: boolean_downset(alg, alg.zero if alg is target else a),
     )
     assert verify_hom_restriction(source, target, list(range(source.size)), H) is False
+
+
+def test_functionality_certificate_names_the_two_filters(f2):
+    # Two distinct maximal filters that share H, given as one class.
+    alg = f2.abstract
+    states = ((K, H), (M, H))
+    provider = lambda alg: ("filter", states, tuple(map(mask_of, states)), (0, 0))
+    expected = r"^equivalent maximal filters \{k, h\} and \{m, h\} share an element but differ$"
+    with pytest.raises(InconsistencyError, match=expected):
+        _build(alg, "canonical-theta", provider, injective=False)
