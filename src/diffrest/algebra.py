@@ -10,14 +10,15 @@ laws with deterministic first-counterexample witnesses.
 
 Each law is written once, as a pair of terms over minus, restrict, meet
 and 0, related by ``=`` or ``<=`` and optionally guarded by antecedents
-``x <= y``.  At import every law is compiled into a row scan: the
-variables but the last are fixed in lexicographic order, and both sides
-are computed as whole rows over the last variable.  Rows are byte
-strings, so reading one through a table row or column is a single
-``bytes.translate``, and comparing two is a ``memcmp``.  Only a row
-where the sides differ is walked element by element, so the witness is
-the lexicographically first counterexample among the assignments that
-satisfy the antecedents.
+``x <= y``.  At import every law is compiled into a row scan: both
+sides are computed as whole rows over one row variable, chosen so that
+no operation needs two rows where possible, and the other variables are
+fixed in lexicographic order.  Rows are byte strings, so reading one
+through a table row or column is a single ``bytes.translate``, and
+comparing two is a ``memcmp``.  Only a row where the sides differ is
+walked element by element, and failures are sorted where the loops
+meet them out of order, so the witness is the lexicographically first
+counterexample among the assignments that satisfy the antecedents.
 
 A downset is certified Boolean in O(k^2) by its atom map (the Stone
 representation); the O(k^3) battery of Boolean laws runs only when the
@@ -340,30 +341,61 @@ class LawTables:
         return tuple(bytes([b for b, m in zip(ids, meet[a]) if m == a]) for a in ids)
 
 
+def _shared(term: Term) -> tuple[set[str], set[str]]:
+    """The variables ``term`` reads, and those that some operation in it
+    reads through both operands."""
+    if isinstance(term, str):
+        return {term} - {"0"}, set()
+    (x, x_shared), (y, y_shared) = _shared(term[1]), _shared(term[2])
+    return x | y, x_shared | y_shared | x & y
+
+
+def _row_variable(law: Law) -> str:
+    """The variable a scan computes whole rows over: the latest one that
+    no operation reads through both operands (``x <= y`` being read as
+    ``x & y == x``) and that bounds no antecedent's up-set, else the
+    last."""
+    sides = (law.lhs, law.rhs) if law.relation == "=" else (("meet", law.lhs, law.rhs),)
+    barred = {x for x, _ in law.antecedents}.union(*(_shared(side)[1] for side in sides))
+    free = [v for v in law.varnames if v not in barred]
+    return free[-1] if free else law.varnames[-1]
+
+
 def _compile(law: Law) -> Callable[[LawTables], Iterator[tuple[int, ...]]]:
     """Compile ``law`` into a scan that yields every assignment breaking
     it, in lexicographic order.
 
-    The scan is Python source with one loop per variable but the last;
-    an antecedent ``x <= y`` makes y run over the up-set of x.  Inside,
-    each side is a whole row of values over the last variable, a
-    ``bytes`` string.  A row read through a table row (``op[x]``) or
-    column (``op_cols[x]``) is one ``translate``; an operation on two
-    rows is the pairwise gather ``op[x[i]][y[i]]`` over list rows.  A
-    row that does not depend on the innermost loop variable is computed
-    in the outer loop that fixes what it reads.  A row is walked element
-    by element only where the two sides differ.  A fixed left side x of
-    "<=" is tested by deleting up(x) from the right side's row."""
+    The scan is Python source with one loop per variable but the row
+    variable (``_row_variable``), in ``varnames`` order; an antecedent
+    ``x <= y`` makes y run over the up-set of x.  Inside, each side is a
+    whole row of values over the row variable, a ``bytes`` string.  A
+    row read through a table row (``op[x]``) or column (``op_cols[x]``)
+    is one ``translate``; an operation on two rows is the pairwise
+    gather ``op[x[i]][y[i]]`` over list rows, which the choice of row
+    variable avoids where it can.  A row that does not depend on the
+    innermost loop variable is computed in the outer loop that fixes
+    what it reads.  A row is walked element by element only where the
+    two sides differ.  A fixed left side x of "<=" is tested by deleting
+    up(x) from the right side's row.  When the row variable is not the
+    last, the failures found in the loops after it are sorted before
+    they are yielded, at the end of the loop over the next variable."""
     name = {v: f"v{i}" for i, v in enumerate(law.varnames)} | {"0": "zero"}
-    depth = {name[v]: i for i, v in enumerate(law.varnames, 1)} | {"zero": 0}
-    *fixed, last = law.varnames
+    row_var = _row_variable(law)
+    loops = [v for v in law.varnames if v != row_var]
+    depth = {name[v]: i for i, v in enumerate(loops, 1)} | {"zero": 0}
     above = {y: name[x] for x, y in law.antecedents}
     domain = {v: f"up_lists[{above[v]}]" if v in above else "everything" for v in law.varnames}
-    inner, at_dom = len(fixed), depth[above[last]] if last in above else 0
+    inner, at_dom = len(loops), depth[above[row_var]] if row_var in above else 0
     # block[d] runs at loop depth d, before the loops below it.
     block: list[list[str]] = [[] for _ in range(inner + 1)]
-    block[at_dom].append(f"dom = {domain[last]}")
+    block[at_dom].append(f"dom = {domain[row_var]}")
     named: dict[str, str] = {}
+    # Failures come out in order only if the row variable is the last.
+    at_sort = law.varnames.index(row_var)
+    witness = "(" + "".join(name[v] + ", " for v in law.varnames) + ")"
+    fail = f"yield {witness}" if at_sort == inner else f"found.append({witness})"
+    if at_sort < inner:
+        block[at_sort].append("found = []")
 
     def bind(source: str, at: int) -> str:
         """``source``, named in the block of depth ``at`` unless innermost."""
@@ -376,9 +408,9 @@ def _compile(law: Law) -> Callable[[LawTables], Iterator[tuple[int, ...]]]:
 
     def code(term: Term) -> tuple[str, int, bool]:
         """Source for ``term``, the depth where its value is known, and
-        whether it is a row over the last variable."""
+        whether it is a row over the row variable."""
         if isinstance(term, str):
-            if term == last:
+            if term == row_var:
                 return "dom", at_dom, True
             return name[term], depth[name[term]], False
         op, (x, x_at, x_row), (y, y_at, y_row) = term[0], code(term[1]), code(term[2])
@@ -396,14 +428,13 @@ def _compile(law: Law) -> Callable[[LawTables], Iterator[tuple[int, ...]]]:
         source, at, is_row = code(term)
         return source if is_row else bind(f"bytes(({source},)) * len(dom)", max(at, at_dom))
 
-    witness = "(" + "".join(name[v] + ", " for v in law.varnames) + ")"
     left, _, left_row = code(law.lhs)
     if law.relation == "<=" and not left_row:
         block[inner] += [
             f"q, low = {row(law.rhs)}, {left}",
             "if q.translate(None, up_lists[low]):",
-            f"    for {name[last]}, y in zip(dom, q):",
-            f"        if y not in up_lists[low]: yield {witness}",
+            f"    for {name[row_var]}, y in zip(dom, q):",
+            f"        if y not in up_lists[low]: {fail}",
         ]
     else:
         # x <= y holds where x & y == x.
@@ -411,14 +442,16 @@ def _compile(law: Law) -> Callable[[LawTables], Iterator[tuple[int, ...]]]:
         block[inner] += [
             f"p, q = {row(law.lhs)}, {row(right)}",
             "if p != q:",
-            f"    for {name[last]}, x, y in zip(dom, p, q):",
-            f"        if x != y: yield {witness}",
+            f"    for {name[row_var]}, x, y in zip(dom, p, q):",
+            f"        if x != y: {fail}",
         ]
     lines = []
     for d, lines_at_d in enumerate(block):
         if d:
-            lines.append("    " * d + f"for {name[fixed[d - 1]]} in {domain[fixed[d - 1]]}:")
+            lines.append("    " * d + f"for {name[loops[d - 1]]} in {domain[loops[d - 1]]}:")
         lines += ["    " * (d + 1) + line for line in lines_at_d]
+    if at_sort < inner:
+        lines.append("    " * (at_sort + 1) + "yield from sorted(found)")
     # The scan binds only the tables its loops read.
     local = {"zero": "t.zero", "everything": "t.everything", "up_lists": "t.up_lists"}
     for op in _OPS.values():

@@ -11,7 +11,7 @@ section mapping element ids to partial-function literals like
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import AlgebraError, FiniteAlgebra
 from .pfun import ConcreteAlgebra, PartialFunction, format_pf_literal
@@ -30,25 +30,23 @@ class ParseError(AlgebraError):
         super().__init__(f"line {line}, column {col}: {message}")
 
 
-@dataclass(frozen=True)
-class _Line:
+class _Line(NamedTuple):
     number: int
     raw: str
-    tokens: tuple[str, ...]
-    cols: tuple[int, ...]
+    tokens: list[str]
+
+    @property
+    def cols(self) -> list[int]:
+        """The column of each token, counted from 1; read only for errors."""
+        return [m.start() + 1 for m in re.finditer(r"\S+", self.raw.split("#", 1)[0])]
 
 
 def _lines(text: str) -> list[_Line]:
     out = []
     for number, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0]
-        tokens = []
-        cols = []
-        for match in re.finditer(r"\S+", body):
-            tokens.append(match.group())
-            cols.append(match.start() + 1)
-        if tokens:
-            out.append(_Line(number, raw, tuple(tokens), tuple(cols)))
+        # str.split() and \S+ agree on what whitespace is.
+        if tokens := raw.split("#", 1)[0].split():
+            out.append(_Line(number, raw, tokens))
     return out
 
 
@@ -73,8 +71,11 @@ def _parse_rows(lines: list[_Line], at: int, n: int, label: str) -> tuple[list[l
                 line.number,
                 line.cols[0],
             )
-        row = [_int_at(line, i, f"an integer in the {label} row") for i in range(n)]
-        rows.append(row)
+        try:
+            rows.append(list(map(int, line.tokens)))
+        except ValueError:
+            # Name the first entry that is not an integer.
+            rows.append([_int_at(line, i, f"an integer in the {label} row") for i in range(n)])
         at += 1
     return rows, at
 

@@ -214,16 +214,24 @@ def relabel(alg, sigma):
     return FiniteAlgebra.from_tables(minus, restrict)
 
 
+RELABEL_DRAWS = 1000
+
+
 def relabel_until(alg, seed, n_gens):
     """Shuffle the element ids with a seeded generator until the greedy
-    generating set has ``n_gens`` elements."""
+    generating set has ``n_gens`` elements, giving up after
+    ``RELABEL_DRAWS`` shuffles, so that a broken ``generating_set``
+    fails instead of hanging."""
     rng = random.Random(seed)
     sigma = list(range(alg.size))
-    while True:
+    for _ in range(RELABEL_DRAWS):
         rng.shuffle(sigma)
         out = relabel(alg, sigma)
         if len(generating_set(out)) == n_gens:
             return out
+    raise AssertionError(
+        f"no relabeling in {RELABEL_DRAWS} draws at seed {seed} has {n_gens} generators"
+    )
 
 
 def seed1_closure():
@@ -435,6 +443,11 @@ def test_generating_set_must_reach_every_element(f2):
     alg = f2.abstract
     with pytest.raises(InconsistencyError, match="failed to reach every element"):
         oracle._propagation_plan(alg, [alg.zero])
+
+
+def test_relabel_until_gives_up_naming_the_seed_and_the_count(f2):
+    with pytest.raises(AssertionError, match="in 1000 draws at seed 3 has 9 generators"):
+        relabel_until(f2.abstract, 3, 9)
 
 
 def test_seven_generator_relabeling_is_found_under_the_default_budget():

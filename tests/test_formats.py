@@ -134,3 +134,64 @@ def test_malformed_dictionary_is_a_partial_function_error(message):
 def test_names_roundtrip():
     alg = FiniteAlgebra.from_tables([[0]], [[0]], ["bottom"])
     assert parse_algebras(serialize_algebra(alg))[0].names == ("bottom",)
+
+
+# Exact positions of parse errors.  Columns count characters from 1, a
+# tab as one, and the text after ``#`` is never read.
+_F2_TABLES = "size 2\nminus\n0 0\n1 0\nrestrict\n0 0\n0 1\n"
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        # a non-integer in the middle of a minus row, after tabs, with a comment
+        (
+            "size 3\nminus\n0 0 0\n\t1 \t1x\t0  # 1 1 0\n",
+            "line 4, column 5: expected an integer in the minus row",
+        ),
+        # the same in a restrict row, where the comment holds a number too
+        (
+            "size 3\nminus\n0 0 0\n0 0 0\n0 0 0\nrestrict\n0 0 0\n  0\t0.5 0 #0\n",
+            "line 8, column 5: expected an integer in the restrict row",
+        ),
+        (
+            "size 3\nminus\n0 0 0\n0 0 -\t# x\n",
+            "line 4, column 5: expected an integer in the minus row",
+        ),
+        # a short row names its first token
+        (
+            "size 3\nminus\n0 0 0\n \t0 0  # 0\n",
+            "line 4, column 3: minus row has 2 entries, expected 3",
+        ),
+        (
+            "size 2\nminus\n0 0\n0 0\nrestrict\n0 0\n\n0 0 0\n",
+            "line 8, column 1: restrict row has 3 entries, expected 2",
+        ),
+        # a wrong element_names count names the keyword
+        (
+            _F2_TABLES + "  element_names k # 0\n",
+            "line 8, column 3: element_names lists 1 names, expected 2",
+        ),
+        # a missing token is placed after the end of the line, comment and all
+        ("size\t# 3\n", "line 1, column 9: expected the element count"),
+        # a bad dictionary id: out of range, repeated, not an integer
+        (
+            _F2_TABLES + "base 1\ndictionary\n0 {}\n\t 2 {}\n",
+            "line 11, column 3: bad dictionary id 2",
+        ),
+        (
+            _F2_TABLES + "base 1\ndictionary\n  1 {1->1}\n1 {}\n",
+            "line 11, column 1: bad dictionary id 1",
+        ),
+        (
+            _F2_TABLES + "base 1\ndictionary\n0 {}\n  x {}\n",
+            "line 11, column 3: expected an element id",
+        ),
+    ],
+)
+def test_parse_errors_name_line_and_column(text, where):
+    with pytest.raises(ParseError) as err:
+        parse_algebras(text)
+    assert str(err.value) == where
+    line, col = (int(s.split()[-1]) for s in where.split(":")[0].split(","))
+    assert (err.value.line, err.value.col) == (line, col)

@@ -22,15 +22,17 @@ from conftest import make_f0
 from test_embedding_search import relabel_until, seed1_closure
 from test_law_engine import EXTRA_LAWS, perturbed
 
-from diffrest import boolean_as_diffrest, check_subtraction_axioms
+from diffrest import FiniteAlgebra, boolean_as_diffrest, check_axioms, check_subtraction_axioms
 from diffrest.algebra import (
     _OPS,
+    AXIOM_LAWS,
     LAW_TABLE,
     SUBTRACTION_LAWS,
     Law,
     LawTables,
     Table,
     Term,
+    _row_variable,
     law_failures,
     mask_of,
     parse_law,
@@ -220,3 +222,63 @@ def test_same_failures_on_bare_minus_tables(perturbed_large):
         report = check_subtraction_axioms(alg.minus)
         assert [v.witness for v in report.verdicts] == [(f or [None])[0] for f in failures.values()]
     assert broken == {law.name for law in SUBTRACTION_LAWS}
+
+
+# ---------------------------------------------------------------------------
+# Row variables
+# ---------------------------------------------------------------------------
+
+# Only Ax.4 and meet-minus-disjoint move off their last variable.  Each
+# variable of restrict-meet-absorb is read through both operands of its
+# outer restrict, so it keeps its last variable and its pairwise gather.
+ROW_VARIABLES = {
+    "Ax.1": "b",
+    "Ax.2": "b",
+    "Ax.3": "c",
+    "Ax.4": "b",
+    "Ax.5": "b",
+    "meet-minus-disjoint": "a",
+    "minus-absorbs-meet": "b",
+    "meet-minus-assoc": "c",
+    "restrict-below": "b",
+    "restrict-assoc": "c",
+    "restrict-meet-absorb": "b",
+    "restrict-over-meet": "c",
+    "restrict-over-minus": "c",
+    "restrict-monotone": "d",
+}
+
+
+def test_row_variable_of_every_law():
+    assert {name: _row_variable(law) for name, law in LAW_TABLE.items()} == ROW_VARIABLES
+
+
+def test_only_restrict_meet_absorb_gathers_pairwise():
+    powerset = boolean_as_diffrest(6).abstract
+    gathering = set()
+    for law in LAW_TABLE.values():
+        tables = LawTables(powerset.minus, powerset.restrict)
+        assert list(law_failures(law, tables)) == []
+        if tables._lists:
+            gathering.add(law.name)
+    assert gathering == {"restrict-meet-absorb"}
+
+
+def test_axiom_scans_build_no_list_rows():
+    for alg in large_algebras():
+        fresh = FiniteAlgebra.from_tables(alg.minus, alg.restrict)
+        assert check_axioms(fresh).passed
+        assert fresh.tables._lists == {}
+
+
+def test_ax4_failures_come_out_sorted_across_the_loop_order():
+    # The 4-element powerset algebra with restrict[0][1] set to 1, not 0.
+    minus = ((0, 0, 0, 0), (1, 0, 0, 1), (2, 3, 0, 1), (3, 3, 0, 0))
+    restrict = ((0, 1, 0, 0), (0, 1, 1, 0), (0, 1, 2, 3), (0, 0, 3, 3))
+    expected = [(0, 1, 2), (0, 3, 1), (1, 3, 1), (3, 0, 1), (3, 1, 1)]
+    # The scan's loops fix a, then c, and meet (0, 3, 1), with b high and
+    # c low, before the lexicographically first failure (0, 1, 2).
+    assert min(expected, key=lambda w: (w[0], w[2], w[1])) == (0, 3, 1)
+    assert assert_same_failures(minus, restrict, AXIOM_LAWS)["Ax.4"] == expected
+    report = check_axioms(FiniteAlgebra.from_tables(minus, restrict))
+    assert report.verdict("Ax.4").witness == (0, 1, 2)
