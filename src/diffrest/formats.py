@@ -54,7 +54,7 @@ def _int_at(line: _Line, idx: int, what: str) -> int:
     try:
         return int(line.tokens[idx])
     except (IndexError, ValueError):
-        col = line.cols[idx] if idx < len(line.cols) else len(line.raw) + 1
+        col = line.cols[idx] if idx < len(line.tokens) else line.cols[-1] + len(line.tokens[-1])
         raise ParseError(f"expected {what}", line.number, col) from None
 
 

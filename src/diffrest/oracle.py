@@ -16,12 +16,14 @@ steps that derive each newly determined element from two known ones,
 and the remaining equations to check.  The search assigns one generator
 at a time and prunes the prefix at the first clash.  The plan only
 compares values, so the points are interchangeable: one trace per
-equality pattern is searched and its relabelings are counted and
-listed.  A second search covers the injectivity requirements with the
-traces.  A representation on fewer points extends to one on more points
-by padding the base, so exhausting the maximum base size decides
-non-representability up to that size.  The search prunes only with the
-tables, never with the laws or the filter theory it cross-checks.
+equality pattern is searched and its relabelings are only counted.  A
+second search covers the injectivity requirements with relabeled
+traces, merging at each node the sorted relabelings of just the traces
+that separate a pair still unseparated.  A representation on fewer
+points extends to one on more points by padding the base, so exhausting
+the maximum base size decides non-representability up to that size.
+The search prunes only with the tables, never with the laws or the
+filter theory it cross-checks.
 
 The model enumerator fills the minus table cell by cell and then, for
 each complete minus table, the restrict table.  After each cell it
@@ -38,8 +40,8 @@ follow.
 
 from __future__ import annotations
 
+import heapq
 import itertools
-import operator
 from dataclasses import dataclass, replace
 from functools import cache
 from typing import Iterator, Sequence
@@ -221,7 +223,7 @@ def _propagation_plan(alg: FiniteAlgebra, gens: Sequence[int]) -> tuple[_PlanLev
 def _columns_and_masks(
     alg: FiniteAlgebra, gens: Sequence[int], m: int, counter: list[int], limit: int
 ) -> tuple[list[tuple[int, ...]], list[int]]:
-    """Consistent point traces (element -> 0 or a value) and their masks.
+    """Canonical point traces (element -> 0 or a value) and their masks.
 
     Generators are assigned one at a time through the plan, and a clash
     prunes the prefix.  The plan only compares values with each other and
@@ -229,10 +231,9 @@ def _columns_and_masks(
     symmetry comes from the tables, not from the laws.  A free generator
     tries 0, the values in use and one fresh value, so one canonical trace
     per equality pattern is searched; ``counter`` still counts every value
-    the full search tries.  The traces come out as all relabelings of the
-    canonical ones, in lexicographic order of the generator values, and
-    share the canonical trace's mask, since a relabeling separates the
-    same pairs.
+    the full search tries.  Every relabeling of a trace (``_relabelings``)
+    is consistent too and shares its mask, since it separates the same
+    pairs.
     """
     plan = _propagation_plan(alg, gens)
     tau = [0] * alg.size
@@ -273,16 +274,17 @@ def _columns_and_masks(
                     assign(k + 1, v, copies * (m - used))
 
     assign(0, 0, 1)
-    trace_masks = _separation_masks(traces, alg.size, m)
-    points = range(1, m + 1)
-    relabeled = [
-        (tuple([sigma[v] for v in trace]), mask)
-        for trace, mask in zip(traces, trace_masks)
-        for sigma in map((0,).__add__, itertools.permutations(points, max(trace)))
-    ]
-    by_gens = operator.itemgetter(*gens)
-    relabeled.sort(key=lambda pair: by_gens(pair[0]))
-    return [col for col, _ in relabeled], [mask for _, mask in relabeled]
+    return traces, _separation_masks(traces, alg.size, m)
+
+
+def _relabelings(trace: tuple[int, ...], m: int) -> Iterator[tuple[int, ...]]:
+    """Every relabeling of the points of ``trace`` into 1..m, in
+    lexicographic order: ``permutations`` assigns the point images in the
+    order in which the values first appear along the element ids."""
+    rank = {v: i for i, v in enumerate(dict.fromkeys((0, *trace)))}
+    ranked = [rank[v] for v in trace]
+    for sigma in map((0,).__add__, itertools.permutations(range(1, m + 1), len(rank) - 1)):
+        yield tuple([sigma[v] for v in ranked])
 
 
 def _separation_masks(columns: list[tuple[int, ...]], n: int, m: int) -> list[int]:
@@ -324,7 +326,7 @@ def brute_force_embedding(
     all_pairs_mask = (1 << (n * (n - 1) // 2)) - 1
 
     try:
-        columns, sep_masks = _columns_and_masks(
+        traces, trace_masks = _columns_and_masks(
             alg, gens, m, counter, budget.node_limit
         )
     except _NodeLimit:
@@ -333,29 +335,24 @@ def brute_force_embedding(
         )
     trace_nodes = counter[0]
 
-    order = sorted(
-        range(len(columns)), key=lambda ci: (-sep_masks[ci].bit_count(), columns[ci])
-    )
+    # Columns are tried by descending mask popcount, then lexicographically.
+    by_count: dict[int, list[tuple[tuple[int, ...], int]]] = {}
     coverage = 0
-    for ci in order:
-        coverage |= sep_masks[ci]
+    for trace, mask in zip(traces, trace_masks):
+        by_count.setdefault(-mask.bit_count(), []).append((trace, mask))
+        coverage |= mask
+    groups = [group for _, group in sorted(by_count.items())]
 
-    bot = tuple([0] * n)
-    path: list[int] = []
+    path: list[tuple[int, ...]] = []
 
-    def build(found_path: list[int]) -> tuple[PartialFunction, ...]:
-        cols = [columns[ci] for ci in found_path]
-        cols += [bot] * (m - len(cols))
+    def build(cols: list[tuple[int, ...]]) -> tuple[PartialFunction, ...]:
         base = frozenset(range(1, m + 1))
-        assignment = []
-        for a in range(n):
-            graph = [
-                (p + 1, cols[p][a]) for p in range(m) if cols[p][a] != 0
-            ]
-            assignment.append(PartialFunction(base, graph))
-        return tuple(assignment)
+        return tuple(
+            PartialFunction(base, [(p, col[a]) for p, col in enumerate(cols, 1) if col[a]])
+            for a in range(n)
+        )
 
-    def dfs(depth: int, unseparated: int) -> list[int] | None:
+    def dfs(depth: int, unseparated: int) -> list[tuple[int, ...]] | None:
         counter[0] += 1
         if counter[0] > budget.node_limit:
             raise _NodeLimit
@@ -363,15 +360,19 @@ def brute_force_embedding(
             return list(path)
         if depth == m or unseparated & ~coverage:
             return None
-        for ci in order:
-            new = sep_masks[ci] & unseparated
-            if not new:
-                continue
-            path.append(ci)
-            result = dfs(depth + 1, unseparated & ~sep_masks[ci])
-            if result is not None:
-                return result
-            path.pop()
+        for group in groups:
+            # Only traces with new bits are opened.
+            streams = [
+                zip(_relabelings(trace, m), itertools.repeat(mask))
+                for trace, mask in group
+                if mask & unseparated
+            ]
+            for col, mask in heapq.merge(*streams):
+                path.append(col)
+                result = dfs(depth + 1, unseparated & ~mask)
+                if result is not None:
+                    return result
+                path.pop()
         return None
 
     try:

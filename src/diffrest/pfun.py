@@ -190,12 +190,6 @@ def _graphs_of(pairs, masks) -> list[Graph]:
     return [frozenset(pairs[i] for i in mask_iter(g)) for g in masks]
 
 
-def _close_graphs(seeds: Sequence[Graph], cap: int = SIZE_CAP) -> list[Graph]:
-    """The closure of ``seeds``, as graphs in discovery order."""
-    pairs, masks, _ = _close_masks(seeds, cap)
-    return _graphs_of(pairs, masks)
-
-
 def _tables_for(graphs: Sequence[Graph]) -> tuple[Table, Table]:
     pairs, masks, doms, _ = _pair_masks(graphs)
     return _tables_of(pairs, masks, doms)

@@ -29,6 +29,7 @@ from diffrest import (
 )
 from diffrest.algebra import (
     LAW_TABLE,
+    SIZE_CAP,
     Table,
     Term,
     _boolean_law_failure,
@@ -36,7 +37,7 @@ from diffrest.algebra import (
     mask_iter,
     mask_of,
 )
-from diffrest.pfun import _close_graphs, _tables_for
+from diffrest.pfun import _close_masks, _graphs_of, _tables_for
 
 
 class ImproperFilterError(AlgebraError):
@@ -52,6 +53,12 @@ class NonHomomorphismError(AlgebraError):
 # ---------------------------------------------------------------------------
 
 
+def close_graphs(seeds: Sequence[frozenset], cap: int = SIZE_CAP) -> list[frozenset]:
+    """The closure of ``seeds``, as graphs in discovery order."""
+    pairs, masks, _ = _close_masks(seeds, cap)
+    return _graphs_of(pairs, masks)
+
+
 def close_relations(
     base: Iterable[int], graphs: Sequence[Iterable[tuple[int, int]]]
 ) -> tuple[FiniteAlgebra, tuple[frozenset[tuple[int, int]], ...]]:
@@ -61,7 +68,7 @@ def close_relations(
     Functionality is never assumed: this is how non-functional inputs
     are turned into tables so the law checker can report on them.
     """
-    closed = _close_graphs([frozenset(g) for g in graphs])
+    closed = close_graphs([frozenset(g) for g in graphs])
     minus_t, restrict_t = _tables_for(closed)
     return FiniteAlgebra.from_tables(minus_t, restrict_t), tuple(closed)
 

@@ -10,13 +10,18 @@ tables.  ``reference_separation_masks`` is the pair walk that the
 row-shift masks replaced.  ``reference_generating_set`` is the greedy
 choice before its closure went semi-naive, kept verbatim: each round
 re-combines every pair of the closed set; it must choose the identical
-generators.  The search must return the identical columns
-in the identical order and the identical node count, and
-``brute_force_embedding`` the identical verdict and assignment.
+generators.  ``reference_expansion`` and ``reference_cover_search`` are
+the cover search before it went lazy, kept verbatim: every relabeling of
+every canonical trace is listed, sorted and walked by index.  The
+canonical traces, expanded, must give the identical columns in the
+identical order and the identical node count, and
+``brute_force_embedding`` the identical verdict, assignment and node
+counts, at every node limit.
 """
 
 import dataclasses
 import itertools
+import operator
 import random
 from typing import Sequence
 
@@ -25,8 +30,11 @@ import pytest
 from conftest import build_corpus, make_f0, make_f1, make_f2, make_f3, make_f4, make_n1
 
 from diffrest import (
+    EmbeddingResult,
     FiniteAlgebra,
     InconsistencyError,
+    PartialFunction,
+    Representation,
     SearchBudget,
     boolean_as_diffrest,
     brute_force_embedding,
@@ -35,15 +43,122 @@ from diffrest import (
     enumerate_axiom_models,
     generating_set,
     random_generators,
+    verify_representation,
 )
 from diffrest import oracle
 from diffrest.algebra import mask_iter
-from diffrest.oracle import _NodeLimit, _columns_and_masks, _propagation_plan
+from diffrest.oracle import _NodeLimit, _columns_and_masks, _propagation_plan, _relabelings
 
 
-def _valid_columns(*args) -> list[tuple[int, ...]]:
-    """The columns of the canonical trace search, without their masks."""
-    return _columns_and_masks(*args)[0]
+def _valid_columns(alg, gens, m, counter, limit) -> list[tuple[int, ...]]:
+    """Every relabeling of the canonical traces, sorted by generator
+    values, without their masks."""
+    return expanded_columns_and_masks(alg, gens, m, counter, limit)[0]
+
+
+def reference_expansion(traces, trace_masks, gens, m):
+    """The columns and masks that the search listed before its cover
+    search went lazy: all relabelings of the canonical traces, in
+    lexicographic order of the generator values, each with its trace's
+    mask."""
+    points = range(1, m + 1)
+    relabeled = [
+        (tuple([sigma[v] for v in trace]), mask)
+        for trace, mask in zip(traces, trace_masks)
+        for sigma in map((0,).__add__, itertools.permutations(points, max(trace)))
+    ]
+    by_gens = operator.itemgetter(*gens)
+    relabeled.sort(key=lambda pair: by_gens(pair[0]))
+    return [col for col, _ in relabeled], [mask for _, mask in relabeled]
+
+
+def expanded_columns_and_masks(alg, gens, m, counter, limit):
+    return reference_expansion(*_columns_and_masks(alg, gens, m, counter, limit), gens, m)
+
+
+def reference_cover_search(alg, budget, columns_and_masks=expanded_columns_and_masks):
+    """``brute_force_embedding`` with the index-based cover search it had
+    before it went lazy, kept verbatim: every listed column is sorted by
+    (-popcount of its mask, column) up front.  ``columns_and_masks``
+    lists the columns, by default the expansion of the canonical traces."""
+    n = alg.size
+    budget.check_algebra_size(n)
+    m = budget.max_base_size
+    gens = oracle.generating_set(alg)
+    counter = [0]
+    all_pairs_mask = (1 << (n * (n - 1) // 2)) - 1
+
+    try:
+        columns, sep_masks = columns_and_masks(
+            alg, gens, m, counter, budget.node_limit
+        )
+    except _NodeLimit:
+        return EmbeddingResult(
+            "inconclusive", None, m, counter[0], counter[0], budget.seed
+        )
+    trace_nodes = counter[0]
+
+    order = sorted(
+        range(len(columns)), key=lambda ci: (-sep_masks[ci].bit_count(), columns[ci])
+    )
+    coverage = 0
+    for ci in order:
+        coverage |= sep_masks[ci]
+
+    bot = tuple([0] * n)
+    path: list[int] = []
+
+    def build(found_path: list[int]) -> tuple[PartialFunction, ...]:
+        cols = [columns[ci] for ci in found_path]
+        cols += [bot] * (m - len(cols))
+        base = frozenset(range(1, m + 1))
+        assignment = []
+        for a in range(n):
+            graph = [
+                (p + 1, cols[p][a]) for p in range(m) if cols[p][a] != 0
+            ]
+            assignment.append(PartialFunction(base, graph))
+        return tuple(assignment)
+
+    def dfs(depth: int, unseparated: int) -> list[int] | None:
+        counter[0] += 1
+        if counter[0] > budget.node_limit:
+            raise _NodeLimit
+        if unseparated == 0:
+            return list(path)
+        if depth == m or unseparated & ~coverage:
+            return None
+        for ci in order:
+            new = sep_masks[ci] & unseparated
+            if not new:
+                continue
+            path.append(ci)
+            result = dfs(depth + 1, unseparated & ~sep_masks[ci])
+            if result is not None:
+                return result
+            path.pop()
+        return None
+
+    try:
+        solution = dfs(0, all_pairs_mask)
+    except _NodeLimit:
+        return EmbeddingResult(
+            "inconclusive", None, m, counter[0], trace_nodes, budget.seed
+        )
+
+    if solution is None:
+        return EmbeddingResult("none", None, m, counter[0], trace_nodes, budget.seed)
+
+    assignment = build(solution)
+    rep = Representation(alg, "external", tuple(range(1, m + 1)), assignment)
+    report = verify_representation(rep)
+    if not report.passed:
+        raise InconsistencyError(
+            f"search produced an assignment that fails verification: {report.failures[0]}"
+        )
+    return EmbeddingResult(
+        "found", assignment, m, counter[0], trace_nodes, budget.seed
+    )
 
 
 def reference_valid_columns(
@@ -289,16 +404,14 @@ def reference_columns_and_masks(alg, gens, m, counter, limit):
 
 
 def reference_embedding(alg, budget):
-    """``brute_force_embedding`` over the reference columns, masks and
-    node counter, with the unchanged cover search."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(oracle, "_columns_and_masks", reference_columns_and_masks)
-        return brute_force_embedding(alg, budget)
+    """The reference cover search over the reference columns, masks and
+    node counter."""
+    return reference_cover_search(alg, budget, reference_columns_and_masks)
 
 
 def assert_same_columns(alg):
-    """The new search gives the reference columns, node count and masks;
-    returns the columns."""
+    """The expanded canonical traces give the reference columns, node
+    count and masks; returns the columns."""
     gens = generating_set(alg)
     m = base_size(alg)
     expected = product_valid_columns(alg, gens, m, [0], 10**9)
@@ -307,15 +420,19 @@ def assert_same_columns(alg):
     assert outcome(_valid_columns, alg, gens, m) == want
     masks = reference_separation_masks(expected, alg.size, m)
     assert oracle._separation_masks(expected, alg.size, m) == masks
-    assert oracle._columns_and_masks(alg, gens, m, [0], 10**9) == (expected, masks)
+    traces, trace_masks = oracle._columns_and_masks(alg, gens, m, [0], 10**9)
+    assert trace_masks == reference_separation_masks(traces, alg.size, m)
+    assert reference_expansion(traces, trace_masks, gens, m) == (expected, masks)
     return expected
 
 
 def assert_same_as_reference(algebras, monkeypatch):
     """Columns, masks, verdict and assignment all match the old search.
 
-    The reference embedding runs the unchanged cover search over the
-    reference columns and pair-walk masks.  Returns the verdicts.
+    The reference embedding runs the index-based cover search over the
+    reference columns and pair-walk masks; the reference cover search
+    over the expanded canonical traces must give the identical result,
+    node counts included.  Returns the verdicts.
     """
     verdicts = []
     for alg in algebras:
@@ -324,10 +441,9 @@ def assert_same_as_reference(algebras, monkeypatch):
         budget = SearchBudget(max_base_size=m, node_limit=5_000_000)
         got = brute_force_embedding(alg, budget)
         masks = reference_separation_masks(expected, alg.size, m)
-        with monkeypatch.context() as patch:
-            patch.setattr(oracle, "_columns_and_masks", lambda *args: (expected, masks))
-            want = brute_force_embedding(alg, budget)
+        want = reference_cover_search(alg, budget, lambda *args: (expected, masks))
         assert (got.verdict, got.assignment) == (want.verdict, want.assignment)
+        assert got == reference_cover_search(alg, budget)
         assert 0 < got.trace_nodes < got.nodes
         verdicts.append(got.verdict)
     return verdicts
@@ -345,6 +461,59 @@ def test_search_matches_reference_on_acceptance_corpus(corpus, monkeypatch):
 
 def test_search_matches_reference_on_large_algebras(large, monkeypatch):
     assert assert_same_as_reference(large, monkeypatch) == ["found"] * 2
+
+
+def test_every_cover_cut_off_matches_the_reference(small):
+    # Each limit from one past the trace phase to the full count stops
+    # the cover search at a different node, or lets it finish.
+    for alg in small:
+        m = base_size(alg)
+        full = brute_force_embedding(alg, SearchBudget(max_base_size=m))
+        limits = range(full.trace_nodes + 1, full.nodes + 1)
+        outcomes = []
+        for limit in limits:
+            budget = SearchBudget(max_base_size=m, node_limit=limit)
+            got = brute_force_embedding(alg, budget)
+            assert got == reference_cover_search(alg, budget)
+            outcomes.append((got.verdict, got.nodes, got.trace_nodes))
+        cut = [("inconclusive", limit + 1, full.trace_nodes) for limit in limits[:-1]]
+        assert outcomes == [*cut, (full.verdict, full.nodes, full.trace_nodes)]
+
+
+def test_relabelings_come_out_sorted(small, corpus, large):
+    # The lazy merge reads each stream in order, so each must be the
+    # sorted set of all relabelings of its trace, with no repeats.
+    for alg in [*small, *corpus, *large]:
+        gens = generating_set(alg)
+        m = base_size(alg)
+        traces, _ = _columns_and_masks(alg, gens, m, [0], 10**9)
+        for trace in traces:
+            every = {
+                tuple([sigma[v] for v in trace])
+                for sigma in map((0,).__add__, itertools.permutations(range(1, m + 1), max(trace)))
+            }
+            assert list(_relabelings(trace, m)) == sorted(every)
+
+
+def test_cover_search_pulls_few_relabelings(large, monkeypatch):
+    # The seed-1 closure has 2,929 relabeled columns over 7 traces with
+    # 7 distinct masks; the cover search needs only the 7 it visits.
+    closure = large[1]
+    m = len(closure.order_atoms())
+    traces, masks = _columns_and_masks(closure, generating_set(closure), m, [0], 10**9)
+    assert (len(traces), len(set(masks))) == (7, 7)
+    assert sum(1 for trace in traces for _ in _relabelings(trace, m)) == 2_929
+    pulled = []
+
+    def counted(trace, m):
+        for col in _relabelings(trace, m):
+            pulled.append(col)
+            yield col
+
+    monkeypatch.setattr(oracle, "_relabelings", counted)
+    result = brute_force_embedding(closure, SearchBudget(max_base_size=m))
+    assert result.found and result.nodes - result.trace_nodes == 7
+    assert len(pulled) == 7
 
 
 def test_nodes_split_between_traces_and_cover(f2):

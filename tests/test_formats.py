@@ -172,8 +172,9 @@ _F2_TABLES = "size 2\nminus\n0 0\n1 0\nrestrict\n0 0\n0 1\n"
             _F2_TABLES + "  element_names k # 0\n",
             "line 8, column 3: element_names lists 1 names, expected 2",
         ),
-        # a missing token is placed after the end of the line, comment and all
-        ("size\t# 3\n", "line 1, column 9: expected the element count"),
+        # a missing token is placed just after the line's last token, not
+        # after its comment
+        ("size\t# 3\n", "line 1, column 5: expected the element count"),
         # a bad dictionary id: out of range, repeated, not an integer
         (
             _F2_TABLES + "base 1\ndictionary\n0 {}\n\t 2 {}\n",

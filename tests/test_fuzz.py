@@ -41,8 +41,7 @@ from diffrest import (
     serialize_concrete,
 )
 from diffrest.cli import main
-from diffrest.pfun import _close_graphs
-from lemmas import close_relations
+from lemmas import close_graphs, close_relations
 from test_embedding_search import _valid_columns, outcome, reference_valid_columns
 from test_certificates import assert_same_family, checked_filter, downset_verdicts
 from test_completeness_scan import assert_agrees_with_subset_scan
@@ -233,7 +232,7 @@ def test_mask_closure_matches_the_set_closure(drawn):
     points, seeds, functional, cap = drawn
     capped = () if cap is None else (cap,)
     want = closure_outcome(reference_close_graphs, seeds, *capped)
-    assert closure_outcome(_close_graphs, seeds, *capped) == want
+    assert closure_outcome(close_graphs, seeds, *capped) == want
     if cap is not None:
         return
     try:

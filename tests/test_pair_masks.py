@@ -13,6 +13,7 @@ verifier failure tuples must all be equal.
 import random
 
 from conftest import make_f0, make_f1, make_f2, make_f3, make_f4
+from lemmas import close_graphs
 from test_embedding_search import relabel_until
 
 from diffrest import (
@@ -28,8 +29,9 @@ from diffrest import (
     random_generators,
     verify_representation,
 )
+from diffrest import pfun, represent
 from diffrest.algebra import SIZE_CAP, SizeCapError
-from diffrest.pfun import NotClosedError, _close_graphs, _tables_for
+from diffrest.pfun import NotClosedError, _tables_for
 from diffrest.represent import VerificationFailure
 
 CONSTRUCTIONS = (canonical_theta, injective_eta, atomic_theta, atomic_eta)
@@ -223,9 +225,9 @@ def assert_closures_agree(graphs, rng):
     drawn = rng.sample(graphs, min(3, len(graphs)))
     for seeds in (graphs[:1], graphs[:3], graphs[::-1][:2], drawn):
         closed = reference_close_graphs(seeds)
-        assert _close_graphs(seeds) == closed
+        assert close_graphs(seeds) == closed
         short = max(len(closed) - 1, 1)
-        assert outcome(_close_graphs, seeds, short) == outcome(reference_close_graphs, seeds, short)
+        assert outcome(close_graphs, seeds, short) == outcome(reference_close_graphs, seeds, short)
     not_closed = 0
     for listed in (graphs, graphs[:-1], [*graphs, frozenset({(-1, -1)})]):
         got = outcome(_tables_for, listed)
@@ -271,3 +273,28 @@ def test_mask_paths_match_the_set_paths_on_the_large_algebras():
     powerset = boolean_as_diffrest(6)
     large = [powerset.abstract, relabel_until(closure.abstract, 1, 5)]
     check_algebras(large, [powerset, closure])
+
+
+def test_a_passing_verification_derives_the_tables_once(monkeypatch):
+    # The image certificate indexes the pairs and derives both tables;
+    # the pair walk, which would index them again, runs only on failure.
+    calls = {"_tables_of": 0, "_pair_masks": 0}
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(pfun, "_tables_of")
+    counted(pfun, "_pair_masks")
+    monkeypatch.setattr(represent, "_pair_masks", pfun._pair_masks)
+    for alg in [make_f0()] + [make().abstract for make in (make_f1, make_f2, make_f3, make_f4)]:
+        for build in CONSTRUCTIONS:
+            rep = build(alg)
+            calls.update(dict.fromkeys(calls, 0))
+            assert verify_representation(rep).passed
+            assert calls == {"_tables_of": 1, "_pair_masks": 1}
