@@ -11,14 +11,17 @@ laws with deterministic first-counterexample witnesses.
 Each law is written once, as a pair of terms over minus, restrict, meet
 and 0, related by ``=`` or ``<=`` and optionally guarded by antecedents
 ``x <= y``.  At import every law is compiled into a row scan: both
-sides are computed as whole rows over one row variable, chosen so that
-no operation needs two rows where possible, and the other variables are
-fixed in lexicographic order.  Rows are byte strings, so reading one
-through a table row or column is a single ``bytes.translate``, and
-comparing two is a ``memcmp``.  Only a row where the sides differ is
-walked element by element, and failures are sorted where the loops
-meet them out of order, so the witness is the lexicographically first
-counterexample among the assignments that satisfy the antecedents.
+sides are computed as whole rows over two row variables where that
+costs no more (one where every pair would mix rows of two widths),
+and the other variables are fixed by loops.  A row over two variables
+is the rows over the inner one, one per value of the outer one, joined
+into one byte string, so a four-variable law runs two loops.  Rows are
+byte strings, so reading one through a table row or column is a single
+``bytes.translate``, and comparing two is a ``memcmp``.  Only a row
+where the sides differ is walked element by element, and failures are
+sorted where the loops meet them out of order, so the witness is the
+lexicographically first counterexample among the assignments that
+satisfy the antecedents.
 
 A downset is certified Boolean in O(k^2) by its atom map (the Stone
 representation); the O(k^3) battery of Boolean laws runs only when the
@@ -34,6 +37,7 @@ import ast
 import re
 from dataclasses import dataclass
 from functools import cached_property, wraps
+from itertools import product
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 SIZE_CAP = 64
@@ -76,6 +80,11 @@ class AxiomFailure(AlgebraError):
 
 def _freeze_table(table: Sequence[Sequence[int]]) -> Table:
     return tuple(tuple(row) for row in table)
+
+
+def _check_size(n: int) -> None:
+    if n > SIZE_CAP:
+        raise SizeCapError(f"size {n} exceeds the cap of {SIZE_CAP} elements")
 
 
 def _check_square(n: int, **tables: Table) -> None:
@@ -132,8 +141,7 @@ class FiniteAlgebra:
         n = len(minus_t)
         if n == 0:
             raise TableError("algebras are nonempty: need at least one element")
-        if n > SIZE_CAP:
-            raise SizeCapError(f"size {n} exceeds the cap of {SIZE_CAP} elements")
+        _check_size(n)
         _check_square(n, minus=minus_t, restrict=restrict_t)
         zero = minus_t[0][0]
         for a in range(n):
@@ -176,7 +184,7 @@ class FiniteAlgebra:
     @cached_property
     def meet_table(self) -> Table:
         """meet_table[a][b] = meet(a, b)."""
-        return tuple(tuple(row[: self.size]) for row in self.tables.rows["meet"])
+        return tuple(tuple(row[: self.size]) for row in self.tables["meet"])
 
     @cached_property
     def down_masks(self) -> tuple[int, ...]:
@@ -301,101 +309,144 @@ DERIVED_LAWS: tuple[Law, ...] = (
 LAW_TABLE: dict[str, Law] = {law.name: law for law in AXIOM_LAWS + DERIVED_LAWS}
 
 
-class LawTables:
-    """What law scans read: each operation's rows and columns (meet
-    derived from minus), and the element order as up-sets.
+class LawTables(dict):
+    """What law scans read, by the names the scans read them under; the
+    tables of an operation are built when one of them is first read,
+    meet's from minus.
 
-    A row or column is a ``bytes`` string padded to 256 bytes, so it is
-    also the translation table that gathers it: ``ids.translate(row)``
-    is ``bytes(row[i] for i in ids)`` in one C call.  Element ids are
-    below ``SIZE_CAP``, so they fit in a byte; the padding is never
-    read."""
+    ``t[op]`` and ``t[op + "_cols"]`` are the rows and columns of an
+    operation as ``bytes`` strings padded to 256 bytes, so each is also
+    the translation table that gathers it: ``ids.translate(row)`` is
+    ``bytes(row[i] for i in ids)`` in one C call.  Element ids are below
+    ``SIZE_CAP``, so they fit in a byte; the padding is never read.
+    ``t[op + "_flat"]`` is the table as one string, row after row, and
+    ``t[op + "_cols_flat"]`` column after column.  ``up_lists`` is the
+    element order as up-sets."""
 
     def __init__(self, minus: Table, restrict: Table | None = None):
-        n = len(minus)
-        pad = bytes(256 - n)
-        self.zero, self.everything = minus[0][0], bytes(range(n))
-        self.rows = {"minus": [bytes(row) + pad for row in minus]}
-        # meet(a, b) = a - (a - b): row a of minus read through itself.
-        self.rows["meet"] = [row.translate(row) for row in self.rows["minus"]]
-        square = {"minus": minus, "meet": [row[:n] for row in self.rows["meet"]]}
+        self.zero, self.everything = minus[0][0], bytes(range(len(minus)))
+        self.square = {"minus": minus}
         if restrict is not None:
-            self.rows["restrict"] = [bytes(row) + pad for row in restrict]
-            square["restrict"] = restrict
-        self.cols = {op: [bytes(col) + pad for col in zip(*t)] for op, t in square.items()}
-        self._lists: dict[str, list[list[int]]] = {}
+            self.square["restrict"] = restrict
 
-    def lists(self, op: str) -> list[list[int]]:
-        """The rows of ``op`` as lists, built on first use, for the
-        pairwise gather ``op[x[i]][y[i]]``: through ``map``, indexing a
-        list is about twice as fast as indexing bytes."""
-        if op not in self._lists:
-            n = len(self.everything)
-            self._lists[op] = [list(row[:n]) for row in self.rows[op]]
-        return self._lists[op]
+    def __missing__(self, name: str):
+        op, _, kind = name.partition("_")
+        if kind == "cols_flat":
+            self[name] = b"".join(map(self.everything.translate, self[f"{op}_cols"]))
+        elif kind in ("", "cols", "flat"):
+            pad = bytes(256 - len(self.everything))
+            if op == "meet":
+                # meet(a, b) = a - (a - b): row a of minus read through itself.
+                minus = self["minus"]
+                rows = list(map(bytes.translate, minus, minus))
+                lines = list(map(self.everything.translate, rows))
+            else:
+                lines = list(map(bytes, self.square[op]))
+                rows = [line + pad for line in lines]
+            self[op], self[f"{op}_cols"] = rows, [bytes(col) + pad for col in zip(*lines)]
+            self[f"{op}_flat"] = b"".join(lines)
+        if name not in self:
+            raise KeyError(name)
+        return self[name]
 
     @cached_property
     def up_lists(self) -> tuple[bytes, ...]:
         """up_lists[a] = the b with a <= b, ascending."""
-        ids, meet = self.everything, self.rows["meet"]
+        ids, meet = self.everything, self["meet"]
         return tuple(bytes([b for b, m in zip(ids, meet[a]) if m == a]) for a in ids)
 
 
-def _shared(term: Term) -> tuple[set[str], set[str]]:
-    """The variables ``term`` reads, and those that some operation in it
-    reads through both operands."""
+def _reads(term: Term, operations: list) -> frozenset[str]:
+    """The variables ``term`` reads.  Appends each operation in it, inner
+    first, as (variables of the left operand, of the right, operands)."""
     if isinstance(term, str):
-        return {term} - {"0"}, set()
-    (x, x_shared), (y, y_shared) = _shared(term[1]), _shared(term[2])
-    return x | y, x_shared | y_shared | x & y
+        return frozenset(() if term == "0" else (term,))
+    x, y = _reads(term[1], operations), _reads(term[2], operations)
+    operations.append((x, y, term[1:]))
+    return x | y
 
 
-def _row_variable(law: Law) -> str:
-    """The variable a scan computes whole rows over: the latest one that
-    no operation reads through both operands (``x <= y`` being read as
-    ``x & y == x``) and that bounds no antecedent's up-set, else the
-    last."""
-    sides = (law.lhs, law.rhs) if law.relation == "=" else (("meet", law.lhs, law.rhs),)
-    barred = {x for x, _ in law.antecedents}.union(*(_shared(side)[1] for side in sides))
-    free = [v for v in law.varnames if v not in barred]
-    return free[-1] if free else law.varnames[-1]
+def _row_cost(operations: list, sides: list, rows: tuple[str, ...]) -> tuple | None:
+    """What a scan with rows over ``rows`` (outer first) pays beyond one
+    C call per row: the pairwise gathers over whole rows, whether it has
+    one row variable, and the steps that make one call per outer value.
+    None if it would need a step that ``_compile`` lacks: an operation
+    between rows over different but overlapping row variables, or a side
+    over one of two row variables alone."""
+    full = set(rows)
+    gathers = per_value = 0
+    for x, y, operands in operations:
+        x, y = x & full, y & full
+        if x & y:
+            if x != y:
+                return None
+            gathers += x == full
+            per_value += x != full
+        elif x and y:
+            # One call per outer value, unless the inner operand is the
+            # inner variable itself.
+            per_value += rows[-1] not in operands
+    if any(side & full not in (set(), full) for side in sides):
+        return None
+    return gathers, len(rows) == 1, per_value
 
 
-def _compile(law: Law) -> Callable[[LawTables], Iterator[tuple[int, ...]]]:
-    """Compile ``law`` into a scan that yields every assignment breaking
-    it, in lexicographic order.
+def _row_variables(law: Law) -> tuple[str, ...]:
+    """The variables a scan computes rows over, outer first: of those
+    that bound no antecedent's up-set, the pair or the single one that
+    costs least (``_row_cost``), later variables first on ties; the last
+    variable if every variable bounds an up-set."""
+    operations: list = []
+    right = law.rhs if law.relation == "=" else ("meet", law.lhs, law.rhs)
+    sides = [_reads(law.lhs, operations), _reads(right, operations)]
+    free = [v for v in law.varnames[::-1] if v not in {x for x, _ in law.antecedents}]
+    best = None
+    for rows in [(x, y) for y in free for x in free if x != y] + [(v,) for v in free]:
+        cost = _row_cost(operations, sides, rows)
+        if cost and (best is None or cost < best[0]):
+            best = cost, rows
+            if cost[0] == cost[2] == 0:
+                break  # nothing later costs less
+    return best[1] if best else law.varnames[-1:]
 
-    The scan is Python source with one loop per variable but the row
-    variable (``_row_variable``), in ``varnames`` order; an antecedent
-    ``x <= y`` makes y run over the up-set of x.  Inside, each side is a
-    whole row of values over the row variable, a ``bytes`` string.  A
-    row read through a table row (``op[x]``) or column (``op_cols[x]``)
-    is one ``translate``; an operation on two rows is the pairwise
-    gather ``op[x[i]][y[i]]`` over list rows, which the choice of row
-    variable avoids where it can.  A row that does not depend on the
-    innermost loop variable is computed in the outer loop that fixes
-    what it reads.  A row is walked element by element only where the
-    two sides differ.  A fixed left side x of "<=" is tested by deleting
-    up(x) from the right side's row.  When the row variable is not the
-    last, the failures found in the loops after it are sorted before
-    they are yielded, at the end of the loop over the next variable."""
+
+_TABLE_NAMES = {op + kind for op in _OPS.values() for kind in ("", "_cols", "_flat", "_cols_flat")}
+
+
+def _source(law: Law) -> str:
+    """The source of the scan of ``law`` (see ``_compile``)."""
     name = {v: f"v{i}" for i, v in enumerate(law.varnames)} | {"0": "zero"}
-    row_var = _row_variable(law)
-    loops = [v for v in law.varnames if v != row_var]
+    rows = _row_variables(law)
+    above = {y: x for x, y in law.antecedents}
+    first, v = set(), rows[-1]
+    while v in above:
+        v = above[v]
+        first.add(v)
+    loops = sorted((v for v in law.varnames if v not in rows), key=lambda v: v not in first)
     depth = {name[v]: i for i, v in enumerate(loops, 1)} | {"zero": 0}
-    above = {y: name[x] for x, y in law.antecedents}
-    domain = {v: f"up_lists[{above[v]}]" if v in above else "everything" for v in law.varnames}
-    inner, at_dom = len(loops), depth[above[row_var]] if row_var in above else 0
+    domain = {v: "everything" for v in law.varnames}
+    domain |= {y: f"up_lists[{name[x]}]" for y, x in above.items()}
+    inner = len(loops)
     # block[d] runs at loop depth d, before the loops below it.
     block: list[list[str]] = [[] for _ in range(inner + 1)]
-    block[at_dom].append(f"dom = {domain[row_var]}")
-    named: dict[str, str] = {}
-    # Failures come out in order only if the row variable is the last.
-    at_sort = law.varnames.index(row_var)
+    # A value's kind has bit 1 set if it is a row over the outer row
+    # variable and bit 2 if over the inner one; raw[k - 1] is the row of
+    # the values of the kth row variable itself.
+    dom = {}
+    for kind, v in enumerate(rows, 1):
+        at = depth[name[above[v]]] if v in above else 0
+        dom[v] = f"dom{kind}" if v in above else "everything", at, kind
+        if v in above:
+            block[at].append(f"dom{kind} = {domain[v]}")
+    raw, dom_at, _ = zip(*dom.values())
+    at_full = max(dom_at)
+    order = loops + list(rows)
+    at_sort = next((d for d, (x, y) in enumerate(zip(order, law.varnames)) if x != y), None)
     witness = "(" + "".join(name[v] + ", " for v in law.varnames) + ")"
-    fail = f"yield {witness}" if at_sort == inner else f"found.append({witness})"
-    if at_sort < inner:
+    fail = f"yield {witness}" if at_sort is None else f"found.append({witness})"
+    if at_sort is not None:
         block[at_sort].append("found = []")
+    named: dict[str, str] = {}
 
     def bind(source: str, at: int) -> str:
         """``source``, named in the block of depth ``at`` unless innermost."""
@@ -406,34 +457,52 @@ def _compile(law: Law) -> Callable[[LawTables], Iterator[tuple[int, ...]]]:
             block[at].append(f"{named[source]} = {source}")
         return named[source]
 
-    def code(term: Term) -> tuple[str, int, bool]:
-        """Source for ``term``, the depth where its value is known, and
-        whether it is a row over the row variable."""
+    def code(term: Term) -> tuple[str, int, int]:
+        """Source for ``term``, the depth where its value is known, and its kind."""
         if isinstance(term, str):
-            if term == row_var:
-                return "dom", at_dom, True
-            return name[term], depth[name[term]], False
-        op, (x, x_at, x_row), (y, y_at, y_row) = term[0], code(term[1]), code(term[2])
+            return dom[term] if term in dom else (name[term], depth[name[term]], 0)
+        op, (x, x_at, xk), (y, y_at, yk) = term[0], code(term[1]), code(term[2])
         at = max(x_at, y_at)
-        if not (x_row or y_row):
-            return f"{op}[{x}][{y}]", at, False
-        if x_row and y_row:
-            rows = f"map({op}_lists.__getitem__, {x})"
-            rows = rows if x_at == inner else bind(f"list({rows})", x_at)
-            return bind(f"bytes(map(list.__getitem__, {rows}, {y}))", at), at, True
-        line, values = (f"{op}[{x}]", y) if y_row else (f"{op}_cols[{y}]", x)
-        return bind(f"{values}.translate({line})", at), at, True
+        if not (xk or yk):
+            return f"{op}[{x}][{y}]", at, 0
+        if not xk:
+            return bind(f"{y}.translate({op}[{x}])", at), at, yk
+        if not yk:
+            return bind(f"{x}.translate({op}_cols[{y}])", at), at, xk
+        if xk | yk == 3 and not xk & yk:
+            # The operand over the outer variable picks the lines it reads.
+            (outer, other), lines = ((x, y), op) if xk == 1 else ((y, x), f"{op}_cols")
+            every = outer == raw[0] == "everything"
+            if other != raw[1]:
+                picked = lines if every else f"map({lines}.__getitem__, {outer})"
+                return bind(f'b"".join(map({other}.translate, {picked}))', at), at, 3
+            if every and raw[1] == "everything":
+                return f"{lines}_flat", 0, 3
+            inner_lines = bind(f"list(map({raw[1]}.translate, {lines}))", dom_at[1])
+            return bind(f'b"".join(map({inner_lines}.__getitem__, {outer}))', at), at, 3
+        # Through map, indexing a list is about twice as fast as bytes.
+        lists = bind(f"list(map(list, map(everything.translate, {op})))", 0)
+        lists = f"map({lists}.__getitem__, {x})"
+        lists = lists if x_at == inner else bind(f"list({lists})", x_at)
+        return bind(f"bytes(map(list.__getitem__, {lists}, {y}))", at), at, xk | yk
 
     def row(term: Term) -> str:
-        source, at, is_row = code(term)
-        return source if is_row else bind(f"bytes(({source},)) * len(dom)", max(at, at_dom))
+        """``term`` as a row over every row variable."""
+        source, at, kind = code(term)
+        if kind:
+            return source
+        sizes = "".join(f" * len({r})" for r in raw)
+        return bind(f"bytes(({source},)){sizes}", max(at, at_full))
 
-    left, _, left_row = code(law.lhs)
-    if law.relation == "<=" and not left_row:
+    left, _, left_kind = code(law.lhs)
+    cells = f"product({raw[0]}, {raw[1]})" if len(rows) == 2 else raw[0]
+    target = ", ".join(name[v] for v in rows)
+    target = f"({target})" if len(rows) == 2 else target
+    if law.relation == "<=" and not left_kind:
         block[inner] += [
             f"q, low = {row(law.rhs)}, {left}",
             "if q.translate(None, up_lists[low]):",
-            f"    for {name[row_var]}, y in zip(dom, q):",
+            f"    for {target}, y in zip({cells}, q):",
             f"        if y not in up_lists[low]: {fail}",
         ]
     else:
@@ -442,7 +511,7 @@ def _compile(law: Law) -> Callable[[LawTables], Iterator[tuple[int, ...]]]:
         block[inner] += [
             f"p, q = {row(law.lhs)}, {row(right)}",
             "if p != q:",
-            f"    for {name[row_var]}, x, y in zip(dom, p, q):",
+            f"    for {target}, x, y in zip({cells}, p, q):",
             f"        if x != y: {fail}",
         ]
     lines = []
@@ -450,17 +519,43 @@ def _compile(law: Law) -> Callable[[LawTables], Iterator[tuple[int, ...]]]:
         if d:
             lines.append("    " * d + f"for {name[loops[d - 1]]} in {domain[loops[d - 1]]}:")
         lines += ["    " * (d + 1) + line for line in lines_at_d]
-    if at_sort < inner:
+    if at_sort is not None:
         lines.append("    " * (at_sort + 1) + "yield from sorted(found)")
     # The scan binds only the tables its loops read.
-    local = {"zero": "t.zero", "everything": "t.everything", "up_lists": "t.up_lists"}
-    for op in _OPS.values():
-        local |= {op: f"t.rows[{op!r}]", f"{op}_cols": f"t.cols[{op!r}]"}
-        local |= {f"{op}_lists": f"t.lists({op!r})"}
     words = set(re.findall(r"\w+", "\n".join(lines)))
-    lines[:0] = [f"    {k} = {v}" for k, v in local.items() if k in words]
-    namespace: dict = {}
-    exec(compile("def scan(t):\n" + "\n".join(lines), f"<law {law.name}>", "exec"), namespace)
+    lines[:0] = [f"    {k} = t.{k}" for k in ("zero", "everything", "up_lists") if k in words]
+    lines[:0] = [f"    {k} = t[{k!r}]" for k in sorted(words & _TABLE_NAMES)]
+    return "def scan(t):\n" + "\n".join(lines)
+
+
+def _compile(law: Law) -> Callable[[LawTables], Iterator[tuple[int, ...]]]:
+    """Compile ``law`` into a scan that yields every assignment breaking
+    it, in lexicographic order.
+
+    The scan is Python source with one loop per variable but the row
+    variables (``_row_variables``), in ``varnames`` order except that
+    the loops the inner row's up-set hangs from run first; an antecedent
+    ``x <= y`` makes y run over the up-set of x.  Inside, each side is
+    one row of values over the row variables, a ``bytes`` string; over
+    two of them it is the rows over the inner variable, one per value
+    of the outer one, joined, the outer's rows all of one length.  An
+    operation with a fixed operand reads the row through a table row
+    (``op[x]``) or column (``op_cols[x]``): one ``translate``, whatever
+    the row's width.  An operation between a row over the outer variable
+    and one over the inner variable joins one row per outer value:
+    ``flat[lines]`` when both are the bare variables over every element,
+    the inner variable's own lines when it is bare, else one
+    ``translate`` each.  Operations between two rows over the same
+    variables gather pairwise (``op[x[i]][y[i]]``), which the choice of
+    row variables avoids where it can.  A row that does not depend on
+    the innermost loop variable is computed in the outer loop that
+    fixes what it reads.  A row is walked element by element only where
+    the two sides differ.  A fixed left side x of "<=" is tested by
+    deleting up(x) from the right side's row.  Where the loops and rows
+    do not run in ``varnames`` order, the failures met past the point
+    where they stop doing so are sorted before they are yielded."""
+    namespace: dict = {"product": product}
+    exec(compile(_source(law), f"<law {law.name}>", "exec"), namespace)
     return namespace["scan"]
 
 
@@ -507,11 +602,16 @@ class AxiomReport:
         raise KeyError(law)
 
 
+# A passing verdict names only its law, so one value serves every algebra.
+_PASSED = {name: LawVerdict(name, True, None) for name in LAW_TABLE}
+
+
 def _scan_laws(t: LawTables, laws: Sequence[Law]) -> AxiomReport:
     verdicts = []
     for law in laws:
         witness = next(law_failures(law, t), None)
-        verdicts.append(LawVerdict(law.name, witness is None, witness))
+        passed = witness is None and _PASSED.get(law.name)
+        verdicts.append(passed or LawVerdict(law.name, witness is None, witness))
     return AxiomReport(tuple(verdicts))
 
 
@@ -541,6 +641,7 @@ def check_subtraction_axioms(minus: Sequence[Sequence[int]]) -> AxiomReport:
     n = len(minus_t)
     if n == 0:
         raise TableError("a minus table needs at least one element")
+    _check_size(n)
     _check_square(n, minus=minus_t)
     return _scan_laws(LawTables(minus_t), SUBTRACTION_LAWS)
 
@@ -632,6 +733,13 @@ class DomainQuotient:
         return self.class_of[self.parent.zero]
 
 
+def _first_difference(p: bytes, q: bytes) -> int | None:
+    """The first index where ``p`` and ``q`` differ, or None if they are equal."""
+    if p == q:
+        return None
+    return next(i for i, (x, y) in enumerate(zip(p, q)) if x != y)
+
+
 @per_algebra
 def domain_quotient(alg: FiniteAlgebra) -> DomainQuotient:
     """Partition elements by domain equality and build the class tables.
@@ -656,44 +764,46 @@ def domain_quotient(alg: FiniteAlgebra) -> DomainQuotient:
     class_rep = tuple(reps)
     k = len(reps)
 
-    meet_t = tuple(
-        tuple(class_of[alg.restrict[class_rep[i]][class_rep[j]]] for j in range(k))
-        for i in range(k)
-    )
-    qminus_t = tuple(
-        tuple(
-            class_of[
-                alg.minus[class_rep[i]][alg.restrict[class_rep[j]][class_rep[i]]]
-            ]
-            for j in range(k)
-        )
-        for i in range(k)
-    )
+    # Class tables as rows of bytes: meet[i][j] is the class of
+    # rep_i |> rep_j, qminus[i][j] that of rep_i - (rep_j |> rep_i).
+    t, classes, reps_b = alg.tables, bytes(class_of), bytes(class_rep)
+    to_class = classes + bytes(256 - n)
+    meet_rows = [reps_b.translate(t["restrict"][r]).translate(to_class) for r in reps_b]
+    qminus_rows = [
+        reps_b.translate(t["restrict_cols"][r]).translate(t["minus"][r]).translate(to_class)
+        for r in reps_b
+    ]
+    meet_t, qminus_t = tuple(map(tuple, meet_rows)), tuple(map(tuple, qminus_rows))
 
     # Well-definedness: the tables must not depend on the representatives.
-    for a in range(n):
-        for b in range(n):
-            if class_of[alg.restrict[a][b]] != meet_t[class_of[a]][class_of[b]]:
-                raise InconsistencyError(
-                    f"class meet not well defined at elements ({a}, {b})"
-                )
-            expect = class_of[alg.minus[a][alg.restrict[b][a]]]
-            if expect != qminus_t[class_of[a]][class_of[b]]:
-                raise InconsistencyError(
-                    f"class complement not well defined at elements ({a}, {b})"
-                )
+    # Row a of each side over all b, joined; the class tables are read
+    # at (class of a, class of b).
+    def lifted(rows: list[bytes]) -> bytes:
+        lines = [row + bytes(256 - k) for row in rows]
+        return b"".join(map(classes.translate, map(lines.__getitem__, classes)))
 
-    sub_report = check_subtraction_axioms(qminus_t)
+    meets = t["restrict_flat"].translate(to_class)
+    cols = map(t.everything.translate, t["restrict_cols"])
+    complements = b"".join(map(bytes.translate, cols, t["minus"]))
+    bad_meet = _first_difference(meets, lifted(meet_rows))
+    bad_complement = _first_difference(complements.translate(to_class), lifted(qminus_rows))
+    if bad_meet is not None and (bad_complement is None or bad_meet <= bad_complement):
+        a, b = divmod(bad_meet, n)
+        raise InconsistencyError(f"class meet not well defined at elements ({a}, {b})")
+    if bad_complement is not None:
+        a, b = divmod(bad_complement, n)
+        raise InconsistencyError(f"class complement not well defined at elements ({a}, {b})")
+
+    quotient_tables = LawTables(qminus_t)
+    sub_report = _scan_laws(quotient_tables, SUBTRACTION_LAWS)
     if not sub_report.passed:
         raise InconsistencyError(
             f"quotient violates complement laws: {sub_report.failures()[0].law}"
         )
-    for i in range(k):
-        for j in range(k):
-            if qminus_t[i][qminus_t[i][j]] != meet_t[i][j]:
-                raise InconsistencyError(
-                    f"quotient meet disagrees with double complement at ({i}, {j})"
-                )
+    bad = _first_difference(quotient_tables["meet_flat"], b"".join(meet_rows))
+    if bad is not None:
+        i, j = divmod(bad, k)
+        raise InconsistencyError(f"quotient meet disagrees with double complement at ({i}, {j})")
 
     # Inside each downset the element order and the domain preorder agree.
     for a, below in enumerate(alg.down_masks):

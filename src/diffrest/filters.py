@@ -45,7 +45,7 @@ class Filter:
         if mask >> alg.size:
             bad = next(mask_iter(mask >> alg.size)) + alg.size
             raise InconsistencyError(f"filter member {bad} is not an element id")
-        ids, meet = bytes(mask_iter(mask)), alg.tables.rows["meet"]
+        ids, meet = bytes(mask_iter(mask)), alg.tables["meet"]
         if alg.up_closure(mask) != mask:
             raise InconsistencyError(f"{list(ids)} is not upward closed")
         for a in ids:  # a's meets with the members, less the members, are outside
@@ -85,7 +85,7 @@ def _inside(alg: FiniteAlgebra, mask: int) -> int:
 def _stable(alg: FiniteAlgebra, members: int) -> int:
     """The g such that the up-set of each g |> f, f in ``members``, lies in ``members``."""
     inside, ids = bytes(mask_iter(_inside(alg, members))), bytes(mask_iter(members))
-    rows = enumerate(alg.tables.rows["restrict"])
+    rows = enumerate(alg.tables["restrict"])
     return mask_of(g for g, row in rows if not ids.translate(row).translate(None, inside))
 
 

@@ -29,6 +29,7 @@ from diffrest import (
 )
 from diffrest.algebra import (
     LAW_TABLE,
+    Law,
     SIZE_CAP,
     Table,
     Term,
@@ -91,15 +92,15 @@ def enumerate_pfuns(
     )
 
 
-def evaluate_law(alg: FiniteAlgebra, law: str, assignment: Sequence[int]) -> bool:
-    """Re-evaluate a single law instance against the tables."""
-    entry, t = LAW_TABLE[law], alg.tables
+def evaluate_law(alg: FiniteAlgebra, law: str | Law, assignment: Sequence[int]) -> bool:
+    """Re-evaluate a single law instance, named or given, against the tables."""
+    entry, t = LAW_TABLE[law] if isinstance(law, str) else law, alg.tables
     env = {"0": t.zero, **dict(zip(entry.varnames, assignment))}
 
     def value(term: Term) -> int:
         if isinstance(term, str):
             return env[term]
-        return t.rows[term[0]][value(term[1])][value(term[2])]
+        return t[term[0]][value(term[1])][value(term[2])]
 
     def leq(x: int, y: int) -> bool:
         return y in t.up_lists[x]

@@ -312,6 +312,17 @@ def test_check_subtraction_axioms_rejects_malformed_tables(minus):
         check_subtraction_axioms(minus)
 
 
+@pytest.mark.parametrize("n", [100, 300])
+def test_check_subtraction_axioms_refuses_tables_over_the_size_cap(n):
+    # 300 made the table padding raise a bare ValueError, and 100 ran.
+    minus = [[0] * n for _ in range(n)]
+    with pytest.raises(SizeCapError) as caught:
+        FiniteAlgebra.from_tables(minus, minus)
+    assert str(caught.value) == f"size {n} exceeds the cap of 64 elements"
+    with pytest.raises(SizeCapError, match=f"^{re.escape(str(caught.value))}$"):
+        check_subtraction_axioms(minus)
+
+
 def test_derived_structure_is_computed_once_and_freed_with_its_algebra():
     alg = make_f2().abstract
     for derive in (check_axioms, domain_quotient, enumerate_filters):

@@ -11,6 +11,7 @@ minus tables, and at sizes 1 and 64.  The predicate specification in
 
 from __future__ import annotations
 
+import itertools
 import random
 import re
 from functools import cached_property
@@ -20,6 +21,7 @@ import pytest
 
 from conftest import make_f0
 from test_embedding_search import relabel_until, seed1_closure
+from lemmas import evaluate_law
 from test_law_engine import EXTRA_LAWS, perturbed
 
 from diffrest import FiniteAlgebra, boolean_as_diffrest, check_axioms, check_subtraction_axioms
@@ -32,7 +34,8 @@ from diffrest.algebra import (
     LawTables,
     Table,
     Term,
-    _row_variable,
+    _row_variables,
+    _source,
     law_failures,
     mask_of,
     parse_law,
@@ -156,13 +159,19 @@ def reference_compile(law: Law) -> Callable[[reference_LawTables], Iterator[tupl
 # Comparison
 # ---------------------------------------------------------------------------
 
-# The library's laws, the term shapes of test_law_engine.EXTRA_LAWS, and
+# The library's laws, the term shapes of test_law_engine.EXTRA_LAWS,
 # Ax.4 over an up-set, whose rows are computed in the outer loop that
-# fixes the up-set.
+# fixes the up-set, a law whose bare inner variable is read through a
+# table's columns, one where every choice of rows gathers pairwise and
+# the cheapest pair would combine rows of different widths, and one whose
+# cheapest pair would leave a side over one row variable alone.
 LAWS = (
     *LAW_TABLE.values(),
     *(parse_law(text, varnames, text) for varnames, text, _ in EXTRA_LAWS),
     parse_law("Ax.4 over up(a)", "abc", "a <= c => (a |> c) & (b |> c) == (a |> b) |> c"),
+    parse_law("meet-minus-assoc by columns", "abc", "c & (a - b) == (c & a) - b"),
+    parse_law("minus-below", "ab", "(a - b) - a == b - b"),
+    parse_law("a |> a == a, b free", "ab", "a |> a == a"),
 )
 REFERENCE_SCANS = {law: reference_compile(law) for law in LAWS}
 
@@ -228,47 +237,62 @@ def test_same_failures_on_bare_minus_tables(perturbed_large):
 # Row variables
 # ---------------------------------------------------------------------------
 
-# Only Ax.4 and meet-minus-disjoint move off their last variable.  Each
-# variable of restrict-meet-absorb is read through both operands of its
-# outer restrict, so it keeps its last variable and its pairwise gather.
+# A law runs its rows over two variables unless every pair would combine
+# a row over one variable with a row over both; those five keep one row
+# variable, as before.  Each variable of
+# restrict-meet-absorb is read through both operands of its outer
+# restrict, so it keeps the one pairwise gather, now over whole rows.
 ROW_VARIABLES = {
-    "Ax.1": "b",
-    "Ax.2": "b",
-    "Ax.3": "c",
-    "Ax.4": "b",
-    "Ax.5": "b",
-    "meet-minus-disjoint": "a",
-    "minus-absorbs-meet": "b",
-    "meet-minus-assoc": "c",
-    "restrict-below": "b",
-    "restrict-assoc": "c",
-    "restrict-meet-absorb": "b",
-    "restrict-over-meet": "c",
-    "restrict-over-minus": "c",
-    "restrict-monotone": "d",
+    "Ax.1": ("b",),
+    "Ax.2": ("a", "b"),
+    "Ax.3": ("a", "c"),
+    "Ax.4": ("a", "b"),
+    "Ax.5": ("b",),
+    "meet-minus-disjoint": ("a",),
+    "minus-absorbs-meet": ("b",),
+    "meet-minus-assoc": ("b", "c"),
+    "restrict-below": ("b",),
+    "restrict-assoc": ("b", "c"),
+    "restrict-meet-absorb": ("a", "b"),
+    "restrict-over-meet": ("b", "c"),
+    "restrict-over-minus": ("b", "c"),
+    "restrict-monotone": ("b", "d"),
 }
 
 
 def test_row_variable_of_every_law():
-    assert {name: _row_variable(law) for name, law in LAW_TABLE.items()} == ROW_VARIABLES
+    assert {name: _row_variables(law) for name, law in LAW_TABLE.items()} == ROW_VARIABLES
+
+
+def test_scans_loop_over_all_but_their_row_variables():
+    loops = {}
+    for name, law in LAW_TABLE.items():
+        # The failure walk's loops are the ones over zip(...).
+        lines = _source(law).splitlines()
+        loops[name] = sum(line.lstrip().startswith("for ") and "zip(" not in line for line in lines)
+        assert loops[name] == len(law.varnames) - len(ROW_VARIABLES[name]), name
+        if len(law.varnames) > 2:
+            assert loops[name] <= len(law.varnames) - 2, name
+    assert loops["restrict-monotone"] == 2
+
+
+def gathers_pairwise(law: Law) -> bool:
+    """Whether the scan of ``law`` indexes list rows one pair at a time."""
+    return "list.__getitem__" in _source(law)
 
 
 def test_only_restrict_meet_absorb_gathers_pairwise():
     powerset = boolean_as_diffrest(6).abstract
-    gathering = set()
     for law in LAW_TABLE.values():
-        tables = LawTables(powerset.minus, powerset.restrict)
-        assert list(law_failures(law, tables)) == []
-        if tables._lists:
-            gathering.add(law.name)
+        assert list(law_failures(law, LawTables(powerset.minus, powerset.restrict))) == []
+    gathering = {law.name for law in LAW_TABLE.values() if gathers_pairwise(law)}
     assert gathering == {"restrict-meet-absorb"}
 
 
 def test_axiom_scans_build_no_list_rows():
+    assert not any(map(gathers_pairwise, AXIOM_LAWS))
     for alg in large_algebras():
-        fresh = FiniteAlgebra.from_tables(alg.minus, alg.restrict)
-        assert check_axioms(fresh).passed
-        assert fresh.tables._lists == {}
+        assert check_axioms(FiniteAlgebra.from_tables(alg.minus, alg.restrict)).passed
 
 
 def test_ax4_failures_come_out_sorted_across_the_loop_order():
@@ -282,3 +306,51 @@ def test_ax4_failures_come_out_sorted_across_the_loop_order():
     assert assert_same_failures(minus, restrict, AXIOM_LAWS)["Ax.4"] == expected
     report = check_axioms(FiniteAlgebra.from_tables(minus, restrict))
     assert report.verdict("Ax.4").witness == (0, 1, 2)
+
+
+# ---------------------------------------------------------------------------
+# Element orders that are not partial orders
+# ---------------------------------------------------------------------------
+
+
+def order_free(rng: random.Random, n: int) -> FiniteAlgebra:
+    """Random tables over n elements.  minus keeps the constant diagonal
+    that FiniteAlgebra requires and is otherwise arbitrary, so the order
+    ``a <= b`` iff ``a & b == a`` need not be reflexive or transitive,
+    and an up-set may be empty."""
+    minus = [[0 if a == b else rng.randrange(n) for b in range(n)] for a in range(n)]
+    restrict = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+    return FiniteAlgebra.from_tables(minus, restrict)
+
+
+def evaluated_failures(alg: FiniteAlgebra, law: Law) -> list[tuple[int, ...]]:
+    """Every assignment the term evaluator finds false, in lexicographic order."""
+    assignments = itertools.product(range(alg.size), repeat=len(law.varnames))
+    return [w for w in assignments if not evaluate_law(alg, law, w)]
+
+
+def test_same_failures_where_the_order_is_not_a_partial_order():
+    """Up-sets that are empty, miss their own element or are not
+    transitive give empty rows, and rows of different lengths from one
+    loop step to the next; the scans, the reference kernel and the term
+    evaluator must still agree on every failing assignment."""
+    rng = random.Random(18)
+    algebras = [order_free(rng, n) for n in range(1, 7) for _ in range(40)]
+    shapes = set()
+    for alg in algebras:
+        up = alg.tables.up_lists
+        shapes.add("empty" if not all(up) else "full")
+        shapes.add("irreflexive" if any(a not in up[a] for a in range(alg.size)) else "reflexive")
+        if any(c not in up[a] for a in range(alg.size) for b in up[a] for c in up[b]):
+            shapes.add("intransitive")
+        found = assert_same_failures(alg.minus, alg.restrict, LAWS)
+        for law in LAWS:
+            assert found[law.name] == evaluated_failures(alg, law), (law.name, alg.size)
+    assert shapes == {"empty", "full", "irreflexive", "reflexive", "intransitive"}
+
+
+def test_failures_on_perturbed_large_algebras_are_false_instances(perturbed_large):
+    for alg in perturbed_large:
+        for law in LAWS:
+            for w in law_failures(law, alg.tables):
+                assert not evaluate_law(alg, law, w), (law.name, w)

@@ -16,6 +16,7 @@ from conftest import build_corpus
 
 from diffrest import (
     DomainQuotient,
+    FiniteAlgebra,
     InconsistencyError,
     TableError,
     boolean_as_diffrest,
@@ -193,3 +194,42 @@ def test_perturbed_powersets_agree_with_the_pair_sets():
         "ok",
     ):
         assert message in messages
+
+
+def test_perturbed_quotients_agree_with_the_pair_sets():
+    """Perturbed corpus algebras whose domain classes are not all
+    singletons reach the checks of the class tables, each with its
+    first pair."""
+    corpus = [conc.abstract for conc in build_corpus()]
+    sources = [a for a in corpus if a.size <= 8 and domain_quotient(a).n_classes < a.size]
+    rng = random.Random(3)
+    messages = set()
+    for _ in range(600):
+        try:
+            alg = perturbed(rng.choice(sources), rng, rng.choice(["minus", "restrict"]))
+        except TableError:
+            continue
+        messages.add(assert_same(alg).split(" at ")[0])
+    for message in (
+        "class meet not well defined",
+        "class complement not well defined",
+        "quotient meet disagrees with double complement",
+        "ok",
+    ):
+        assert message in messages
+
+
+def test_meet_is_named_before_complement_at_the_same_pair():
+    # Acceptance-corpus algebra 66 with restrict[5][1] and minus[5][3]
+    # changed: both class tables first fail at the pair (5, 1), and the
+    # pair loop checked the meet first.
+    minus = [
+        [3, 0, 0, 0, 5, 4], [1, 3, 1, 1, 1, 1], [2, 2, 3, 2, 2, 2],
+        [3, 3, 3, 3, 3, 3], [3, 4, 4, 4, 3, 4], [3, 5, 5, 3, 5, 3],
+    ]
+    restrict = [
+        [0, 1, 2, 3, 4, 5], [4, 1, 3, 3, 4, 3], [5, 3, 2, 3, 3, 5],
+        [3, 3, 3, 3, 3, 3], [4, 1, 3, 3, 4, 3], [5, 2, 2, 3, 3, 5],
+    ]
+    alg = FiniteAlgebra.from_tables(minus, restrict)
+    assert assert_same(alg) == "class meet not well defined at elements (5, 1)"
