@@ -38,6 +38,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property, wraps
 from itertools import product
+from operator import itemgetter
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 SIZE_CAP = 64
@@ -321,7 +322,7 @@ class LawTables(dict):
     ``SIZE_CAP``, so they fit in a byte; the padding is never read.
     ``t[op + "_flat"]`` is the table as one string, row after row, and
     ``t[op + "_cols_flat"]`` column after column.  ``up_lists`` is the
-    element order as up-sets."""
+    element order as up-sets, and ``up_picks`` picks the items at each."""
 
     def __init__(self, minus: Table, restrict: Table | None = None):
         self.zero, self.everything = minus[0][0], bytes(range(len(minus)))
@@ -354,6 +355,16 @@ class LawTables(dict):
         """up_lists[a] = the b with a <= b, ascending."""
         ids, meet = self.everything, self["meet"]
         return tuple(bytes([b for b, m in zip(ids, meet[a]) if m == a]) for a in ids)
+
+    @cached_property
+    def up_picks(self) -> tuple[Callable[[list], Sequence], ...]:
+        """up_picks[a](items) = the items at up_lists[a]; a slice keeps
+        the pick of an up-set of one element or none a sequence."""
+        return tuple(
+            itemgetter(*up) if len(up) > 1
+            else itemgetter(slice(up[0], up[0] + 1) if up else slice(0))
+            for up in self.up_lists
+        )
 
 
 def _reads(term: Term, operations: list) -> frozenset[str]:
@@ -439,6 +450,7 @@ def _source(law: Law) -> str:
         if v in above:
             block[at].append(f"dom{kind} = {domain[v]}")
     raw, dom_at, _ = zip(*dom.values())
+    picks = {f"dom{k}": f"up_picks[{name[above[v]]}]" for k, v in enumerate(rows, 1) if v in above}
     at_full = max(dom_at)
     order = loops + list(rows)
     at_sort = next((d for d, (x, y) in enumerate(zip(order, law.varnames)) if x != y), None)
@@ -479,6 +491,8 @@ def _source(law: Law) -> str:
             if every and raw[1] == "everything":
                 return f"{lines}_flat", 0, 3
             inner_lines = bind(f"list(map({raw[1]}.translate, {lines}))", dom_at[1])
+            if outer in picks:  # an up-set: its itemgetter picks the lines
+                return bind(f'b"".join({picks[outer]}({inner_lines}))', at), at, 3
             return bind(f'b"".join(map({inner_lines}.__getitem__, {outer}))', at), at, 3
         # Through map, indexing a list is about twice as fast as bytes.
         lists = bind(f"list(map(list, map(everything.translate, {op})))", 0)
@@ -523,7 +537,8 @@ def _source(law: Law) -> str:
         lines.append("    " * (at_sort + 1) + "yield from sorted(found)")
     # The scan binds only the tables its loops read.
     words = set(re.findall(r"\w+", "\n".join(lines)))
-    lines[:0] = [f"    {k} = t.{k}" for k in ("zero", "everything", "up_lists") if k in words]
+    fields = ("zero", "everything", "up_lists", "up_picks")
+    lines[:0] = [f"    {k} = t.{k}" for k in fields if k in words]
     lines[:0] = [f"    {k} = t[{k!r}]" for k in sorted(words & _TABLE_NAMES)]
     return "def scan(t):\n" + "\n".join(lines)
 
@@ -544,7 +559,8 @@ def _compile(law: Law) -> Callable[[LawTables], Iterator[tuple[int, ...]]]:
     the row's width.  An operation between a row over the outer variable
     and one over the inner variable joins one row per outer value:
     ``flat[lines]`` when both are the bare variables over every element,
-    the inner variable's own lines when it is bare, else one
+    the inner variable's own lines when it is bare (picked by one
+    ``itemgetter`` when the outer variable runs over an up-set), else one
     ``translate`` each.  Operations between two rows over the same
     variables gather pairwise (``op[x[i]][y[i]]``), which the choice of
     row variables avoids where it can.  A row that does not depend on

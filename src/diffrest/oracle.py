@@ -13,17 +13,18 @@ are fully determined by their values on a generating set.  Which
 elements the first k generators determine depends only on the tables,
 so a propagation plan is built once per search: per generator, the
 steps that derive each newly determined element from two known ones,
-and the remaining equations to check.  The search assigns one generator
-at a time and prunes the prefix at the first clash.  The plan only
-compares values, so the points are interchangeable: one trace per
-equality pattern is searched and its relabelings are only counted.  A
-second search covers the injectivity requirements with relabeled
-traces, merging at each node the sorted relabelings of just the traces
-that separate a pair still unseparated.  A representation on fewer
-points extends to one on more points by padding the base, so exhausting
-the maximum base size decides non-representability up to that size.
-The search prunes only with the tables, never with the laws or the
-filter theory it cross-checks.
+and both tables over the elements known by then.  The search assigns
+one generator at a time and prunes the prefix unless each table read
+through the trace is the operation on the values (one byte comparison
+each).  The plan only compares values, so the points are
+interchangeable: one trace per equality pattern is searched and its
+relabelings are only counted.  A second search covers the injectivity
+requirements with relabeled traces, merging at each node the sorted
+relabelings of just the traces that separate a pair still unseparated.
+A representation on fewer points extends to one on more points by
+padding the base, so exhausting the maximum base size decides
+non-representability up to that size.  The search prunes only with the
+tables, never with the laws or the filter theory it cross-checks.
 
 The model enumerator fills the minus table cell by cell and then, for
 each complete minus table, the restrict table.  After each cell it
@@ -168,38 +169,37 @@ class _PlanLevel:
     """What assigning one generator makes known and what it must satisfy.
 
     ``free`` is false when the generator is already known from earlier
-    generators; its value is then a check, not a choice.  ``derive``
-    fills each newly known element from two known ones, in breadth-first
-    order; ``checks`` are the remaining equations among known elements
-    that involve a new one.
+    generators: its value is then a check, not a choice, and ``known`` is
+    empty.  Otherwise ``derive`` fills each newly known element from two
+    known ones, in breadth-first order, and ``tables`` are the minus and
+    restrict tables over the elements ``known`` by then, row after row.
     """
 
     gen: int
     free: bool
     derive: tuple[tuple[int, int, int, int], ...]
-    checks: tuple[tuple[int, int, int, int], ...]
+    known: bytes
+    tables: tuple[bytes, bytes]
 
 
 def _propagation_plan(alg: FiniteAlgebra, gens: Sequence[int]) -> tuple[_PlanLevel, ...]:
-    """Per generator, the derivations and checks that follow from its value.
+    """Per generator, the derivations that follow from its value.
 
     Which elements become known depends only on the tables, not on the
-    values chosen, so the plan is built once per search.  Every equation
-    tau[op(a, b)] = op(tau[a], tau[b]) among the elements is either a
-    derivation or a check at exactly one level.
+    values chosen, so the plan is built once per search.  A level's tables
+    hold every equation tau[op(a, b)] = op(tau[a], tau[b]) among the known.
     """
     n = alg.size
-    tables = (alg.minus, alg.restrict)
+    tables = (alg.tables["minus"], alg.tables["restrict"])
     known: list[int] = []
     is_known = [False] * n
     levels = []
     for g in gens:
-        free = not is_known[g]
-        start = len(known)
+        free, start = not is_known[g], len(known)
         if free:
             is_known[g] = True
             known.append(g)
-        derive, checks = [], []
+        derive = []
         qi = start
         while qi < len(known):
             e = known[qi]
@@ -208,13 +208,13 @@ def _propagation_plan(alg: FiniteAlgebra, gens: Sequence[int]) -> tuple[_PlanLev
                 for a, b in ((e, x), (x, e)) if x != e else ((e, e),):
                     for op in (_MINUS, _RESTRICT):
                         cell = tables[op][a][b]
-                        if is_known[cell]:
-                            checks.append((cell, op, a, b))
-                        else:
+                        if not is_known[cell]:
                             is_known[cell] = True
                             known.append(cell)
                             derive.append((cell, op, a, b))
-        levels.append(_PlanLevel(g, free, tuple(derive), tuple(checks)))
+        ids = bytes(known) if free else b""
+        sub = tuple(b"".join(map(ids.translate, map(rows.__getitem__, ids))) for rows in tables)
+        levels.append(_PlanLevel(g, free, tuple(derive), ids, sub))
     if len(known) < n:
         raise InconsistencyError("generating set failed to reach every element")
     return tuple(levels)
@@ -236,21 +236,26 @@ def _columns_and_masks(
     pairs.
     """
     plan = _propagation_plan(alg, gens)
-    tau = [0] * alg.size
+    n, top = alg.size, min(m, len(gens)) + 1
+    # A value is at most the number of generators, so the trace is a
+    # translation table, and so is ``on_values[op][v]``: w -> op(v, w).
+    tau = bytearray(256)
+    away = [bytes([v]) * v + b"\0" + bytes([v]) * (255 - v) for v in range(top)]
+    on_values = (away, [bytes(256)] + [bytes.maketrans(b"", b"")] * (top - 1))
     traces: list[tuple[int, ...]] = []
 
     def assign(k: int, used: int, copies: int) -> None:
         # The prefix uses the values 1..used and stands for ``copies``
         # relabeled prefixes, all of which the full search visits.
         if k == len(plan):
-            traces.append(tuple(tau))
+            traces.append(tuple(tau[:n]))
             return
         counter[0] += copies * (m + 1)
         if counter[0] > limit:
             counter[0] = limit + 1
             raise _NodeLimit
         level = plan[k]
-        g, derive, checks = level.gen, level.derive, level.checks
+        g, derive, known = level.gen, level.derive, level.known
         # A generator determined by earlier ones keeps its value.
         for v in range(min(used + 1, m) + 1) if level.free else (tau[g],):
             tau[g] = v
@@ -260,21 +265,16 @@ def _columns_and_masks(
                     tau[cell] = tau[b] if ta else 0
                 else:
                     tau[cell] = ta if ta and tau[b] != ta else 0
-            for cell, op, a, b in checks:
-                ta = tau[a]
-                if op:
-                    if tau[cell] != (tau[b] if ta else 0):
-                        break
-                elif tau[cell] != (ta if ta and tau[b] != ta else 0):
+            # Each table read through the trace must be the operation on values.
+            tk = known.translate(tau)
+            for table, rows in zip(level.tables, on_values):
+                if table.translate(tau) != b"".join(map(tk.translate, map(rows.__getitem__, tk))):
                     break
             else:
-                if v <= used:
-                    assign(k + 1, used, copies)
-                else:
-                    assign(k + 1, v, copies * (m - used))
+                assign(k + 1, max(v, used), copies if v <= used else copies * (m - used))
 
     assign(0, 0, 1)
-    return traces, _separation_masks(traces, alg.size, m)
+    return traces, _separation_masks(traces, n, m)
 
 
 def _relabelings(trace: tuple[int, ...], m: int) -> Iterator[tuple[int, ...]]:

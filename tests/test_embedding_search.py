@@ -1,22 +1,28 @@
 """The canonical trace search against the searches it replaced.
 
+``reference_propagation_plan`` is the plan before its levels were
+checked as whole byte tables, kept verbatim: it lists every equation
+that is not a derivation as a check at the one level where it becomes
+known.  ``reference_canonical_columns_and_masks`` is the canonical trace
+search that ran those checks one at a time, kept verbatim; the level
+checks must give its traces, masks and node counter.
 ``reference_valid_columns`` is the plan-driven loop that the canonical
-search replaced, kept verbatim: it tries every value of every free
-generator.  It is the reference for the columns, the node counter and
-the node limit.  ``product_valid_columns`` is the loop before it, kept
-verbatim as an independent oracle for the columns: it enumerates every
-combination of generator values and only then propagates it through the
-tables.  ``reference_separation_masks`` is the pair walk that the
-row-shift masks replaced.  ``reference_generating_set`` is the greedy
-choice before its closure went semi-naive, kept verbatim: each round
-re-combines every pair of the closed set; it must choose the identical
-generators.  ``reference_expansion`` and ``reference_cover_search`` are
-the cover search before it went lazy, kept verbatim: every relabeling of
-every canonical trace is listed, sorted and walked by index.  The
-canonical traces, expanded, must give the identical columns in the
-identical order and the identical node count, and
-``brute_force_embedding`` the identical verdict, assignment and node
-counts, at every node limit.
+search replaced, kept verbatim over the reference plan: it tries every
+value of every free generator.  It is the reference for the columns,
+the node counter and the node limit.  ``product_valid_columns`` is the
+loop before it, kept verbatim as an independent oracle for the columns:
+it enumerates every combination of generator values and only then
+propagates it through the tables.  ``reference_separation_masks`` is
+the pair walk that the row-shift masks replaced.
+``reference_generating_set`` is the greedy choice before its closure
+went semi-naive, kept verbatim: each round re-combines every pair of the
+closed set; it must choose the identical generators.
+``reference_expansion`` and ``reference_cover_search`` are the cover
+search before it went lazy, kept verbatim: every relabeling of every
+canonical trace is listed, sorted and walked by index.  The canonical
+traces, expanded, must give the identical columns in the identical
+order and the identical node count, and ``brute_force_embedding`` the
+identical verdict, assignment and node counts, at every node limit.
 """
 
 import dataclasses
@@ -47,7 +53,13 @@ from diffrest import (
 )
 from diffrest import oracle
 from diffrest.algebra import mask_iter
-from diffrest.oracle import _NodeLimit, _columns_and_masks, _propagation_plan, _relabelings
+from diffrest.oracle import (
+    _MINUS,
+    _RESTRICT,
+    _NodeLimit,
+    _columns_and_masks,
+    _relabelings,
+)
 
 
 def _valid_columns(alg, gens, m, counter, limit) -> list[tuple[int, ...]]:
@@ -161,6 +173,122 @@ def reference_cover_search(alg, budget, columns_and_masks=expanded_columns_and_m
     )
 
 
+@dataclasses.dataclass(frozen=True)
+class ReferencePlanLevel:
+    """What assigning one generator makes known and what it must satisfy.
+
+    ``free`` is false when the generator is already known from earlier
+    generators; its value is then a check, not a choice.  ``derive``
+    fills each newly known element from two known ones, in breadth-first
+    order; ``checks`` are the remaining equations among known elements
+    that involve a new one.
+    """
+
+    gen: int
+    free: bool
+    derive: tuple[tuple[int, int, int, int], ...]
+    checks: tuple[tuple[int, int, int, int], ...]
+
+
+def reference_propagation_plan(
+    alg: FiniteAlgebra, gens: Sequence[int]
+) -> tuple[ReferencePlanLevel, ...]:
+    """Per generator, the derivations and checks that follow from its value.
+
+    Which elements become known depends only on the tables, not on the
+    values chosen, so the plan is built once per search.  Every equation
+    tau[op(a, b)] = op(tau[a], tau[b]) among the elements is either a
+    derivation or a check at exactly one level.
+    """
+    n = alg.size
+    tables = (alg.minus, alg.restrict)
+    known: list[int] = []
+    is_known = [False] * n
+    levels = []
+    for g in gens:
+        free = not is_known[g]
+        start = len(known)
+        if free:
+            is_known[g] = True
+            known.append(g)
+        derive, checks = [], []
+        qi = start
+        while qi < len(known):
+            e = known[qi]
+            qi += 1
+            for x in known[:qi]:
+                for a, b in ((e, x), (x, e)) if x != e else ((e, e),):
+                    for op in (_MINUS, _RESTRICT):
+                        cell = tables[op][a][b]
+                        if is_known[cell]:
+                            checks.append((cell, op, a, b))
+                        else:
+                            is_known[cell] = True
+                            known.append(cell)
+                            derive.append((cell, op, a, b))
+        levels.append(ReferencePlanLevel(g, free, tuple(derive), tuple(checks)))
+    if len(known) < n:
+        raise InconsistencyError("generating set failed to reach every element")
+    return tuple(levels)
+
+
+def reference_canonical_columns_and_masks(
+    alg: FiniteAlgebra, gens: Sequence[int], m: int, counter: list[int], limit: int
+) -> tuple[list[tuple[int, ...]], list[int]]:
+    """Canonical point traces (element -> 0 or a value) and their masks.
+
+    Generators are assigned one at a time through the plan, and a clash
+    prunes the prefix.  The plan only compares values with each other and
+    with 0, so permuting the points 1..m keeps prefixes consistent: the
+    symmetry comes from the tables, not from the laws.  A free generator
+    tries 0, the values in use and one fresh value, so one canonical trace
+    per equality pattern is searched; ``counter`` still counts every value
+    the full search tries.  Every relabeling of a trace (``_relabelings``)
+    is consistent too and shares its mask, since it separates the same
+    pairs.
+    """
+    plan = reference_propagation_plan(alg, gens)
+    tau = [0] * alg.size
+    traces: list[tuple[int, ...]] = []
+
+    def assign(k: int, used: int, copies: int) -> None:
+        # The prefix uses the values 1..used and stands for ``copies``
+        # relabeled prefixes, all of which the full search visits.
+        if k == len(plan):
+            traces.append(tuple(tau))
+            return
+        counter[0] += copies * (m + 1)
+        if counter[0] > limit:
+            counter[0] = limit + 1
+            raise _NodeLimit
+        level = plan[k]
+        g, derive, checks = level.gen, level.derive, level.checks
+        # A generator determined by earlier ones keeps its value.
+        for v in range(min(used + 1, m) + 1) if level.free else (tau[g],):
+            tau[g] = v
+            for cell, op, a, b in derive:
+                ta = tau[a]
+                if op:
+                    tau[cell] = tau[b] if ta else 0
+                else:
+                    tau[cell] = ta if ta and tau[b] != ta else 0
+            for cell, op, a, b in checks:
+                ta = tau[a]
+                if op:
+                    if tau[cell] != (tau[b] if ta else 0):
+                        break
+                elif tau[cell] != (ta if ta and tau[b] != ta else 0):
+                    break
+            else:
+                if v <= used:
+                    assign(k + 1, used, copies)
+                else:
+                    assign(k + 1, v, copies * (m - used))
+
+    assign(0, 0, 1)
+    return traces, oracle._separation_masks(traces, alg.size, m)
+
+
 def reference_valid_columns(
     alg: FiniteAlgebra, gens: Sequence[int], m: int, counter: list[int], limit: int
 ) -> list[tuple[int, ...]]:
@@ -171,7 +299,7 @@ def reference_valid_columns(
     the prefix.  Traces come out in lexicographic order of the generator
     values, as full tuples.
     """
-    plan = _propagation_plan(alg, gens)
+    plan = reference_propagation_plan(alg, gens)
     tau = [0] * alg.size
     columns: list[tuple[int, ...]] = []
     values = range(m + 1)
@@ -631,16 +759,56 @@ def test_seven_generator_relabeling_is_found_under_the_default_budget():
     assert result.nodes < 100_000
 
 
+def assert_same_traces(alg, gens, m):
+    """The level checks keep the per-equation checks' traces, masks and
+    node counter, in full and with a budget that ends one node before
+    the trace phase does."""
+    want = outcome(reference_canonical_columns_and_masks, alg, gens, m)
+    assert outcome(_columns_and_masks, alg, gens, m) == want
+    total = want[1]
+    if total > 1:
+        cut = outcome(reference_canonical_columns_and_masks, alg, gens, m, total - 1)
+        assert cut == ("limit", total)
+        assert outcome(_columns_and_masks, alg, gens, m, total - 1) == cut
+
+
+def padded_generators(alg):
+    """The generating set, and copies padded with a determined generator
+    in the middle and at the end, which add levels that make nothing new."""
+    gens = generating_set(alg)
+    return gens, (gens[0], *gens), (*gens, alg.zero)
+
+
+def test_level_checks_match_the_per_equation_checks(small, corpus, large):
+    for alg in [*small, *corpus, *large]:
+        for gens in padded_generators(alg):
+            for m in range(len(alg.order_atoms()) + 3):
+                assert_same_traces(alg, gens, m)
+
+
+def test_a_base_past_one_byte_matches_the_reference(small, f2):
+    # Trace values count generators, not points, so the trace stays a
+    # byte table whatever the base size.
+    budget = SearchBudget(max_base_size=300)
+    one_generator = [alg for alg in small if len(generating_set(alg)) == 1]
+    assert len(one_generator) == 4
+    for alg in [f2.abstract, *one_generator]:
+        got = brute_force_embedding(alg, budget)
+        assert got == reference_embedding(alg, budget)
+        assert got.found
+
+
 # Each mutant corrupts the plan; the comparison with the reference must
 # notice it on the small algebras.
 
 
-def _drop_last_checks(plan):
+def _cut_last_row(alg, plan):
     *head, last = plan
-    return (*head, dataclasses.replace(last, checks=()))
+    minus, restrict = last.tables
+    return (*head, dataclasses.replace(last, tables=(minus[: -len(last.known)], restrict)))
 
 
-def _swap_derive_ops(plan):
+def _swap_derive_ops(alg, plan):
     return tuple(
         dataclasses.replace(
             level, derive=tuple((c, 1 - op, a, b) for c, op, a, b in level.derive)
@@ -649,21 +817,30 @@ def _swap_derive_ops(plan):
     )
 
 
-def _swap_check_ops(plan):
+def _swap_tables(alg, plan):
+    return tuple(dataclasses.replace(level, tables=level.tables[::-1]) for level in plan)
+
+
+def _check_unknown_elements(alg, plan):
+    # A level that makes nothing new, checked against every element.
+    everything = bytes(range(alg.size))
+    tables = (alg.tables["minus_flat"], alg.tables["restrict_flat"])
     return tuple(
-        dataclasses.replace(
-            level, checks=tuple((c, 1 - op, a, b) for c, op, a, b in level.checks)
-        )
+        level if level.free else dataclasses.replace(level, known=everything, tables=tables)
         for level in plan
     )
 
 
 @pytest.mark.parametrize(
-    "mutate", [_drop_last_checks, _swap_derive_ops, _swap_check_ops]
+    "mutate", [_cut_last_row, _swap_derive_ops, _swap_tables, _check_unknown_elements]
 )
 def test_reference_comparison_catches_plan_mutants(small, mutate, monkeypatch):
     build = oracle._propagation_plan
-    monkeypatch.setattr(oracle, "_propagation_plan", lambda alg, gens: mutate(build(alg, gens)))
+    monkeypatch.setattr(
+        oracle, "_propagation_plan", lambda alg, gens: mutate(alg, build(alg, gens))
+    )
     with pytest.raises(AssertionError):
         for alg in small:
             assert_same_columns(alg)
+            for gens in padded_generators(alg):
+                assert_same_traces(alg, gens, base_size(alg))

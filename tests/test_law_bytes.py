@@ -349,6 +349,19 @@ def test_same_failures_where_the_order_is_not_a_partial_order():
     assert shapes == {"empty", "full", "irreflexive", "reflexive", "intransitive"}
 
 
+def test_up_picks_pick_each_up_set_as_a_sequence():
+    # Up-sets of two or more elements, of one and of none all pick a
+    # sequence that joins to the up-set.
+    rng = random.Random(18)
+    sizes = set()
+    for alg in [order_free(rng, n) for n in range(1, 7) for _ in range(40)]:
+        items = [bytes([e]) for e in range(alg.size)]
+        for up, pick in zip(alg.tables.up_lists, alg.tables.up_picks):
+            assert b"".join(pick(items)) == up
+            sizes.add(min(len(up), 2))
+    assert sizes == {0, 1, 2}
+
+
 def test_failures_on_perturbed_large_algebras_are_false_instances(perturbed_large):
     for alg in perturbed_large:
         for law in LAWS:
