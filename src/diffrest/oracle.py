@@ -36,7 +36,10 @@ scan per occurrence of the table being filled: the laws over minus
 alone (meet read as two minus cells) while minus fills, the rest once
 it is complete.  It prunes with the five laws alone, never with derived
 laws or filter theory, since it is the oracle for the claim that they
-follow.
+follow.  Isomorph rejection keeps the first labelled copy of each
+class by an exact label (the least tables over the relabelings within
+cells of equal invariants) and sorts the classes by ``canonical_form``,
+computed once per class.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ import heapq
 import itertools
 from dataclasses import dataclass, replace
 from functools import cache
+from operator import eq, itemgetter
 from typing import Iterator, Sequence
 
 from .algebra import (
@@ -414,7 +418,9 @@ def canonical_form(alg: FiniteAlgebra) -> str:
     """Minimal table serialization over relabelings sending bottom to 0.
 
     Two algebras are isomorphic exactly when their canonical forms
-    coincide; cost grows factorially, so keep this to desk-scale sizes.
+    coincide.  It tries all (n-1)! relabelings, so keep it to desk-scale
+    sizes; the model enumerator calls it once per class, as the order of
+    its catalog, and deduplicates with the cheaper ``_label``.
     """
     n = alg.size
     rest = [e for e in range(n) if e != alg.zero]
@@ -437,6 +443,41 @@ def canonical_form(alg: FiniteAlgebra) -> str:
         if best is None or form < best:
             best = form
     return best
+
+
+def _label(alg: FiniteAlgebra) -> bytes:
+    """An exact isomorphism label: equal labels iff isomorphic algebras.
+
+    Each element gets invariants read off the tables: whether it is
+    zero, the zeros in its minus row and column, and how many b have
+    ``R[a][b] = b`` and ``R[b][a] = a``.  Elements with equal invariants
+    form a cell, and cells are ordered by invariant.  The label is the
+    cell sizes and the least minus and restrict tables, as one byte
+    string, over the relabelings that permute elements within their
+    cells.  Zero is its own cell, so this tries the product of the other
+    cells' factorials, at most the (n-1)! of ``canonical_form``.  Ids
+    must fit in a byte; the model enumerator, its only caller, stops at
+    8 elements.
+    """
+    n, zero, minus, restrict = alg.size, alg.zero, alg.minus, alg.restrict
+    cells: dict[tuple, list[int]] = {}
+    for a, (down, dom) in enumerate(zip(zip(*minus), zip(*restrict))):
+        key = (a != zero, minus[a].count(zero), down.count(zero),
+               sum(map(eq, restrict[a], range(n))), dom.count(a))
+        cells.setdefault(key, []).append(a)
+    ordered = [cells[key] for key in sorted(cells)]
+    rows = tuple(map(bytes, minus)), tuple(map(bytes, restrict))
+    sigma, best = bytearray(256), None
+    for parts in itertools.product(*map(itertools.permutations, ordered)):
+        inv = [a for part in parts for a in part]
+        for new, old in enumerate(inv):
+            sigma[old] = new
+        pick = itemgetter(*inv) if n > 1 else itemgetter(slice(1))
+        form = b"".join(map(bytes, map(pick, pick(rows[0]) + pick(rows[1]))))
+        form = form.translate(sigma)
+        if best is None or form < best:
+            best = form
+    return bytes(map(len, ordered)) + best
 
 
 def _rewrite(term: Term, sigma: dict[str, str], target: str = "") -> Term:
@@ -633,8 +674,9 @@ def enumerate_axiom_models(
     table, over the restrict table, with the forced cells seeded (bottom
     fixed at element 0).  Each filled cell is checked against the law
     instances that read it; complete models are checked once more with
-    ``check_axioms`` and deduplicated by canonical form.  Sizes above 8
-    are refused before any table is built.
+    ``check_axioms``.  The first copy per ``_label`` is kept, and the
+    classes are ordered by ``canonical_form``, called once per class.
+    Sizes above 8 are refused before any table is built.
     """
     if n < 1:
         raise TableError(f"algebras are nonempty, so size {n} has no models")
@@ -642,7 +684,7 @@ def enumerate_axiom_models(
     if n > 8:  # the node limit does not bound time: each node's checks scan rows
         raise BudgetExceededError(f"model search size {n} exceeds the limit 8")
     counter = [0]
-    found: dict[str, FiniteAlgebra] = {}
+    found: dict[bytes, FiniteAlgebra] = {}
     minus_check, restrict_check = _cell_checks()
 
     minus: list[list[int | None]] = [[None] * n for _ in range(n)]
@@ -667,7 +709,7 @@ def enumerate_axiom_models(
             raise InconsistencyError(
                 "incremental pruning admitted a non-model"
             )
-        found.setdefault(canonical_form(alg), alg)
+        found.setdefault(_label(alg), alg)
 
     def minus_complete() -> None:
         check = restrict_check(minus, restrict)
@@ -680,7 +722,7 @@ def enumerate_axiom_models(
     except _NodeLimit:
         exhaustive = False
 
-    models = tuple(found[key] for key in sorted(found))
+    models = tuple(sorted(found.values(), key=canonical_form))
     return ModelCatalog(n, models, exhaustive, counter[0])
 
 

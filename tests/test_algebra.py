@@ -134,15 +134,23 @@ def test_axiom_implies_derived_exhaustively_at_small_sizes():
 
 
 @pytest.mark.slow
-def test_axiom_implies_derived_exhaustively_at_size_six():
-    # Completes the soundness sweep at size 6; takes about 12 seconds.
-    from diffrest import SearchBudget
+def test_axiom_implies_derived_exhaustively_at_size_six(monkeypatch):
+    # Completes the soundness sweep at size 6; takes about 8 seconds.
+    # It also checks the enumerator's isomorphism label on all 472
+    # labelled copies: equal labels exactly for equal canonical forms.
+    from diffrest import SearchBudget, canonical_form, oracle
 
+    copies = []
+    label = oracle._label
+    monkeypatch.setattr(oracle, "_label", lambda alg: copies.append(alg) or label(alg))
     catalog = enumerate_axiom_models(6, SearchBudget(node_limit=500_000_000))
     assert catalog.exhaustive
     assert (len(catalog.models), catalog.nodes) == (14, 1_029_123)
     for model in catalog.models:
         assert check_derived_laws(model).passed
+    assert len(copies) == 472
+    pairs = {(label(alg), canonical_form(alg)) for alg in copies}
+    assert len(pairs) == len({p[0] for p in pairs}) == len({p[1] for p in pairs}) == 14
 
 
 def test_derived_relations_f2(f2):
