@@ -36,10 +36,11 @@ scan per occurrence of the table being filled: the laws over minus
 alone (meet read as two minus cells) while minus fills, the rest once
 it is complete.  It prunes with the five laws alone, never with derived
 laws or filter theory, since it is the oracle for the claim that they
-follow.  Isomorph rejection keeps the first labelled copy of each
-class by an exact label (the least tables over the relabelings within
-cells of equal invariants) and sorts the classes by ``canonical_form``,
-computed once per class.
+follow.  Isomorph rejection uses an exact label (the least tables over
+the relabelings within cells of equal invariants) twice: the restrict
+stage runs only for the first complete minus table of each class, and
+the first labelled copy of each model class is kept.  The classes are
+sorted by ``canonical_form``, computed once per class.
 """
 
 from __future__ import annotations
@@ -419,8 +420,9 @@ def canonical_form(alg: FiniteAlgebra) -> str:
 
     Two algebras are isomorphic exactly when their canonical forms
     coincide.  It tries all (n-1)! relabelings, so keep it to desk-scale
-    sizes; the model enumerator calls it once per class, as the order of
-    its catalog, and deduplicates with the cheaper ``_label``.
+    sizes.  The model enumerator calls it once per model class, as the
+    order of its catalog; it keys minus tables and deduplicates models
+    with the cheaper ``_label``.
     """
     n = alg.size
     rest = [e for e in range(n) if e != alg.zero]
@@ -445,35 +447,39 @@ def canonical_form(alg: FiniteAlgebra) -> str:
     return best
 
 
-def _label(alg: FiniteAlgebra) -> bytes:
-    """An exact isomorphism label: equal labels iff isomorphic algebras.
+def _label(zero: int, tables: tuple) -> bytes:
+    """An exact isomorphism label of square tables over ids with a
+    ``zero``: equal labels iff a relabeling fixing zero maps one onto the other.
 
-    Each element gets invariants read off the tables: whether it is
-    zero, the zeros in its minus row and column, and how many b have
-    ``R[a][b] = b`` and ``R[b][a] = a``.  Elements with equal invariants
-    form a cell, and cells are ordered by invariant.  The label is the
-    cell sizes and the least minus and restrict tables, as one byte
-    string, over the relabelings that permute elements within their
-    cells.  Zero is its own cell, so this tries the product of the other
-    cells' factorials, at most the (n-1)! of ``canonical_form``.  Ids
-    must fit in a byte; the model enumerator, its only caller, stops at
-    8 elements.
+    Each element a gets invariants: whether it is zero, and per table T
+    how many b have ``T[a][b] = b`` and ``T[b][a] = a`` and the zeros in
+    a's row and column.  Elements with equal invariants form a cell, and
+    cells are ordered by invariant.  The label is the cell sizes and the
+    least tables, as one byte string, over the relabelings that permute
+    elements within their cells.  Zero is its own cell, so this tries
+    the product of the other cells' factorials, at most the (n-1)! of
+    ``canonical_form``.  Ids must fit in a byte; the model enumerator,
+    its only caller, stops at 8 elements.  It labels complete minus
+    tables by ``(minus,)`` and models by ``(minus, restrict)``.
     """
-    n, zero, minus, restrict = alg.size, alg.zero, alg.minus, alg.restrict
+    n = len(tables[0])
+    keys = [[a != zero] for a in range(n)]
+    for table in tables:
+        for a, (row, column) in enumerate(zip(table, zip(*table))):
+            keys[a] += (sum(map(eq, row, range(n))), column.count(a),
+                        row.count(zero), column.count(zero))
     cells: dict[tuple, list[int]] = {}
-    for a, (down, dom) in enumerate(zip(zip(*minus), zip(*restrict))):
-        key = (a != zero, minus[a].count(zero), down.count(zero),
-               sum(map(eq, restrict[a], range(n))), dom.count(a))
-        cells.setdefault(key, []).append(a)
+    for a, key in enumerate(keys):
+        cells.setdefault(tuple(key), []).append(a)
     ordered = [cells[key] for key in sorted(cells)]
-    rows = tuple(map(bytes, minus)), tuple(map(bytes, restrict))
+    rows = [tuple(map(bytes, table)) for table in tables]
     sigma, best = bytearray(256), None
     for parts in itertools.product(*map(itertools.permutations, ordered)):
         inv = [a for part in parts for a in part]
         for new, old in enumerate(inv):
             sigma[old] = new
         pick = itemgetter(*inv) if n > 1 else itemgetter(slice(1))
-        form = b"".join(map(bytes, map(pick, pick(rows[0]) + pick(rows[1]))))
+        form = b"".join(bytes(pick(row)) for table in rows for row in pick(table))
         form = form.translate(sigma)
         if best is None or form < best:
             best = form
@@ -670,11 +676,15 @@ def enumerate_axiom_models(
 ) -> ModelCatalog:
     """All law-abiding algebras of a given size, up to isomorphism.
 
-    Backtracks over the minus table and then, for each complete minus
-    table, over the restrict table, with the forced cells seeded (bottom
-    fixed at element 0).  Each filled cell is checked against the law
-    instances that read it; complete models are checked once more with
-    ``check_axioms``.  The first copy per ``_label`` is kept, and the
+    Backtracks over the minus table and then over the restrict table,
+    with the forced cells seeded (bottom fixed at element 0).  The
+    restrict stage runs only for the first complete minus table per
+    ``_label`` of ``(minus,)``: every relabeling fixing 0 fixes the seeded
+    cells, so one that maps this minus table onto an earlier one maps
+    each model over it onto a model met over the earlier table.  Each
+    filled cell is checked against the law instances that read it;
+    complete models are checked once more with ``check_axioms``.  The
+    first model per ``_label`` of ``(minus, restrict)`` is kept, and the
     classes are ordered by ``canonical_form``, called once per class.
     Sizes above 8 are refused before any table is built.
     """
@@ -685,6 +695,7 @@ def enumerate_axiom_models(
         raise BudgetExceededError(f"model search size {n} exceeds the limit 8")
     counter = [0]
     found: dict[bytes, FiniteAlgebra] = {}
+    minus_classes: set[bytes] = set()
     minus_check, restrict_check = _cell_checks()
 
     minus: list[list[int | None]] = [[None] * n for _ in range(n)]
@@ -709,11 +720,14 @@ def enumerate_axiom_models(
             raise InconsistencyError(
                 "incremental pruning admitted a non-model"
             )
-        found.setdefault(_label(alg), alg)
+        found.setdefault(_label(0, (alg.minus, alg.restrict)), alg)
 
     def minus_complete() -> None:
-        check = restrict_check(minus, restrict)
-        _fill_cells(restrict, free_restrict, check, counter, budget.node_limit, model_found)
+        key = _label(0, (minus,))
+        if key not in minus_classes:
+            minus_classes.add(key)
+            check = restrict_check(minus, restrict)
+            _fill_cells(restrict, free_restrict, check, counter, budget.node_limit, model_found)
 
     exhaustive = True
     try:

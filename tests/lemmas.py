@@ -3,8 +3,9 @@
 Nothing in the library calls these: they check side results of the
 paper (the filter lemmas, the quotient, homomorphisms restricted to
 downsets, subtraction rebuilt from Boolean downsets, atomisticity),
-re-evaluate single law instances, enumerate partial functions, and
-close arbitrary relations, which is how the non-functional fixture N1
+re-evaluate single law instances, label minus tables by brute force,
+collect what the model enumerator labels, enumerate partial functions,
+and close arbitrary relations, which is how the non-functional fixture N1
 gets its tables.
 """
 
@@ -24,8 +25,10 @@ from diffrest import (
     SearchBudget,
     boolean_downset,
     domain_quotient,
+    enumerate_axiom_models,
     enumerate_filters,
     is_maximal,
+    oracle,
 )
 from diffrest.algebra import (
     LAW_TABLE,
@@ -90,6 +93,39 @@ def enumerate_pfuns(
         PartialFunction(points, [(x, v) for x, v in zip(points, values) if v])
         for values in itertools.product(range(base_size + 1), repeat=base_size)
     )
+
+
+def minus_form(zero: int, minus: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """The least relabeled minus table over all (n-1)! relabelings that
+    send ``zero`` to 0: equal forms exactly for isomorphic minus tables."""
+    rest = [a for a in range(len(minus)) if a != zero]
+    best = None
+    for perm in itertools.permutations(rest):
+        inv = (zero, *perm)  # the element that gets each new id
+        sigma = {old: new for new, old in enumerate(inv)}
+        form = tuple(tuple(sigma[minus[x][y]] for y in inv) for x in inv)
+        if best is None or form < best:
+            best = form
+    return best
+
+
+def labelled_copies(monkeypatch, n: int):
+    """The model catalog of size ``n``, then every model and every
+    complete minus table its search labelled, in search order."""
+    models, minus_tables = [], []
+    label = oracle._label
+
+    def spy(zero, tables):
+        if len(tables) == 2:
+            models.append(FiniteAlgebra.from_tables(*tables))
+        else:
+            minus_tables.append([list(row) for row in tables[0]])
+        return label(zero, tables)
+
+    monkeypatch.setattr(oracle, "_label", spy)
+    catalog = enumerate_axiom_models(n)
+    monkeypatch.setattr(oracle, "_label", label)
+    return catalog, models, minus_tables
 
 
 def evaluate_law(alg: FiniteAlgebra, law: str | Law, assignment: Sequence[int]) -> bool:

@@ -201,10 +201,10 @@ def test_c8_model_counts():
     # regression pins, recorded from the first exhaustive runs
     assert len(enumerate_axiom_models(3).models) == 2
     four = enumerate_axiom_models(4)
-    assert (len(four.models), four.nodes, four.exhaustive) == (4, 133, True)
+    assert (len(four.models), four.nodes, four.exhaustive) == (4, 98, True)
     five = enumerate_axiom_models(5)
-    assert (len(five.models), five.nodes, five.exhaustive) == (7, 5314, True)
+    assert (len(five.models), five.nodes, five.exhaustive) == (7, 1548, True)
     print(
         "\nC8 PASS model counts: 1 at size 1, 1 at size 2, 2 at size 3, "
-        "4 at size 4 (133 nodes), 7 at size 5 (5314 nodes) (pinned)"
+        "4 at size 4 (98 nodes), 7 at size 5 (1548 nodes) (pinned)"
     )

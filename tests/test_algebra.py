@@ -1,6 +1,7 @@
 """Tables, law checking, derived relations, quotients, and downsets."""
 
 import gc
+import hashlib
 import re
 import weakref
 
@@ -29,6 +30,8 @@ from lemmas import (
     ComplementedSemilattice,
     complemented_semilattice_of,
     evaluate_law,
+    labelled_copies,
+    minus_form,
     subtraction_from_boolean_downsets,
 )
 
@@ -133,24 +136,36 @@ def test_axiom_implies_derived_exhaustively_at_small_sizes():
             assert check_derived_laws(model).passed
 
 
-@pytest.mark.slow
-def test_axiom_implies_derived_exhaustively_at_size_six(monkeypatch):
-    # Completes the soundness sweep at size 6; takes about 8 seconds.
-    # It also checks the enumerator's isomorphism label on all 472
-    # labelled copies: equal labels exactly for equal canonical forms.
-    from diffrest import SearchBudget, canonical_form, oracle
+# SHA-256 of what ``diffrest search models --size 6`` printed before its
+# last line (the ``PASS models`` line with the node count), recorded when
+# the restrict stage still ran for every complete minus table.
+SIZE_SIX_CATALOG_SHA256 = "2f04dd5c1792ad4ec6ca63fab1bf86c13685d7eb744bcefc39058db747c4574d"
 
-    copies = []
-    label = oracle._label
-    monkeypatch.setattr(oracle, "_label", lambda alg: copies.append(alg) or label(alg))
-    catalog = enumerate_axiom_models(6, SearchBudget(node_limit=500_000_000))
+
+@pytest.mark.slow
+def test_axiom_implies_derived_exhaustively_at_size_six(monkeypatch, capsys):
+    # Completes the soundness sweep at size 6; takes about 2 seconds.
+    # It also checks the enumerator's isomorphism label on the 64
+    # labelled models (equal labels exactly for equal canonical forms)
+    # and on the 91 complete minus tables (exactly for equal minus
+    # forms), and that ``search models`` prints the same catalog.
+    from diffrest import canonical_form, oracle
+    from diffrest.cli import main
+
+    catalog, copies, minus_tables = labelled_copies(monkeypatch, 6)
     assert catalog.exhaustive
-    assert (len(catalog.models), catalog.nodes) == (14, 1_029_123)
+    assert (len(catalog.models), catalog.nodes) == (14, 79_645)
     for model in catalog.models:
         assert check_derived_laws(model).passed
-    assert len(copies) == 472
-    pairs = {(label(alg), canonical_form(alg)) for alg in copies}
+    assert (len(copies), len(minus_tables)) == (64, 91)
+    pairs = {(oracle._label(0, (alg.minus, alg.restrict)), canonical_form(alg)) for alg in copies}
     assert len(pairs) == len({p[0] for p in pairs}) == len({p[1] for p in pairs}) == 14
+    pairs = {(oracle._label(0, (minus,)), minus_form(0, minus)) for minus in minus_tables}
+    assert len(pairs) == len({p[0] for p in pairs}) == len({p[1] for p in pairs}) == 3
+    assert main(["search", "models", "--size", "6"]) == 0
+    *printed, last = capsys.readouterr().out.splitlines(keepends=True)
+    assert last == "PASS models size=6 count=14 exhaustive=yes nodes=79645\n"
+    assert hashlib.sha256("".join(printed).encode()).hexdigest() == SIZE_SIX_CATALOG_SHA256
 
 
 def test_derived_relations_f2(f2):

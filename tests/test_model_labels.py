@@ -1,12 +1,15 @@
-"""The model enumerator's isomorphism label, against ``canonical_form``.
+"""The model enumerator's isomorphism label, against brute-force forms.
 
-``_label`` deduplicates the enumerator's labelled copies; the catalog is
-then sorted by ``canonical_form``, once per class.  The label is exact
-when it partitions algebras as ``canonical_form`` does: equal labels
-exactly for equal forms.  That is checked on every labelled copy the
-enumerator completes at sizes up to 5 (size 6 is the slow sweep in
-``test_algebra.py``) and on seeded relabelings of each model, including
-ones that move zero off id 0.
+``_label`` keys the enumerator's complete minus tables by ``(minus,)``,
+so that the restrict stage runs once per class, and deduplicates its
+labelled models by ``(minus, restrict)``; the catalog is then sorted by
+``canonical_form``, once per class.  The label is exact when it
+partitions its inputs as the brute-force form does: equal labels
+exactly for equal forms, ``canonical_form`` for models and
+``minus_form`` for minus tables.  That is checked on every labelled
+model and every complete minus table the enumerator reaches at sizes
+up to 5 (size 6 is the slow sweep in ``test_algebra.py``) and on seeded
+relabelings of them, including ones that move zero off id 0.
 """
 
 import inspect
@@ -16,6 +19,7 @@ import pytest
 
 from diffrest import FiniteAlgebra, canonical_form, enumerate_axiom_models
 from diffrest import oracle
+from lemmas import labelled_copies, minus_form
 
 SIZES = (1, 2, 3, 4, 5)
 RELABELINGS = 6
@@ -27,62 +31,88 @@ def same_partition(labels, forms) -> bool:
     return len(pairs) == len(set(labels)) == len(set(forms))
 
 
+def relabel_table(table, sigma):
+    """``table`` with element ``a`` renamed ``sigma[a]``."""
+    inv = sorted(range(len(table)), key=sigma.__getitem__)
+    return [[sigma[table[x][y]] for y in inv] for x in inv]
+
+
 def relabel(alg, sigma):
     """The tables of ``alg`` with element ``a`` renamed ``sigma[a]``."""
-    inv = sorted(range(alg.size), key=sigma.__getitem__)
-    minus = [[sigma[alg.minus[x][y]] for y in inv] for x in inv]
-    restrict = [[sigma[alg.restrict[x][y]] for y in inv] for x in inv]
-    return FiniteAlgebra.from_tables(minus, restrict)
+    return FiniteAlgebra.from_tables(*(relabel_table(t, sigma) for t in (alg.minus, alg.restrict)))
 
 
-def labelled_copies(monkeypatch, n):
-    """The catalog of size ``n`` and every labelled copy its search completed."""
-    copies = []
-    label = oracle._label
-    monkeypatch.setattr(oracle, "_label", lambda alg: copies.append(alg) or label(alg))
-    catalog = enumerate_axiom_models(n)
-    monkeypatch.setattr(oracle, "_label", label)
-    return catalog, copies
-
-
-def relabelings(models, seed):
-    """Seeded shuffles of each model's ids; the first moves zero to the last id."""
-    rng = random.Random(seed)
-    out = []
-    for alg in models:
-        sigma = list(range(alg.size))
-        sigma[0], sigma[-1] = sigma[-1], sigma[0]
-        out.append(relabel(alg, sigma))
-        for _ in range(RELABELINGS):
-            rng.shuffle(sigma)
-            out.append(relabel(alg, sigma))
+def shuffles(rng, n):
+    """Relabelings of ids 0..n-1: the first moves zero, id 0, to the last
+    id, then seeded shuffles."""
+    sigma = list(range(n))
+    sigma[0], sigma[-1] = sigma[-1], sigma[0]
+    out = [sigma[:]]
+    for _ in range(RELABELINGS):
+        rng.shuffle(sigma)
+        out.append(sigma[:])
     return out
 
 
+def model_label(alg) -> bytes:
+    return oracle._label(alg.zero, (alg.minus, alg.restrict))
+
+
 @pytest.fixture(scope="module")
-def corpus():
-    """Every labelled copy at sizes up to 5, then relabelings of the models."""
+def found():
+    """Per size up to 5: the catalog, its labelled models and its labelled
+    minus tables."""
     with pytest.MonkeyPatch.context() as monkeypatch:
-        found = [labelled_copies(monkeypatch, n) for n in SIZES]
-    copies = [alg for _, algs in found for alg in algs]
-    models = [alg for catalog, _ in found for alg in catalog.models]
-    return copies + models + relabelings(models, seed=20)
+        return [labelled_copies(monkeypatch, n) for n in SIZES]
 
 
-def test_enumerator_labels_every_completed_copy(monkeypatch):
-    counts = [len(labelled_copies(monkeypatch, n)[1]) for n in SIZES]
-    assert counts == [1, 1, 2, 8, 51]
+@pytest.fixture(scope="module")
+def corpus(found):
+    """Every labelled model at sizes up to 5, then relabelings of the
+    catalogs' models."""
+    rng = random.Random(20)
+    copies = [alg for _, algs, _ in found for alg in algs]
+    models = [alg for catalog, _, _ in found for alg in catalog.models]
+    relabeled = [relabel(alg, sigma) for alg in models for sigma in shuffles(rng, alg.size)]
+    return copies + models + relabeled
+
+
+@pytest.fixture(scope="module")
+def minus_corpus(found):
+    """Every labelled minus table at sizes up to 5, then relabelings of
+    them, each with its zero."""
+    rng = random.Random(21)
+    tables = [minus for _, _, minus_tables in found for minus in minus_tables]
+    relabeled = [
+        (sigma[0], relabel_table(minus, sigma))
+        for minus in tables
+        for sigma in shuffles(rng, len(minus))
+    ]
+    return [(0, minus) for minus in tables] + relabeled
+
+
+def test_enumerator_labels_every_completed_copy(found):
+    assert [len(models) for _, models, _ in found] == [1, 1, 2, 6, 18]
+    assert [len(tables) for _, _, tables in found] == [1, 1, 1, 4, 13]
 
 
 def test_label_partitions_like_canonical_form(corpus):
     assert any(alg.zero != 0 for alg in corpus)
     forms = [canonical_form(alg) for alg in corpus]
     assert len(set(forms)) == 1 + 1 + 2 + 4 + 7
-    assert same_partition([oracle._label(alg) for alg in corpus], forms)
+    assert same_partition([model_label(alg) for alg in corpus], forms)
+
+
+def test_minus_label_partitions_like_minus_form(minus_corpus):
+    assert any(zero != 0 for zero, _ in minus_corpus)
+    forms = [minus_form(zero, minus) for zero, minus in minus_corpus]
+    assert len(set(forms)) == 1 + 1 + 1 + 2 + 2
+    labels = [oracle._label(zero, (minus,)) for zero, minus in minus_corpus]
+    assert same_partition(labels, forms)
 
 
 def cell_sizes(alg) -> list[int]:
-    label = oracle._label(alg)
+    label = model_label(alg)
     return list(label[: len(label) - 2 * alg.size**2])
 
 
@@ -111,7 +141,7 @@ def mutant_label(old: str, new: str):
 
 MUTANTS = {
     # F3 and F4 share a minus table
-    "minus rows only": ("pick(rows[0]) + pick(rows[1])", "pick(rows[0])"),
+    "minus rows only": ("for table in rows", "for table in rows[:1]"),
     # cells in the order of their least element id
     "cells by least id": ("sorted(cells)", "cells"),
 }
@@ -121,7 +151,8 @@ MUTANTS = {
 def test_comparison_catches_label_mutants(mutant, corpus):
     label = mutant_label(*MUTANTS[mutant])
     forms = [canonical_form(alg) for alg in corpus]
-    assert not same_partition([label(alg) for alg in corpus], forms)
+    labels = [label(alg.zero, (alg.minus, alg.restrict)) for alg in corpus]
+    assert not same_partition(labels, forms)
 
 
 def test_canonical_form_runs_once_per_class(monkeypatch):

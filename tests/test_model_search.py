@@ -1,12 +1,16 @@
 """Model enumeration that checks only the law instances reading each new cell.
 
 ``reference_enumerate_axiom_models`` is the enumerator that re-scanned
-every law instance after each filled cell, kept verbatim with its two
-scans ``_laws_on_partial_minus`` and ``_laws_on_partial_restrict`` as
-the oracle.  The incremental search must visit the same nodes, so it
-must return the identical models, in the identical order, with the
-identical node count and ``exhaustive`` flag, also when a node limit
-stops it inside either stage.  ``reference_fill`` is the same fill loop
+every law instance after each filled cell, kept with its two scans
+``_laws_on_partial_minus`` and ``_laws_on_partial_restrict`` as the
+oracle.  Both run the restrict stage only for the first complete
+minus table of each isomorphism class; the reference decides
+isomorphism with the brute-force ``minus_form``, not with ``_label``.
+The incremental search must visit the same nodes, so it must return
+the identical models, in the identical order, with the identical node
+count and ``exhaustive`` flag, also when a node limit stops it inside
+either stage.  With the skip turned off, the reference must still find
+the same catalogs.  ``reference_fill`` is the same fill loop
 for one table, so that the two searches can also be compared from
 start states the enumerator never seeds, including violated ones.
 
@@ -35,6 +39,7 @@ from diffrest import (
 from diffrest import oracle
 from diffrest.algebra import AXIOM_LAWS, SUBTRACTION_LAWS
 from diffrest.oracle import DEFAULT_BUDGET, ModelCatalog, _NodeLimit
+from lemmas import minus_form
 
 
 def _laws_on_partial_minus(minus: list[list[int | None]], n: int) -> bool:
@@ -91,16 +96,19 @@ def _laws_on_partial_restrict(
 
 
 def reference_enumerate_axiom_models(
-    n: int, budget: SearchBudget = DEFAULT_BUDGET
+    n: int, budget: SearchBudget = DEFAULT_BUDGET, skip_copies: bool = True
 ) -> ModelCatalog:
     """All law-abiding algebras of a given size, up to isomorphism.
 
     Backtracks over the two tables with the forced cells seeded (bottom
     fixed at element 0) and the laws re-checked as cells fill; complete
-    models are deduplicated by canonical form.
+    models are deduplicated by canonical form.  With ``skip_copies``,
+    the restrict stage runs only for the first complete minus table of
+    each ``minus_form``.
     """
     counter = [0]
     found: dict[str, FiniteAlgebra] = {}
+    minus_forms: set = set()
 
     minus: list[list[int | None]] = [[None] * n for _ in range(n)]
     restrict: list[list[int | None]] = [[None] * n for _ in range(n)]
@@ -142,7 +150,10 @@ def reference_enumerate_axiom_models(
         if counter[0] > budget.node_limit:
             raise _NodeLimit
         if k == len(free_minus):
-            fill_restrict(0)
+            form = minus_form(0, minus)
+            if not skip_copies or form not in minus_forms:
+                minus_forms.add(form)
+                fill_restrict(0)
             return
         a, b = free_minus[k]
         for v in range(n):
@@ -206,30 +217,37 @@ def mismatches(cases) -> list[tuple[int, int]]:
     return out
 
 
-# Node counts of the exhaustive sweeps, pinned in tests/test_acceptance.py.
-FULL = {1: 2, 2: 3, 3: 11, 4: 133, 5: 5314}
+# Node counts of the exhaustive sweeps, pinned in tests/test_acceptance.py,
+# and of the reference that runs the restrict stage for every minus table.
+FULL = {1: 2, 2: 3, 3: 11, 4: 98, 5: 1548}
+UNSKIPPED = {1: 2, 2: 3, 3: 11, 4: 133, 5: 5314}
 
-# A limit L stops the search at node L + 1.  At size 4 the minus stage
-# counts nodes 1-11, 28-34, 48-55 and 105-111 and the restrict stage the
-# rest, so the limits stop at every node of both stages.  At size 5 the
-# first restrict stage counts nodes 49-223, and 224-239, 4033-4068 and
-# 5299-5314 are minus nodes; the limits stop at the first restrict node
-# (whose check of the seeded cells is the first), in the middle and at
-# the ends of restrict stages, and in the minus stage.
+# A limit L stops the search at node L + 1.  At size 4 the restrict
+# stage counts nodes 12-27 and 43-91 and the minus stage the rest; nodes
+# 34 and 98 complete a minus table whose restrict stage is skipped.  So
+# the limits stop at every node of both stages.  At size 5 the restrict
+# stages count nodes 49-223 and 395-1410; nodes 239, 288, 304, 345, 352,
+# 372, 382, 1420, 1456, 1487 and 1532 complete skipped minus tables.  The
+# limits stop in the minus stage, at the first restrict node (whose check
+# of the seeded cells is the first), in the middle and at both ends of
+# restrict stages, on and after a skipped minus table, and at the last node.
 SIZE_FOUR_LIMITS = range(1, FULL[4] + 2)
-SIZE_FIVE_LIMITS = (1, 2, 48, 49, 50, 223, 224, 1000, 2217, 3245, 4033, 5298, 5299, 5313)
+SIZE_FIVE_LIMITS = (1, 2, 48, 49, 50, 222, 223, 238, 239, 394, 395, 900, 1409, 1410, 1531, 1547)
 
 
 def test_exhaustive_sweeps_match_reference():
     assert mismatches((n, DEFAULT_BUDGET.node_limit) for n in FULL) == []
     for n, nodes in FULL.items():
         assert reference_key(n, DEFAULT_BUDGET.node_limit)[2] == nodes
+        unskipped = catalog_key(reference_enumerate_axiom_models(n, skip_copies=False))
+        assert unskipped[:2] == reference_key(n, DEFAULT_BUDGET.node_limit)[:2]
+        assert unskipped[2] == UNSKIPPED[n]
 
 
 def test_every_node_limit_at_size_four_matches_reference():
     assert mismatches((4, limit) for limit in SIZE_FOUR_LIMITS) == []
-    assert reference_key(4, 132)[3] is False
-    assert reference_key(4, 133)[3] is True
+    assert reference_key(4, FULL[4] - 1)[3] is False
+    assert reference_key(4, FULL[4])[3] is True
 
 
 def test_node_limits_at_size_five_match_reference():
