@@ -7,9 +7,9 @@ brute-force oracles, ``diff`` cross-validates a corpus, and
 ``interp-boolean`` interprets a powerset as an identity-function
 algebra.  Every verdict line starts with PASS, FAIL, or INCONCLUSIVE;
 ``--format structured`` switches the remaining payload to key=value
-form.  Exit codes: 0 all pass, 1 any failure, 2 input error, 3
-inconclusive search, 141 (as for SIGPIPE) when standard output closes
-early.
+form.  Every answer is deterministic, so no verb takes a seed.  Exit
+codes: 0 all pass, 1 any failure, 2 input error, 3 inconclusive search,
+141 (as for SIGPIPE) when standard output closes early.
 """
 
 from __future__ import annotations
@@ -70,18 +70,6 @@ MODES = {
     "atomic-theta": atomic_theta,
     "atomic-eta": atomic_eta,
 }
-
-
-class UsageError(AlgebraError):
-    """A command-line setting is malformed."""
-
-
-def _default_seed() -> int:
-    raw = os.environ.get("DIFFREST_SEED", "0")
-    try:
-        return int(raw)
-    except ValueError:
-        raise UsageError(f"DIFFREST_SEED must be an integer, got {raw!r}") from None
 
 
 def _law_lines(report: AxiomReport, alg: FiniteAlgebra, structured: bool) -> list[str]:
@@ -215,8 +203,7 @@ def _completeness_line(report: CompletenessReport) -> tuple[str, bool]:
         f"{token} completeness meet={'yes' if report.meet_complete else 'no'} "
         f"join={'yes' if report.join_complete else 'no'} "
         f"atomic={'yes' if report.atomic else 'no'} "
-        f"subsets={report.subsets_checked} "
-        f"exhaustive={'yes' if report.exhaustive else 'no'}"
+        f"subsets={report.subsets_checked}"
     )
     return line, ok
 
@@ -254,7 +241,7 @@ def cmd_complete(args) -> int:
 
 
 def cmd_search_models(args) -> int:
-    budget = SearchBudget(node_limit=args.node_limit, seed=args.seed)
+    budget = SearchBudget(node_limit=args.node_limit)
     catalog = enumerate_axiom_models(args.size, budget)
     for i, model in enumerate(catalog.models):
         print(f"MODEL {i}")
@@ -269,11 +256,9 @@ def cmd_search_models(args) -> int:
 
 def cmd_search_embed(args) -> int:
     alg = _load_single(args.file)
-    budget = SearchBudget(
-        max_base_size=args.max_base, node_limit=args.node_limit, seed=args.seed
-    )
+    budget = SearchBudget(max_base_size=args.max_base, node_limit=args.node_limit)
     result = brute_force_embedding(alg, budget)
-    detail = f"base={result.base_size} nodes={result.nodes} seed={result.seed}"
+    detail = f"base={result.base_size} nodes={result.nodes}"
     if result.verdict == "found":
         for a in range(alg.size):
             print(
@@ -292,9 +277,7 @@ def cmd_diff(args) -> int:
     corpus = []
     for path in args.files:
         corpus.extend(abstract_of(doc) for doc in load_path(path))
-    budget = SearchBudget(
-        max_base_size=args.max_base, node_limit=args.node_limit, seed=args.seed
-    )
+    budget = SearchBudget(max_base_size=args.max_base, node_limit=args.node_limit)
     report = differential_check(corpus, budget)
     for entry in report.entries:
         print(entry.render())
@@ -306,8 +289,7 @@ def cmd_diff(args) -> int:
     )
     print(
         f"{token} differential algebras={len(report.entries)} agree={agree} "
-        f"disagree={len(report.disagreements)} inconclusive={len(report.inconclusive)} "
-        f"seed={budget.seed}"
+        f"disagree={len(report.disagreements)} inconclusive={len(report.inconclusive)}"
     )
     if report.disagreements:
         return EXIT_FAIL
@@ -338,15 +320,6 @@ def _add_format(parser: argparse.ArgumentParser) -> None:
         choices=("text", "structured"),
         default="text",
         help="text for humans, structured for key=value verdict lines",
-    )
-
-
-def _add_seed(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--seed",
-        type=int,
-        help="seed recorded in reports; the searches are deterministic "
-        "(default: DIFFREST_SEED or 0)",
     )
 
 
@@ -403,7 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_models = search_sub.add_parser("models", help="enumerate law models up to isomorphism")
     p_models.add_argument("--size", type=int, required=True)
     p_models.add_argument("--node-limit", type=int, default=2_000_000)
-    _add_seed(p_models)
     _add_format(p_models)
     p_models.set_defaults(func=cmd_search_models)
 
@@ -411,7 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_embed.add_argument("--file", required=True)
     p_embed.add_argument("--max-base", type=int, required=True)
     p_embed.add_argument("--node-limit", type=int, default=2_000_000)
-    _add_seed(p_embed)
     _add_format(p_embed)
     p_embed.set_defaults(func=cmd_search_embed)
 
@@ -419,7 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("files", nargs="+")
     p.add_argument("--max-base", type=int, default=4)
     p.add_argument("--node-limit", type=int, default=2_000_000)
-    _add_seed(p)
     _add_format(p)
     p.set_defaults(func=cmd_diff)
 
@@ -437,9 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        # DIFFREST_SEED is read only by verbs that take --seed and lack one.
-        if getattr(args, "seed", 0) is None:
-            args.seed = _default_seed()
         code = args.func(args)
         sys.stdout.flush()  # a closed stdout shows here, not at interpreter exit
         return code
@@ -452,7 +419,7 @@ def main(argv=None) -> int:
         print(f"FAIL {err}")
         return EXIT_FAIL
     except (
-        ParseError, TableError, SizeCapError, PfunError, BudgetExceededError, UsageError, OSError
+        ParseError, TableError, SizeCapError, PfunError, BudgetExceededError, OSError
     ) as err:
         print(f"ERROR {err}", file=sys.stderr)
         return EXIT_INPUT

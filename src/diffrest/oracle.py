@@ -75,30 +75,28 @@ class BudgetExceededError(AlgebraError):
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Limits for the oracles.
+    """Limits for the oracles, which are deterministic, so a budget
+    holds no seed.
 
     ``max_base_size`` may be zero (the empty base is a legitimate
     search target); ``node_limit`` bounds backtracking nodes and turns
     an exhausted budget into an explicit inconclusive verdict, never a
-    silent miss.
+    silent miss.  Algebras above ``SIZE_CAP`` elements are refused.
     """
 
     max_base_size: int = 4
-    max_algebra_size: int = SIZE_CAP
     node_limit: int = 2_000_000
-    seed: int = 0
 
     def __post_init__(self):
         if self.max_base_size < 0:
             raise BudgetExceededError("max_base_size must be nonnegative")
-        if self.max_algebra_size <= 0 or self.node_limit <= 0:
+        if self.node_limit <= 0:
             raise BudgetExceededError("budget limits must be positive")
 
-    def check_algebra_size(self, n: int) -> None:
-        if n > self.max_algebra_size:
-            raise BudgetExceededError(
-                f"algebra size {n} exceeds the budget limit {self.max_algebra_size}"
-            )
+
+def _check_size(n: int) -> None:
+    if n > SIZE_CAP:
+        raise BudgetExceededError(f"algebra size {n} exceeds the budget limit {SIZE_CAP}")
 
 
 DEFAULT_BUDGET = SearchBudget()
@@ -158,7 +156,6 @@ class EmbeddingResult:
     base_size: int
     nodes: int
     trace_nodes: int
-    seed: int
 
     @property
     def found(self) -> bool:
@@ -324,7 +321,7 @@ def brute_force_embedding(
     base padding rules out every smaller base as well.
     """
     n = alg.size
-    budget.check_algebra_size(n)
+    _check_size(n)
     m = budget.max_base_size
     gens = generating_set(alg)
     counter = [0]
@@ -335,9 +332,7 @@ def brute_force_embedding(
             alg, gens, m, counter, budget.node_limit
         )
     except _NodeLimit:
-        return EmbeddingResult(
-            "inconclusive", None, m, counter[0], counter[0], budget.seed
-        )
+        return EmbeddingResult("inconclusive", None, m, counter[0], counter[0])
     trace_nodes = counter[0]
 
     # Columns are tried by descending mask popcount, then lexicographically.
@@ -383,12 +378,10 @@ def brute_force_embedding(
     try:
         solution = dfs(0, all_pairs_mask)
     except _NodeLimit:
-        return EmbeddingResult(
-            "inconclusive", None, m, counter[0], trace_nodes, budget.seed
-        )
+        return EmbeddingResult("inconclusive", None, m, counter[0], trace_nodes)
 
     if solution is None:
-        return EmbeddingResult("none", None, m, counter[0], trace_nodes, budget.seed)
+        return EmbeddingResult("none", None, m, counter[0], trace_nodes)
 
     assignment = build(solution)
     rep = Representation(alg, "external", tuple(range(1, m + 1)), assignment)
@@ -397,9 +390,7 @@ def brute_force_embedding(
         raise InconsistencyError(
             f"search produced an assignment that fails verification: {report.failures[0]}"
         )
-    return EmbeddingResult(
-        "found", assignment, m, counter[0], trace_nodes, budget.seed
-    )
+    return EmbeddingResult("found", assignment, m, counter[0], trace_nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -690,7 +681,7 @@ def enumerate_axiom_models(
     """
     if n < 1:
         raise TableError(f"algebras are nonempty, so size {n} has no models")
-    budget.check_algebra_size(n)
+    _check_size(n)
     if n > 8:  # the node limit does not bound time: each node's checks scan rows
         raise BudgetExceededError(f"model search size {n} exceeds the limit 8")
     counter = [0]

@@ -79,7 +79,6 @@ class CompletenessReport:
     atomic: bool
     atomic_witness: tuple | None
     subsets_checked: int
-    exhaustive: bool
 
     @property
     def fully_complete(self) -> bool:
@@ -357,9 +356,9 @@ def completeness_report(
     break (w, then s, by id), else U or T for the first w by id and then
     the first pair in sorted order.  ``subsets_checked`` counts the bound
     sets examined, one per element and pair; pairs with equal holders
-    share them, so each is decided once.  The report is always
-    exhaustive.  ``subset_cap`` is accepted and ignored: it bounded the
-    former subset scan, and callers still pass it.
+    share them, so each is decided once.  ``subset_cap`` is accepted and
+    ignored: it bounded the former subset scan, and the benchmark worker
+    (``bench/worker.py``) is the one caller that still passes it.
     """
     alg = rep.source
     _check_partial_order(alg)
@@ -416,5 +415,4 @@ def completeness_report(
         atomic_ok,
         atomic_witness,
         checked,
-        True,
     )

@@ -128,7 +128,7 @@ def test_c5_completeness_equivalences(corpus200, models_small):
     reports = 0
     for alg in algebras:
         for build in (canonical_theta, injective_eta, atomic_theta, atomic_eta):
-            report = completeness_report(build(alg), subset_cap=10)
+            report = completeness_report(build(alg))
             assert report.meet_complete, (alg, build.__name__)
             assert report.join_complete, (alg, build.__name__)
             assert report.atomic, (alg, build.__name__)
@@ -187,7 +187,7 @@ def test_c7_boolean_interpretation():
         assert verify_representation(identity_rep).passed
         atomic = atomic_theta(alg)
         assert verify_representation(atomic).passed
-        report = completeness_report(atomic, subset_cap=10)
+        report = completeness_report(atomic)
         assert report.meet_complete and report.join_complete and report.atomic
     print(
         f"\nC7 PASS powerset interpretation: universes 0..4, identity and "

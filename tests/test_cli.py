@@ -189,20 +189,30 @@ def test_complete_with_a_cap_above_the_size_is_exact(tmp_path, capsys):
     assert main(["complete", "--mode", "theta", str(path)]) == 0
     out = capsys.readouterr().out
     assert out.startswith("PASS completeness meet=yes join=yes atomic=yes subsets=")
-    assert out.endswith(" exhaustive=yes\n")
+    assert out.endswith(" subsets=270\n")
 
 
-def test_cap_and_seed_are_usage_errors_on_represent_and_complete(tmp_path, capsys):
-    path = tmp_path / "f2.alg"
-    path.write_text(serialize_concrete(make_f2()))
-    for verb in ("represent", "complete"):
-        for flag in ("--cap", "--seed"):
-            with pytest.raises(SystemExit) as caught:
-                main([verb, "--mode", "theta", str(path), flag, "12"])
-            assert caught.value.code == 2
-            out, err = capsys.readouterr()
-            assert out == ""
-            assert f"unrecognized arguments: {flag} 12" in err
+def test_cap_and_seed_are_usage_errors(tmp_path, capsys):
+    f2 = tmp_path / "f2.alg"
+    f2.write_text(serialize_concrete(make_f2()))
+    path = str(f2)
+    argvs = [
+        [verb, "--mode", "theta", path, flag]
+        for verb in ("represent", "complete")
+        for flag in ("--cap", "--seed")
+    ]
+    argvs += [
+        ["search", "models", "--size", "2", "--seed"],
+        ["search", "embed", "--file", path, "--max-base", "2", "--seed"],
+        ["diff", path, "--seed"],
+    ]
+    for argv in argvs:
+        with pytest.raises(SystemExit) as caught:
+            main([*argv, "12"])
+        assert caught.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"unrecognized arguments: {argv[-1]} 12" in err
 
 
 def reference_cover_lines(alg):
@@ -287,27 +297,31 @@ def test_unknown_flag_rejected(files):
     assert result.returncode == 2
 
 
-def test_seed_env_variable_is_the_default(files):
-    import os
-
-    env = dict(os.environ, DIFFREST_SEED="17")
-    result = run_cli(
-        "search", "embed", "--file", files["f2"], "--max-base", "2", env=env
-    )
-    assert result.returncode == 0
-    assert "seed=17" in result.stdout
+def test_seed_env_variable_is_ignored(files):
+    argv = ("search", "embed", "--file", files["f2"], "--max-base", "2")
+    unset = {k: v for k, v in os.environ.items() if k != "DIFFREST_SEED"}
+    without = run_cli(*argv, env=unset)
+    with_seed = run_cli(*argv, env=dict(unset, DIFFREST_SEED="abc"))
+    assert with_seed.returncode == without.returncode == 0
+    assert with_seed.stdout == without.stdout
 
 
-def test_malformed_seed_env_variable_is_an_input_error(files):
-    import os
+LIMITS_POSITIVE = "budget limits must be positive"
 
-    env = dict(os.environ, DIFFREST_SEED="abc")
-    result = run_cli(
-        "search", "embed", "--file", files["f2"], "--max-base", "2", env=env
-    )
-    assert result.returncode == 2
-    assert result.stdout == ""
-    assert result.stderr.startswith("ERROR DIFFREST_SEED")
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["search", "models", "--size", "2", "--node-limit", "0"], LIMITS_POSITIVE),
+        (["search", "embed", "--max-base", "2", "--node-limit", "-5"], LIMITS_POSITIVE),
+        (["search", "embed", "--max-base", "-1"], "max_base_size must be nonnegative"),
+    ],
+)
+def test_bad_search_budget_is_an_input_error(files, argv, message, capsys):
+    if argv[1] == "embed":
+        argv = [*argv, "--file", files["f2"]]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"ERROR {message}\n")
 
 
 @pytest.mark.parametrize("size", ("0", "-3"))

@@ -59,6 +59,8 @@ def _reference_subset_masks(n, cap, samples, seed):
 def reference_completeness_report(
     rep, subset_cap=SUBSET_CAP_DEFAULT, samples=SAMPLE_COUNT_DEFAULT, seed=0
 ):
+    """The subset scan's report, and whether the scan saw every subset
+    (it samples above ``subset_cap`` elements)."""
     alg = rep.source
     n = alg.size
     masks, exhaustive = _reference_subset_masks(n, subset_cap, samples, seed)
@@ -102,16 +104,10 @@ def reference_completeness_report(
         if not atomic_ok:
             break
 
-    return CompletenessReport(
-        meet_ok,
-        meet_witness,
-        join_ok,
-        join_witness,
-        atomic_ok,
-        atomic_witness,
-        checked,
-        exhaustive,
+    report = CompletenessReport(
+        meet_ok, meet_witness, join_ok, join_witness, atomic_ok, atomic_witness, checked
     )
+    return report, exhaustive
 
 
 def _with_graph(rep, a, graph):
@@ -193,11 +189,10 @@ def first_witnesses(rep):
 def assert_agrees_with_subset_scan(rep, cap, samples=SAMPLE_COUNT_DEFAULT):
     """Compare with the subset scan; return (exhaustive, meet, join) of
     the scan."""
-    want = reference_completeness_report(rep, cap, samples, seed=3)
+    want, exhaustive = reference_completeness_report(rep, cap, samples, seed=3)
     got = completeness_report(rep)
-    assert got.exhaustive
     assert (got.atomic, got.atomic_witness) == (want.atomic, want.atomic_witness)
-    if want.exhaustive:
+    if exhaustive:
         assert (got.meet_complete, got.join_complete) == (
             want.meet_complete,
             want.join_complete,
@@ -207,7 +202,7 @@ def assert_agrees_with_subset_scan(rep, cap, samples=SAMPLE_COUNT_DEFAULT):
         assert got.meet_complete <= want.meet_complete, rep.assignment
         assert got.join_complete <= want.join_complete, rep.assignment
     assert_witnesses_fail(rep, got)
-    return want.exhaustive, want.meet_complete, want.join_complete
+    return exhaustive, want.meet_complete, want.join_complete
 
 
 def _assert_scans_agree(algebras, caps, samples=SAMPLE_COUNT_DEFAULT):
@@ -273,7 +268,7 @@ def test_completeness_scan_memory_does_not_grow_with_the_cap():
             tracemalloc.stop()
         assert report == first
         assert peak < 512 * 1024, (cap, peak)
-    assert first.exhaustive and first.fully_complete
+    assert first.fully_complete
 
 
 # Minus tables whose derived order (b <= a iff a - (a - b) = b) is not a

@@ -94,7 +94,6 @@ def reference_cover_search(alg, budget, columns_and_masks=expanded_columns_and_m
     (-popcount of its mask, column) up front.  ``columns_and_masks``
     lists the columns, by default the expansion of the canonical traces."""
     n = alg.size
-    budget.check_algebra_size(n)
     m = budget.max_base_size
     gens = oracle.generating_set(alg)
     counter = [0]
@@ -105,9 +104,7 @@ def reference_cover_search(alg, budget, columns_and_masks=expanded_columns_and_m
             alg, gens, m, counter, budget.node_limit
         )
     except _NodeLimit:
-        return EmbeddingResult(
-            "inconclusive", None, m, counter[0], counter[0], budget.seed
-        )
+        return EmbeddingResult("inconclusive", None, m, counter[0], counter[0])
     trace_nodes = counter[0]
 
     order = sorted(
@@ -154,12 +151,10 @@ def reference_cover_search(alg, budget, columns_and_masks=expanded_columns_and_m
     try:
         solution = dfs(0, all_pairs_mask)
     except _NodeLimit:
-        return EmbeddingResult(
-            "inconclusive", None, m, counter[0], trace_nodes, budget.seed
-        )
+        return EmbeddingResult("inconclusive", None, m, counter[0], trace_nodes)
 
     if solution is None:
-        return EmbeddingResult("none", None, m, counter[0], trace_nodes, budget.seed)
+        return EmbeddingResult("none", None, m, counter[0], trace_nodes)
 
     assignment = build(solution)
     rep = Representation(alg, "external", tuple(range(1, m + 1)), assignment)
@@ -168,9 +163,7 @@ def reference_cover_search(alg, budget, columns_and_masks=expanded_columns_and_m
         raise InconsistencyError(
             f"search produced an assignment that fails verification: {report.failures[0]}"
         )
-    return EmbeddingResult(
-        "found", assignment, m, counter[0], trace_nodes, budget.seed
-    )
+    return EmbeddingResult("found", assignment, m, counter[0], trace_nodes)
 
 
 @dataclasses.dataclass(frozen=True)

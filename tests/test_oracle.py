@@ -71,7 +71,7 @@ def test_embedding_found_empty_base(f0):
 
 
 def test_embedding_deterministic(f2):
-    budget = SearchBudget(max_base_size=2, seed=9)
+    budget = SearchBudget(max_base_size=2)
     a = brute_force_embedding(f2.abstract, budget)
     b = brute_force_embedding(f2.abstract, budget)
     assert a == b
@@ -120,7 +120,7 @@ def test_differential_agreement(f0, n1):
 
 def test_differential_deterministic(f2, f4):
     corpus = (f2.abstract, f4.abstract)
-    budget = SearchBudget(max_base_size=3, seed=4)
+    budget = SearchBudget(max_base_size=3)
     assert differential_check(corpus, budget) == differential_check(corpus, budget)
 
 
