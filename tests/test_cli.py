@@ -297,13 +297,22 @@ def test_unknown_flag_rejected(files):
     assert result.returncode == 2
 
 
-def test_seed_env_variable_is_ignored(files):
+def assert_seed_env_variable_is_ignored(files, value):
     argv = ("search", "embed", "--file", files["f2"], "--max-base", "2")
     unset = {k: v for k, v in os.environ.items() if k != "DIFFREST_SEED"}
     without = run_cli(*argv, env=unset)
-    with_seed = run_cli(*argv, env=dict(unset, DIFFREST_SEED="abc"))
+    with_seed = run_cli(*argv, env=dict(unset, DIFFREST_SEED=value))
     assert with_seed.returncode == without.returncode == 0
     assert with_seed.stdout == without.stdout
+    assert with_seed.stderr == without.stderr == ""
+
+
+def test_seed_env_variable_is_ignored(files):
+    assert_seed_env_variable_is_ignored(files, "17")
+
+
+def test_malformed_seed_env_variable_is_ignored(files):
+    assert_seed_env_variable_is_ignored(files, "abc")
 
 
 LIMITS_POSITIVE = "budget limits must be positive"
