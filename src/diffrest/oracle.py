@@ -39,8 +39,9 @@ laws or filter theory, since it is the oracle for the claim that they
 follow.  Isomorph rejection uses an exact label (the least tables over
 the relabelings within cells of equal invariants) twice: the restrict
 stage runs only for the first complete minus table of each class, and
-the first labelled copy of each model class is kept.  The classes are
-sorted by ``canonical_form``, computed once per class.
+the first labelled copy of each model class is kept.  The model label
+is the public ``canonical_form``, and the catalog lists the classes in
+its ascending order.
 """
 
 from __future__ import annotations
@@ -406,38 +407,6 @@ class ModelCatalog:
     nodes: int
 
 
-def canonical_form(alg: FiniteAlgebra) -> str:
-    """Minimal table serialization over relabelings sending bottom to 0.
-
-    Two algebras are isomorphic exactly when their canonical forms
-    coincide.  It tries all (n-1)! relabelings, so keep it to desk-scale
-    sizes.  The model enumerator calls it once per model class, as the
-    order of its catalog; it keys minus tables and deduplicates models
-    with the cheaper ``_label``.
-    """
-    n = alg.size
-    rest = [e for e in range(n) if e != alg.zero]
-    best: str | None = None
-    for perm in itertools.permutations(rest):
-        sigma = [0] * n
-        sigma[alg.zero] = 0
-        for new_minus_one, old in enumerate(perm):
-            sigma[old] = new_minus_one + 1
-        inv = [0] * n
-        for old, new in enumerate(sigma):
-            inv[new] = old
-        rows = []
-        for table in (alg.minus, alg.restrict):
-            for i in range(n):
-                rows.append(
-                    ",".join(str(sigma[table[inv[i]][inv[j]]]) for j in range(n))
-                )
-        form = f"n={n};" + ";".join(rows)
-        if best is None or form < best:
-            best = form
-    return best
-
-
 def _label(zero: int, tables: tuple) -> bytes:
     """An exact isomorphism label of square tables over ids with a
     ``zero``: equal labels iff a relabeling fixing zero maps one onto the other.
@@ -448,10 +417,10 @@ def _label(zero: int, tables: tuple) -> bytes:
     cells are ordered by invariant.  The label is the cell sizes and the
     least tables, as one byte string, over the relabelings that permute
     elements within their cells.  Zero is its own cell, so this tries
-    the product of the other cells' factorials, at most the (n-1)! of
-    ``canonical_form``.  Ids must fit in a byte; the model enumerator,
-    its only caller, stops at 8 elements.  It labels complete minus
-    tables by ``(minus,)`` and models by ``(minus, restrict)``.
+    the product of the other cells' factorials, never more than (n-1)!:
+    keep it to desk-scale sizes.  Ids must fit in a byte.  The model
+    enumerator labels complete minus tables by ``(minus,)`` and models
+    by ``(minus, restrict)``, as ``canonical_form`` does.
     """
     n = len(tables[0])
     keys = [[a != zero] for a in range(n)]
@@ -475,6 +444,13 @@ def _label(zero: int, tables: tuple) -> bytes:
         if best is None or form < best:
             best = form
     return bytes(map(len, ordered)) + best
+
+
+def canonical_form(alg: FiniteAlgebra) -> bytes:
+    """Equal forms exactly for isomorphic algebras: the ``_label`` of
+    both tables.  Model catalogs list their classes in ascending order
+    of it."""
+    return _label(alg.zero, (alg.minus, alg.restrict))
 
 
 def _rewrite(term: Term, sigma: dict[str, str], target: str = "") -> Term:
@@ -676,8 +652,9 @@ def enumerate_axiom_models(
     filled cell is checked against the law instances that read it;
     complete models are checked once more with ``check_axioms``.  The
     first model per ``_label`` of ``(minus, restrict)`` is kept, and the
-    classes are ordered by ``canonical_form``, called once per class.
-    Sizes above 8 are refused before any table is built.
+    classes are listed in ascending order of that label, their
+    ``canonical_form``.  Sizes above 8 are refused before any table is
+    built.
     """
     if n < 1:
         raise TableError(f"algebras are nonempty, so size {n} has no models")
@@ -727,7 +704,7 @@ def enumerate_axiom_models(
     except _NodeLimit:
         exhaustive = False
 
-    models = tuple(sorted(found.values(), key=canonical_form))
+    models = tuple(found[key] for key in sorted(found))
     return ModelCatalog(n, models, exhaustive, counter[0])
 
 

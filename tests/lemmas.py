@@ -3,10 +3,10 @@
 Nothing in the library calls these: they check side results of the
 paper (the filter lemmas, the quotient, homomorphisms restricted to
 downsets, subtraction rebuilt from Boolean downsets, atomisticity),
-re-evaluate single law instances, label minus tables by brute force,
-collect what the model enumerator labels, enumerate partial functions,
-and close arbitrary relations, which is how the non-functional fixture N1
-gets its tables.
+re-evaluate single law instances, relabel tables, label minus tables
+and algebras by brute force, collect what the model enumerator labels,
+enumerate partial functions, and close arbitrary relations, which is
+how the non-functional fixture N1 gets its tables.
 """
 
 from __future__ import annotations
@@ -93,6 +93,45 @@ def enumerate_pfuns(
         PartialFunction(points, [(x, v) for x, v in zip(points, values) if v])
         for values in itertools.product(range(base_size + 1), repeat=base_size)
     )
+
+
+def relabel_table(table: Sequence[Sequence[int]], sigma: Sequence[int]) -> list[list[int]]:
+    """``table`` with element ``a`` renamed ``sigma[a]``."""
+    inv = sorted(range(len(table)), key=sigma.__getitem__)
+    return [[sigma[table[x][y]] for y in inv] for x in inv]
+
+
+def relabel(alg: FiniteAlgebra, sigma: Sequence[int]) -> FiniteAlgebra:
+    """The tables of ``alg`` with element ``a`` renamed ``sigma[a]``."""
+    return FiniteAlgebra.from_tables(*(relabel_table(t, sigma) for t in (alg.minus, alg.restrict)))
+
+
+def reference_canonical_form(alg: FiniteAlgebra) -> str:
+    """Minimal table serialization over all (n-1)! relabelings sending
+    bottom to 0: equal forms exactly for isomorphic algebras.  The
+    brute-force reference for ``_label``, which the library's
+    ``canonical_form`` is."""
+    n = alg.size
+    rest = [e for e in range(n) if e != alg.zero]
+    best: str | None = None
+    for perm in itertools.permutations(rest):
+        sigma = [0] * n
+        sigma[alg.zero] = 0
+        for new_minus_one, old in enumerate(perm):
+            sigma[old] = new_minus_one + 1
+        inv = [0] * n
+        for old, new in enumerate(sigma):
+            inv[new] = old
+        rows = []
+        for table in (alg.minus, alg.restrict):
+            for i in range(n):
+                rows.append(
+                    ",".join(str(sigma[table[inv[i]][inv[j]]]) for j in range(n))
+                )
+        form = f"n={n};" + ";".join(rows)
+        if best is None or form < best:
+            best = form
+    return best
 
 
 def minus_form(zero: int, minus: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:

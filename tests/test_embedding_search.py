@@ -60,6 +60,7 @@ from diffrest.oracle import (
     _columns_and_masks,
     _relabelings,
 )
+from lemmas import relabel
 
 
 def _valid_columns(alg, gens, m, counter, limit) -> list[tuple[int, ...]]:
@@ -438,16 +439,6 @@ def reference_generating_set(alg: FiniteAlgebra) -> tuple[int, ...]:
         chosen.append(e)
         closed = closure(closed | 1 << e)
     return tuple(chosen)
-
-
-def relabel(alg, sigma):
-    """The tables of ``alg`` with element ``a`` renamed ``sigma[a]``."""
-    inv = [0] * alg.size
-    for old, new in enumerate(sigma):
-        inv[new] = old
-    minus = [[sigma[alg.minus[x][y]] for y in inv] for x in inv]
-    restrict = [[sigma[alg.restrict[x][y]] for y in inv] for x in inv]
-    return FiniteAlgebra.from_tables(minus, restrict)
 
 
 RELABEL_DRAWS = 1000

@@ -5,7 +5,9 @@ every law instance after each filled cell, kept with its two scans
 ``_laws_on_partial_minus`` and ``_laws_on_partial_restrict`` as the
 oracle.  Both run the restrict stage only for the first complete
 minus table of each isomorphism class; the reference decides
-isomorphism with the brute-force ``minus_form``, not with ``_label``.
+isomorphism with the brute-force ``minus_form`` and
+``reference_canonical_form``, not with ``_label``, and orders its
+catalog by ``canonical_form``, which defines the catalog order.
 The incremental search must visit the same nodes, so it must return
 the identical models, in the identical order, with the identical node
 count and ``exhaustive`` flag, also when a node limit stops it inside
@@ -39,7 +41,7 @@ from diffrest import (
 from diffrest import oracle
 from diffrest.algebra import AXIOM_LAWS, SUBTRACTION_LAWS
 from diffrest.oracle import DEFAULT_BUDGET, ModelCatalog, _NodeLimit
-from lemmas import minus_form
+from lemmas import minus_form, reference_canonical_form
 
 
 def _laws_on_partial_minus(minus: list[list[int | None]], n: int) -> bool:
@@ -102,9 +104,10 @@ def reference_enumerate_axiom_models(
 
     Backtracks over the two tables with the forced cells seeded (bottom
     fixed at element 0) and the laws re-checked as cells fill; complete
-    models are deduplicated by canonical form.  With ``skip_copies``,
-    the restrict stage runs only for the first complete minus table of
-    each ``minus_form``.
+    models are deduplicated by ``reference_canonical_form`` and listed
+    in ascending ``canonical_form``.  With ``skip_copies``, the restrict
+    stage runs only for the first complete minus table of each
+    ``minus_form``.
     """
     counter = [0]
     found: dict[str, FiniteAlgebra] = {}
@@ -136,7 +139,7 @@ def reference_enumerate_axiom_models(
                 raise InconsistencyError(
                     "incremental pruning admitted a non-model"
                 )
-            found.setdefault(canonical_form(alg), alg)
+            found.setdefault(reference_canonical_form(alg), alg)
             return
         a, b = free_restrict[k]
         for v in range(n):
@@ -168,7 +171,7 @@ def reference_enumerate_axiom_models(
     except _NodeLimit:
         exhaustive = False
 
-    models = tuple(found[key] for key in sorted(found))
+    models = tuple(sorted(found.values(), key=canonical_form))
     return ModelCatalog(n, models, exhaustive, counter[0])
 
 

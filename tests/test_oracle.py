@@ -1,9 +1,13 @@
 """Brute-force enumeration, embedding search, and differential validation."""
 
+import random
+import time
+
 import pytest
 
 from diffrest import (
     BudgetExceededError,
+    FiniteAlgebra,
     SearchBudget,
     brute_force_embedding,
     canonical_form,
@@ -14,7 +18,7 @@ from diffrest import (
     verify_representation,
     Representation,
 )
-from lemmas import enumerate_pfuns
+from lemmas import enumerate_pfuns, relabel
 
 
 def test_enumerate_pfuns_counts():
@@ -75,6 +79,18 @@ def test_embedding_deterministic(f2):
     a = brute_force_embedding(f2.abstract, budget)
     b = brute_force_embedding(f2.abstract, budget)
     assert a == b
+
+
+def test_embedding_search_refuses_a_raw_algebra_above_the_size_cap():
+    # ``from_tables`` refuses 65 elements itself; the raw constructor
+    # does not, so the search checks the size before reading a table.
+    table = ((0,) * 65,) * 65
+    alg = FiniteAlgebra(65, table, table, 0)
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError) as raised:
+        brute_force_embedding(alg)
+    assert time.perf_counter() - start < 1.0
+    assert str(raised.value) == "algebra size 65 exceeds the budget limit 64"
 
 
 def test_embedding_inconclusive_on_tiny_node_limit(f2):
@@ -144,17 +160,21 @@ def test_found_assignments_are_complete(f2):
     assert report.meet_complete and report.join_complete and report.atomic
 
 
-def test_canonical_form_identifies_isomorphs(f2):
+def test_canonical_form_identifies_isomorphs(f0, f1, f2, f3, f4, n1):
     alg = f2.abstract
     # relabel by swapping the two atoms
-    perm = [1, 0, 2, 3]
-    minus = [[0] * 4 for _ in range(4)]
-    restrict = [[0] * 4 for _ in range(4)]
-    for a in range(4):
-        for b in range(4):
-            minus[perm[a]][perm[b]] = perm[alg.minus[a][b]]
-            restrict[perm[a]][perm[b]] = perm[alg.restrict[a][b]]
-    from diffrest import FiniteAlgebra
-
-    relabeled = FiniteAlgebra.from_tables(minus, restrict)
+    relabeled = relabel(alg, [1, 0, 2, 3])
     assert canonical_form(relabeled) == canonical_form(alg)
+    fixtures = [f0, f1.abstract, f2.abstract, f3.abstract, f4.abstract, n1[0]]
+    forms = [canonical_form(alg) for alg in fixtures]
+    assert len(set(forms)) == len(fixtures)
+    rng = random.Random(23)
+    zeros = set()
+    for alg, form in zip(fixtures, forms):
+        n = alg.size
+        # the rotation moves every id, zero's included
+        for sigma in [[(a + 1) % n for a in range(n)]] + [rng.sample(range(n), n) for _ in range(6)]:
+            relabeled = relabel(alg, sigma)
+            zeros.add(relabeled.zero)
+            assert canonical_form(relabeled) == form
+    assert zeros - {0}
