@@ -10,18 +10,10 @@ laws with deterministic first-counterexample witnesses.
 
 Each law is written once, as a pair of terms over minus, restrict, meet
 and 0, related by ``=`` or ``<=`` and optionally guarded by antecedents
-``x <= y``.  At import every law is compiled into a row scan: both
-sides are computed as whole rows over two row variables where that
-costs no more (one where every pair would mix rows of two widths),
-and the other variables are fixed by loops.  A row over two variables
-is the rows over the inner one, one per value of the outer one, joined
-into one byte string, so a four-variable law runs two loops.  Rows are
-byte strings, so reading one through a table row or column is a single
-``bytes.translate``, and comparing two is a ``memcmp``.  Only a row
-where the sides differ is walked element by element, and failures are
-sorted where the loops meet them out of order, so the witness is the
-lexicographically first counterexample among the assignments that
-satisfy the antecedents.
+``x <= y``.  ``_read`` is the one reading of a law that both code
+generators compile: the row scans here, compiled at import
+(``_compile``), whose first failure is the lexicographically first
+counterexample, and the model enumerator's cell checks in ``oracle``.
 
 A downset is certified Boolean in O(k^2) by its atom map (the Stone
 representation); the O(k^3) battery of Boolean laws runs only when the
@@ -37,7 +29,7 @@ import ast
 import re
 from dataclasses import dataclass
 from functools import cached_property, wraps
-from itertools import product
+from itertools import combinations, product
 from operator import itemgetter
 from typing import Callable, Iterator, NamedTuple, Sequence
 
@@ -367,27 +359,57 @@ class LawTables(dict):
         )
 
 
-def _reads(term: Term, operations: list) -> frozenset[str]:
-    """The variables ``term`` reads.  Appends each operation in it, inner
-    first, as (variables of the left operand, of the right, operands)."""
-    if isinstance(term, str):
-        return frozenset(() if term == "0" else (term,))
-    x, y = _reads(term[1], operations), _reads(term[2], operations)
-    operations.append((x, y, term[1:]))
-    return x | y
+def _read(law: Law) -> tuple[list[tuple[Term, Term]], dict[str, str]]:
+    """``law`` as both code generators compile it: the claim and then the
+    antecedents (the guards) as equations, x <= y read as x == x & y, and
+    ``above[y] = x`` for each antecedent x <= y.  Raises ``ValueError``,
+    naming the law, unless each antecedent bounds a later variable and
+    none bounds one twice, so that each bounded variable runs over one
+    up-set, inside the loop of x."""
+    above = {y: x for x, y in law.antecedents}
+    ordered = set(combinations(law.varnames, 2))  # (x, y) with x before y
+    if len(above) < len(law.antecedents) or not ordered.issuperset(law.antecedents):
+        raise ValueError(f"law {law.name}: each antecedent must bound a later variable, none twice")
+    claims = [(law.lhs, law.relation, law.rhs)] + [(x, "<=", y) for x, y in law.antecedents]
+    return [(x, y) if r == "=" else (x, ("meet", x, y)) for x, r, y in claims], above
 
 
-def _row_cost(operations: list, sides: list, rows: tuple[str, ...]) -> tuple | None:
-    """What a scan with rows over ``rows`` (outer first) pays beyond one
-    C call per row: the pairwise gathers over whole rows, whether it has
-    one row variable, and the steps that make one call per outer value.
-    None if it would need a step that ``_compile`` lacks: an operation
-    between rows over different but overlapping row variables, or a side
-    over one of two row variables alone."""
+def _subterms(*terms: Term) -> Iterator[Term]:
+    """Every subterm, operands (left first) before the terms they build."""
+    for term in terms:
+        yield from _subterms(*term[1:]) if isinstance(term, tuple) else ()
+        yield term
+
+
+def _fold(known: dict[Term, object], terms: Sequence[Term], combine: Callable) -> list[Term]:
+    """Enter each subterm of ``terms`` that ``known`` lacks as ``combine`` of
+    its operands' entries (with loop depths and ``max``, the depth where it
+    is known); return those subterms, each once, in evaluation order."""
+    new = [u for u in dict.fromkeys(_subterms(*terms)) if u not in known]
+    for u in new:
+        known[u] = combine(known[u[1]], known[u[2]])
+    return new
+
+
+def _define(source: str, filename: str) -> Callable:
+    """The function that ``source``, one generated ``def``, defines."""
+    namespace: dict = {"product": product}
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace[source[4:source.index("(")]]
+
+
+def _row_cost(reads: dict, sides: tuple[Term, Term], rows: tuple[str, ...]) -> tuple | None:
+    """What a scan of ``sides`` with rows over ``rows`` (outer first) pays
+    beyond one C call per row: the pairwise gathers over whole rows,
+    whether it has one row variable, and the steps that make one call per
+    outer value.  None if it would need a step that ``_compile`` lacks: an
+    operation between rows over different but overlapping row variables,
+    or a side over one of two row variables alone.  ``reads`` maps each
+    subterm of ``sides`` to the variables it reads."""
     full = set(rows)
     gathers = per_value = 0
-    for x, y, operands in operations:
-        x, y = x & full, y & full
+    for operands in (u[1:] for u in reads if isinstance(u, tuple)):
+        x, y = (reads[v] & full for v in operands)
         if x & y:
             if x != y:
                 return None
@@ -397,7 +419,7 @@ def _row_cost(operations: list, sides: list, rows: tuple[str, ...]) -> tuple | N
             # One call per outer value, unless the inner operand is the
             # inner variable itself.
             per_value += rows[-1] not in operands
-    if any(side & full not in (set(), full) for side in sides):
+    if any(reads[side] & full not in (set(), full) for side in sides):
         return None
     return gathers, len(rows) == 1, per_value
 
@@ -407,13 +429,13 @@ def _row_variables(law: Law) -> tuple[str, ...]:
     that bound no antecedent's up-set, the pair or the single one that
     costs least (``_row_cost``), later variables first on ties; the last
     variable if every variable bounds an up-set."""
-    operations: list = []
-    right = law.rhs if law.relation == "=" else ("meet", law.lhs, law.rhs)
-    sides = [_reads(law.lhs, operations), _reads(right, operations)]
-    free = [v for v in law.varnames[::-1] if v not in {x for x, _ in law.antecedents}]
+    (sides, *_), above = _read(law)
+    reads = {v: {v} for v in law.varnames} | {"0": set()}
+    _fold(reads, sides, set.union)
+    free = [v for v in law.varnames[::-1] if v not in above.values()]
     best = None
     for rows in [(x, y) for y in free for x in free if x != y] + [(v,) for v in free]:
-        cost = _row_cost(operations, sides, rows)
+        cost = _row_cost(reads, sides, rows)
         if cost and (best is None or cost < best[0]):
             best = cost, rows
             if cost[0] == cost[2] == 0:
@@ -427,14 +449,16 @@ _TABLE_NAMES = {op + kind for op in _OPS.values() for kind in ("", "_cols", "_fl
 def _source(law: Law) -> str:
     """The source of the scan of ``law`` (see ``_compile``)."""
     name = {v: f"v{i}" for i, v in enumerate(law.varnames)} | {"0": "zero"}
+    (sides, *_), above = _read(law)
     rows = _row_variables(law)
-    above = {y: x for x, y in law.antecedents}
     first, v = set(), rows[-1]
     while v in above:
         v = above[v]
         first.add(v)
     loops = sorted((v for v in law.varnames if v not in rows), key=lambda v: v not in first)
-    depth = {name[v]: i for i, v in enumerate(loops, 1)} | {"zero": 0}
+    level = {"0": 0} | {v: i for i, v in enumerate(loops, 1)}
+    level |= {v: level[above[v]] if v in above else 0 for v in rows}
+    _fold(level, sides, max)
     domain = {v: "everything" for v in law.varnames}
     domain |= {y: f"up_lists[{name[x]}]" for y, x in above.items()}
     inner = len(loops)
@@ -445,10 +469,9 @@ def _source(law: Law) -> str:
     # the values of the kth row variable itself.
     dom = {}
     for kind, v in enumerate(rows, 1):
-        at = depth[name[above[v]]] if v in above else 0
-        dom[v] = f"dom{kind}" if v in above else "everything", at, kind
+        dom[v] = f"dom{kind}" if v in above else "everything", level[v], kind
         if v in above:
-            block[at].append(f"dom{kind} = {domain[v]}")
+            block[level[v]].append(f"dom{kind} = {domain[v]}")
     raw, dom_at, _ = zip(*dom.values())
     picks = {f"dom{k}": f"up_picks[{name[above[v]]}]" for k, v in enumerate(rows, 1) if v in above}
     at_full = max(dom_at)
@@ -472,9 +495,9 @@ def _source(law: Law) -> str:
     def code(term: Term) -> tuple[str, int, int]:
         """Source for ``term``, the depth where its value is known, and its kind."""
         if isinstance(term, str):
-            return dom[term] if term in dom else (name[term], depth[name[term]], 0)
-        op, (x, x_at, xk), (y, y_at, yk) = term[0], code(term[1]), code(term[2])
-        at = max(x_at, y_at)
+            return dom[term] if term in dom else (name[term], level[term], 0)
+        op, (x, x_at, xk), (y, _, yk) = term[0], code(term[1]), code(term[2])
+        at = level[term]
         if not (xk or yk):
             return f"{op}[{x}][{y}]", at, 0
         if not xk:
@@ -520,10 +543,8 @@ def _source(law: Law) -> str:
             f"        if y not in up_lists[low]: {fail}",
         ]
     else:
-        # x <= y holds where x & y == x.
-        right = law.rhs if law.relation == "=" else ("meet", law.lhs, law.rhs)
         block[inner] += [
-            f"p, q = {row(law.lhs)}, {row(right)}",
+            f"p, q = {row(sides[0])}, {row(sides[1])}",
             "if p != q:",
             f"    for {target}, x, y in zip({cells}, p, q):",
             f"        if x != y: {fail}",
@@ -544,35 +565,28 @@ def _source(law: Law) -> str:
 
 
 def _compile(law: Law) -> Callable[[LawTables], Iterator[tuple[int, ...]]]:
-    """Compile ``law`` into a scan that yields every assignment breaking
-    it, in lexicographic order.
+    """Compile ``law``, as ``_read`` gives it, into a scan that yields
+    every assignment breaking it, in lexicographic order; a law whose
+    antecedents ``_read`` refuses raises ``ValueError``.
 
     The scan is Python source with one loop per variable but the row
-    variables (``_row_variables``), in ``varnames`` order except that
-    the loops the inner row's up-set hangs from run first; an antecedent
-    ``x <= y`` makes y run over the up-set of x.  Inside, each side is
-    one row of values over the row variables, a ``bytes`` string; over
-    two of them it is the rows over the inner variable, one per value
-    of the outer one, joined, the outer's rows all of one length.  An
-    operation with a fixed operand reads the row through a table row
-    (``op[x]``) or column (``op_cols[x]``): one ``translate``, whatever
-    the row's width.  An operation between a row over the outer variable
-    and one over the inner variable joins one row per outer value:
-    ``flat[lines]`` when both are the bare variables over every element,
-    the inner variable's own lines when it is bare (picked by one
-    ``itemgetter`` when the outer variable runs over an up-set), else one
-    ``translate`` each.  Operations between two rows over the same
-    variables gather pairwise (``op[x[i]][y[i]]``), which the choice of
-    row variables avoids where it can.  A row that does not depend on
-    the innermost loop variable is computed in the outer loop that
-    fixes what it reads.  A row is walked element by element only where
-    the two sides differ.  A fixed left side x of "<=" is tested by
-    deleting up(x) from the right side's row.  Where the loops and rows
-    do not run in ``varnames`` order, the failures met past the point
-    where they stop doing so are sorted before they are yielded."""
-    namespace: dict = {"product": product}
-    exec(compile(_source(law), f"<law {law.name}>", "exec"), namespace)
-    return namespace["scan"]
+    variables (``_row_variables``); a variable bounded by an antecedent
+    x <= y runs over the up-set of x, and the loops the inner row's
+    up-set hangs from run first.  Each side of the equation is one
+    ``bytes`` row of values over the row variables (over two, the rows
+    over the inner one, one per value of the outer one, joined).  An
+    operation with a fixed operand reads the row through a table row or
+    column: one ``translate``.  One between rows over the outer and the
+    inner variable joins one line per outer value: the flat table for
+    the bare pair, else the inner variable's own lines (picked by one
+    ``itemgetter`` where the outer one runs over an up-set) or one
+    ``translate`` each.  Two rows over the same variables gather
+    pairwise, which the choice of row variables avoids where it can.  A
+    row is computed in the outermost loop that fixes what it reads, and
+    walked only where the sides differ; a fixed left side x of "<="
+    deletes up(x) from the right side's row instead.  Failures met out
+    of ``varnames`` order are sorted before they are yielded."""
+    return _define(_source(law), f"<law {law.name}>")
 
 
 _SCANS = {law: _compile(law) for law in LAW_TABLE.values()}

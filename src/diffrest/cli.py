@@ -7,9 +7,9 @@ brute-force oracles, ``diff`` cross-validates a corpus, and
 ``interp-boolean`` interprets a powerset as an identity-function
 algebra.  Every verdict line starts with PASS, FAIL, or INCONCLUSIVE;
 ``--format structured`` switches the remaining payload to key=value
-form.  Every answer is deterministic, so no verb takes a seed.  Exit
-codes: 0 all pass, 1 any failure, 2 input error, 3 inconclusive search,
-141 (as for SIGPIPE) when standard output closes early.
+form; the searches take none.  Every answer is deterministic, so no
+verb takes a seed.  Exit codes: 0 all pass, 1 any failure, 2 input
+error, 3 inconclusive search, 141 (as for SIGPIPE) when stdout closes early.
 """
 
 from __future__ import annotations
@@ -376,14 +376,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_models = search_sub.add_parser("models", help="enumerate law models up to isomorphism")
     p_models.add_argument("--size", type=int, required=True)
     p_models.add_argument("--node-limit", type=int, default=2_000_000)
-    _add_format(p_models)
     p_models.set_defaults(func=cmd_search_models)
 
     p_embed = search_sub.add_parser("embed", help="search for a concrete embedding")
     p_embed.add_argument("--file", required=True)
     p_embed.add_argument("--max-base", type=int, required=True)
     p_embed.add_argument("--node-limit", type=int, default=2_000_000)
-    _add_format(p_embed)
     p_embed.set_defaults(func=cmd_search_embed)
 
     p = sub.add_parser("diff", help="cross-validate a corpus of algebra files")

@@ -31,11 +31,11 @@ each complete minus table, the restrict table.  After each cell it
 checks only the instances of the five laws that read that cell: every
 other instance whose cells are all known was checked when its last
 cell was filled, or at the stage's first node if all its cells were
-seeded.  The check is compiled from the terms of ``AXIOM_LAWS``, one
-scan per occurrence of the table being filled: the laws over minus
-alone (meet read as two minus cells) while minus fills, the rest once
-it is complete.  It prunes with the five laws alone, never with derived
-laws or filter theory, since it is the oracle for the claim that they
+seeded.  The check is compiled (``_cell_check``) from the law checker's
+own reading of the laws, ``algebra._read``: the laws over minus alone
+(meet read as two minus cells) while minus fills, the rest once it is
+complete.  It prunes with the five laws alone, never with derived laws
+or filter theory, since it is the oracle for the claim that they
 follow.  Isomorph rejection uses an exact label (the least tables over
 the relabelings within cells of equal invariants) twice: the restrict
 stage runs only for the first complete minus table of each class, and
@@ -66,6 +66,7 @@ from .algebra import (
     check_axioms,
     mask_iter,
 )
+from .algebra import _define, _fold, _read, _subterms
 from .pfun import PartialFunction
 from .represent import Representation, verify_representation
 
@@ -462,42 +463,41 @@ def _rewrite(term: Term, sigma: dict[str, str], target: str = "") -> Term:
     return ("minus", s, ("minus", s, t)) if (op, target) == ("meet", "minus") else (op, s, t)
 
 
-def _subterms(*terms: Term) -> Iterator[Term]:
-    """Every subterm, operands before the terms they build."""
-    for term in terms:
-        yield from _subterms(*term[1:]) if isinstance(term, tuple) else ()
-        yield term
+def _symmetries(varnames: tuple[str, ...], equations: list) -> list[dict[str, str]]:
+    """The permutations of the variables that map the claim, the first of
+    ``equations``, onto itself and the guards after it onto each other,
+    each equation read both ways."""
+
+    def image(sigma: dict[str, str]) -> tuple:
+        claim, *guards = (frozenset(_rewrite(u, sigma) for u in eq) for eq in equations)
+        return claim, set(guards)
+
+    perms = (dict(zip(varnames, p)) for p in itertools.permutations(varnames))
+    return [s for s in perms if image(s) == image({})]
 
 
-def _symmetries(law: Law, sides: tuple[Term, Term]) -> list[dict[str, str]]:
-    """The permutations of the variables that map the equation onto itself."""
-    perms = (dict(zip(law.varnames, p)) for p in itertools.permutations(law.varnames))
-    return [s for s in perms if {_rewrite(side, s) for side in sides} == set(sides)]
-
-
-def _scan(varnames: tuple[str, ...], sides: tuple[Term, Term], occ: tuple, target: str):
-    """A sort key and the lines of the scan of the instances of ``sides``
-    in which ``occ``, whose operands are distinct and not 0, reads the
-    cell (x, y).  A variable operand is bound to x or y; another must
-    evaluate to it, a reverse lookup that first tests that the row holds
-    the value.  The other variables loop, the lookup's first.  Each
-    subterm is computed in the loop that fixes its variables, and each
-    row in the loop that fixes its index.  Instances that read an unknown
-    cell are skipped.  Names spell their terms, so a name holds one value
-    in every scan."""
+def _scan(varnames: tuple[str, ...], equations: list, occ: tuple, target: str):
+    """A sort key and the lines of the scan of the instances of a law (its
+    claim and guards, from ``_read``) in which ``occ``, whose operands are
+    distinct and not 0, reads the cell (x, y).  A variable operand is
+    bound to x or y; another must evaluate to it, a reverse lookup that
+    first tests that the row holds the value.  The other variables loop,
+    the lookup's first.  Each subterm, row and equation is computed or
+    tested in the loop that fixes what it reads (``_fold``).  Instances
+    that read an unknown cell are skipped.  Names spell their terms, so
+    a name holds one value in every scan."""
     value, wanted = {occ: "cell", "0": "0"}, {}  # wanted: the reverse lookups
     for operand, at in zip(occ[1:], "xy"):
         (value if operand in varnames else wanted)[operand] = at
     free = [u for u in _subterms(*wanted) if u in varnames] + list(varnames)
     loops = [u for u in dict.fromkeys(free) if u not in value]
     level = dict.fromkeys(value, 0) | {u: i for i, u in enumerate(loops, 1)}
-    terms = list(dict.fromkeys(u for u in _subterms(*wanted, *sides) if u not in level))
-    for u in terms:
-        level[u] = max(level[u[1]], level[u[2]])
+    tested = sum(equations, ())
+    terms = _fold(level, [*wanted, *tested], max)
     # A loop variable read only as the index of a lookup on a row fixed
     # outside its loop is decided by the test on that row: it gets no loop.
     decided = {
-        u[2] for u in wanted if u[2] in loops and u[2] not in sides
+        u[2] for u in wanted if u[2] in loops and u[2] not in tested
         and level[u[1]] < level[u[2]] and [t for t in terms if u[2] in t[1:]] == [u]
     }
     rows, lines, spell = {}, [], str.maketrans("[", "_", "]")
@@ -516,7 +516,6 @@ def _scan(varnames: tuple[str, ...], sides: tuple[Term, Term], occ: tuple, targe
 
     for p in list(value):
         bind(p)
-    compare_at = max((level[side] for side in sides if side not in wanted), default=0)
     for depth in range(len(loops) + 1):
         if depth:
             value[loops[depth - 1]] = f"e{depth}"
@@ -533,26 +532,31 @@ def _scan(varnames: tuple[str, ...], sides: tuple[Term, Term], occ: tuple, targe
             else:  # a complete table, read where the value is used
                 value[u] = read
             bind(u)
-        if depth == compare_at:
-            lhs, rhs = (wanted.get(side) or value[side] for side in sides)
-            lines.append(f"if {lhs} != {rhs}:")
+        for i, equation in enumerate(equations):  # the claim must fail, each guard hold
+            if depth == max((level[u] for u in equation if u not in wanted), default=0):
+                lhs, rhs = (wanted.get(u) or value[u] for u in equation)
+                lines.append(f"if {lhs} {'==' if i else '!='} {rhs}:")
     return (len(loops), -len(wanted)), lines + ["return False"]
 
 
 def _cell_check(laws: Sequence[Law], target: str):
-    """Compile the cell check of the stage that fills ``target``: a map
-    from the tables to ``check(x, y)``.  Scans with fewer loops run first,
-    then those with a reverse lookup.  Scans of one sort key run their
-    lines before a first test once, and share the loops and tests of
-    their common prefix."""
+    """Compile the cell check of ``laws``, as ``_read`` gives them, in the
+    stage that fills ``target``: a map from the tables to ``check(x, y)``.
+    Each occurrence of ``target`` is one ``_scan`` unless a symmetry of its
+    law maps it onto an earlier one; one with an operand 0 or repeated
+    raises ``ValueError``.  Fewer loops run first, then reverse lookups;
+    scans of one sort key share their lines before a first test and the
+    loops and tests of their common prefix."""
     scans = []
     for law in laws:
-        sides = (_rewrite(law.lhs, {}, target), _rewrite(law.rhs, {}, target))
-        symmetries, seen = _symmetries(law, sides), set()
-        for occ in dict.fromkeys(u for u in _subterms(*sides) if u[0] == target):
+        equations = [tuple(_rewrite(u, {}, target) for u in eq) for eq in _read(law)[0]]
+        symmetries, seen = _symmetries(law.varnames, equations), set()
+        for occ in dict.fromkeys(u for u in _subterms(*sum(equations, ())) if u[0] == target):
+            if "0" in occ or occ[1] == occ[2]:
+                raise ValueError(f"law {law.name}: {target} has an operand 0 or repeated")
             if occ not in seen:
                 seen |= {_rewrite(occ, sigma) for sigma in symmetries}
-                scans.append(_scan(law.varnames, sides, occ, target))
+                scans.append(_scan(law.varnames, equations, occ, target))
     groups, body = {}, []
     for key, lines in sorted(scans, key=lambda scan: scan[0]):
         first = next(i for i, line in enumerate(lines) if line.endswith(":"))
@@ -573,9 +577,7 @@ def _cell_check(laws: Sequence[Law], target: str):
     source = f"def bind(minus, restrict):\n    meet = {meet}\n    R = range(len(minus))\n"
     source += f"    def check(x, y):\n        cell = {target}[x][y]\n" + "\n".join(body)
     source += "\n        return True\n    return check"
-    namespace: dict = {}
-    exec(compile(source, f"<{target} cell check>", "exec"), namespace)
-    return namespace["bind"]
+    return _define(source, f"<{target} cell check>")
 
 
 @cache
@@ -588,16 +590,10 @@ def _cell_checks():
 
 
 def _known_cells_ok(table: list[list[int | None]], cell_ok) -> bool:
-    """Whether every law instance whose cells are all known holds.
-
-    Each such instance reads some known cell of ``table``.
-    """
-    return all(
-        cell_ok(a, b)
-        for a, row in enumerate(table)
-        for b, t in enumerate(row)
-        if t is not None
-    )
+    """Whether every law instance whose cells are all known holds: each
+    such instance reads some known cell of ``table``."""
+    known = ((a, b) for a, row in enumerate(table) for b, t in enumerate(row) if t is not None)
+    return all(cell_ok(a, b) for a, b in known)
 
 
 def _fill_cells(
@@ -638,9 +634,7 @@ def _fill_cells(
     fill(0)
 
 
-def enumerate_axiom_models(
-    n: int, budget: SearchBudget = DEFAULT_BUDGET
-) -> ModelCatalog:
+def enumerate_axiom_models(n: int, budget: SearchBudget = DEFAULT_BUDGET) -> ModelCatalog:
     """All law-abiding algebras of a given size, up to isomorphism.
 
     Backtracks over the minus table and then over the restrict table,
@@ -669,25 +663,17 @@ def enumerate_axiom_models(
     minus: list[list[int | None]] = [[None] * n for _ in range(n)]
     restrict: list[list[int | None]] = [[None] * n for _ in range(n)]
     for a in range(n):
-        minus[a][a] = 0
-        minus[a][0] = a if a != 0 else 0
-        restrict[a][a] = a
-        restrict[0][a] = 0
-        restrict[a][0] = 0
-    free_minus = [
-        (a, b) for a in range(n) for b in range(n) if minus[a][b] is None
-    ]
-    free_restrict = [
-        (a, b) for a in range(n) for b in range(n) if restrict[a][b] is None
-    ]
+        minus[a][a], minus[a][0] = 0, a
+        restrict[a][a], restrict[0][a], restrict[a][0] = a, 0, 0
+    free_minus, free_restrict = (
+        [(a, b) for a in range(n) for b in range(n) if table[a][b] is None]
+        for table in (minus, restrict)
+    )
 
     def model_found() -> None:
         alg = FiniteAlgebra.from_tables(minus, restrict)
-        report = check_axioms(alg)
-        if not report.passed:
-            raise InconsistencyError(
-                "incremental pruning admitted a non-model"
-            )
+        if not check_axioms(alg).passed:
+            raise InconsistencyError("incremental pruning admitted a non-model")
         found.setdefault(_label(0, (alg.minus, alg.restrict)), alg)
 
     def minus_complete() -> None:

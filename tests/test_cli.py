@@ -215,6 +215,23 @@ def test_cap_and_seed_are_usage_errors(tmp_path, capsys):
         assert f"unrecognized arguments: {argv[-1]} 12" in err
 
 
+def test_search_format_is_a_usage_error(tmp_path, capsys):
+    # The searches print no payload that a format could switch.
+    f2 = tmp_path / "f2.alg"
+    f2.write_text(serialize_concrete(make_f2()))
+    for argv in (
+        ["search", "models", "--size", "2"],
+        ["search", "embed", "--file", str(f2), "--max-base", "2"],
+    ):
+        for fmt in ("text", "structured"):
+            with pytest.raises(SystemExit) as caught:
+                main([*argv, "--format", fmt])
+            assert caught.value.code == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert f"unrecognized arguments: --format {fmt}" in err
+
+
 def reference_cover_lines(alg):
     """The COVER lines, with the class order read from ``domhat_pair`` on
     the first filter of each class."""

@@ -10,6 +10,7 @@ is false, in the same order, on every algebra below.
 
 import itertools
 import random
+import signal
 from typing import Callable, NamedTuple
 
 import pytest
@@ -24,7 +25,8 @@ from diffrest import (
     check_axioms,
     check_derived_laws,
 )
-from diffrest.algebra import LAW_TABLE, law_failures, parse_law
+from diffrest.algebra import LAW_TABLE, _compile, law_failures, parse_law
+from diffrest.oracle import _cell_check
 from lemmas import evaluate_law
 from test_embedding_search import relabel_until, seed1_closure, small_algebras
 
@@ -280,3 +282,38 @@ def test_comparison_catches_term_pair_mutants(mutant, small, perturbed_copies, m
         for alg in small + perturbed_copies:
             assert_same_as_reference(alg)
 
+
+
+# Antecedents that neither compiler compiles: a cycle (the row compiler
+# once looped on it forever), a second bound on one variable (the row
+# scans kept only one of the two, so the law below failed from (1, 0, 0)
+# on on the 2-point powerset although its antecedents make it true), and
+# a bound on an earlier variable.
+REFUSED_LAWS = (
+    ("antisym", "ab", "a <= b, b <= a => a == b"),
+    ("two bounds", "abc", "a <= c, b <= c => a <= c"),
+    ("backward", "ab", "b <= a => a - b == a - b"),
+)
+
+
+def within_a_second(call, *args):
+    """``call(*args)``, interrupted by TimeoutError after one second."""
+
+    def timeout(signum, frame):
+        raise TimeoutError
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        return call(*args)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("name, varnames, text", REFUSED_LAWS, ids=[r[0] for r in REFUSED_LAWS])
+def test_both_compilers_refuse_antecedents_they_cannot_compile(name, varnames, text):
+    law = parse_law(name, varnames, text)
+    for compile_law in (_compile, lambda law: _cell_check([law], "minus")):
+        with pytest.raises(ValueError, match=f"law {name}: "):
+            within_a_second(compile_law, law)

@@ -18,9 +18,12 @@ start states the enumerator never seeds, including violated ones.
 
 The cell checks are compiled from the law terms, so they are also
 compared one cell at a time with their definition, ``spec_check``: every
-law instance that reads the cell and no unknown cell holds.
+law instance that reads the cell and no unknown cell holds.  That runs
+for the enumerator's two stage checks and for every law of ``LAW_TABLE``
+alone, ``<=`` claims and antecedents included.
 """
 
+import collections
 import itertools
 import random
 import subprocess
@@ -39,7 +42,7 @@ from diffrest import (
     serialize_algebra,
 )
 from diffrest import oracle
-from diffrest.algebra import AXIOM_LAWS, SUBTRACTION_LAWS
+from diffrest.algebra import AXIOM_LAWS, LAW_TABLE, SUBTRACTION_LAWS, parse_law
 from diffrest.oracle import DEFAULT_BUDGET, ModelCatalog, _NodeLimit
 from lemmas import minus_form, reference_canonical_form
 
@@ -353,44 +356,72 @@ class Unknown(Exception):
     pass
 
 
-def spec_check(tables, target, x, y) -> bool:
-    """Whether every instance of the stage's laws that reads the cell
-    (x, y) of ``target`` and reads no unknown cell holds.
+def spec_check(laws, target):
+    """The definition of the cell check of ``laws`` in the stage that
+    fills ``target``, as a map from the tables to ``check(x, y)``: whether
+    every instance that reads the cell (x, y) of ``target``, and reads no
+    unknown cell, holds.  An instance holds unless each antecedent
+    ``p <= q`` holds and the claim fails.  It reads the cells of its sides
+    and of the meets that decide ``<=``.  While minus fills, its laws read
+    meet(a, b) as the two minus cells a - (a - b); once it is complete,
+    the restrict laws read meet from the complete table."""
 
-    While minus fills, its laws read meet(a, b) as the two minus cells
-    a - (a - b); once it is complete, the restrict laws read meet from
-    the complete table."""
-    laws = SUBTRACTION_LAWS if target == "minus" else AXIOM_LAWS[3:]
-    n = len(tables["minus"])
+    def bind(minus, restrict):
+        tables = {"minus": minus, "restrict": restrict}
+        failing = set()  # the cells that some failing instance reads
 
-    def evaluate(term, env, reads):
-        if isinstance(term, str):
-            return env[term]
-        op, a, b = term[0], evaluate(term[1], env, reads), evaluate(term[2], env, reads)
-        if op == "meet" and target == "minus":
-            op, b = "minus", cell("minus", a, b, reads)
-        return cell(op, a, b, reads)
+        def cell(op, a, b, reads):
+            if op == "meet" and target == "minus":
+                return cell("minus", a, cell("minus", a, b, reads), reads)
+            if op == "meet":
+                return minus[a][minus[a][b]]
+            if tables[op][a][b] is None:
+                raise Unknown
+            if op == target:
+                reads.add((a, b))
+            return tables[op][a][b]
 
-    def cell(op, a, b, reads):
-        if op == "meet":
-            minus = tables["minus"]
-            return minus[a][minus[a][b]]
-        if tables[op][a][b] is None:
-            raise Unknown
-        if op == target:
-            reads.add((a, b))
-        return tables[op][a][b]
+        def evaluate(term, env, reads):
+            if isinstance(term, str):
+                return env[term]
+            return cell(term[0], evaluate(term[1], env, reads), evaluate(term[2], env, reads), reads)
 
-    for law in laws:
-        for values in itertools.product(range(n), repeat=len(law.varnames)):
-            env, reads = dict(zip(law.varnames, values)), set()
-            try:
-                holds = evaluate(law.lhs, env, reads) == evaluate(law.rhs, env, reads)
-            except Unknown:
-                continue
-            if (x, y) in reads and not holds:
-                return False
-    return True
+        def below(a, b, reads):
+            return cell("meet", a, b, reads) == a
+
+        for law in laws:
+            for values in itertools.product(range(len(minus)), repeat=len(law.varnames)):
+                env, reads = {"0": 0, **dict(zip(law.varnames, values))}, set()
+                try:
+                    given = [below(env[p], env[q], reads) for p, q in law.antecedents]
+                    lhs, rhs = evaluate(law.lhs, env, reads), evaluate(law.rhs, env, reads)
+                    claim = lhs == rhs if law.relation == "=" else below(lhs, rhs, reads)
+                except Unknown:
+                    continue
+                if all(given) and not claim:
+                    failing |= reads
+        return lambda x, y: (x, y) not in failing
+
+    return bind
+
+
+def stage(law) -> str:
+    """The table whose fill checks ``law``: restrict if the law reads it."""
+    return "restrict" if "restrict" in repr((law.lhs, law.rhs)) else "minus"
+
+
+# Shapes the library's laws do not use, each true in every model: "<="
+# and an antecedent while minus fills, and an antecedent on "=".
+EXTRA_LAWS = [
+    parse_law(text, varnames, text)
+    for varnames, text in (("ab", "a & b <= b"), ("ab", "a <= b => a - b == 0"),
+                           ("ab", "a <= b => a |> b == a"))
+]
+
+# Each stage's laws, as the enumerator checks them, and each law alone.
+CHECKED_LAW_SETS = [("minus", SUBTRACTION_LAWS), ("restrict", AXIOM_LAWS[3:])] + [
+    (stage(law), (law,)) for law in [*LAW_TABLE.values(), *EXTRA_LAWS]
+]
 
 
 def cell_check_cases():
@@ -420,38 +451,58 @@ def cell_check_cases():
     return cases
 
 
-def test_cell_checks_match_their_definition():
+def cell_check_outcomes():
+    """Per known cell of each case of its stage, for each set of checked
+    laws: its name, the compiled check's answer and the definition's."""
+    cases = cell_check_cases()
     outcomes = []
-    for minus, restrict in cell_check_cases():
-        target = "minus" if restrict is None else "restrict"
-        tables = {"minus": minus, "restrict": restrict}
-        table = tables[target]
-        check = incremental(minus, restrict)
-        for x, y in itertools.product(range(len(minus)), repeat=2):
-            if table[x][y] is not None:
-                want = spec_check(tables, target, x, y)
-                assert check(x, y) == want, (minus, restrict, x, y)
-                outcomes.append((target, want))
-    # both stages, with cells that pass and cells that fail
-    assert {(t, w) for t, w in outcomes} == {
-        (t, w) for t in ("minus", "restrict") for w in (True, False)
-    }
-    assert min(outcomes.count(o) for o in set(outcomes)) > 100
+    for target, laws in CHECKED_LAW_SETS:
+        name = " ".join(law.name for law in laws)
+        compiled, spec = oracle._cell_check(laws, target), spec_check(laws, target)
+        for minus, restrict in cases:
+            table = minus if restrict is None else restrict
+            if (table is minus) != (target == "minus"):
+                continue
+            check, want = compiled(minus, restrict), spec(minus, restrict)
+            for x, y in itertools.product(range(len(minus)), repeat=2):
+                if table[x][y] is not None:
+                    outcomes.append((name, check(x, y), want(x, y)))
+    return outcomes
 
 
-def every_permutation(law, sides):
-    return [dict(zip(law.varnames, p)) for p in itertools.permutations(law.varnames)]
+def test_cell_checks_match_their_definition():
+    outcomes = cell_check_outcomes()
+    assert [o for o in outcomes if o[1] != o[2]] == []
+    # every law set, with cells that pass and cells that fail
+    counts = collections.Counter((name, want) for name, _, want in outcomes)
+    names = {" ".join(law.name for law in laws) for _, laws in CHECKED_LAW_SETS}
+    assert set(counts) == {(name, want) for name in names for want in (True, False)}
+    assert min(counts.values()) > 100, counts
 
 
-SCAN = oracle._scan
+def test_cell_checks_refuse_what_they_cannot_read():
+    # A stage's table read at one variable twice, and at 0.
+    for name, varnames, text, target in (
+        ("twice", "a", "a |> a == a", "restrict"),
+        ("at zero", "ab", "0 <= a - b", "minus"),
+    ):
+        with pytest.raises(ValueError, match=f"law {name}: {target} has an operand 0 or repeated"):
+            oracle._cell_check([parse_law(name, varnames, text)], target)
+
+
+def every_permutation(varnames, equations):
+    return [dict(zip(varnames, p)) for p in itertools.permutations(varnames)]
+
+
+SCAN, READ = oracle._scan, oracle._read
 
 
 def no_reverse_lookup(stage):
     """A ``_scan`` that disables the scans with a reverse lookup, which
     read the cell through a compound operand, in the stage filling ``stage``."""
 
-    def scan(varnames, sides, occ, target):
-        key, lines = SCAN(varnames, sides, occ, target)
+    def scan(varnames, equations, occ, target):
+        key, lines = SCAN(varnames, equations, occ, target)
         if target != stage or all(operand in varnames for operand in occ[1:]):
             return key, lines
         return key, ["if False:", *lines]
@@ -459,11 +510,25 @@ def no_reverse_lookup(stage):
     return scan
 
 
+def read_order_as_equality(law):
+    """A ``_read`` that compares the sides of a ``<=`` claim for equality."""
+    (_, *guards), above = READ(law)
+    return [(law.lhs, law.rhs), *guards], above
+
+
+def read_no_guards(law):
+    """A ``_read`` that drops the antecedents' guards."""
+    equations, above = READ(law)
+    return equations[:1], above
+
+
 MUTANTS = {
     "no minus reverse lookup": ("_scan", no_reverse_lookup("minus")),
     "no restrict reverse lookup": ("_scan", no_reverse_lookup("restrict")),
     "every variable permutation counted as a symmetry": ("_symmetries", every_permutation),
     "no check of the known cells": ("_known_cells_ok", lambda *args: True),
+    "<= read as =": ("_read", read_order_as_equality),
+    "guards dropped": ("_read", read_no_guards),
 }
 
 
@@ -473,8 +538,10 @@ def test_comparison_catches_mutants(mutant, monkeypatch):
     monkeypatch.setattr(oracle, name, replacement)
     # compile the mutated checks into a cache that the monkeypatch discards
     monkeypatch.setattr(oracle, "_cell_checks", cache(oracle._cell_checks.__wrapped__))
-    assert mismatches((n, DEFAULT_BUDGET.node_limit) for n in FULL) or any(
-        want != got for want, got in start_state_outcomes()
+    assert (
+        mismatches((n, DEFAULT_BUDGET.node_limit) for n in FULL)
+        or any(want != got for want, got in start_state_outcomes())
+        or any(got != want for _, got, want in cell_check_outcomes())
     )
 
 
