@@ -484,9 +484,7 @@ def _source(law: Law) -> str:
     named: dict[str, str] = {}
 
     def bind(source: str, at: int) -> str:
-        """``source``, named in the block of depth ``at`` unless innermost."""
-        if at == inner:
-            return source
+        """``source``, named once, in the block of depth ``at``."""
         if source not in named:
             named[source] = f"h{len(named)}"
             block[at].append(f"{named[source]} = {source}")

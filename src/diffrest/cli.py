@@ -7,9 +7,11 @@ brute-force oracles, ``diff`` cross-validates a corpus, and
 ``interp-boolean`` interprets a powerset as an identity-function
 algebra.  Every verdict line starts with PASS, FAIL, or INCONCLUSIVE;
 ``--format structured`` switches the remaining payload to key=value
-form; the searches take none.  Every answer is deterministic, so no
-verb takes a seed.  Exit codes: 0 all pass, 1 any failure, 2 input
-error, 3 inconclusive search, 141 (as for SIGPIPE) when stdout closes early.
+form; the searches and ``diff`` take none.  A file holds one algebra,
+except for ``diff``, which reads every algebra of every file.  Every
+answer is deterministic, so no verb takes a seed.  Exit codes: 0 all
+pass, 1 any failure, 2 input error, 3 inconclusive search, 141 (as for
+SIGPIPE) when stdout closes early.
 """
 
 from __future__ import annotations
@@ -87,7 +89,10 @@ def _law_lines(report: AxiomReport, alg: FiniteAlgebra, structured: bool) -> lis
 
 
 def _load_single(path: str) -> FiniteAlgebra:
+    """The one algebra in ``path``; a file of several is an input error."""
     docs = load_path(path)
+    if len(docs) > 1:
+        raise TableError(f"{path} holds {len(docs)} algebras; this verb reads one")
     return abstract_of(docs[0])
 
 
@@ -388,7 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("files", nargs="+")
     p.add_argument("--max-base", type=int, default=4)
     p.add_argument("--node-limit", type=int, default=2_000_000)
-    _add_format(p)
     p.set_defaults(func=cmd_diff)
 
     p = sub.add_parser(

@@ -9,14 +9,15 @@ checker against the embedding search on whole corpora.
 The embedding search works point by point.  The trace of a base point
 assigns to every algebra element either "undefined" or a value point;
 traces are locally constrained by the two pointwise operation rules and
-are fully determined by their values on a generating set.  Which
-elements the first k generators determine depends only on the tables,
-so a propagation plan is built once per search: per generator, the
-steps that derive each newly determined element from two known ones,
-and both tables over the elements known by then.  The search assigns
-one generator at a time and prunes the prefix unless each table read
-through the trace is the operation on the values (one byte comparison
-each).  The plan only compares values, so the points are
+are fully determined by their values on a generating set.  One walk of
+the closure, once per search, both picks the generators and plans the
+propagation: it takes the elements from the top of the order down and
+opens a level at each one that the earlier levels do not determine,
+with the steps that derive each newly determined element from two
+known ones.  The search assigns one generator at a time and prunes the
+prefix unless both tables over the elements known by then, read
+through the trace, are the operations on the values (one byte
+comparison each).  The plan only compares values, so the points are
 interchangeable: one trace per equality pattern is searched and its
 relabelings are only counted.  A second search covers the injectivity
 requirements with relabeled traces, merging at each node the sorted
@@ -51,7 +52,7 @@ import itertools
 from dataclasses import dataclass, replace
 from functools import cache
 from operator import eq, itemgetter
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .algebra import (
     AXIOM_LAWS,
@@ -64,7 +65,6 @@ from .algebra import (
     TableError,
     Term,
     check_axioms,
-    mask_iter,
 )
 from .algebra import _define, _fold, _read, _subterms
 from .pfun import PartialFunction
@@ -114,33 +114,9 @@ class _NodeLimit(Exception):
 
 
 def generating_set(alg: FiniteAlgebra) -> tuple[int, ...]:
-    """A small generating set, chosen greedily from the top of the order."""
-    m, r = alg.minus, alg.restrict
-
-    def closure(closed: int, fresh: int) -> int:
-        """Close ``closed | fresh``, ``closed`` being closed: each round
-        combines only the new elements with the rest, both ways."""
-        while fresh:
-            closed |= fresh
-            new = 0
-            for x in mask_iter(fresh):
-                mx, rx = m[x], r[x]
-                for y in mask_iter(closed):
-                    new |= 1 << mx[y] | 1 << m[y][x] | 1 << rx[y] | 1 << r[y][x]
-            fresh = new & ~closed
-        return closed
-
-    order = sorted(range(alg.size), key=lambda e: (-alg.down_masks[e].bit_count(), e))
-    chosen: list[int] = []
-    closed = 0
-    for e in order:
-        if closed == alg.all_mask:
-            break
-        if closed >> e & 1:
-            continue
-        chosen.append(e)
-        closed = closure(closed, 1 << e)
-    return tuple(chosen)
+    """A small generating set, chosen greedily from the top of the order:
+    the generators of the propagation plan's levels."""
+    return tuple(level.gen for level in _propagation_plan(alg))
 
 
 @dataclass(frozen=True)
@@ -168,43 +144,51 @@ class EmbeddingResult:
 _MINUS, _RESTRICT = 0, 1
 
 
-@dataclass(frozen=True)
-class _PlanLevel:
-    """What assigning one generator makes known and what it must satisfy.
-
-    ``free`` is false when the generator is already known from earlier
-    generators: its value is then a check, not a choice, and ``known`` is
-    empty.  Otherwise ``derive`` fills each newly known element from two
-    known ones, in breadth-first order, and ``tables`` are the minus and
-    restrict tables over the elements ``known`` by then, row after row.
-    """
+class _PlanLevel(NamedTuple):
+    """What assigning one generator makes known: ``derive`` fills each
+    newly known element from two known ones, in breadth-first order, and
+    ``known`` lists the elements known by then, in the order they became
+    known."""
 
     gen: int
-    free: bool
     derive: tuple[tuple[int, int, int, int], ...]
     known: bytes
-    tables: tuple[bytes, bytes]
+
+    def tables(self, alg: FiniteAlgebra) -> tuple[bytes, ...]:
+        """The minus and restrict tables over the known elements, row
+        after row: every equation tau[op(a, b)] = op(tau[a], tau[b])
+        among them.  Built where the trace search reads them, so that
+        ``generating_set`` does not."""
+        ids = self.known
+        return tuple(
+            b"".join(map(ids.translate, map(rows.__getitem__, ids)))
+            for rows in (alg.tables["minus"], alg.tables["restrict"])
+        )
 
 
-def _propagation_plan(alg: FiniteAlgebra, gens: Sequence[int]) -> tuple[_PlanLevel, ...]:
-    """Per generator, the derivations that follow from its value.
+def _propagation_plan(alg: FiniteAlgebra) -> tuple[_PlanLevel, ...]:
+    """The one walk of the closure of a generating set: one level per
+    generator.
 
-    Which elements become known depends only on the tables, not on the
-    values chosen, so the plan is built once per search.  A level's tables
-    hold every equation tau[op(a, b)] = op(tau[a], tau[b]) among the known.
+    The walk takes the elements by descending down-set size, then id,
+    and opens a level at each one that the earlier levels have not made
+    known.  Each newly known element is combined, both ways and by both
+    operations, with itself and each element known before it, so every
+    pair is read once.  Which elements become known depends only on the
+    tables, not on the values chosen, so the plan is built once per search.
     """
     n = alg.size
-    tables = (alg.tables["minus"], alg.tables["restrict"])
+    tables = (alg.minus, alg.restrict)
     known: list[int] = []
     is_known = [False] * n
     levels = []
-    for g in gens:
-        free, start = not is_known[g], len(known)
-        if free:
-            is_known[g] = True
-            known.append(g)
+    for g in sorted(range(n), key=lambda e: (-alg.down_masks[e].bit_count(), e)):
+        if is_known[g]:
+            continue
+        is_known[g] = True
+        known.append(g)
         derive = []
-        qi = start
+        qi = len(known) - 1
         while qi < len(known):
             e = known[qi]
             qi += 1
@@ -216,31 +200,27 @@ def _propagation_plan(alg: FiniteAlgebra, gens: Sequence[int]) -> tuple[_PlanLev
                             is_known[cell] = True
                             known.append(cell)
                             derive.append((cell, op, a, b))
-        ids = bytes(known) if free else b""
-        sub = tuple(b"".join(map(ids.translate, map(rows.__getitem__, ids))) for rows in tables)
-        levels.append(_PlanLevel(g, free, tuple(derive), ids, sub))
-    if len(known) < n:
-        raise InconsistencyError("generating set failed to reach every element")
+        levels.append(_PlanLevel(g, tuple(derive), bytes(known)))
     return tuple(levels)
 
 
 def _columns_and_masks(
-    alg: FiniteAlgebra, gens: Sequence[int], m: int, counter: list[int], limit: int
+    alg: FiniteAlgebra, m: int, counter: list[int], limit: int
 ) -> tuple[list[tuple[int, ...]], list[int]]:
     """Canonical point traces (element -> 0 or a value) and their masks.
 
     Generators are assigned one at a time through the plan, and a clash
     prunes the prefix.  The plan only compares values with each other and
     with 0, so permuting the points 1..m keeps prefixes consistent: the
-    symmetry comes from the tables, not from the laws.  A free generator
-    tries 0, the values in use and one fresh value, so one canonical trace
-    per equality pattern is searched; ``counter`` still counts every value
+    symmetry comes from the tables, not from the laws.  A generator tries
+    0, the values in use and one fresh value, so one canonical trace per
+    equality pattern is searched; ``counter`` still counts every value
     the full search tries.  Every relabeling of a trace (``_relabelings``)
     is consistent too and shares its mask, since it separates the same
     pairs.
     """
-    plan = _propagation_plan(alg, gens)
-    n, top = alg.size, min(m, len(gens)) + 1
+    plan = [(*level, level.tables(alg)) for level in _propagation_plan(alg)]
+    n, top = alg.size, min(m, len(plan)) + 1
     # A value is at most the number of generators, so the trace is a
     # translation table, and so is ``on_values[op][v]``: w -> op(v, w).
     tau = bytearray(256)
@@ -258,10 +238,8 @@ def _columns_and_masks(
         if counter[0] > limit:
             counter[0] = limit + 1
             raise _NodeLimit
-        level = plan[k]
-        g, derive, known = level.gen, level.derive, level.known
-        # A generator determined by earlier ones keeps its value.
-        for v in range(min(used + 1, m) + 1) if level.free else (tau[g],):
+        g, derive, known, tables = plan[k]
+        for v in range(min(used + 1, m) + 1):
             tau[g] = v
             for cell, op, a, b in derive:
                 ta = tau[a]
@@ -271,7 +249,7 @@ def _columns_and_masks(
                     tau[cell] = ta if ta and tau[b] != ta else 0
             # Each table read through the trace must be the operation on values.
             tk = known.translate(tau)
-            for table, rows in zip(level.tables, on_values):
+            for table, rows in zip(tables, on_values):
                 if table.translate(tau) != b"".join(map(tk.translate, map(rows.__getitem__, tk))):
                     break
             else:
@@ -325,14 +303,11 @@ def brute_force_embedding(
     n = alg.size
     _check_size(n)
     m = budget.max_base_size
-    gens = generating_set(alg)
     counter = [0]
     all_pairs_mask = (1 << (n * (n - 1) // 2)) - 1
 
     try:
-        traces, trace_masks = _columns_and_masks(
-            alg, gens, m, counter, budget.node_limit
-        )
+        traces, trace_masks = _columns_and_masks(alg, m, counter, budget.node_limit)
     except _NodeLimit:
         return EmbeddingResult("inconclusive", None, m, counter[0], counter[0])
     trace_nodes = counter[0]

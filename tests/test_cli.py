@@ -232,6 +232,46 @@ def test_search_format_is_a_usage_error(tmp_path, capsys):
             assert f"unrecognized arguments: --format {fmt}" in err
 
 
+def test_diff_format_is_a_usage_error(tmp_path, capsys):
+    # diff's lines are key=value already, so a format has nothing to switch.
+    f2 = tmp_path / "f2.alg"
+    f2.write_text(serialize_concrete(make_f2()))
+    for fmt in ("text", "structured"):
+        with pytest.raises(SystemExit) as caught:
+            main(["diff", str(f2), "--format", fmt])
+        assert caught.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"unrecognized arguments: --format {fmt}" in err
+
+
+@pytest.mark.parametrize(
+    "verb",
+    [
+        ["check"],
+        ["laws"],
+        ["filters"],
+        ["quotient"],
+        ["represent", "--mode", "theta"],
+        ["complete", "--mode", "theta"],
+        ["search", "embed", "--max-base", "2", "--file"],
+    ],
+    ids=lambda verb: verb[0] if verb[0] != "search" else "search-embed",
+)
+def test_single_algebra_verbs_refuse_a_file_of_two(tmp_path, capsys, verb):
+    # Each used to read the first algebra only: check passed a model
+    # followed by N1, which fails Ax.5 on its own.
+    path = tmp_path / "two.alg"
+    model, n1 = boolean_as_diffrest(1).abstract, make_n1()[0]
+    path.write_text(serialize_algebra(model) + serialize_algebra(n1))
+    assert main([*verb, str(path)]) == 2
+    assert capsys.readouterr() == (
+        "", f"ERROR {path} holds 2 algebras; this verb reads one\n"
+    )
+    assert main(["diff", str(path)]) == 0
+    assert "algebras=2 agree=2" in capsys.readouterr().out
+
+
 def reference_cover_lines(alg):
     """The COVER lines, with the class order read from ``domhat_pair`` on
     the first filter of each class."""

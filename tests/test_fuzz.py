@@ -144,8 +144,8 @@ def test_trace_search_matches_the_reference(alg, data):
     m = data.draw(st.integers(0, len(alg.order_atoms()) + 2), label="base")
     full = outcome(reference_valid_columns, alg, gens, m)
     limit = data.draw(st.integers(1, full[1] + 1), label="node limit")
-    expected = outcome(reference_valid_columns, alg, gens, m, limit)
-    assert outcome(_valid_columns, alg, gens, m, limit) == expected
+    expected = outcome(reference_valid_columns, alg, gens, m, limit=limit)
+    assert outcome(_valid_columns, alg, m, limit=limit) == expected
     assert expected == (full if limit >= full[1] else ("limit", limit + 1))
 
 
