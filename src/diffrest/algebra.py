@@ -427,8 +427,7 @@ def _row_cost(reads: dict, sides: tuple[Term, Term], rows: tuple[str, ...]) -> t
 def _row_variables(law: Law) -> tuple[str, ...]:
     """The variables a scan computes rows over, outer first: of those
     that bound no antecedent's up-set, the pair or the single one that
-    costs least (``_row_cost``), later variables first on ties; the last
-    variable if every variable bounds an up-set."""
+    costs least (``_row_cost``), later variables first on ties."""
     (sides, *_), above = _read(law)
     reads = {v: {v} for v in law.varnames} | {"0": set()}
     _fold(reads, sides, set.union)
@@ -440,7 +439,7 @@ def _row_variables(law: Law) -> tuple[str, ...]:
             best = cost, rows
             if cost[0] == cost[2] == 0:
                 break  # nothing later costs less
-    return best[1] if best else law.varnames[-1:]
+    return best[1]
 
 
 _TABLE_NAMES = {op + kind for op in _OPS.values() for kind in ("", "_cols", "_flat", "_cols_flat")}

@@ -22,7 +22,6 @@ import sys
 
 from .algebra import (
     AlgebraError,
-    AxiomFailure,
     AxiomReport,
     FiniteAlgebra,
     SizeCapError,
@@ -417,9 +416,6 @@ def main(argv=None) -> int:
         # and send what is still buffered to the null device.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_PIPE
-    except AxiomFailure as err:
-        print(f"FAIL {err}")
-        return EXIT_FAIL
     except (
         ParseError, TableError, SizeCapError, PfunError, BudgetExceededError, OSError
     ) as err:

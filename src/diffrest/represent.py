@@ -26,7 +26,7 @@ from .algebra import (
     per_algebra,
 )
 from .filters import Filter, enumerate_filters
-from .pfun import ConcreteAlgebra, DictionaryError, PartialFunction, _pair_masks, is_injective_pf
+from .pfun import ConcreteAlgebra, DictionaryError, PartialFunction, _pair_masks
 
 
 class NotAtomicError(AlgebraError):
@@ -172,7 +172,7 @@ def _build(alg: FiniteAlgebra, kind: str, provider, injective: bool) -> Represen
     gives as (tag, labels, masks of the elements containing each state,
     class ids).  An element acts on equivalent states, sending each to
     the states containing it; the injective kind sends a tag per class
-    instead, and is checked injective and coherent with the plain kind.
+    instead.
     """
     report = check_axioms(alg)
     if not report.passed:
@@ -189,11 +189,11 @@ def _build(alg: FiniteAlgebra, kind: str, provider, injective: bool) -> Represen
                     f"equivalent maximal filters {f.render()} and {g.render()} "
                     "share an element but differ"
                 )
-    theta = [
-        {(i, j) for j in range(k) if masks[j] >> a & 1 for i in range(k) if cls[i] == cls[j]}
-        for a in range(alg.size)
-    ]
     if not injective:
+        theta = [
+            {(i, j) for j in range(k) if masks[j] >> a & 1 for i in range(k) if cls[i] == cls[j]}
+            for a in range(alg.size)
+        ]
         base = frozenset(range(k))
         return Representation(alg, kind, labels, tuple(PartialFunction(base, g) for g in theta))
 
@@ -201,23 +201,13 @@ def _build(alg: FiniteAlgebra, kind: str, provider, injective: bool) -> Represen
     cpos = {c: i for i, c in enumerate(class_ids)}
     nc = len(class_ids)
     base = frozenset(range(nc + k))
+    # Each state j gives at most the one pair (its class's tag, j), so
+    # the values are injective; it is there exactly where the plain kind
+    # has (i, j) for the states i of j's class.
     assignment = tuple(
         PartialFunction(base, {(cpos[cls[j]], nc + j) for j in range(k) if masks[j] >> a & 1})
         for a in range(alg.size)
     )
-    for a, f in enumerate(assignment):
-        if not is_injective_pf(f):
-            raise InconsistencyError(
-                f"injective construction produced a non-injective value for "
-                f"{alg.element_name(a)}"
-            )
-        for i in range(k):
-            for j in range(k):
-                if ((i, j) in theta[a]) != ((cpos[cls[i]], nc + j) in f.graph):
-                    raise InconsistencyError(
-                        f"canonical/injective coherence fails at element "
-                        f"{alg.element_name(a)}, states ({i}, {j})"
-                    )
     tagged = tuple(("class", c) for c in class_ids) + tuple((tag, x) for x in labels)
     return Representation(alg, kind, tagged, assignment)
 

@@ -1,4 +1,6 @@
-"""Shared fixtures: the small named algebras used throughout the suite.
+"""Shared fixtures: the small named algebras used throughout the suite,
+the acceptance corpus, and the two algebras of the benchmark's ``large``
+workload.
 
 Element ids follow the closure discovery order (generators first, then
 products breadth-first, ties by lexicographic graph):
@@ -20,11 +22,13 @@ from diffrest import (
     PartialFunction,
     boolean_as_diffrest,
     close_generators,
+    enumerate_axiom_models,
+    generating_set,
     random_generators,
     serialize_concrete,
 )
 
-from lemmas import close_relations
+from lemmas import close_relations, relabel
 
 K = 0
 M = 1
@@ -136,3 +140,57 @@ def build_corpus(count=200, seed=CORPUS_SEED):
 @pytest.fixture(scope="session")
 def corpus200():
     return build_corpus()
+
+
+def small_algebras():
+    """F0-F4, N1 and all 15 law models of size <= 5."""
+    out = [make_f0()] + [f().abstract for f in (make_f1, make_f2, make_f3, make_f4)]
+    out.append(make_n1()[0])
+    for n in range(1, 6):
+        out.extend(enumerate_axiom_models(n).models)
+    return out
+
+
+@pytest.fixture(scope="module")
+def small():
+    algebras = small_algebras()
+    assert len(algebras) == 6 + 15
+    return algebras
+
+
+RELABEL_DRAWS = 1000
+
+
+def relabel_until(alg, seed, n_gens):
+    """Shuffle the element ids with a seeded generator until the greedy
+    generating set has ``n_gens`` elements, giving up after
+    ``RELABEL_DRAWS`` shuffles, so that a broken ``generating_set``
+    fails instead of hanging."""
+    rng = random.Random(seed)
+    sigma = list(range(alg.size))
+    for _ in range(RELABEL_DRAWS):
+        rng.shuffle(sigma)
+        out = relabel(alg, sigma)
+        if len(generating_set(out)) == n_gens:
+            return out
+    raise AssertionError(
+        f"no relabeling in {RELABEL_DRAWS} draws at seed {seed} has {n_gens} generators"
+    )
+
+
+def seed1_closure():
+    """The seed-1 closure of 6 random generators on 6 points (36 elements)."""
+    base = range(1, 7)
+    return close_generators(base, random_generators(random.Random(1), base, 6)).abstract
+
+
+def large_algebras():
+    """The two algebras of the benchmark's ``large`` workload at seed 1:
+    the 64-element powerset and the seed-1 closure relabeled to keep a
+    5-element generating set."""
+    return [boolean_as_diffrest(6).abstract, relabel_until(seed1_closure(), 1, 5)]
+
+
+@pytest.fixture(scope="module")
+def large():
+    return large_algebras()

@@ -14,7 +14,7 @@ import random
 
 import pytest
 
-from conftest import build_corpus
+from conftest import build_corpus, large_algebras, small_algebras
 
 from diffrest import (
     BooleanLawError,
@@ -31,7 +31,6 @@ from diffrest import (
 from diffrest import algebra
 from diffrest.algebra import _boolean_certificate, mask_iter, mask_of
 from lemmas import domhat_pair as reference_domhat_pair
-from test_embedding_search import relabel_until, seed1_closure, small_algebras
 
 # ---------------------------------------------------------------------------
 # References
@@ -174,8 +173,7 @@ def algebras():
     """F0-F4, N1, the law models of size <= 5, the acceptance corpus and
     the two algebras of the benchmark's ``large`` workload at seed 1."""
     corpus = [conc.abstract for conc in build_corpus()]
-    large = [boolean_as_diffrest(6).abstract, relabel_until(seed1_closure(), 1, 5)]
-    return small_algebras() + corpus + large
+    return small_algebras() + corpus + large_algebras()
 
 
 def test_certificate_matches_the_battery_on_law_models(algebras):

@@ -16,8 +16,7 @@ import tracemalloc
 from collections import Counter
 
 import pytest
-from conftest import make_f0, make_f1, make_f2, make_f3, make_f4
-from test_embedding_search import relabel_until, seed1_closure
+from conftest import large_algebras, make_f0, make_f1, make_f2, make_f3, make_f4
 
 from diffrest import (
     FiniteAlgebra,
@@ -249,8 +248,7 @@ def test_exact_test_matches_subset_scan_on_acceptance_corpus(corpus200):
 
 def test_exact_test_finds_the_sampled_failures_on_the_large_algebras():
     """The two algebras of the benchmark's ``large`` workload at seed 1."""
-    large = [boolean_as_diffrest(6).abstract, relabel_until(seed1_closure(), 1, 5)]
-    verdicts = _assert_scans_agree(large, caps=(SUBSET_CAP_DEFAULT,), samples=200)
+    verdicts = _assert_scans_agree(large_algebras(), caps=(SUBSET_CAP_DEFAULT,), samples=200)
     assert {v[0] for v in verdicts} == {False}
     _both_verdicts(verdicts, exhaustive=False)
 

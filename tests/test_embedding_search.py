@@ -1,17 +1,19 @@
 """The canonical trace search against the searches it replaced.
 
-``reference_propagation_plan`` is the plan before its levels were
-checked as whole byte tables, kept verbatim: it lists every equation
-that is not a derivation as a check at the one level where it becomes
-known.  ``reference_canonical_columns_and_masks`` is the canonical trace
-search that ran those checks one at a time, kept verbatim; the level
-checks must give its traces, masks and node counter.
-``reference_valid_columns`` is the plan-driven loop that the canonical
-search replaced, kept verbatim over the reference plan: it tries every
-value of every free generator.  It is the reference for the columns,
-the node counter and the node limit.  ``product_valid_columns`` is the
-loop before it, kept verbatim as an independent oracle for the columns:
-it enumerates every combination of generator values and only then
+``reference_valid_columns`` is the specification of the trace search:
+the plan-driven loop that the canonical search replaced, kept verbatim.
+It tries every value of every free generator, through
+``reference_propagation_plan``, the plan as it was before its levels
+were checked as whole byte tables (every equation that is not a
+derivation is a check at the one level where it becomes known).  At
+every base size from 0 to two past the atom count, the canonical
+traces, expanded into every relabeling, must give its columns in order,
+its masks and its node counter, and a budget one node short must stop
+them at that counter.  Only the seed-1 closure at bases 7 to 14, where
+the loop walks 7,264 to 115,365 nodes, is compared with pinned traces,
+masks and counters instead.  ``product_valid_columns`` is the loop
+before it, kept verbatim as an independent oracle for the columns: it
+enumerates every combination of generator values and only then
 propagates it through the tables.  ``reference_separation_masks`` is
 the pair walk that the row-shift masks replaced.
 ``reference_generating_set`` is the greedy choice before its closure
@@ -19,13 +21,13 @@ went semi-naive, kept verbatim: each round re-combines every pair of the
 closed set; it must choose the identical generators.
 ``reference_expansion`` and ``reference_cover_search`` are the cover
 search before it went lazy, kept verbatim: every relabeling of every
-canonical trace is listed, sorted and walked by index.  The canonical
-traces, expanded, must give the identical columns in the identical
-order and the identical node count, and ``brute_force_embedding`` the
-identical verdict, assignment and node counts, at every node limit.
+canonical trace is listed, sorted and walked by index.  With them,
+``brute_force_embedding`` must give the identical verdict, assignment
+and node counts, at every node limit.
 """
 
 import dataclasses
+import hashlib
 import itertools
 import operator
 import random
@@ -33,7 +35,7 @@ from typing import Sequence
 
 import pytest
 
-from conftest import build_corpus, make_f0, make_f1, make_f2, make_f3, make_f4, make_n1
+from conftest import build_corpus, relabel_until, seed1_closure
 
 from diffrest import (
     EmbeddingResult,
@@ -45,10 +47,7 @@ from diffrest import (
     boolean_as_diffrest,
     brute_force_embedding,
     check_axioms,
-    close_generators,
-    enumerate_axiom_models,
     generating_set,
-    random_generators,
     verify_representation,
 )
 from diffrest import oracle
@@ -224,63 +223,6 @@ def reference_propagation_plan(
     return tuple(levels)
 
 
-def reference_canonical_columns_and_masks(
-    alg: FiniteAlgebra, gens: Sequence[int], m: int, counter: list[int], limit: int
-) -> tuple[list[tuple[int, ...]], list[int]]:
-    """Canonical point traces (element -> 0 or a value) and their masks.
-
-    Generators are assigned one at a time through the plan, and a clash
-    prunes the prefix.  The plan only compares values with each other and
-    with 0, so permuting the points 1..m keeps prefixes consistent: the
-    symmetry comes from the tables, not from the laws.  A free generator
-    tries 0, the values in use and one fresh value, so one canonical trace
-    per equality pattern is searched; ``counter`` still counts every value
-    the full search tries.  Every relabeling of a trace (``_relabelings``)
-    is consistent too and shares its mask, since it separates the same
-    pairs.
-    """
-    plan = reference_propagation_plan(alg, gens)
-    tau = [0] * alg.size
-    traces: list[tuple[int, ...]] = []
-
-    def assign(k: int, used: int, copies: int) -> None:
-        # The prefix uses the values 1..used and stands for ``copies``
-        # relabeled prefixes, all of which the full search visits.
-        if k == len(plan):
-            traces.append(tuple(tau))
-            return
-        counter[0] += copies * (m + 1)
-        if counter[0] > limit:
-            counter[0] = limit + 1
-            raise _NodeLimit
-        level = plan[k]
-        g, derive, checks = level.gen, level.derive, level.checks
-        # A generator determined by earlier ones keeps its value.
-        for v in range(min(used + 1, m) + 1) if level.free else (tau[g],):
-            tau[g] = v
-            for cell, op, a, b in derive:
-                ta = tau[a]
-                if op:
-                    tau[cell] = tau[b] if ta else 0
-                else:
-                    tau[cell] = ta if ta and tau[b] != ta else 0
-            for cell, op, a, b in checks:
-                ta = tau[a]
-                if op:
-                    if tau[cell] != (tau[b] if ta else 0):
-                        break
-                elif tau[cell] != (ta if ta and tau[b] != ta else 0):
-                    break
-            else:
-                if v <= used:
-                    assign(k + 1, used, copies)
-                else:
-                    assign(k + 1, v, copies * (m - used))
-
-    assign(0, 0, 1)
-    return traces, oracle._separation_masks(traces, alg.size, m)
-
-
 def reference_valid_columns(
     alg: FiniteAlgebra, gens: Sequence[int], m: int, counter: list[int], limit: int
 ) -> list[tuple[int, ...]]:
@@ -439,63 +381,14 @@ def reference_generating_set(alg: FiniteAlgebra) -> tuple[int, ...]:
     return tuple(chosen)
 
 
-RELABEL_DRAWS = 1000
-
-
-def relabel_until(alg, seed, n_gens):
-    """Shuffle the element ids with a seeded generator until the greedy
-    generating set has ``n_gens`` elements, giving up after
-    ``RELABEL_DRAWS`` shuffles, so that a broken ``generating_set``
-    fails instead of hanging."""
-    rng = random.Random(seed)
-    sigma = list(range(alg.size))
-    for _ in range(RELABEL_DRAWS):
-        rng.shuffle(sigma)
-        out = relabel(alg, sigma)
-        if len(generating_set(out)) == n_gens:
-            return out
-    raise AssertionError(
-        f"no relabeling in {RELABEL_DRAWS} draws at seed {seed} has {n_gens} generators"
-    )
-
-
-def seed1_closure():
-    """The seed-1 closure of 6 random generators on 6 points (36 elements)."""
-    base = range(1, 7)
-    return close_generators(base, random_generators(random.Random(1), base, 6)).abstract
-
-
 def base_size(alg):
     """The differential rule: atoms for a model, 3 points otherwise."""
     return len(alg.order_atoms()) if check_axioms(alg).passed else 3
 
 
-def small_algebras():
-    out = [make_f0()] + [f().abstract for f in (make_f1, make_f2, make_f3, make_f4)]
-    out.append(make_n1()[0])
-    for n in range(1, 6):
-        out.extend(enumerate_axiom_models(n).models)
-    return out
-
-
-@pytest.fixture(scope="module")
-def small():
-    algebras = small_algebras()
-    assert len(algebras) == 6 + 15
-    return algebras
-
-
 @pytest.fixture(scope="module")
 def corpus():
     return [conc.abstract for conc in build_corpus()]
-
-
-@pytest.fixture(scope="module")
-def large():
-    """The two algebras of the benchmark's ``large`` workload at seed 1:
-    the 64-element powerset and the seed-1 closure relabeled to keep a
-    5-element generating set."""
-    return [boolean_as_diffrest(6).abstract, relabel_until(seed1_closure(), 1, 5)]
 
 
 def outcome(search, *args, limit=10**9):
@@ -520,21 +413,31 @@ def reference_embedding(alg, budget):
     return reference_cover_search(alg, budget, reference_columns_and_masks)
 
 
-def assert_same_columns(alg):
-    """The expanded canonical traces give the reference columns, node
-    count and masks; returns the columns."""
+def assert_traces_match_the_reference(alg, m):
+    """At base ``m``, the canonical traces, expanded, give the reference
+    columns in order, with the pair walk's masks and the reference node
+    counter, and a budget one node short of that counter stops them
+    there; returns the columns."""
     gens = generating_set(alg)
-    m = base_size(alg)
-    expected = product_valid_columns(alg, gens, m, [0], 10**9)
-    want = outcome(reference_valid_columns, alg, gens, m)
-    assert want[0] == expected
-    assert outcome(_valid_columns, alg, m) == want
-    masks = reference_separation_masks(expected, alg.size, m)
-    assert oracle._separation_masks(expected, alg.size, m) == masks
-    traces, trace_masks = oracle._columns_and_masks(alg, m, [0], 10**9)
+    columns, total = outcome(reference_valid_columns, alg, gens, m)
+    (traces, trace_masks), nodes = outcome(_columns_and_masks, alg, m)
+    assert nodes == total
     assert trace_masks == reference_separation_masks(traces, alg.size, m)
-    assert reference_expansion(traces, trace_masks, gens, m) == (expected, masks)
-    return expected
+    masks = reference_separation_masks(columns, alg.size, m)
+    assert oracle._separation_masks(columns, alg.size, m) == masks
+    assert reference_expansion(traces, trace_masks, gens, m) == (columns, masks)
+    if total > 1:
+        assert outcome(_columns_and_masks, alg, m, limit=total - 1) == ("limit", total)
+    return columns
+
+
+def assert_same_columns(alg):
+    """At the differential base size the reference columns are also the
+    product loop's; returns them."""
+    m = base_size(alg)
+    columns = assert_traces_match_the_reference(alg, m)
+    assert columns == product_valid_columns(alg, generating_set(alg), m, [0], 10**9)
+    return columns
 
 
 def assert_same_as_reference(algebras, monkeypatch):
@@ -738,24 +641,34 @@ def test_seven_generator_relabeling_is_found_under_the_default_budget():
     assert result.nodes < 100_000
 
 
-def assert_same_traces(alg, m):
-    """The level checks keep the per-equation checks' traces, masks and
-    node counter, in full and with a budget that ends one node before
-    the trace phase does."""
-    gens = generating_set(alg)
-    want = outcome(reference_canonical_columns_and_masks, alg, gens, m)
-    assert outcome(_columns_and_masks, alg, m) == want
-    total = want[1]
-    if total > 1:
-        cut = outcome(reference_canonical_columns_and_masks, alg, gens, m, limit=total - 1)
-        assert cut == ("limit", total)
-        assert outcome(_columns_and_masks, alg, m, limit=total - 1) == cut
+# The seed-1 closure's canonical traces, masks and node counter at the
+# bases where the reference loop takes most of a second or more:
+# sha256 of repr((traces, masks, nodes)), pinned where the per-equation
+# search that the level checks replaced gave the same triple.
+PINNED_CLOSURE_TRACES = {
+    7: "9075295b9b58f3c748d157d325b7a1a215a8c6dcc4063d9466547f6a65ad1790",  # 7,264 nodes
+    8: "f8d6cb7407afa7e6681e0a582a2c12481d642197e7a45270e2b6cf789d2a2ea1",  # 12,357 nodes
+    9: "7f451f951612de5a412dab1377592db6f4e3bb262e49ebf310a83d652fd94d44",  # 19,760 nodes
+    10: "b697d0a511f9444e73759f96c0349f7037a0f589ecba622e95c6761404e923ce",  # 30,085 nodes
+    11: "06a840ce7fa6566c44efda48eb8e35a3c20e9aef7725717e19fe4064304b843a",  # 44,016 nodes
+    12: "6abb81cd82b5b8e56bc9b7128f57a72a5638574642d533b8820a6a9347156115",  # 62,309 nodes
+    13: "dabc3abd08bb6f6fb3c2083f89fa3363b51601da4bd0226556ee670fecf0fc15",  # 85,792 nodes
+    14: "a768713fa7e698fb9683f71ef1a3bbbb54fb2e29c61fa6c91cee3d31a836f249",  # 115,365 nodes
+}
 
 
-def test_level_checks_match_the_per_equation_checks(small, corpus, large):
+def test_traces_match_the_reference_at_every_base(small, corpus, large):
+    closure = large[1]
+    assert len(closure.order_atoms()) + 2 == max(PINNED_CLOSURE_TRACES)
     for alg in [*small, *corpus, *large]:
         for m in range(len(alg.order_atoms()) + 3):
-            assert_same_traces(alg, m)
+            if alg is not closure or m not in PINNED_CLOSURE_TRACES:
+                assert_traces_match_the_reference(alg, m)
+                continue
+            (traces, masks), nodes = outcome(_columns_and_masks, alg, m)
+            found = hashlib.sha256(repr((traces, masks, nodes)).encode()).hexdigest()
+            assert found == PINNED_CLOSURE_TRACES[m], m
+            assert outcome(_columns_and_masks, alg, m, limit=nodes - 1) == ("limit", nodes)
 
 
 def test_a_base_past_one_byte_matches_the_reference(small, f2):
@@ -804,4 +717,3 @@ def test_reference_comparison_catches_plan_mutants(small, mutate, monkeypatch):
     with pytest.raises(AssertionError):
         for alg in small:
             assert_same_columns(alg)
-            assert_same_traces(alg, base_size(alg))

@@ -15,20 +15,18 @@ from typing import Callable, NamedTuple
 
 import pytest
 
-from conftest import build_corpus
+from conftest import build_corpus, large_algebras
 
 from diffrest import (
     AxiomReport,
     FiniteAlgebra,
     LawVerdict,
-    boolean_as_diffrest,
     check_axioms,
     check_derived_laws,
 )
 from diffrest.algebra import LAW_TABLE, _compile, law_failures, parse_law
 from diffrest.oracle import _cell_check
 from lemmas import evaluate_law
-from test_embedding_search import relabel_until, seed1_closure, small_algebras
 
 # ---------------------------------------------------------------------------
 # Reference specification (verbatim)
@@ -187,14 +185,6 @@ def perturbed(alg: FiniteAlgebra, rng: random.Random) -> FiniteAlgebra:
 
 
 @pytest.fixture(scope="module")
-def small():
-    """F0-F4, N1 and all 15 law models of size <= 5."""
-    algebras = small_algebras()
-    assert len(algebras) == 6 + 15
-    return algebras
-
-
-@pytest.fixture(scope="module")
 def perturbed_copies(small):
     rng = random.Random(6)
     corpus = [conc.abstract for conc in build_corpus()]
@@ -215,7 +205,7 @@ def test_same_failures_on_the_acceptance_corpus():
 
 def test_same_failures_on_the_large_algebras():
     """The two algebras of the benchmark's ``large`` workload at seed 1."""
-    for alg in (boolean_as_diffrest(6).abstract, relabel_until(seed1_closure(), 1, 5)):
+    for alg in large_algebras():
         assert assert_same_as_reference(alg) == 0
 
 

@@ -12,9 +12,8 @@ verifier failure tuples must all be equal.
 
 import random
 
-from conftest import make_f0, make_f1, make_f2, make_f3, make_f4
+from conftest import make_f0, make_f1, make_f2, make_f3, make_f4, relabel_until
 from lemmas import close_graphs
-from test_embedding_search import relabel_until
 
 from diffrest import (
     PartialFunction,

@@ -12,7 +12,7 @@ and maximal filters, or raise the same message with the same witness.
 
 import random
 
-from conftest import build_corpus
+from conftest import build_corpus, large_algebras, small_algebras
 
 from diffrest import (
     DomainQuotient,
@@ -28,7 +28,6 @@ from diffrest import (
 )
 from diffrest.algebra import mask_iter
 from test_certificates import perturbed
-from test_embedding_search import relabel_until, seed1_closure, small_algebras
 
 
 def reference_derived_relations(alg):
@@ -167,8 +166,7 @@ def assert_same(alg) -> str:
 
 
 def test_law_algebras_agree_with_the_pair_sets():
-    large = [boolean_as_diffrest(6).abstract, relabel_until(seed1_closure(), 1, 5)]
-    algebras = small_algebras() + [conc.abstract for conc in build_corpus()] + large
+    algebras = small_algebras() + [conc.abstract for conc in build_corpus()] + large_algebras()
     results = [assert_same(alg) for alg in algebras]
     # N1, the non-functional fixture, is the one algebra without a quotient.
     assert results.index("(1, 0) are below/domain-above yet distinct") == 5
