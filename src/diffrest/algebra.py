@@ -150,9 +150,6 @@ class FiniteAlgebra:
                 raise TableError(f"got {len(names_t)} element names, expected {n}")
         return cls(n, minus_t, restrict_t, zero, names_t)
 
-    def with_names(self, names: Sequence[str]) -> "FiniteAlgebra":
-        return FiniteAlgebra.from_tables(self.minus, self.restrict, names)
-
     def element_name(self, a: int) -> str:
         return self.names[a] if self.names is not None else str(a)
 
@@ -173,11 +170,6 @@ class FiniteAlgebra:
     def tables(self) -> "LawTables":
         """The tables, columns and up-sets that law scans read."""
         return LawTables(self.minus, self.restrict)
-
-    @cached_property
-    def meet_table(self) -> Table:
-        """meet_table[a][b] = meet(a, b)."""
-        return tuple(tuple(row[: self.size]) for row in self.tables["meet"])
 
     @cached_property
     def down_masks(self) -> tuple[int, ...]:
@@ -600,16 +592,6 @@ class LawVerdict:
     passed: bool
     witness: tuple[int, ...] | None
 
-    def render(self, alg: FiniteAlgebra | None = None) -> str:
-        if self.passed:
-            return f"PASS {self.law}"
-        law = LAW_TABLE[self.law]
-        parts = []
-        for var, value in zip(law.varnames, self.witness):
-            name = alg.element_name(value) if alg is not None else str(value)
-            parts.append(f"{var}={name}")
-        return f"FAIL {self.law} witness {' '.join(parts)}"
-
 
 @dataclass(frozen=True)
 class AxiomReport:
@@ -660,17 +642,6 @@ def check_derived_laws(alg: FiniteAlgebra) -> AxiomReport:
     there is a self-test of table construction.
     """
     return _scan_laws(alg.tables, DERIVED_LAWS)
-
-
-def check_subtraction_axioms(minus: Sequence[Sequence[int]]) -> AxiomReport:
-    """Evaluate the three complement-only laws on a bare minus table."""
-    minus_t = _freeze_table(minus)
-    n = len(minus_t)
-    if n == 0:
-        raise TableError("a minus table needs at least one element")
-    _check_size(n)
-    _check_square(n, minus=minus_t)
-    return _scan_laws(LawTables(minus_t), SUBTRACTION_LAWS)
 
 
 # ---------------------------------------------------------------------------
@@ -754,10 +725,6 @@ class DomainQuotient:
 
     def class_members(self, c: int) -> tuple[int, ...]:
         return tuple(a for a in range(self.parent.size) if self.class_of[a] == c)
-
-    @property
-    def zero_class(self) -> int:
-        return self.class_of[self.parent.zero]
 
 
 def _first_difference(p: bytes, q: bytes) -> int | None:
@@ -859,15 +826,6 @@ class BooleanDownset:
     top: int
     members: tuple[int, ...]
 
-    def complement_of(self, b: int) -> int:
-        if b < 0 or not self.parent.down_masks[self.top] >> b & 1:
-            raise InconsistencyError(f"element {b} is not in the downset of element {self.top}")
-        return self.parent.minus[self.top][b]
-
-    def join(self, b: int, c: int) -> int:
-        alg, comp = self.parent, self.complement_of
-        return alg.minus[self.top][alg.meet(comp(b), comp(c))]
-
     def atoms(self) -> tuple[int, ...]:
         down, zero = self.parent.down_masks, self.parent.zero
         return tuple(
@@ -881,7 +839,8 @@ class BooleanDownset:
 
 
 def _boolean_certificate(
-    meet: Table, comp: Sequence[int], top: int, bottom: int, members: Sequence[int]
+    meet: Sequence[Sequence[int]], comp: Sequence[int], top: int, bottom: int,
+    members: Sequence[int],
 ) -> bool:
     """Whether the atom map certifies ``members`` Boolean, in O(k^2).
 
@@ -910,7 +869,8 @@ def _boolean_certificate(
 
 
 def _boolean_law_failure(
-    meet: Table, comp: Sequence[int], top: int, bottom: int, members: Sequence[int]
+    meet: Sequence[Sequence[int]], comp: Sequence[int], top: int, bottom: int,
+    members: Sequence[int],
 ) -> tuple[str, tuple[int, ...]] | None:
     """The first Boolean law, with its witness, that ``members`` (the
     downset of ``top``) breaks under a full ``meet`` table and the
@@ -973,7 +933,7 @@ def boolean_downset(alg: FiniteAlgebra, a: int) -> BooleanDownset:
     if not 0 <= a < alg.size:
         raise TableError(f"no element {a}")
     members = tuple(mask_iter(alg.down_masks[a]))
-    failure = _boolean_law_failure(alg.meet_table, alg.minus[a], a, alg.zero, members)
+    failure = _boolean_law_failure(alg.tables["meet"], alg.minus[a], a, alg.zero, members)
     if failure is not None:
         law, witness = failure
         raise BooleanLawError(

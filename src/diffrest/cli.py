@@ -21,6 +21,7 @@ import os
 import sys
 
 from .algebra import (
+    LAW_TABLE,
     AlgebraError,
     AxiomReport,
     FiniteAlgebra,
@@ -41,6 +42,7 @@ from .formats import (
     serialize_concrete,
 )
 from .oracle import (
+    DEFAULT_BUDGET,
     BudgetExceededError,
     SearchBudget,
     brute_force_embedding,
@@ -76,14 +78,17 @@ MODES = {
 def _law_lines(report: AxiomReport, alg: FiniteAlgebra, structured: bool) -> list[str]:
     lines = []
     for v in report.verdicts:
+        law = f"law={v.law}" if structured else v.law
+        if v.passed:
+            lines.append(f"PASS {law}")
+            continue
+        names = [alg.element_name(x) for x in v.witness]
         if structured:
-            if v.passed:
-                lines.append(f"PASS law={v.law}")
-            else:
-                witness = ",".join(alg.element_name(x) for x in v.witness)
-                lines.append(f"FAIL law={v.law} witness={witness}")
+            witness = "witness=" + ",".join(names)
         else:
-            lines.append(v.render(alg))
+            pairs = zip(LAW_TABLE[v.law].varnames, names)
+            witness = "witness " + " ".join(f"{var}={name}" for var, name in pairs)
+        lines.append(f"FAIL {law} {witness}")
     return lines
 
 
@@ -283,8 +288,12 @@ def cmd_diff(args) -> int:
         corpus.extend(abstract_of(doc) for doc in load_path(path))
     budget = SearchBudget(max_base_size=args.max_base, node_limit=args.node_limit)
     report = differential_check(corpus, budget)
-    for entry in report.entries:
-        print(entry.render())
+    for e in report.entries:
+        token = "INCONCLUSIVE" if e.agree is None else ("PASS" if e.agree else "FAIL")
+        print(
+            f"{token} algebra={e.index} axioms={'pass' if e.axioms.passed else 'fail'} "
+            f"embedding={e.embedding.verdict} base={e.embedding.base_size}"
+        )
     agree = sum(1 for e in report.entries if e.agree)
     token = (
         "FAIL"
@@ -379,19 +388,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_models = search_sub.add_parser("models", help="enumerate law models up to isomorphism")
     p_models.add_argument("--size", type=int, required=True)
-    p_models.add_argument("--node-limit", type=int, default=2_000_000)
+    p_models.add_argument("--node-limit", type=int, default=DEFAULT_BUDGET.node_limit)
     p_models.set_defaults(func=cmd_search_models)
 
     p_embed = search_sub.add_parser("embed", help="search for a concrete embedding")
     p_embed.add_argument("--file", required=True)
     p_embed.add_argument("--max-base", type=int, required=True)
-    p_embed.add_argument("--node-limit", type=int, default=2_000_000)
+    p_embed.add_argument("--node-limit", type=int, default=DEFAULT_BUDGET.node_limit)
     p_embed.set_defaults(func=cmd_search_embed)
 
     p = sub.add_parser("diff", help="cross-validate a corpus of algebra files")
     p.add_argument("files", nargs="+")
-    p.add_argument("--max-base", type=int, default=4)
-    p.add_argument("--node-limit", type=int, default=2_000_000)
+    p.add_argument("--max-base", type=int, default=DEFAULT_BUDGET.max_base_size)
+    p.add_argument("--node-limit", type=int, default=DEFAULT_BUDGET.node_limit)
     p.set_defaults(func=cmd_diff)
 
     p = sub.add_parser(

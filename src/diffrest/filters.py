@@ -62,7 +62,7 @@ class Filter:
 
     def generator(self) -> int:
         """The least element of the filter in the element order."""
-        meet, g = self.parent.meet_table, None
+        meet, g = self.parent.tables["meet"], None
         for a in mask_iter(self.members):
             if g is None or meet[a][g] == a:
                 g = a
@@ -153,7 +153,8 @@ def is_maximal(f: Filter) -> bool:
     proper and for every ``b`` exactly one of ``w meet b`` and ``w - b``
     belongs to it."""
     w, members = f.generator(), f.members
-    rows = zip(f.parent.meet_table[w], f.parent.minus[w])
+    # zip stops at the n entries of the minus row, before the meet row's padding.
+    rows = zip(f.parent.tables["meet"][w], f.parent.minus[w])
     return f.proper and all(members >> m & 1 != members >> d & 1 for m, d in rows)
 
 

@@ -681,21 +681,10 @@ class DifferentialEntry:
     embedding: EmbeddingResult
     agree: bool | None  # None when the search was inconclusive
 
-    def render(self) -> str:
-        token = (
-            "INCONCLUSIVE" if self.agree is None else ("PASS" if self.agree else "FAIL")
-        )
-        return (
-            f"{token} algebra={self.index} axioms="
-            f"{'pass' if self.axioms.passed else 'fail'} "
-            f"embedding={self.embedding.verdict} base={self.embedding.base_size}"
-        )
-
 
 @dataclass(frozen=True)
 class DifferentialReport:
     entries: tuple[DifferentialEntry, ...]
-    budget: SearchBudget
 
     @property
     def disagreements(self) -> tuple[DifferentialEntry, ...]:
@@ -704,10 +693,6 @@ class DifferentialReport:
     @property
     def inconclusive(self) -> tuple[DifferentialEntry, ...]:
         return tuple(e for e in self.entries if e.agree is None)
-
-    @property
-    def all_agree(self) -> bool:
-        return not self.disagreements and not self.inconclusive
 
 
 def differential_check(
@@ -734,4 +719,4 @@ def differential_check(
         else:
             agree = report.passed == result.found
         entries.append(DifferentialEntry(idx, report, result, agree))
-    return DifferentialReport(tuple(entries), budget)
+    return DifferentialReport(tuple(entries))

@@ -248,10 +248,6 @@ class ConcreteAlgebra:
                 "abstract tables disagree with pointwise evaluation"
             )
 
-    @property
-    def dictionary(self) -> dict[int, PartialFunction]:
-        return dict(enumerate(self.elements))
-
 
 def close_generators(
     base: Iterable[int], generators: Sequence[PartialFunction]

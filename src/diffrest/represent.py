@@ -47,20 +47,11 @@ class Representation:
     states: tuple
     assignment: tuple[PartialFunction, ...]
 
-    def graph_of(self, a: int) -> frozenset[tuple[int, int]]:
-        return self.assignment[a].graph
-
 
 @dataclass(frozen=True)
 class VerificationFailure:
     check: str
     witness: tuple
-
-    def render(self, alg: FiniteAlgebra) -> str:
-        names = tuple(
-            alg.element_name(w) if isinstance(w, int) else str(w) for w in self.witness
-        )
-        return f"FAIL {self.check} witness {' '.join(names)}"
 
 
 @dataclass(frozen=True)

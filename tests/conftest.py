@@ -59,7 +59,8 @@ assert all(text != _TWO_ATOMS for text in MALFORMED_DICTIONARIES.values())
 
 
 def named(conc, names):
-    return dataclasses.replace(conc, abstract=conc.abstract.with_names(names))
+    alg = FiniteAlgebra.from_tables(conc.abstract.minus, conc.abstract.restrict, names)
+    return dataclasses.replace(conc, abstract=alg)
 
 
 def make_f0() -> FiniteAlgebra:
@@ -92,7 +93,7 @@ def make_f4():
 
 def make_n1():
     alg, graphs = close_relations({1, 2}, [[(1, 1), (1, 2)], [(1, 1)]])
-    return alg.with_names(["c", "d", "0", "e"]), graphs
+    return FiniteAlgebra.from_tables(alg.minus, alg.restrict, ["c", "d", "0", "e"]), graphs
 
 
 @pytest.fixture(scope="session")

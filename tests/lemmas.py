@@ -3,7 +3,8 @@
 Nothing in the library calls these: they check side results of the
 paper (the filter lemmas, the quotient, homomorphisms restricted to
 downsets, subtraction rebuilt from Boolean downsets, atomisticity),
-re-evaluate single law instances, relabel tables, label minus tables
+re-evaluate single law instances, scan the complement-only laws on a
+bare minus table, relabel tables, label minus tables
 and algebras by brute force, collect what the model enumerator labels,
 enumerate partial functions, and close arbitrary relations, which is
 how the non-functional fixture N1 gets its tables.
@@ -31,13 +32,17 @@ from diffrest import (
     oracle,
 )
 from diffrest.algebra import (
+    AxiomReport,
     LAW_TABLE,
     Law,
+    LawTables,
     SIZE_CAP,
+    SUBTRACTION_LAWS,
     Table,
     Term,
     _boolean_law_failure,
     _freeze_table,
+    _scan_laws,
     mask_iter,
     mask_of,
 )
@@ -186,6 +191,13 @@ def evaluate_law(alg: FiniteAlgebra, law: str | Law, assignment: Sequence[int]) 
     return lhs == rhs if entry.relation == "=" else leq(lhs, rhs)
 
 
+def check_subtraction_axioms(minus: Sequence[Sequence[int]]) -> AxiomReport:
+    """The three complement-only laws on a bare minus table, scanned as
+    ``domain_quotient`` scans its quotient's table.  The table is not
+    validated."""
+    return _scan_laws(LawTables(_freeze_table(minus)), SUBTRACTION_LAWS)
+
+
 # ---------------------------------------------------------------------------
 # Subtraction rebuilt from a complemented semilattice
 # ---------------------------------------------------------------------------
@@ -209,7 +221,8 @@ class ComplementedSemilattice(NamedTuple):
 
 def complemented_semilattice_of(alg: FiniteAlgebra) -> ComplementedSemilattice:
     """Extract the meet table and per-downset complements of an algebra."""
-    return ComplementedSemilattice(alg.size, alg.meet_table, alg.minus)
+    meet = _freeze_table([[alg.meet(a, b) for b in range(alg.size)] for a in range(alg.size)])
+    return ComplementedSemilattice(alg.size, meet, alg.minus)
 
 
 def subtraction_from_boolean_downsets(sl: ComplementedSemilattice) -> Table:
@@ -319,7 +332,7 @@ def project_filter(f: Filter) -> frozenset[int]:
 def _quotient_filter_is_maximal(quot, image: frozenset[int]) -> bool:
     """The single-witness criterion of ``is_maximal``, in the quotient."""
     w = next(c for c in image if all(quot.meet[c][d] == c for d in image))
-    return quot.zero_class not in image and all(
+    return quot.class_of[quot.parent.zero] not in image and all(
         (quot.meet[w][b] in image) != (quot.qminus[w][b] in image)
         for b in range(quot.n_classes)
     )

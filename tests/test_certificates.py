@@ -111,7 +111,7 @@ def downset_verdicts(alg: FiniteAlgebra) -> list[bool]:
     verdicts = []
     for a in range(alg.size):
         members = tuple(mask_iter(alg.down_masks[a]))
-        args = (alg.meet_table, alg.minus[a], a, alg.zero, members)
+        args = (alg.tables["meet"], alg.minus[a], a, alg.zero, members)
         holds = _boolean_certificate(*args)
         failure = battery(*args)
         assert holds == (failure is None), (a, failure)

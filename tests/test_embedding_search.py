@@ -590,19 +590,13 @@ def test_budget_one_below_the_trace_nodes_ends_in_the_trace_phase(small, corpus,
     # The limit is passed only by the last value that the full trace
     # search tries, after every fresh-value copy has been counted.
     for alg in [*small, *corpus, *large]:
-        gens = generating_set(alg)
         m = base_size(alg)
-        _, total = outcome(reference_valid_columns, alg, gens, m)
-        expected = ("limit", total)
-        assert outcome(reference_valid_columns, alg, gens, m, limit=total - 1) == expected
-        assert outcome(_valid_columns, alg, m, limit=total - 1) == expected
+        _, total = outcome(reference_valid_columns, alg, generating_set(alg), m)
+        assert outcome(_valid_columns, alg, m, limit=total - 1) == ("limit", total)
         if total > 1:
             budget = SearchBudget(max_base_size=m, node_limit=total - 1)
             got = brute_force_embedding(alg, budget)
-            assert got == reference_embedding(alg, budget)
-            assert (got.verdict, got.nodes, got.trace_nodes) == (
-                "inconclusive", total, total
-            )
+            assert got == EmbeddingResult("inconclusive", None, m, total, total)
 
 
 def test_base_sizes_where_the_fresh_value_copies_differ(small):

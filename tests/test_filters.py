@@ -194,7 +194,7 @@ def test_filter_down_lands_on_quotient_maximal(f2):
     quot = domain_quotient(alg)
     for mu in maximal_filters(alg):
         image = filter_down(mu)
-        assert quot.zero_class not in image
+        assert quot.class_of[alg.zero] not in image
 
 
 def test_filter_up_check(f2, f4):

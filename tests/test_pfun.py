@@ -166,8 +166,8 @@ def test_close_relations_n1(n1):
 
 def test_concrete_dictionary_coherence(f2):
     alg = f2.abstract
-    for i, fi in f2.dictionary.items():
-        for j, fj in f2.dictionary.items():
+    for i, fi in enumerate(f2.elements):
+        for j, fj in enumerate(f2.elements):
             assert f2.elements[alg.minus[i][j]].graph == pf_minus(fi, fj).graph
             assert f2.elements[alg.restrict[i][j]].graph == pf_restrict(fi, fj).graph
 

@@ -3,11 +3,13 @@ masks against the set-of-pairs code they replaced.
 
 ``reference_derived_relations``, ``reference_domain_quotient`` and
 ``reference_maximal_filters`` are the frozenset versions, kept verbatim
-but for reading filter members through ``sort_key``: relations are sets
-of pairs, and membership is tested one pair at a time.  On the law
-models, the acceptance corpus, the ``large`` algebras and perturbed
-powersets, the mask versions must give the same relations, quotients
-and maximal filters, or raise the same message with the same witness.
+but for reading filter members through ``sort_key`` and the quotient's
+complement laws through the lemma module's ``check_subtraction_axioms``:
+relations are sets of pairs, and membership is tested one pair at a
+time.  On the law models, the acceptance corpus, the ``large`` algebras
+and perturbed powersets, the mask versions must give the same
+relations, quotients and maximal filters, or raise the same message
+with the same witness.
 """
 
 import random
@@ -20,13 +22,13 @@ from diffrest import (
     InconsistencyError,
     TableError,
     boolean_as_diffrest,
-    check_subtraction_axioms,
     derived_relations,
     domain_quotient,
     enumerate_filters,
     maximal_filters,
 )
 from diffrest.algebra import mask_iter
+from lemmas import check_subtraction_axioms
 from test_certificates import perturbed
 
 

@@ -97,6 +97,24 @@ def test_atoms_f4_restriction_lemma(f4):
     assert alg.domleq(F, G)
 
 
+@pytest.mark.parametrize(
+    "cell, message",
+    [
+        ((1, 0, 2), "atom 1 restricts 0 to the non-atom 2"),
+        ((0, 1, 1), "atom restriction disagrees with the domain preorder at (1, 0)"),
+    ],
+)
+def test_atoms_rejects_a_restriction_that_breaks_the_atom_lemma(cell, message):
+    # One restrict cell of the four-element powerset, whose atoms are 1 and 3.
+    alg = boolean_as_diffrest(2).abstract
+    i, j, value = cell
+    restrict = [list(row) for row in alg.restrict]
+    restrict[i][j] = value
+    with pytest.raises(InconsistencyError) as caught:
+        atoms(FiniteAlgebra.from_tables(alg.minus, restrict))
+    assert str(caught.value) == message
+
+
 def test_small_models_are_atomic(f1, f2, f3, f4):
     for conc in (f1, f2, f3, f4):
         assert is_atomic(conc.abstract)
@@ -132,8 +150,8 @@ def test_atomic_theta_agrees_with_canonical_theta(f0, f1, f2, f3, f4, corpus200)
         to_filter = [position[principal_filter(alg, x).sort_key()] for x in atomic.states]
         assert len(to_filter) == len(canonical.states)
         for a in range(alg.size):
-            mapped = {(to_filter[i], to_filter[j]) for i, j in atomic.graph_of(a)}
-            assert mapped == canonical.graph_of(a)
+            mapped = {(to_filter[i], to_filter[j]) for i, j in atomic.assignment[a].graph}
+            assert mapped == canonical.assignment[a].graph
 
 
 def test_atomic_eta_is_injective(f2, f3, f4):
@@ -177,7 +195,6 @@ def test_verify_reports_values_over_different_bases():
     report = verify_representation(Representation(alg, "external", (1, 2), values))
     assert not report.passed and report.image is None
     assert [(f.check, f.witness) for f in report.failures] == [("base", (0, 1))]
-    assert report.failures[0].render(alg) == "FAIL base witness 0 1"
 
 
 def test_completeness_atomic_theta_f2(f2):
