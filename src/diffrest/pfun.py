@@ -279,53 +279,28 @@ def close_generators(
 # ---------------------------------------------------------------------------
 
 
-def boolean_as_diffrest(field: int | Iterable[Iterable[int]]) -> ConcreteAlgebra:
-    """Interpret a field of sets as an algebra of identity functions.
+def boolean_as_diffrest(universe: int) -> ConcreteAlgebra:
+    """The powerset of ``universe`` points as an algebra of identity
+    functions.
 
-    ``field`` is either a universe size (meaning the full powerset of
-    that many points) or an explicit family of sets.  Each member set S
-    becomes the identity function on S; complement within a set and
-    intersection then realize the two operations.  The resulting tables
-    are checked against all five laws.
+    Each subset S of the points 1 to ``universe`` becomes the identity
+    function on S; complement within a set and intersection then
+    realize the two operations.  The resulting tables are checked
+    against all five laws.
     """
-    if isinstance(field, int):
-        if field < 0:
-            raise TableError("universe size must be nonnegative")
-        if field > SIZE_CAP.bit_length() - 1:
-            # Refuse before building the powerset; 2**field is only
-            # spelled out while it is short.
-            size = 2**field if field <= 256 else f"2**{field}"
-            raise SizeCapError(f"size {size} exceeds the cap of {SIZE_CAP} elements")
-        universe = frozenset(range(1, field + 1))
-        points = sorted(universe)
-        sets = [
-            frozenset(c)
-            for k in range(len(points) + 1)
-            for c in itertools.combinations(points, k)
-        ]
-    else:
-        sets = [frozenset(int(x) for x in s) for s in field]
-        if not sets:
-            raise AlgebraError("a field of sets is nonempty")
-        universe = frozenset().union(*sets)
-        if universe not in sets:
-            raise AlgebraError("not a field of sets: universe is missing")
-    family = sorted(set(sets), key=sorted)
-    if len(family) > SIZE_CAP:
-        raise SizeCapError(f"size {len(family)} exceeds the cap of {SIZE_CAP} elements")
-    family_set = set(family)
-    for s in family:
-        if universe - s not in family_set:
-            raise AlgebraError(f"not a field of sets: complement of {sorted(s)} missing")
-        for t in family:
-            if s & t not in family_set:
-                raise AlgebraError(
-                    f"not a field of sets: intersection of {sorted(s)} and {sorted(t)} missing"
-                )
-
-    elements = tuple(
-        PartialFunction(universe, ((x, x) for x in s)) for s in family
+    if universe < 0:
+        raise TableError("universe size must be nonnegative")
+    if universe > SIZE_CAP.bit_length() - 1:
+        # Refuse before building the powerset; 2**universe is only
+        # spelled out while it is short.
+        size = 2**universe if universe <= 256 else f"2**{universe}"
+        raise SizeCapError(f"size {size} exceeds the cap of {SIZE_CAP} elements")
+    base = frozenset(range(1, universe + 1))
+    family = sorted(
+        (frozenset(c) for k in range(universe + 1) for c in itertools.combinations(base, k)),
+        key=sorted,
     )
+    elements = tuple(PartialFunction(base, ((x, x) for x in s)) for s in family)
     # Complement within a set and intersection are the two operations;
     # the ConcreteAlgebra certificate re-derives them pointwise.
     index = {s: i for i, s in enumerate(family)}
@@ -337,7 +312,7 @@ def boolean_as_diffrest(field: int | Iterable[Iterable[int]]) -> ConcreteAlgebra
         raise InconsistencyError(
             f"identity-function algebra violates {report.failures()[0].law}"
         )
-    return ConcreteAlgebra(universe, elements, abstract)
+    return ConcreteAlgebra(base, elements, abstract)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,22 @@
-"""Shared fixtures: the small named algebras used throughout the suite,
-the acceptance corpus, and the two algebras of the benchmark's ``large``
-workload.
+"""Shared fixtures and helpers, and the differential corpus that the
+reference tests read.
+
+Sources, each a session fixture: the named algebras ``f0`` to ``f4``
+and ``n1`` below; ``small``, which is F0-F4, N1 and the 15 law models
+of size <= 5; the seeded 200-closure acceptance corpus, as closures
+(``corpus200``) and as tables (``corpus``); ``large``, the two algebras
+of the benchmark's ``large`` workload (``large_concrete`` holds the
+closures they come from); and ``powersets``, of 2, 3 and 4 points.
+
+The perturbed copies come from two perturbers.  ``perturbed`` changes
+one to three table cells; each ``perturbed_*`` family draws from its
+sources with its own seed and keeps each table pair once, except
+``perturbed_large``, whose 40 copies ``test_law_bytes.PINNED_FAILURES``
+pins in order.  ``perturbed_representation`` makes one edit of a
+representation; ``representations`` holds each construction of the law
+algebras of ``small``, ``corpus`` and ``large`` and two copies of it,
+edited in turn by each of ``REPRESENTATION_EDITS``.  ``test_corpus.py``
+pins every family.
 
 Element ids follow the closure discovery order (generators first, then
 products breadth-first, ties by lexicographic graph):
@@ -13,21 +29,31 @@ products breadth-first, ties by lexicographic graph):
 """
 
 import dataclasses
+import itertools
 import random
+import subprocess
+import sys
 
 import pytest
 
 from diffrest import (
+    AlgebraError,
     FiniteAlgebra,
     PartialFunction,
+    Representation,
+    atomic_eta,
+    atomic_theta,
     boolean_as_diffrest,
+    canonical_theta,
     close_generators,
     enumerate_axiom_models,
     generating_set,
+    injective_eta,
     random_generators,
     serialize_concrete,
 )
 
+from diffrest.oracle import _NodeLimit
 from lemmas import close_relations, relabel
 
 K = 0
@@ -44,6 +70,8 @@ N1_E = 3
 
 CORPUS_SEED = 74
 
+CONSTRUCTIONS = (canonical_theta, injective_eta, atomic_theta, atomic_eta)
+
 # Concrete files of boolean_as_diffrest(2) whose dictionary does not
 # certify the tables, keyed by the error message.
 _TWO_ATOMS = serialize_concrete(boolean_as_diffrest(2))
@@ -56,6 +84,108 @@ MALFORMED_DICTIONARIES = {
     ),
 }
 assert all(text != _TWO_ATOMS for text in MALFORMED_DICTIONARIES.values())
+
+
+def outcome(fn, *args):
+    """What ``fn`` returns, or, as one string, the type and text of the
+    input error it raises."""
+    try:
+        return fn(*args)
+    except AlgebraError as err:
+        return f"{type(err).__name__}: {err}"
+
+
+def search_outcome(search, *args, limit=10**9):
+    """The columns a trace search returns, given ``args`` and then a node
+    counter and limit, or "limit" when it runs out of nodes, with its node
+    counter."""
+    counter = [0]
+    try:
+        return search(*args, counter, limit), counter[0]
+    except _NodeLimit:
+        return "limit", counter[0]
+
+
+def run_cli(*argv, **kwargs):
+    """``python -m diffrest`` with ``argv``; stdout and stderr are pipes
+    read as text unless ``kwargs`` say otherwise."""
+    kwargs = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **kwargs}
+    return subprocess.run([sys.executable, "-m", "diffrest", *argv], text=True, **kwargs)
+
+
+def edited(alg, table, a, b, value):
+    """``alg`` with the one cell ``table[a][b]`` set to ``value``."""
+    tables = {"minus": [list(row) for row in alg.minus]}
+    tables["restrict"] = [list(row) for row in alg.restrict]
+    tables[table][a][b] = value
+    return FiniteAlgebra.from_tables(tables["minus"], tables["restrict"])
+
+
+def perturbed(alg, rng, table=None):
+    """``alg`` with one to three cells of ``table``, or of either table
+    when it is None, changed.  A minus diagonal cell moves to the next
+    column, as FiniteAlgebra requires a constant minus diagonal."""
+    for _ in range(rng.randint(1, 3)):
+        which = table or rng.choice(("minus", "restrict"))
+        a, b = rng.randrange(alg.size), rng.randrange(alg.size)
+        if which == "minus" and a == b:
+            b = (b + 1) % alg.size
+            if a == b:
+                continue
+        alg = edited(alg, which, a, b, rng.randrange(alg.size))
+    return alg
+
+
+def perturbed_family(sources, seed, draws, table=None):
+    """Perturbed copies of ``draws`` algebras drawn from ``sources`` with
+    one seeded generator, each table pair kept once: copies with equal
+    tables check nothing new."""
+    rng = random.Random(seed)
+    copies = (perturbed(rng.choice(sources), rng, table) for _ in range(draws))
+    return list({(alg.minus, alg.restrict): alg for alg in copies}.values())
+
+
+def relation(base, graph):
+    """A ``PartialFunction`` value that skips the functionality check,
+    as a representation-shaped object from outside may hold."""
+    f = object.__new__(PartialFunction)
+    object.__setattr__(f, "base", frozenset(base))
+    object.__setattr__(f, "graph", frozenset(graph))
+    return f
+
+
+# All but "drop value" keep one value per element.
+VALUE_EDITS = ("point", "pair", "duplicate", "widen")
+REPRESENTATION_EDITS = (*VALUE_EDITS, "drop value")
+
+
+def perturbed_representation(rep, rng, edit):
+    """An external copy of ``rep`` with one edit, or None when the edit
+    needs a state and the values have none:
+
+    - "point": one value sends one state to another state, or to none;
+    - "pair": one value gets one more pair, which may make it a relation;
+    - "duplicate": one element gets the value of another;
+    - "widen": one element gets the value of another over one more state;
+    - "drop value": the last element loses its value.
+
+    Edited values are built with ``relation``, so edits compose."""
+    values = list(rep.assignment)
+    states = sorted(values[0].base)
+    a, b = rng.randrange(len(values)), rng.randrange(len(values))
+    if edit == "drop value":
+        values.pop()
+    elif edit == "duplicate":
+        values[a] = values[b]
+    elif edit == "widen":
+        values[a] = relation({*states, max(states, default=0) + 1}, values[b].graph)
+    elif not states:
+        return None
+    else:
+        x, y = rng.choice(states), rng.choice([None, *states] if edit == "point" else states)
+        graph = {p for p in values[a].graph if edit == "pair" or p[0] != x}
+        values[a] = relation(states, graph if y is None else graph | {(x, y)})
+    return Representation(rep.source, "external", rep.states, tuple(values))
 
 
 def named(conc, names):
@@ -96,34 +226,12 @@ def make_n1():
     return FiniteAlgebra.from_tables(alg.minus, alg.restrict, ["c", "d", "0", "e"]), graphs
 
 
-@pytest.fixture(scope="session")
-def f0():
-    return make_f0()
-
-
-@pytest.fixture(scope="session")
-def f1():
-    return make_f1()
-
-
-@pytest.fixture(scope="session")
-def f2():
-    return make_f2()
-
-
-@pytest.fixture(scope="session")
-def f3():
-    return make_f3()
-
-
-@pytest.fixture(scope="session")
-def f4():
-    return make_f4()
-
-
-@pytest.fixture(scope="session")
-def n1():
-    return make_n1()
+f0 = pytest.fixture(make_f0, scope="session", name="f0")
+f1 = pytest.fixture(make_f1, scope="session", name="f1")
+f2 = pytest.fixture(make_f2, scope="session", name="f2")
+f3 = pytest.fixture(make_f3, scope="session", name="f3")
+f4 = pytest.fixture(make_f4, scope="session", name="f4")
+n1 = pytest.fixture(make_n1, scope="session", name="n1")
 
 
 def build_corpus(count=200, seed=CORPUS_SEED):
@@ -143,18 +251,16 @@ def corpus200():
     return build_corpus()
 
 
-def small_algebras():
-    """F0-F4, N1 and all 15 law models of size <= 5."""
-    out = [make_f0()] + [f().abstract for f in (make_f1, make_f2, make_f3, make_f4)]
-    out.append(make_n1()[0])
+@pytest.fixture(scope="session")
+def corpus(corpus200):
+    return [conc.abstract for conc in corpus200]
+
+
+@pytest.fixture(scope="session")
+def small(f0, f1, f2, f3, f4, n1):
+    algebras = [f0, *(conc.abstract for conc in (f1, f2, f3, f4)), n1[0]]
     for n in range(1, 6):
-        out.extend(enumerate_axiom_models(n).models)
-    return out
-
-
-@pytest.fixture(scope="module")
-def small():
-    algebras = small_algebras()
+        algebras.extend(enumerate_axiom_models(n).models)
     assert len(algebras) == 6 + 15
     return algebras
 
@@ -182,16 +288,78 @@ def relabel_until(alg, seed, n_gens):
 def seed1_closure():
     """The seed-1 closure of 6 random generators on 6 points (36 elements)."""
     base = range(1, 7)
-    return close_generators(base, random_generators(random.Random(1), base, 6)).abstract
+    return close_generators(base, random_generators(random.Random(1), base, 6))
 
 
-def large_algebras():
+@pytest.fixture(scope="session")
+def large_concrete():
+    """The 64-element powerset and the seed-1 closure."""
+    return [boolean_as_diffrest(6), seed1_closure()]
+
+
+@pytest.fixture(scope="session")
+def large(large_concrete):
     """The two algebras of the benchmark's ``large`` workload at seed 1:
     the 64-element powerset and the seed-1 closure relabeled to keep a
     5-element generating set."""
-    return [boolean_as_diffrest(6).abstract, relabel_until(seed1_closure(), 1, 5)]
+    powerset, closure = large_concrete
+    return [powerset.abstract, relabel_until(closure.abstract, 1, 5)]
 
 
-@pytest.fixture(scope="module")
-def large():
-    return large_algebras()
+@pytest.fixture(scope="session")
+def powersets():
+    return [boolean_as_diffrest(u).abstract for u in (2, 3, 4)]
+
+
+def _sized(algebras):
+    return [alg for alg in algebras if 2 <= alg.size <= 12]
+
+
+@pytest.fixture(scope="session")
+def perturbed_small(small):
+    return perturbed_family(_sized(small), 6, 300)
+
+
+@pytest.fixture(scope="session")
+def perturbed_corpus(corpus):
+    return perturbed_family(_sized(corpus), 6, 300)
+
+
+@pytest.fixture(scope="session")
+def perturbed_large(large):
+    rng = random.Random(13)
+    return [perturbed(alg, rng) for alg in large for _ in range(20)]
+
+
+@pytest.fixture(scope="session")
+def perturbed_powersets(powersets):
+    return perturbed_family(powersets, 15, 2000)
+
+
+@pytest.fixture(scope="session")
+def perturbed_powerset_minus(powersets):
+    return perturbed_family(powersets, 8, 3000, "minus")
+
+
+@pytest.fixture(scope="session")
+def perturbed_restrict(small, corpus):
+    return perturbed_family(_sized(small + corpus), 8, 400, "restrict")
+
+
+@pytest.fixture(scope="session")
+def representations(small, n1, corpus, large):
+    """Per family, (edit, representation) pairs without repeats: each
+    construction, with edit None, then its two copies (seed 5)."""
+    rng, edits = random.Random(5), itertools.cycle(REPRESENTATION_EDITS)
+    models = [alg for alg in small if alg is not n1[0]]
+    out = {}
+    for name, algebras in {"small": models, "corpus": corpus, "large": large}.items():
+        reps = {}
+        for rep in (build(alg) for alg in algebras for build in CONSTRUCTIONS):
+            two = itertools.islice(edits, 2)
+            copies = [(edit, perturbed_representation(rep, rng, edit)) for edit in two]
+            for edit, copy in [(None, rep), *copies]:
+                if copy:
+                    reps.setdefault((id(rep.source), copy.states, copy.assignment), (edit, copy))
+        out[name] = list(reps.values())
+    return out

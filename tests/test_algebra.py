@@ -7,7 +7,7 @@ import weakref
 
 import pytest
 
-from conftest import F, G, H, K, M, N1_C, N1_D, F2_ZERO, make_f2
+from conftest import F, G, H, K, M, N1_C, N1_D, F2_ZERO, edited, make_f2
 
 from diffrest import (
     BooleanLawError,
@@ -195,12 +195,7 @@ def one_domain_chain(n: int) -> FiniteAlgebra:
     return FiniteAlgebra.from_tables(minus, restrict)
 
 
-def perturbed_powerset(table: str, a: int, b: int, value: int) -> FiniteAlgebra:
-    alg = boolean_as_diffrest(3).abstract
-    tables = {"minus": alg.minus, "restrict": alg.restrict}
-    tables = {op: [list(row) for row in t] for op, t in tables.items()}
-    tables[table][a][b] = value
-    return FiniteAlgebra.from_tables(tables["minus"], tables["restrict"])
+POWERSET = boolean_as_diffrest(3).abstract
 
 
 @pytest.mark.parametrize(
@@ -208,9 +203,9 @@ def perturbed_powerset(table: str, a: int, b: int, value: int) -> FiniteAlgebra:
     [
         # The pairs were iterated in set order, which named (5, 6, 3),
         # (2, 4) and (2, 4) here.
-        (perturbed_powerset("restrict", 3, 5, 1), "domain preorder is not transitive at (5, 2, 3)"),
+        (edited(POWERSET, "restrict", 3, 5, 1), "domain preorder is not transitive at (5, 2, 3)"),
         (
-            perturbed_powerset("minus", 2, 5, 2),
+            edited(POWERSET, "minus", 2, 5, 2),
             "element order not contained in domain preorder at (2, 1)",
         ),
         (one_domain_chain(5), "(1, 2) are below/domain-above yet distinct"),
@@ -341,9 +336,7 @@ def test_monotonicity_failure_witness(f2):
     import itertools
 
     alg = f2.abstract
-    restrict = [list(row) for row in alg.restrict]
-    restrict[H][H] = K
-    tweaked = FiniteAlgebra.from_tables(alg.minus, restrict)
+    tweaked = edited(alg, "restrict", H, H, K)
     verdict = check_derived_laws(tweaked).verdict("restrict-monotone")
     assert not verdict.passed
     assert not evaluate_law(tweaked, "restrict-monotone", verdict.witness)

@@ -2,23 +2,13 @@
 
 import io
 import os
-import subprocess
-import sys
 import time
 import tracemalloc
 
 import pytest
 
-from conftest import (
-    MALFORMED_DICTIONARIES,
-    build_corpus,
-    make_f0,
-    make_f1,
-    make_f2,
-    make_f3,
-    make_f4,
-    make_n1,
-)
+from conftest import MALFORMED_DICTIONARIES, make_f0, make_f1, make_f2, make_f3, make_f4
+from conftest import make_n1, run_cli
 
 from diffrest import (
     BudgetExceededError,
@@ -34,15 +24,6 @@ from diffrest.cli import main
 from lemmas import domhat_pair
 
 
-def run_cli(*argv, **kwargs):
-    return subprocess.run(
-        [sys.executable, "-m", "diffrest", *argv],
-        capture_output=True,
-        text=True,
-        **kwargs,
-    )
-
-
 def run_with_closed_stdout(*argv):
     """Run the CLI with stdout a pipe whose reader has already gone, and
     stdout buffered, as in a shell pipeline."""
@@ -50,13 +31,7 @@ def run_with_closed_stdout(*argv):
     os.close(read)
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     try:
-        return subprocess.run(
-            [sys.executable, "-m", "diffrest", *argv],
-            stdout=write,
-            stderr=subprocess.PIPE,
-            text=True,
-            env=env,
-        )
+        return run_cli(*argv, stdout=write, env=env)
     finally:
         os.close(write)
 
@@ -180,9 +155,9 @@ def test_complete_verb(files):
     assert "meet=yes join=yes atomic=yes" in result.stdout
 
 
-def test_complete_with_a_cap_above_the_size_is_exact(tmp_path, capsys):
+def test_complete_with_a_cap_above_the_size_is_exact(tmp_path, capsys, corpus200):
     # Scanning 2**32 subsets under --cap 40 did not finish in 20 s.
-    conc = build_corpus()[52]
+    conc = corpus200[52]
     assert conc.abstract.size == 32
     path = tmp_path / "corpus52.alg"
     path.write_text(serialize_concrete(conc))

@@ -7,7 +7,9 @@ scans every subset, its meet, join and atomic verdicts must equal the
 exact test's; where it samples, every failure it finds must be found by
 the exact test too.  Every witness of the exact test is a subset whose
 bound, recomputed by brute force, is not sent to the intersection or
-union of the graphs.
+union of the graphs.  The representations are conftest's: each
+construction and those of its perturbed copies that keep one value per
+element.
 """
 
 import itertools
@@ -16,25 +18,20 @@ import tracemalloc
 from collections import Counter
 
 import pytest
-from conftest import large_algebras, make_f0, make_f1, make_f2, make_f3, make_f4
+from conftest import VALUE_EDITS
 
 from diffrest import (
     FiniteAlgebra,
     InconsistencyError,
     PartialFunction,
     Representation,
-    atomic_eta,
     atomic_theta,
     boolean_as_diffrest,
-    canonical_theta,
     completeness_report,
-    enumerate_axiom_models,
-    injective_eta,
 )
 from diffrest.algebra import mask_iter
 from diffrest.represent import CompletenessReport, _glb, _lub
 
-CONSTRUCTIONS = (canonical_theta, injective_eta, atomic_theta, atomic_eta)
 
 # The subset scan's default cap and sample count.
 SUBSET_CAP_DEFAULT = 20
@@ -109,34 +106,6 @@ def reference_completeness_report(
     return report, exhaustive
 
 
-def _with_graph(rep, a, graph):
-    """``rep`` with element ``a`` sent to ``graph`` instead."""
-    base = rep.assignment[a].base
-    assignment = list(rep.assignment)
-    assignment[a] = PartialFunction(base, graph)
-    return Representation(rep.source, "external", rep.states, tuple(assignment))
-
-
-def _perturbed(rep, rng):
-    """``rep`` with one pair dropped, and ``rep`` with one pair added
-    where some element leaves a state out of its domain."""
-    out = []
-    filled = [a for a, f in enumerate(rep.assignment) if f.graph]
-    if filled:
-        a = rng.choice(filled)
-        graph = sorted(rep.assignment[a].graph)
-        out.append(_with_graph(rep, a, set(graph) - {rng.choice(graph)}))
-    partial = [
-        a for a, f in enumerate(rep.assignment) if len(f.domain) < len(f.base)
-    ]
-    if partial:
-        a = rng.choice(partial)
-        f = rep.assignment[a]
-        x = rng.choice(sorted(f.base - f.domain))
-        out.append(_with_graph(rep, a, f.graph | {(x, rng.choice(sorted(f.base)))}))
-    return out
-
-
 def _brute_bound(alg, subset, greatest):
     """The glb (``greatest``) or lub of ``subset``, read off ``leq``."""
     below = alg.leq if greatest else (lambda x, y: alg.leq(y, x))
@@ -204,18 +173,16 @@ def assert_agrees_with_subset_scan(rep, cap, samples=SAMPLE_COUNT_DEFAULT):
     return exhaustive, want.meet_complete, want.join_complete
 
 
-def _assert_scans_agree(algebras, caps, samples=SAMPLE_COUNT_DEFAULT):
-    """Run the comparison on every construction and its perturbations;
-    return how often each (exhaustive, meet, join) verdict of the subset
-    scan occurred."""
-    rng = random.Random(5)
+def _assert_scans_agree(reps, caps, samples=SAMPLE_COUNT_DEFAULT):
+    """Run the comparison on every construction and those of its
+    perturbed copies that keep one value per element; return how
+    often each (exhaustive, meet, join) verdict of the subset scan
+    occurred."""
     verdicts = Counter()
-    for alg in algebras:
-        for build in CONSTRUCTIONS:
-            rep = build(alg)
-            for variant in [rep, *_perturbed(rep, rng)]:
-                for cap in caps:
-                    verdicts[assert_agrees_with_subset_scan(variant, cap, samples)] += 1
+    for edit, rep in reps:
+        if edit is None or edit in VALUE_EDITS:
+            for cap in caps:
+                verdicts[assert_agrees_with_subset_scan(rep, cap, samples)] += 1
     return verdicts
 
 
@@ -226,29 +193,27 @@ def _both_verdicts(verdicts, exhaustive):
         assert {v[i] for v in verdicts if v[0] == exhaustive} == {True, False}, verdicts
 
 
-def test_exact_test_matches_subset_scan_on_fixtures_and_small_models():
-    algebras = [make().abstract for make in (make_f1, make_f2, make_f3, make_f4)]
-    algebras.append(make_f0())
-    for n in range(1, 6):
-        algebras.extend(enumerate_axiom_models(n).models)
-    assert len(algebras) == 20
-    verdicts = _assert_scans_agree(algebras, caps=(0, 2, 4, SUBSET_CAP_DEFAULT))
+def test_exact_test_matches_subset_scan_on_fixtures_and_small_models(representations):
+    reps = representations["small"]
+    assert len({id(rep.source) for _, rep in reps}) == 20
+    verdicts = _assert_scans_agree(reps, caps=(0, 2, 4, SUBSET_CAP_DEFAULT))
     _both_verdicts(verdicts, exhaustive=True)
     _both_verdicts(verdicts, exhaustive=False)
 
 
-def test_exact_test_matches_subset_scan_on_acceptance_corpus(corpus200):
-    algebras = [conc.abstract for conc in corpus200]
+def test_exact_test_matches_subset_scan_on_acceptance_corpus(representations):
+    reps = representations["corpus"]
     # Cap 10 scans sizes up to 10 exhaustively and samples 17 to 32.
-    assert {9, 10, 17, 32} <= {alg.size for alg in algebras}
-    verdicts = _assert_scans_agree(algebras, caps=(4, 10), samples=500)
+    assert {9, 10, 17, 32} <= {rep.source.size for _, rep in reps}
+    verdicts = _assert_scans_agree(reps, caps=(4, 10), samples=500)
     _both_verdicts(verdicts, exhaustive=True)
     _both_verdicts(verdicts, exhaustive=False)
 
 
-def test_exact_test_finds_the_sampled_failures_on_the_large_algebras():
+def test_exact_test_finds_the_sampled_failures_on_the_large_algebras(representations):
     """The two algebras of the benchmark's ``large`` workload at seed 1."""
-    verdicts = _assert_scans_agree(large_algebras(), caps=(SUBSET_CAP_DEFAULT,), samples=200)
+    reps = representations["large"]
+    verdicts = _assert_scans_agree(reps, caps=(SUBSET_CAP_DEFAULT,), samples=200)
     assert {v[0] for v in verdicts} == {False}
     _both_verdicts(verdicts, exhaustive=False)
 

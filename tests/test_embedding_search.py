@@ -9,9 +9,10 @@ derivation is a check at the one level where it becomes known).  At
 every base size from 0 to two past the atom count, the canonical
 traces, expanded into every relabeling, must give its columns in order,
 its masks and its node counter, and a budget one node short must stop
-them at that counter.  Only the seed-1 closure at bases 7 to 14, where
-the loop walks 7,264 to 115,365 nodes, is compared with pinned traces,
-masks and counters instead.  ``product_valid_columns`` is the loop
+them at that counter; on the perturbed small and corpus copies, at the
+differential base size only.  Only the seed-1 closure at bases 7 to 14,
+where the loop walks 7,264 to 115,365 nodes, is compared with pinned
+traces, masks and counters instead.  ``product_valid_columns`` is the loop
 before it, kept verbatim as an independent oracle for the columns: it
 enumerates every combination of generator values and only then
 propagates it through the tables.  ``reference_separation_masks`` is
@@ -35,7 +36,7 @@ from typing import Sequence
 
 import pytest
 
-from conftest import build_corpus, relabel_until, seed1_closure
+from conftest import relabel_until, search_outcome
 
 from diffrest import (
     EmbeddingResult,
@@ -44,7 +45,6 @@ from diffrest import (
     PartialFunction,
     Representation,
     SearchBudget,
-    boolean_as_diffrest,
     brute_force_embedding,
     check_axioms,
     generating_set,
@@ -386,22 +386,6 @@ def base_size(alg):
     return len(alg.order_atoms()) if check_axioms(alg).passed else 3
 
 
-@pytest.fixture(scope="module")
-def corpus():
-    return [conc.abstract for conc in build_corpus()]
-
-
-def outcome(search, *args, limit=10**9):
-    """The columns a trace search returns, given ``args`` and then a node
-    counter and limit, or "limit" when it runs out of nodes, with its node
-    counter."""
-    counter = [0]
-    try:
-        return search(*args, counter, limit), counter[0]
-    except _NodeLimit:
-        return "limit", counter[0]
-
-
 def reference_columns_and_masks(alg, m, counter, limit):
     columns = reference_valid_columns(alg, generating_set(alg), m, counter, limit)
     return columns, reference_separation_masks(columns, alg.size, m)
@@ -419,15 +403,15 @@ def assert_traces_match_the_reference(alg, m):
     counter, and a budget one node short of that counter stops them
     there; returns the columns."""
     gens = generating_set(alg)
-    columns, total = outcome(reference_valid_columns, alg, gens, m)
-    (traces, trace_masks), nodes = outcome(_columns_and_masks, alg, m)
+    columns, total = search_outcome(reference_valid_columns, alg, gens, m)
+    (traces, trace_masks), nodes = search_outcome(_columns_and_masks, alg, m)
     assert nodes == total
     assert trace_masks == reference_separation_masks(traces, alg.size, m)
     masks = reference_separation_masks(columns, alg.size, m)
     assert oracle._separation_masks(columns, alg.size, m) == masks
     assert reference_expansion(traces, trace_masks, gens, m) == (columns, masks)
     if total > 1:
-        assert outcome(_columns_and_masks, alg, m, limit=total - 1) == ("limit", total)
+        assert search_outcome(_columns_and_masks, alg, m, limit=total - 1) == ("limit", total)
     return columns
 
 
@@ -558,24 +542,27 @@ def test_large_node_counts_are_pinned(large):
     assert counts == [("found", 679, 672), ("found", 62_316, 62_309)]
 
 
-def seed1_relabelings():
+@pytest.fixture(scope="module")
+def seed1_relabelings(large_concrete):
     """The seed-1 closure and 20 seeded relabelings of it."""
-    closure, rng = seed1_closure(), random.Random(4)
+    closure, rng = large_concrete[1].abstract, random.Random(4)
     return [closure, *(relabel(closure, rng.sample(range(36), 36)) for _ in range(20))]
 
 
-def test_generating_set_matches_the_all_pairs_closure(small, corpus):
+def test_generating_set_matches_the_all_pairs_closure(
+    small, corpus, large_concrete, seed1_relabelings
+):
     # Not the ``large`` fixture: it relabels until ``generating_set`` has
     # 5 elements, which a broken closure may never reach.
-    for alg in [*small, *corpus, boolean_as_diffrest(6).abstract, *seed1_relabelings()]:
+    for alg in [*small, *corpus, large_concrete[0].abstract, *seed1_relabelings]:
         assert generating_set(alg) == reference_generating_set(alg)
 
 
-def test_plan_levels_match_the_reference_plan(small, corpus, large):
+def test_plan_levels_match_the_reference_plan(small, corpus, large, seed1_relabelings):
     # The walk that picks the generators emits the levels the reference
     # plan gives for them.  The reference lists no known elements: a
     # level makes its generator known, then each derived cell in order.
-    for alg in [*small, *corpus, *large, *seed1_relabelings()[1:]]:
+    for alg in [*small, *corpus, *large, *seed1_relabelings[1:]]:
         got = oracle._propagation_plan(alg)
         want = reference_propagation_plan(alg, generating_set(alg))
         assert len(got) == len(want)
@@ -591,8 +578,8 @@ def test_budget_one_below_the_trace_nodes_ends_in_the_trace_phase(small, corpus,
     # search tries, after every fresh-value copy has been counted.
     for alg in [*small, *corpus, *large]:
         m = base_size(alg)
-        _, total = outcome(reference_valid_columns, alg, generating_set(alg), m)
-        assert outcome(_valid_columns, alg, m, limit=total - 1) == ("limit", total)
+        _, total = search_outcome(reference_valid_columns, alg, generating_set(alg), m)
+        assert search_outcome(_valid_columns, alg, m, limit=total - 1) == ("limit", total)
         if total > 1:
             budget = SearchBudget(max_base_size=m, node_limit=total - 1)
             got = brute_force_embedding(alg, budget)
@@ -607,8 +594,8 @@ def test_base_sizes_where_the_fresh_value_copies_differ(small):
         gens = generating_set(alg)
         atoms = len(alg.order_atoms())
         for m in sorted({0, 1, max(atoms - 1, 0), atoms + 2}):
-            want = outcome(reference_valid_columns, alg, gens, m)
-            assert outcome(_valid_columns, alg, m) == want
+            want = search_outcome(reference_valid_columns, alg, gens, m)
+            assert search_outcome(_valid_columns, alg, m) == want
             assert want[0] == product_valid_columns(alg, gens, m, [0], 10**9)
             budget = SearchBudget(max_base_size=m)
             got = brute_force_embedding(alg, budget)
@@ -623,11 +610,11 @@ def test_relabel_until_gives_up_naming_the_seed_and_the_count(f2):
         relabel_until(f2.abstract, 3, 9)
 
 
-def test_seven_generator_relabeling_is_found_under_the_default_budget():
+def test_seven_generator_relabeling_is_found_under_the_default_budget(large_concrete):
     # The greedy generating set depends on element ids.  A relabeling of
     # the seed-1 closure with 7 generators had 13**7 trace candidates,
     # far past the default node limit, and was inconclusive.
-    alg = relabel_until(seed1_closure(), 0, 7)
+    alg = relabel_until(large_concrete[1].abstract, 0, 7)
     atoms = len(alg.order_atoms())
     assert (atoms + 1) ** 7 > SearchBudget().node_limit
     result = brute_force_embedding(alg, SearchBudget(max_base_size=atoms))
@@ -659,10 +646,15 @@ def test_traces_match_the_reference_at_every_base(small, corpus, large):
             if alg is not closure or m not in PINNED_CLOSURE_TRACES:
                 assert_traces_match_the_reference(alg, m)
                 continue
-            (traces, masks), nodes = outcome(_columns_and_masks, alg, m)
+            (traces, masks), nodes = search_outcome(_columns_and_masks, alg, m)
             found = hashlib.sha256(repr((traces, masks, nodes)).encode()).hexdigest()
             assert found == PINNED_CLOSURE_TRACES[m], m
-            assert outcome(_columns_and_masks, alg, m, limit=nodes - 1) == ("limit", nodes)
+            assert search_outcome(_columns_and_masks, alg, m, limit=nodes - 1) == ("limit", nodes)
+
+
+def test_traces_match_the_reference_on_perturbed_copies(perturbed_small, perturbed_corpus):
+    for alg in perturbed_small + perturbed_corpus:
+        assert_same_columns(alg)
 
 
 def test_a_base_past_one_byte_matches_the_reference(small, f2):

@@ -18,35 +18,30 @@ import io
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_f0, make_f1, make_f2, make_f3, make_f4, make_n1
+from conftest import CONSTRUCTIONS, make_f0, make_f1, make_f2, make_f3, make_f4
+from conftest import make_n1, outcome, perturbed, perturbed_representation, search_outcome
 
 from diffrest import (
     AlgebraError,
     SizeCapError,
     FiniteAlgebra,
     PartialFunction,
-    Representation,
-    atomic_eta,
-    atomic_theta,
     boolean_as_diffrest,
-    canonical_theta,
     check_axioms,
     check_derived_laws,
     close_generators,
     enumerate_axiom_models,
     generating_set,
-    injective_eta,
     parse_algebras,
     serialize_algebra,
     serialize_concrete,
 )
 from diffrest.cli import main
 from lemmas import close_graphs, close_relations
-from test_embedding_search import _valid_columns, outcome, reference_valid_columns
+from test_embedding_search import _valid_columns, reference_valid_columns
 from test_certificates import assert_same_family, checked_filter, downset_verdicts
 from test_completeness_scan import assert_agrees_with_subset_scan
 from test_law_engine import REFERENCE_AXIOM_LAWS, REFERENCE_DERIVED_LAWS, _scan_laws
-from test_pair_masks import outcome as closure_outcome
 from test_pair_masks import reference_close_graphs, reference_tables_for
 
 VALID_TEXTS = (
@@ -142,32 +137,24 @@ def random_closures(draw):
 def test_trace_search_matches_the_reference(alg, data):
     gens = generating_set(alg)
     m = data.draw(st.integers(0, len(alg.order_atoms()) + 2), label="base")
-    full = outcome(reference_valid_columns, alg, gens, m)
+    full = search_outcome(reference_valid_columns, alg, gens, m)
     limit = data.draw(st.integers(1, full[1] + 1), label="node limit")
-    expected = outcome(reference_valid_columns, alg, gens, m, limit=limit)
-    assert outcome(_valid_columns, alg, m, limit=limit) == expected
+    expected = search_outcome(reference_valid_columns, alg, gens, m, limit=limit)
+    assert search_outcome(_valid_columns, alg, m, limit=limit) == expected
     assert expected == (full if limit >= full[1] else ("limit", limit + 1))
 
 
 POWERSETS = tuple(boolean_as_diffrest(u).abstract for u in (1, 2, 3))
 
 
-@st.composite
-def perturbed_powersets(draw):
-    """A powerset of up to 8 elements with up to 3 table entries changed."""
-    alg = draw(st.sampled_from(POWERSETS))
-    n = alg.size
-    tables = [[list(row) for row in alg.minus], [list(row) for row in alg.restrict]]
-    for _ in range(draw(st.integers(0, 3))):
-        which = draw(st.integers(0, 1))
-        a, b = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
-        if which == 1 or a != b:
-            tables[which][a][b] = draw(st.integers(0, n - 1))
-    return FiniteAlgebra.from_tables(*tables)
+# A powerset of up to 8 elements with one to three table cells changed.
+PERTURBED_POWERSETS = st.builds(
+    perturbed, st.sampled_from(POWERSETS), st.randoms(use_true_random=False)
+)
 
 
 @fuzz(200)
-@given(st.one_of(random_tables(), perturbed_powersets()), st.data())
+@given(st.one_of(random_tables(), PERTURBED_POWERSETS), st.data())
 def test_certificates_match_their_references(alg, data):
     downset_verdicts(alg)
     assert_same_family(alg)
@@ -183,7 +170,7 @@ REPRESENTATIONS = tuple(
         *(model for n in (4, 5) for model in enumerate_axiom_models(n).models),
         boolean_as_diffrest(3).abstract,
     )
-    for build in (canonical_theta, injective_eta, atomic_theta, atomic_eta)
+    for build in CONSTRUCTIONS
 )
 
 
@@ -192,14 +179,10 @@ def perturbed_representations(draw):
     """A representation of at most 8 elements with up to 4 values
     edited: a pair dropped, or a point sent somewhere else."""
     rep = draw(st.sampled_from(REPRESENTATIONS))
-    assignment = list(rep.assignment)
-    base = sorted(assignment[0].base)
-    for _ in range(draw(st.integers(0, 4)) if base else 0):
-        a = draw(st.integers(0, len(assignment) - 1))
-        x, y = draw(st.sampled_from(base)), draw(st.sampled_from((None, *base)))
-        graph = {p for p in assignment[a].graph if p[0] != x}
-        assignment[a] = PartialFunction(base, graph if y is None else graph | {(x, y)})
-    return Representation(rep.source, "external", rep.states, tuple(assignment))
+    rng = draw(st.randoms(use_true_random=False))
+    for _ in range(draw(st.integers(0, 4))):
+        rep = perturbed_representation(rep, rng, "point") or rep
+    return rep
 
 
 @fuzz(300)
@@ -231,8 +214,8 @@ def seed_lists(draw):
 def test_mask_closure_matches_the_set_closure(drawn):
     points, seeds, functional, cap = drawn
     capped = () if cap is None else (cap,)
-    want = closure_outcome(reference_close_graphs, seeds, *capped)
-    assert closure_outcome(close_graphs, seeds, *capped) == want
+    want = outcome(reference_close_graphs, seeds, *capped)
+    assert outcome(close_graphs, seeds, *capped) == want
     if cap is not None:
         return
     try:
@@ -242,7 +225,7 @@ def test_mask_closure_matches_the_set_closure(drawn):
         else:
             alg, graphs = close_relations(points, seeds)
     except SizeCapError as err:
-        assert ("SizeCapError", str(err)) == want
+        assert f"SizeCapError: {err}" == want
         return
     assert list(graphs) == want
     assert (alg.minus, alg.restrict) == reference_tables_for(want)

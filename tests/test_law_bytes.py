@@ -24,9 +24,9 @@ import random
 
 import pytest
 
-from conftest import large_algebras, make_f0
+from conftest import edited
 from lemmas import check_subtraction_axioms, evaluate_law
-from test_law_engine import EXTRA_LAWS, perturbed
+from test_law_engine import EXTRA_LAWS
 
 from diffrest import FiniteAlgebra, boolean_as_diffrest, check_axioms
 from diffrest.algebra import (
@@ -56,8 +56,8 @@ LAWS = (
     parse_law("a |> a == a, b free", "ab", "a |> a == a"),
 )
 
-# Per law, sha256 of repr() of its failure lists on the 40 perturbed
-# copies, in order, as the list-based kernel gave them.
+# Per law, sha256 of repr() of its failure lists on the 40 copies of
+# conftest's perturbed_large, in order, as the list-based kernel gave them.
 PINNED_FAILURES = {
     "Ax.1": "358fba89d482676fb07ae17741aa80096fec343a8ba5f42c323b428b6b9972f7",
     "Ax.2": "44bbb1c5b94a719729144ab6ad49ca28d3064c30e728aa3a0a2c63b97ceb3e00",
@@ -83,14 +83,6 @@ PINNED_FAILURES = {
     "minus-below": "89c9db2ae32fb6c9814795399260bc6d89cdc84a6209a930e7c84dd646f4f186",
     "a |> a == a, b free": "5fe96f82a6dfbdb2f83629b011b2eb4670b583c34f95649ab00a38c2fa20dd4a",
 }
-
-
-@pytest.fixture(scope="module")
-def perturbed_large():
-    """20 perturbed copies each of the 64-element powerset and the
-    36-element closure."""
-    rng = random.Random(13)
-    return [perturbed(alg, rng) for alg in large_algebras() for _ in range(20)]
 
 
 @pytest.fixture(scope="module")
@@ -121,12 +113,12 @@ def test_failures_on_perturbed_large_algebras_are_false_instances(perturbed_larg
                 assert not evaluate_law(alg, law, w), (law.name, w)
 
 
-def test_same_failures_on_bare_minus_tables(perturbed_large, large_failures):
+def test_same_failures_on_bare_minus_tables(f0, large, perturbed_large, large_failures):
     # F0 and the two large algebras break no law (test_law_engine.py).
     names = [law.name for law in SUBTRACTION_LAWS]
     expected = [dict.fromkeys(names, [])] * 3 + [{n: f[n] for n in names} for f in large_failures]
     broken = set()
-    for alg, want in zip([make_f0(), *large_algebras(), *perturbed_large], expected, strict=True):
+    for alg, want in zip([f0, *large, *perturbed_large], expected, strict=True):
         bare = LawTables(alg.minus)
         failures = {law.name: list(law_failures(law, bare)) for law in SUBTRACTION_LAWS}
         assert failures == want
@@ -192,23 +184,22 @@ def test_only_restrict_meet_absorb_gathers_pairwise():
     assert gathering == {"restrict-meet-absorb"}
 
 
-def test_axiom_scans_build_no_list_rows():
+def test_axiom_scans_build_no_list_rows(large):
     assert not any(map(gathers_pairwise, AXIOM_LAWS))
-    for alg in large_algebras():
+    for alg in large:
         assert check_axioms(FiniteAlgebra.from_tables(alg.minus, alg.restrict)).passed
 
 
 def test_ax4_failures_come_out_sorted_across_the_loop_order():
     # The 4-element powerset algebra with restrict[0][1] set to 1, not 0.
-    minus = ((0, 0, 0, 0), (1, 0, 0, 1), (2, 3, 0, 1), (3, 3, 0, 0))
-    restrict = ((0, 1, 0, 0), (0, 1, 1, 0), (0, 1, 2, 3), (0, 0, 3, 3))
+    alg = edited(boolean_as_diffrest(2).abstract, "restrict", 0, 1, 1)
+    minus, restrict = alg.minus, alg.restrict
     expected = [(0, 1, 2), (0, 3, 1), (1, 3, 1), (3, 0, 1), (3, 1, 1)]
     # The scan's loops fix a, then c, and meet (0, 3, 1), with b high and
     # c low, before the lexicographically first failure (0, 1, 2).
     assert min(expected, key=lambda w: (w[0], w[2], w[1])) == (0, 3, 1)
     assert list(law_failures(LAW_TABLE["Ax.4"], LawTables(minus, restrict))) == expected
-    report = check_axioms(FiniteAlgebra.from_tables(minus, restrict))
-    assert report.verdict("Ax.4").witness == (0, 1, 2)
+    assert check_axioms(alg).verdict("Ax.4").witness == (0, 1, 2)
 
 
 # ---------------------------------------------------------------------------

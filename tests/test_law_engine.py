@@ -9,13 +9,10 @@ is false, in the same order, on every algebra below.
 """
 
 import itertools
-import random
 import signal
 from typing import Callable, NamedTuple
 
 import pytest
-
-from conftest import build_corpus, large_algebras
 
 from diffrest import (
     AxiomReport,
@@ -170,48 +167,25 @@ def assert_same_as_reference(alg: FiniteAlgebra) -> int:
     return broken
 
 
-def perturbed(alg: FiniteAlgebra, rng: random.Random) -> FiniteAlgebra:
-    """A copy with one to three entries of either table changed; the minus
-    diagonal stays constant, as FiniteAlgebra requires."""
-    tables = [[list(row) for row in alg.minus], [list(row) for row in alg.restrict]]
-    for _ in range(rng.randint(1, 3)):
-        which, a, b = rng.randrange(2), rng.randrange(alg.size), rng.randrange(alg.size)
-        if which == 0 and a == b:
-            b = (b + 1) % alg.size
-            if a == b:
-                continue
-        tables[which][a][b] = rng.randrange(alg.size)
-    return FiniteAlgebra.from_tables(*tables)
-
-
-@pytest.fixture(scope="module")
-def perturbed_copies(small):
-    rng = random.Random(6)
-    corpus = [conc.abstract for conc in build_corpus()]
-    sources = [alg for alg in small + corpus if 2 <= alg.size <= 12]
-    return [perturbed(rng.choice(sources), rng) for _ in range(300)]
-
-
 def test_same_failures_on_fixtures_and_small_models(small):
     assert sum(assert_same_as_reference(alg) for alg in small) == 1  # N1 breaks Ax.5
 
 
-def test_same_failures_on_the_acceptance_corpus():
-    corpus = [conc.abstract for conc in build_corpus()]
+def test_same_failures_on_the_acceptance_corpus(corpus):
     assert len(corpus) == 200
     for alg in corpus:
         assert assert_same_as_reference(alg) == 0
 
 
-def test_same_failures_on_the_large_algebras():
+def test_same_failures_on_the_large_algebras(large):
     """The two algebras of the benchmark's ``large`` workload at seed 1."""
-    for alg in large_algebras():
+    for alg in large:
         assert assert_same_as_reference(alg) == 0
 
 
-def test_same_failures_on_perturbed_copies(perturbed_copies):
+def test_same_failures_on_perturbed_copies(perturbed_small, perturbed_corpus):
     broken = {law.name: 0 for law in REFERENCE_LAWS}
-    for alg in perturbed_copies:
+    for alg in perturbed_small + perturbed_corpus:
         assert_same_as_reference(alg)
         for verdict in check_axioms(alg).verdicts + check_derived_laws(alg).verdicts:
             broken[verdict.law] += not verdict.passed
@@ -240,10 +214,12 @@ EXTRA_LAWS = (
 
 
 @pytest.mark.parametrize("varnames, text, holds", EXTRA_LAWS, ids=[e[1] for e in EXTRA_LAWS])
-def test_other_term_shapes_scan_like_their_predicates(varnames, text, holds, small, perturbed_copies):
+def test_other_term_shapes_scan_like_their_predicates(
+    varnames, text, holds, small, perturbed_small, perturbed_corpus
+):
     law = parse_law(text, varnames, text)
     broken = 0
-    for alg in small + perturbed_copies:
+    for alg in small + perturbed_small + perturbed_corpus:
         m, r, z = alg.minus, alg.restrict, alg.zero
         expected = [
             w
@@ -265,11 +241,13 @@ MUTANTS = (
 
 
 @pytest.mark.parametrize("mutant", MUTANTS, ids=[m[0] for m in MUTANTS])
-def test_comparison_catches_term_pair_mutants(mutant, small, perturbed_copies, monkeypatch):
+def test_comparison_catches_term_pair_mutants(
+    mutant, small, perturbed_small, perturbed_corpus, monkeypatch
+):
     _, name, varnames, text = mutant
     monkeypatch.setitem(LAW_TABLE, name, parse_law(name, varnames, text))
     with pytest.raises(AssertionError):
-        for alg in small + perturbed_copies:
+        for alg in small + perturbed_small + perturbed_corpus:
             assert_same_as_reference(alg)
 
 

@@ -26,11 +26,11 @@ alone, ``<=`` claims and antecedents included.
 import collections
 import itertools
 import random
-import subprocess
-import sys
 from functools import cache, lru_cache
 
 import pytest
+
+from conftest import run_cli
 
 from diffrest import (
     FiniteAlgebra,
@@ -542,12 +542,6 @@ def test_comparison_catches_mutants(mutant, monkeypatch):
         mismatches((n, DEFAULT_BUDGET.node_limit) for n in FULL)
         or any(want != got for want, got in start_state_outcomes())
         or any(got != want for _, got, want in cell_check_outcomes())
-    )
-
-
-def run_cli(*argv):
-    return subprocess.run(
-        [sys.executable, "-m", "diffrest", *argv], capture_output=True, text=True
     )
 
 

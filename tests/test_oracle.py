@@ -125,13 +125,21 @@ def test_models_pass_axioms():
             assert check_axioms(model).passed
 
 
-def test_differential_agreement(f0, n1):
-    corpus = [f0, n1[0]]
-    for n in (1, 2, 3):
-        corpus.extend(enumerate_axiom_models(n).models)
-    report = differential_check(corpus, SearchBudget(max_base_size=3))
+# Per family of the differential corpus, how many algebras pass and fail the laws.
+DIFFERENTIAL_VERDICTS = {
+    "small": (20, 1), "perturbed_small": (15, 250), "perturbed_corpus": (13, 132),
+    "perturbed_large": (0, 40),
+}
+
+
+@pytest.mark.parametrize("family", DIFFERENTIAL_VERDICTS)
+def test_differential_agreement(family, request):
+    algebras = request.getfixturevalue(family)
+    report = differential_check(algebras, SearchBudget(max_base_size=3))
     assert not report.disagreements
     assert not report.inconclusive
+    passed = [entry.axioms.passed for entry in report.entries]
+    assert (passed.count(True), passed.count(False)) == DIFFERENTIAL_VERDICTS[family]
 
 
 def test_differential_deterministic(f2, f4):

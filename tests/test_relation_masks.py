@@ -7,21 +7,16 @@ but for reading filter members through ``sort_key`` and the quotient's
 complement laws through the lemma module's ``check_subtraction_axioms``:
 relations are sets of pairs, and membership is tested one pair at a
 time.  On the law models, the acceptance corpus, the ``large`` algebras
-and perturbed powersets, the mask versions must give the same
-relations, quotients and maximal filters, or raise the same message
-with the same witness.
+and the perturbed powersets, small models and corpus algebras of
+conftest, the mask versions must give the same relations, quotients and
+maximal filters, or raise the same error with the same witness.
 """
 
-import random
-
-from conftest import build_corpus, large_algebras, small_algebras
+from conftest import edited, outcome
 
 from diffrest import (
     DomainQuotient,
-    FiniteAlgebra,
     InconsistencyError,
-    TableError,
-    boolean_as_diffrest,
     derived_relations,
     domain_quotient,
     enumerate_filters,
@@ -29,7 +24,6 @@ from diffrest import (
 )
 from diffrest.algebra import mask_iter
 from lemmas import check_subtraction_axioms
-from test_certificates import perturbed
 
 
 def reference_derived_relations(alg):
@@ -147,16 +141,9 @@ def pairs(rows) -> frozenset[tuple[int, int]]:
     return frozenset((a, b) for a, row in enumerate(rows) for b in mask_iter(row))
 
 
-def outcome(build, alg):
-    try:
-        return build(alg)
-    except InconsistencyError as e:
-        return str(e)
-
-
 def assert_same(alg) -> str:
     """The mask code agrees with the references on ``alg``; returns the
-    first message of the quotient, or "ok"."""
+    quotient's error, or "ok"."""
     expected = outcome(reference_derived_relations, alg)
     got = outcome(derived_relations, alg)
     assert (got if isinstance(expected, str) else tuple(map(pairs, got))) == expected
@@ -167,69 +154,44 @@ def assert_same(alg) -> str:
     return quotient if isinstance(quotient, str) else "ok"
 
 
-def test_law_algebras_agree_with_the_pair_sets():
-    algebras = small_algebras() + [conc.abstract for conc in build_corpus()] + large_algebras()
+def test_law_algebras_agree_with_the_pair_sets(small, corpus, large):
+    algebras = small + corpus + large
     results = [assert_same(alg) for alg in algebras]
     # N1, the non-functional fixture, is the one algebra without a quotient.
-    assert results.index("(1, 0) are below/domain-above yet distinct") == 5
+    assert results.index("InconsistencyError: (1, 0) are below/domain-above yet distinct") == 5
     assert results.count("ok") == len(algebras) - 1
 
 
-def test_perturbed_powersets_agree_with_the_pair_sets():
-    rng = random.Random(15)
-    sources = [boolean_as_diffrest(u).abstract for u in (2, 3, 4)]
-    messages = set()
-    for _ in range(2000):
-        try:
-            alg = perturbed(rng.choice(sources), rng, rng.choice(["minus", "restrict"]))
-        except TableError:
-            continue
-        messages.add(assert_same(alg).split(" at ")[0])
+def test_perturbed_powersets_agree_with_the_pair_sets(perturbed_powersets):
+    messages = {assert_same(alg).split(" at ")[0] for alg in perturbed_powersets}
     # Every rewritten check fires at least once.
     for message in (
-        "domain preorder is not reflexive",
-        "domain preorder is not transitive",
-        "element order not contained in domain preorder",
-        "orders disagree inside the downset of 3",
+        "InconsistencyError: domain preorder is not reflexive",
+        "InconsistencyError: domain preorder is not transitive",
+        "InconsistencyError: element order not contained in domain preorder",
+        "InconsistencyError: orders disagree inside the downset of 3",
         "ok",
     ):
         assert message in messages
 
 
-def test_perturbed_quotients_agree_with_the_pair_sets():
-    """Perturbed corpus algebras whose domain classes are not all
-    singletons reach the checks of the class tables, each with its
-    first pair."""
-    corpus = [conc.abstract for conc in build_corpus()]
-    sources = [a for a in corpus if a.size <= 8 and domain_quotient(a).n_classes < a.size]
-    rng = random.Random(3)
-    messages = set()
-    for _ in range(600):
-        try:
-            alg = perturbed(rng.choice(sources), rng, rng.choice(["minus", "restrict"]))
-        except TableError:
-            continue
-        messages.add(assert_same(alg).split(" at ")[0])
+def test_perturbed_quotients_agree_with_the_pair_sets(perturbed_small, perturbed_corpus):
+    """Perturbed copies whose domain classes are not all singletons
+    reach the checks of the class tables, each with its first pair."""
+    copies = perturbed_small + perturbed_corpus
+    messages = {assert_same(alg).split(" at ")[0] for alg in copies}
     for message in (
-        "class meet not well defined",
-        "class complement not well defined",
-        "quotient meet disagrees with double complement",
+        "InconsistencyError: class meet not well defined",
+        "InconsistencyError: class complement not well defined",
+        "InconsistencyError: quotient meet disagrees with double complement",
         "ok",
     ):
         assert message in messages
 
 
-def test_meet_is_named_before_complement_at_the_same_pair():
+def test_meet_is_named_before_complement_at_the_same_pair(corpus):
     # Acceptance-corpus algebra 66 with restrict[5][1] and minus[5][3]
     # changed: both class tables first fail at the pair (5, 1), and the
     # pair loop checked the meet first.
-    minus = [
-        [3, 0, 0, 0, 5, 4], [1, 3, 1, 1, 1, 1], [2, 2, 3, 2, 2, 2],
-        [3, 3, 3, 3, 3, 3], [3, 4, 4, 4, 3, 4], [3, 5, 5, 3, 5, 3],
-    ]
-    restrict = [
-        [0, 1, 2, 3, 4, 5], [4, 1, 3, 3, 4, 3], [5, 3, 2, 3, 3, 5],
-        [3, 3, 3, 3, 3, 3], [4, 1, 3, 3, 4, 3], [5, 2, 2, 3, 3, 5],
-    ]
-    alg = FiniteAlgebra.from_tables(minus, restrict)
-    assert assert_same(alg) == "class meet not well defined at elements (5, 1)"
+    alg = edited(edited(corpus[66], "restrict", 5, 1, 2), "minus", 5, 3, 3)
+    assert assert_same(alg) == "InconsistencyError: class meet not well defined at elements (5, 1)"

@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from conftest import F, G, H, K, M, make_f0, make_f1, make_f2, make_f3, make_f4
+from conftest import F, G, H, K, M, edited, make_f0, make_f1, make_f2, make_f3, make_f4
 
 from diffrest import (
     AxiomFailure,
@@ -106,12 +106,9 @@ def test_atoms_f4_restriction_lemma(f4):
 )
 def test_atoms_rejects_a_restriction_that_breaks_the_atom_lemma(cell, message):
     # One restrict cell of the four-element powerset, whose atoms are 1 and 3.
-    alg = boolean_as_diffrest(2).abstract
-    i, j, value = cell
-    restrict = [list(row) for row in alg.restrict]
-    restrict[i][j] = value
+    alg = edited(boolean_as_diffrest(2).abstract, "restrict", *cell)
     with pytest.raises(InconsistencyError) as caught:
-        atoms(FiniteAlgebra.from_tables(alg.minus, restrict))
+        atoms(alg)
     assert str(caught.value) == message
 
 
