@@ -12,11 +12,13 @@ The perturbed copies come from two perturbers.  ``perturbed`` changes
 one to three table cells; each ``perturbed_*`` family draws from its
 sources with its own seed and keeps each table pair once, except
 ``perturbed_large``, whose 40 copies ``test_law_bytes.PINNED_FAILURES``
-pins in order.  ``perturbed_representation`` makes one edit of a
-representation; ``representations`` holds each construction of the law
-algebras of ``small``, ``corpus`` and ``large`` and two copies of it,
-edited in turn by each of ``REPRESENTATION_EDITS``.  ``test_corpus.py``
-pins every family.
+pins in order.  ``perturbed_quotients`` draws only from the corpus
+algebras of at most 8 elements with a domain class of two or more.
+``perturbed_representation`` makes one edit of a representation;
+``representations`` holds each construction of the law algebras of
+``small``, ``corpus`` and ``large`` and one copy of it for each of
+``REPRESENTATION_EDITS``, each kept once.  ``test_corpus.py`` pins every
+family.
 
 Element ids follow the closure discovery order (generators first, then
 products breadth-first, ties by lexicographic graph):
@@ -29,7 +31,6 @@ products breadth-first, ties by lexicographic graph):
 """
 
 import dataclasses
-import itertools
 import random
 import subprocess
 import sys
@@ -46,6 +47,7 @@ from diffrest import (
     boolean_as_diffrest,
     canonical_theta,
     close_generators,
+    domain_quotient,
     enumerate_axiom_models,
     generating_set,
     injective_eta,
@@ -53,6 +55,7 @@ from diffrest import (
     serialize_concrete,
 )
 
+from diffrest.algebra import mask_iter
 from diffrest.oracle import _NodeLimit
 from lemmas import close_relations, relabel
 
@@ -66,7 +69,6 @@ G = 1
 
 N1_C = 0
 N1_D = 1
-N1_E = 3
 
 CORPUS_SEED = 74
 
@@ -93,6 +95,11 @@ def outcome(fn, *args):
         return fn(*args)
     except AlgebraError as err:
         return f"{type(err).__name__}: {err}"
+
+
+def pairs(rows):
+    """The pairs of a relation held as row masks."""
+    return frozenset((a, b) for a, row in enumerate(rows) for b in mask_iter(row))
 
 
 def search_outcome(search, *args, limit=10**9):
@@ -154,37 +161,57 @@ def relation(base, graph):
     return f
 
 
-# All but "drop value" keep one value per element.
-VALUE_EDITS = ("point", "pair", "duplicate", "widen")
-REPRESENTATION_EDITS = (*VALUE_EDITS, "drop value")
+# The edits of ``perturbed_representation``.  Edited values are built
+# with ``relation``, so edits compose.
+REPRESENTATION_EDITS = {
+    "point": "one value sends one state to another state, or to none",
+    "drop pair": "one value loses one of its pairs",
+    "add pair": "one value gets a pair at a state outside its domain",
+    "relation": "one value gets a second image for a state of its domain",
+    "swap": "two elements trade values",
+    "duplicate": "one element gets the value of another",
+    "widen": "one element keeps its graph over one more state",
+    "widen other": "one element gets the value of another over one more state",
+    "drop value": "the last element loses its value",
+}
 
 
 def perturbed_representation(rep, rng, edit):
-    """An external copy of ``rep`` with one edit, or None when the edit
-    needs a state and the values have none:
-
-    - "point": one value sends one state to another state, or to none;
-    - "pair": one value gets one more pair, which may make it a relation;
-    - "duplicate": one element gets the value of another;
-    - "widen": one element gets the value of another over one more state;
-    - "drop value": the last element loses its value.
-
-    Edited values are built with ``relation``, so edits compose."""
+    """An external copy of ``rep`` with one of ``REPRESENTATION_EDITS``,
+    or ``rep`` when the edit needs a state, a pair or a state outside a
+    domain and the values have none."""
     values = list(rep.assignment)
     states = sorted(values[0].base)
     a, b = rng.randrange(len(values)), rng.randrange(len(values))
+    filled = [c for c, f in enumerate(values) if f.graph]
+    partial = [c for c, f in enumerate(values) if len(f.domain) < len(states)]
     if edit == "drop value":
         values.pop()
+    elif edit == "swap":
+        values[a], values[b] = values[b], values[a]
     elif edit == "duplicate":
         values[a] = values[b]
-    elif edit == "widen":
-        values[a] = relation({*states, max(states, default=0) + 1}, values[b].graph)
-    elif not states:
-        return None
-    else:
-        x, y = rng.choice(states), rng.choice([None, *states] if edit == "point" else states)
-        graph = {p for p in values[a].graph if edit == "pair" or p[0] != x}
+    elif edit in ("widen", "widen other"):
+        graph = values[a if edit == "widen" else b].graph
+        values[a] = relation({*states, max(states, default=0) + 1}, graph)
+    elif edit == "point" and states:
+        x, y = rng.choice(states), rng.choice([None, *states])
+        graph = {p for p in values[a].graph if p[0] != x}
         values[a] = relation(states, graph if y is None else graph | {(x, y)})
+    elif edit == "drop pair" and filled:
+        c = rng.choice(filled)
+        values[c] = relation(states, values[c].graph - {rng.choice(sorted(values[c].graph))})
+    elif edit == "relation" and filled and len(states) > 1:
+        c = rng.choice(filled)
+        x, y = rng.choice(sorted(values[c].graph))
+        z = rng.choice([z for z in states if z != y])
+        values[c] = relation(states, values[c].graph | {(x, z)})
+    elif edit == "add pair" and partial:
+        c = rng.choice(partial)
+        x = rng.choice(sorted(set(states) - values[c].domain))
+        values[c] = relation(states, values[c].graph | {(x, rng.choice(states))})
+    else:
+        return rep
     return Representation(rep.source, "external", rep.states, tuple(values))
 
 
@@ -257,12 +284,16 @@ def corpus(corpus200):
 
 
 @pytest.fixture(scope="session")
-def small(f0, f1, f2, f3, f4, n1):
-    algebras = [f0, *(conc.abstract for conc in (f1, f2, f3, f4)), n1[0]]
-    for n in range(1, 6):
-        algebras.extend(enumerate_axiom_models(n).models)
-    assert len(algebras) == 6 + 15
-    return algebras
+def models():
+    """The law models of size <= 5."""
+    found = [model for n in range(1, 6) for model in enumerate_axiom_models(n).models]
+    assert len(found) == 15
+    return found
+
+
+@pytest.fixture(scope="session")
+def small(f0, f1, f2, f3, f4, n1, models):
+    return [f0, *(conc.abstract for conc in (f1, f2, f3, f4)), n1[0], *models]
 
 
 RELABEL_DRAWS = 1000
@@ -326,6 +357,14 @@ def perturbed_corpus(corpus):
 
 
 @pytest.fixture(scope="session")
+def perturbed_quotients(corpus):
+    """Copies of the corpus algebras of at most 8 elements whose domain
+    classes are not all singletons, which reach the class-table checks."""
+    sources = [a for a in corpus if a.size <= 8 and domain_quotient(a).n_classes < a.size]
+    return perturbed_family(sources, 3, 600)
+
+
+@pytest.fixture(scope="session")
 def perturbed_large(large):
     rng = random.Random(13)
     return [perturbed(alg, rng) for alg in large for _ in range(20)]
@@ -349,17 +388,16 @@ def perturbed_restrict(small, corpus):
 @pytest.fixture(scope="session")
 def representations(small, n1, corpus, large):
     """Per family, (edit, representation) pairs without repeats: each
-    construction, with edit None, then its two copies (seed 5)."""
-    rng, edits = random.Random(5), itertools.cycle(REPRESENTATION_EDITS)
+    construction, with edit None, then one copy for each of
+    ``REPRESENTATION_EDITS`` (seed 5)."""
+    rng = random.Random(5)
     models = [alg for alg in small if alg is not n1[0]]
     out = {}
     for name, algebras in {"small": models, "corpus": corpus, "large": large}.items():
         reps = {}
         for rep in (build(alg) for alg in algebras for build in CONSTRUCTIONS):
-            two = itertools.islice(edits, 2)
-            copies = [(edit, perturbed_representation(rep, rng, edit)) for edit in two]
+            copies = [(e, perturbed_representation(rep, rng, e)) for e in REPRESENTATION_EDITS]
             for edit, copy in [(None, rep), *copies]:
-                if copy:
-                    reps.setdefault((id(rep.source), copy.states, copy.assignment), (edit, copy))
+                reps.setdefault((id(rep.source), copy.states, copy.assignment), (edit, copy))
         out[name] = list(reps.values())
     return out

@@ -7,8 +7,7 @@ import tracemalloc
 
 import pytest
 
-from conftest import MALFORMED_DICTIONARIES, make_f0, make_f1, make_f2, make_f3, make_f4
-from conftest import make_n1, run_cli
+from conftest import MALFORMED_DICTIONARIES, run_cli
 
 from diffrest import (
     BudgetExceededError,
@@ -37,21 +36,14 @@ def run_with_closed_stdout(*argv):
 
 
 @pytest.fixture(scope="module")
-def files(tmp_path_factory):
+def files(tmp_path_factory, f0, f2, n1):
     root = tmp_path_factory.mktemp("algebras")
-    f2 = root / "F2.alg"
-    f2.write_text(serialize_concrete(make_f2()))
-    n1 = root / "N1.alg"
-    n1.write_text(serialize_algebra(make_n1()[0]))
-    f0 = root / "F0.alg"
-    f0.write_text(serialize_algebra(make_f0()))
-    corpus = root / "corpus.alg"
-    corpus.write_text(
-        serialize_algebra(make_f2().abstract)
-        + serialize_algebra(make_n1()[0])
-        + serialize_algebra(make_f0())
-    )
-    return {"f2": str(f2), "n1": str(n1), "f0": str(f0), "corpus": str(corpus), "root": root}
+    texts = {"F2": serialize_concrete(f2), "N1": serialize_algebra(n1[0])}
+    texts["F0"] = serialize_algebra(f0)
+    texts["corpus"] = serialize_algebra(f2.abstract) + texts["N1"] + texts["F0"]
+    for name, text in texts.items():
+        (root / f"{name}.alg").write_text(text)
+    return {name.lower(): str(root / f"{name}.alg") for name in texts}
 
 
 def test_check_passing_algebra(files):
@@ -81,7 +73,7 @@ def test_represent_theta_on_trivial_algebra(files):
     assert "PASS verification" in result.stdout
 
 
-def test_represent_emit_concrete_roundtrips(files, tmp_path):
+def test_represent_emit_concrete_roundtrips(files, tmp_path, f2):
     out = tmp_path / "image.alg"
     result = run_cli(
         "represent", "--mode", "theta", files["f2"], "--emit-concrete", str(out)
@@ -89,7 +81,7 @@ def test_represent_emit_concrete_roundtrips(files, tmp_path):
     assert result.returncode == 0
     doc = parse_algebras(out.read_text())[0]
     assert isinstance(doc, ConcreteAlgebra)
-    assert doc.abstract == make_f2().abstract
+    assert doc.abstract == f2.abstract
 
 
 def test_structured_output_is_stable(files):
@@ -167,10 +159,8 @@ def test_complete_with_a_cap_above_the_size_is_exact(tmp_path, capsys, corpus200
     assert out.endswith(" subsets=270\n")
 
 
-def test_cap_and_seed_are_usage_errors(tmp_path, capsys):
-    f2 = tmp_path / "f2.alg"
-    f2.write_text(serialize_concrete(make_f2()))
-    path = str(f2)
+def test_cap_and_seed_are_usage_errors(files, capsys):
+    path = files["f2"]
     argvs = [
         [verb, "--mode", "theta", path, flag]
         for verb in ("represent", "complete")
@@ -190,13 +180,11 @@ def test_cap_and_seed_are_usage_errors(tmp_path, capsys):
         assert f"unrecognized arguments: {argv[-1]} 12" in err
 
 
-def test_search_format_is_a_usage_error(tmp_path, capsys):
+def test_search_format_is_a_usage_error(files, capsys):
     # The searches print no payload that a format could switch.
-    f2 = tmp_path / "f2.alg"
-    f2.write_text(serialize_concrete(make_f2()))
     for argv in (
         ["search", "models", "--size", "2"],
-        ["search", "embed", "--file", str(f2), "--max-base", "2"],
+        ["search", "embed", "--file", files["f2"], "--max-base", "2"],
     ):
         for fmt in ("text", "structured"):
             with pytest.raises(SystemExit) as caught:
@@ -207,13 +195,11 @@ def test_search_format_is_a_usage_error(tmp_path, capsys):
             assert f"unrecognized arguments: --format {fmt}" in err
 
 
-def test_diff_format_is_a_usage_error(tmp_path, capsys):
+def test_diff_format_is_a_usage_error(files, capsys):
     # diff's lines are key=value already, so a format has nothing to switch.
-    f2 = tmp_path / "f2.alg"
-    f2.write_text(serialize_concrete(make_f2()))
     for fmt in ("text", "structured"):
         with pytest.raises(SystemExit) as caught:
-            main(["diff", str(f2), "--format", fmt])
+            main(["diff", files["f2"], "--format", fmt])
         assert caught.value.code == 2
         out, err = capsys.readouterr()
         assert out == ""
@@ -233,12 +219,12 @@ def test_diff_format_is_a_usage_error(tmp_path, capsys):
     ],
     ids=lambda verb: verb[0] if verb[0] != "search" else "search-embed",
 )
-def test_single_algebra_verbs_refuse_a_file_of_two(tmp_path, capsys, verb):
+def test_single_algebra_verbs_refuse_a_file_of_two(tmp_path, capsys, verb, n1):
     # Each used to read the first algebra only: check passed a model
     # followed by N1, which fails Ax.5 on its own.
     path = tmp_path / "two.alg"
-    model, n1 = boolean_as_diffrest(1).abstract, make_n1()[0]
-    path.write_text(serialize_algebra(model) + serialize_algebra(n1))
+    model = boolean_as_diffrest(1).abstract
+    path.write_text(serialize_algebra(model) + serialize_algebra(n1[0]))
     assert main([*verb, str(path)]) == 2
     assert capsys.readouterr() == (
         "", f"ERROR {path} holds 2 algebras; this verb reads one\n"
@@ -263,10 +249,8 @@ def reference_cover_lines(alg):
     ]
 
 
-def test_filters_covers_match_the_pairwise_preorder(tmp_path, capsys):
-    algebras = [make_f0(), *(make().abstract for make in (make_f1, make_f2, make_f3, make_f4))]
-    algebras += [model for n in range(1, 6) for model in enumerate_axiom_models(n).models]
-    algebras.append(boolean_as_diffrest(4).abstract)
+def test_filters_covers_match_the_pairwise_preorder(small, n1, tmp_path, capsys):
+    algebras = [alg for alg in small if alg is not n1[0]] + [boolean_as_diffrest(4).abstract]
     covers = 0
     for i, alg in enumerate(algebras):
         path = tmp_path / f"{i}.alg"

@@ -15,6 +15,9 @@ import pytest
 PINNED_FAMILIES = {
     "perturbed_small": (265, "627522e12973a3e67f18550d0ebc98aa65b08cfba93522a4a5d9a410cef72d6a"),
     "perturbed_corpus": (145, "cb36c7a26aca4f3e59c67a64d581c1a3789bfc1bf7e5246eb15bfb214e8a49e1"),
+    "perturbed_quotients": (
+        542, "ee2aeb6a19affcce3d46215f87e22f63604fe45524917016712f3365c56bc7a0"
+    ),
     "perturbed_large": (40, "d95d2e26f355c52b758e45087126d8924a2f30a39475c5881d8568d671a0e355"),
     "perturbed_powersets": (
         1600, "293d8a7704299ad9c3ac5e907d49b29287853a426573097c7d152bdbe0fdfdfb"
@@ -26,13 +29,13 @@ PINNED_FAMILIES = {
         190, "99fa06d468fc1f20930c245ccb8b5ca8e6339dcecb3abf0a4c04c73171531965"
     ),
     "representations/small": (
-        204, "6b35da9b58da7ef13bd526579d27e1e937185740c94240282b526f517d87f093"
+        643, "0d1cecfaa8b0bc5e8f92083385582328e1c90c36ff08c0a0172416f9ea7281e3"
     ),
     "representations/corpus": (
-        1949, "fcd981e5919486dcc5cca690b8301261589493498d0ec80c5d7c8c180c7d484a"
+        5856, "fb28b1475383defdfdc50ae9531042728b1c560a4a788206864934a8bd459fb7"
     ),
     "representations/large": (
-        23, "3dbca8296ff839e4624db0bb5e5c47a4dce1b7125b74254cf466f5dcb88e35a0"
+        79, "5013300f4454096a09eb5de2035d71fe7c3accd862533783f7517bb3dc4c5a1d"
     ),
 }
 

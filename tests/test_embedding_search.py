@@ -424,7 +424,7 @@ def assert_same_columns(alg):
     return columns
 
 
-def assert_same_as_reference(algebras, monkeypatch):
+def assert_same_as_reference(algebras):
     """Columns, masks, verdict and assignment all match the old search.
 
     The reference embedding runs the index-based cover search over the
@@ -447,18 +447,18 @@ def assert_same_as_reference(algebras, monkeypatch):
     return verdicts
 
 
-def test_search_matches_reference_on_small_algebras(small, monkeypatch):
-    verdicts = assert_same_as_reference(small, monkeypatch)
+def test_search_matches_reference_on_small_algebras(small):
+    verdicts = assert_same_as_reference(small)
     # N1, the relational non-model, is the only one without an embedding
     assert verdicts == ["found"] * 5 + ["none"] + ["found"] * 15
 
 
-def test_search_matches_reference_on_acceptance_corpus(corpus, monkeypatch):
-    assert assert_same_as_reference(corpus, monkeypatch) == ["found"] * 200
+def test_search_matches_reference_on_acceptance_corpus(corpus):
+    assert assert_same_as_reference(corpus) == ["found"] * 200
 
 
-def test_search_matches_reference_on_large_algebras(large, monkeypatch):
-    assert assert_same_as_reference(large, monkeypatch) == ["found"] * 2
+def test_search_matches_reference_on_large_algebras(large):
+    assert assert_same_as_reference(large) == ["found"] * 2
 
 
 def test_every_cover_cut_off_matches_the_reference(small):

@@ -181,7 +181,7 @@ def perturbed_representations(draw):
     rep = draw(st.sampled_from(REPRESENTATIONS))
     rng = draw(st.randoms(use_true_random=False))
     for _ in range(draw(st.integers(0, 4))):
-        rep = perturbed_representation(rep, rng, "point") or rep
+        rep = perturbed_representation(rep, rng, "point")
     return rep
 
 

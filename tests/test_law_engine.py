@@ -251,7 +251,6 @@ def test_comparison_catches_term_pair_mutants(
             assert_same_as_reference(alg)
 
 
-
 # Antecedents that neither compiler compiles: a cycle (the row compiler
 # once looped on it forever), a second bound on one variable (the row
 # scans kept only one of the two, so the law below failed from (1, 0, 0)

@@ -57,7 +57,7 @@ def found():
 
 
 @pytest.fixture(scope="module")
-def corpus(found):
+def label_corpus(found):
     """Every labelled model at sizes up to 5, then relabelings of the
     catalogs' models."""
     rng = random.Random(20)
@@ -86,11 +86,11 @@ def test_enumerator_labels_every_completed_copy(found):
     assert [len(tables) for _, _, tables in found] == [1, 1, 1, 4, 13]
 
 
-def test_label_partitions_like_canonical_form(corpus):
-    assert any(alg.zero != 0 for alg in corpus)
-    forms = [reference_canonical_form(alg) for alg in corpus]
+def test_label_partitions_like_canonical_form(label_corpus):
+    assert any(alg.zero != 0 for alg in label_corpus)
+    forms = [reference_canonical_form(alg) for alg in label_corpus]
     assert len(set(forms)) == 1 + 1 + 2 + 4 + 7
-    assert same_partition([model_label(alg) for alg in corpus], forms)
+    assert same_partition([model_label(alg) for alg in label_corpus], forms)
 
 
 def test_minus_label_partitions_like_minus_form(minus_corpus):
@@ -106,8 +106,8 @@ def cell_sizes(alg) -> list[int]:
     return list(label[: len(label) - 2 * alg.size**2])
 
 
-def test_label_starts_with_the_cell_sizes(corpus):
-    for alg in corpus:
+def test_label_starts_with_the_cell_sizes(label_corpus):
+    for alg in label_corpus:
         sizes = cell_sizes(alg)
         assert sizes[0] == 1 and sum(sizes) == alg.size
 
@@ -138,10 +138,10 @@ MUTANTS = {
 
 
 @pytest.mark.parametrize("mutant", MUTANTS)
-def test_comparison_catches_label_mutants(mutant, corpus):
+def test_comparison_catches_label_mutants(mutant, label_corpus):
     label = mutant_label(*MUTANTS[mutant])
-    forms = [reference_canonical_form(alg) for alg in corpus]
-    labels = [label(alg.zero, (alg.minus, alg.restrict)) for alg in corpus]
+    forms = [reference_canonical_form(alg) for alg in label_corpus]
+    labels = [label(alg.zero, (alg.minus, alg.restrict)) for alg in label_corpus]
     assert not same_partition(labels, forms)
 
 

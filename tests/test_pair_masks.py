@@ -13,7 +13,7 @@ and their perturbed copies.
 
 import random
 
-from conftest import CONSTRUCTIONS, make_f0, make_f1, make_f2, make_f3, make_f4, outcome
+from conftest import CONSTRUCTIONS, outcome
 from lemmas import close_graphs
 
 from diffrest import verify_representation
@@ -202,7 +202,7 @@ def test_mask_paths_match_the_set_paths_on_the_large_algebras(representations, l
     check_algebras(representations["large"], large_concrete)
 
 
-def test_a_passing_verification_derives_the_tables_once(monkeypatch):
+def test_a_passing_verification_derives_the_tables_once(monkeypatch, f0, f1, f2, f3, f4):
     # The image certificate indexes the pairs and derives both tables;
     # the pair walk, which would index them again, runs only on failure.
     calls = {"_tables_of": 0, "_pair_masks": 0}
@@ -219,7 +219,7 @@ def test_a_passing_verification_derives_the_tables_once(monkeypatch):
     counted(pfun, "_tables_of")
     counted(pfun, "_pair_masks")
     monkeypatch.setattr(represent, "_pair_masks", pfun._pair_masks)
-    for alg in [make_f0()] + [make().abstract for make in (make_f1, make_f2, make_f3, make_f4)]:
+    for alg in [f0, *(conc.abstract for conc in (f1, f2, f3, f4))]:
         for build in CONSTRUCTIONS:
             rep = build(alg)
             calls.update(dict.fromkeys(calls, 0))

@@ -120,9 +120,9 @@ def test_close_generators_cap():
         close_generators(base, [full, *co])
 
 
-def test_close_generators_indexes_pairs_twice(monkeypatch):
-    """Once for the closure, whose masks give the tables, and once for
-    the ConcreteAlgebra certificate that re-derives them."""
+@pytest.fixture
+def pair_mask_calls(monkeypatch):
+    """The graph lists that ``pfun._pair_masks`` is called with."""
     calls, real = [], diffrest.pfun._pair_masks
 
     def counted(graphs):
@@ -130,26 +130,25 @@ def test_close_generators_indexes_pairs_twice(monkeypatch):
         return real(graphs)
 
     monkeypatch.setattr(diffrest.pfun, "_pair_masks", counted)
+    return calls
+
+
+def test_close_generators_indexes_pairs_twice(pair_mask_calls):
+    """Once for the closure, whose masks give the tables, and once for
+    the ConcreteAlgebra certificate that re-derives them."""
     rng, base = random.Random(3), range(1, 5)
     for k in range(1, 30):
         conc = close_generators(base, random_generators(rng, base, k % 4 + 1))
-        assert len(calls) == 2 * k
+        assert len(pair_mask_calls) == 2 * k
     assert conc.abstract.size > 1
 
 
-def test_boolean_as_diffrest_indexes_pairs_once(monkeypatch):
+def test_boolean_as_diffrest_indexes_pairs_once(pair_mask_calls):
     """Only in the ConcreteAlgebra certificate: the tables come from the
     set operations."""
-    calls, real = [], diffrest.pfun._pair_masks
-
-    def counted(graphs):
-        calls.append(graphs)
-        return real(graphs)
-
-    monkeypatch.setattr(diffrest.pfun, "_pair_masks", counted)
     for k, universe in enumerate(range(5), 1):
         assert boolean_as_diffrest(universe).abstract.size > 0
-        assert len(calls) == k
+        assert len(pair_mask_calls) == k
 
 
 def test_close_relations_n1(n1):

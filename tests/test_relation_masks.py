@@ -12,7 +12,7 @@ conftest, the mask versions must give the same relations, quotients and
 maximal filters, or raise the same error with the same witness.
 """
 
-from conftest import edited, outcome
+from conftest import edited, outcome, pairs
 
 from diffrest import (
     DomainQuotient,
@@ -137,10 +137,6 @@ def reference_maximal_filters(alg):
     return family.maximal
 
 
-def pairs(rows) -> frozenset[tuple[int, int]]:
-    return frozenset((a, b) for a, row in enumerate(rows) for b in mask_iter(row))
-
-
 def assert_same(alg) -> str:
     """The mask code agrees with the references on ``alg``; returns the
     quotient's error, or "ok"."""
@@ -175,11 +171,11 @@ def test_perturbed_powersets_agree_with_the_pair_sets(perturbed_powersets):
         assert message in messages
 
 
-def test_perturbed_quotients_agree_with_the_pair_sets(perturbed_small, perturbed_corpus):
-    """Perturbed copies whose domain classes are not all singletons
-    reach the checks of the class tables, each with its first pair."""
-    copies = perturbed_small + perturbed_corpus
-    messages = {assert_same(alg).split(" at ")[0] for alg in copies}
+def test_perturbed_quotients_agree_with_the_pair_sets(perturbed_quotients):
+    """Perturbed copies whose sources' domain classes are not all
+    singletons reach the checks of the class tables, each with its
+    first pair."""
+    messages = {assert_same(alg).split(" at ")[0] for alg in perturbed_quotients}
     for message in (
         "InconsistencyError: class meet not well defined",
         "InconsistencyError: class complement not well defined",
