@@ -38,11 +38,12 @@ own reading of the laws, ``algebra._read``: the laws over minus alone
 complete.  It prunes with the five laws alone, never with derived laws
 or filter theory, since it is the oracle for the claim that they
 follow.  Isomorph rejection uses an exact label (the least tables over
-the relabelings within cells of equal invariants) twice: the restrict
-stage runs only for the first complete minus table of each class, and
-the first labelled copy of each model class is kept.  The model label
-is the public ``canonical_form``, and the catalog lists the classes in
-its ascending order.
+the relabelings within cells of equal invariants): the restrict stage
+runs only for the first complete minus table of each class.  There it
+keeps a restrict table only if no automorphism of the minus table maps
+it to one that is less in fill order, so each model class is met once.
+The model label is the public ``canonical_form``, and the catalog lists
+the classes in its ascending order.
 """
 
 from __future__ import annotations
@@ -383,6 +384,21 @@ class ModelCatalog:
     nodes: int
 
 
+def _cells(zero: int, tables: tuple) -> list[list[int]]:
+    """``_label``'s cells of elements with equal invariants, in the order
+    of their invariants."""
+    n = len(tables[0])
+    keys = [[a != zero] for a in range(n)]
+    for table in tables:
+        for a, (row, column) in enumerate(zip(table, zip(*table))):
+            keys[a] += (sum(map(eq, row, range(n))), column.count(a),
+                        row.count(zero), column.count(zero))
+    cells: dict[tuple, list[int]] = {}
+    for a, key in enumerate(keys):
+        cells.setdefault(tuple(key), []).append(a)
+    return [cells[key] for key in sorted(cells)]
+
+
 def _label(zero: int, tables: tuple) -> bytes:
     """An exact isomorphism label of square tables over ids with a
     ``zero``: equal labels iff a relabeling fixing zero maps one onto the other.
@@ -398,16 +414,7 @@ def _label(zero: int, tables: tuple) -> bytes:
     enumerator labels complete minus tables by ``(minus,)`` and models
     by ``(minus, restrict)``, as ``canonical_form`` does.
     """
-    n = len(tables[0])
-    keys = [[a != zero] for a in range(n)]
-    for table in tables:
-        for a, (row, column) in enumerate(zip(table, zip(*table))):
-            keys[a] += (sum(map(eq, row, range(n))), column.count(a),
-                        row.count(zero), column.count(zero))
-    cells: dict[tuple, list[int]] = {}
-    for a, key in enumerate(keys):
-        cells.setdefault(tuple(key), []).append(a)
-    ordered = [cells[key] for key in sorted(cells)]
+    n, ordered = len(tables[0]), _cells(zero, tables)
     rows = [tuple(map(bytes, table)) for table in tables]
     sigma, best = bytearray(256), None
     for parts in itertools.product(*map(itertools.permutations, ordered)):
@@ -609,6 +616,47 @@ def _fill_cells(
     fill(0)
 
 
+def _lex_leader(check, minus: list[list[int]], restrict: list[list[int | None]], free: list):
+    """The restrict stage's cell check: the law check ``check``, then a
+    symmetry cut.  The cut keeps a table R, filled in the order ``free``,
+    only if no automorphism sigma of ``minus`` (a relabeling fixing 0 that
+    maps it onto itself; these keep ``_label``'s cells) has an image
+    sigma(R)[sigma a][sigma b] = sigma(R[a][b]) less than R in that order,
+    at the first cell where the two differ and are both known.  Each cell
+    tests only the automorphisms whose comparison it extends, and records
+    its value in ``vals`` for the cells after it, so it must be checked in
+    fill order."""
+    tests, cells = {c: (k, []) for k, c in enumerate(free)}, _cells(0, (minus,))
+    relabelings = (
+        bytes(new for _, new in sorted(zip(itertools.chain(*cells), itertools.chain(*parts))))
+        for parts in itertools.product(*map(itertools.permutations, cells))
+    )
+    automorphisms = [
+        s for s in relabelings
+        if all(s[t] == minus[s[a]][s[b]] for a, row in enumerate(minus) for b, t in enumerate(row))
+    ]
+    for sigma in automorphisms[1:]:  # the first is the identity
+        # cell j of the image is sigma(R[free[p[j]]]); the comparison
+        # reaches it once cells j, p[j] and all before j are known
+        p = sorted(range(len(free)), key=lambda k: tests[sigma[free[k][0]], sigma[free[k][1]]][0])
+        reach = itertools.accumulate(map(max, p, itertools.count()), max)
+        for k, j in {k: j for j, k in enumerate(reach)}.items():
+            tests[free[k]][1].append((j + 1, p[: j + 1], sigma.ljust(256, b"\0")))
+    vals = bytearray(len(free) + 1)  # the last byte takes the seeded cells
+
+    def leader(a: int, b: int) -> bool:
+        if not check(a, b):
+            return False
+        k, group = tests.get((a, b), (-1, ()))
+        vals[k] = restrict[a][b]
+        for hi, p, table in group:
+            if vals[:hi] > bytes(map(vals.__getitem__, p)).translate(table):
+                return False
+        return True
+
+    return leader
+
+
 def enumerate_axiom_models(n: int, budget: SearchBudget = DEFAULT_BUDGET) -> ModelCatalog:
     """All law-abiding algebras of a given size, up to isomorphism.
 
@@ -618,12 +666,16 @@ def enumerate_axiom_models(n: int, budget: SearchBudget = DEFAULT_BUDGET) -> Mod
     ``_label`` of ``(minus,)``: every relabeling fixing 0 fixes the seeded
     cells, so one that maps this minus table onto an earlier one maps
     each model over it onto a model met over the earlier table.  Each
-    filled cell is checked against the law instances that read it;
-    complete models are checked once more with ``check_axioms``.  The
-    first model per ``_label`` of ``(minus, restrict)`` is kept, and the
-    classes are listed in ascending order of that label, their
-    ``canonical_form``.  Sizes above 8 are refused before any table is
-    built.
+    filled cell is checked against the law instances that read it, then
+    by ``_lex_leader``'s symmetry cut; complete models are checked once
+    more with ``check_axioms``.  The cut is exact: an isomorphism of two
+    models over one minus table M fixes 0 and maps M onto itself, so it is
+    an automorphism of M, and the cut keeps exactly the least restrict
+    table of each class, the first the search meets.  So each class is
+    met once, and a second model with a known ``_label`` of ``(minus,
+    restrict)`` is an ``InconsistencyError``.  The classes are listed in
+    ascending order of that label, their ``canonical_form``.  Sizes above
+    8 are refused before any table is built.
     """
     if n < 1:
         raise TableError(f"algebras are nonempty, so size {n} has no models")
@@ -649,13 +701,16 @@ def enumerate_axiom_models(n: int, budget: SearchBudget = DEFAULT_BUDGET) -> Mod
         alg = FiniteAlgebra.from_tables(minus, restrict)
         if not check_axioms(alg).passed:
             raise InconsistencyError("incremental pruning admitted a non-model")
-        found.setdefault(_label(0, (alg.minus, alg.restrict)), alg)
+        key = _label(0, (alg.minus, alg.restrict))
+        if key in found:
+            raise InconsistencyError("symmetry breaking admitted an isomorphic copy")
+        found[key] = alg
 
     def minus_complete() -> None:
         key = _label(0, (minus,))
         if key not in minus_classes:
             minus_classes.add(key)
-            check = restrict_check(minus, restrict)
+            check = _lex_leader(restrict_check(minus, restrict), minus, restrict, free_restrict)
             _fill_cells(restrict, free_restrict, check, counter, budget.node_limit, model_found)
 
     exhaustive = True

@@ -31,6 +31,7 @@ products breadth-first, ties by lexicographic graph):
 """
 
 import dataclasses
+import inspect
 import random
 import subprocess
 import sys
@@ -74,18 +75,23 @@ CORPUS_SEED = 74
 
 CONSTRUCTIONS = (canonical_theta, injective_eta, atomic_theta, atomic_eta)
 
-# Concrete files of boolean_as_diffrest(2) whose dictionary does not
-# certify the tables, keyed by the error message.
-_TWO_ATOMS = serialize_concrete(boolean_as_diffrest(2))
-MALFORMED_DICTIONARIES = {
+# Edits of the concrete file of boolean_as_diffrest(2) after which its
+# dictionary does not certify the tables, keyed by the error message.
+MALFORMED_EDITS = {
     # entry 3 lists the same partial function as entry 1
-    "concrete elements are not distinct": _TWO_ATOMS.replace("\n3 {2->2}", "\n3 {1->1}"),
+    "concrete elements are not distinct": ("\n3 {2->2}", "\n3 {1->1}"),
     # minus[2][3] changed from 1 to 2
-    "abstract tables disagree with pointwise evaluation": _TWO_ATOMS.replace(
-        "\n2 3 0 1\n", "\n2 3 0 2\n"
-    ),
+    "abstract tables disagree with pointwise evaluation": ("\n2 3 0 1\n", "\n2 3 0 2\n"),
 }
-assert all(text != _TWO_ATOMS for text in MALFORMED_DICTIONARIES.values())
+
+
+def malformed_dictionary(message: str) -> str:
+    """The file that ``MALFORMED_EDITS[message]`` makes, built when a test
+    asks for it, so that a library fault fails that test, not collection."""
+    old, new = MALFORMED_EDITS[message]
+    text = serialize_concrete(boolean_as_diffrest(2))
+    assert text.count(old) == 1
+    return text.replace(old, new)
 
 
 def outcome(fn, *args):
@@ -118,6 +124,17 @@ def run_cli(*argv, **kwargs):
     read as text unless ``kwargs`` say otherwise."""
     kwargs = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **kwargs}
     return subprocess.run([sys.executable, "-m", "diffrest", *argv], text=True, **kwargs)
+
+
+def source_mutant(module, names, old: str, new: str):
+    """The function ``names[-1]`` of ``module``, compiled with the ones
+    before it in ``names`` from their source, with ``old`` (which occurs
+    once) replaced by ``new``."""
+    source = "".join(inspect.getsource(getattr(module, name)) for name in names)
+    assert source.count(old) == 1
+    namespace = dict(vars(module))
+    exec(source.replace(old, new), namespace)
+    return namespace[names[-1]]
 
 
 def edited(alg, table, a, b, value):

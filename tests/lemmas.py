@@ -6,6 +6,7 @@ downsets, subtraction rebuilt from Boolean downsets, atomisticity),
 re-evaluate single law instances, scan the complement-only laws on a
 bare minus table, relabel tables, label minus tables
 and algebras by brute force, collect what the model enumerator labels,
+relabel models with bottom fixed,
 enumerate partial functions, and close arbitrary relations, which is
 how the non-functional fixture N1 gets its tables.
 """
@@ -13,6 +14,7 @@ how the non-functional fixture N1 gets its tables.
 from __future__ import annotations
 
 import itertools
+import random
 from typing import Iterable, NamedTuple, Sequence
 
 from diffrest import (
@@ -155,7 +157,8 @@ def minus_form(zero: int, minus: Sequence[Sequence[int]]) -> tuple[tuple[int, ..
 
 def labelled_copies(monkeypatch, n: int):
     """The model catalog of size ``n``, then every model and every
-    complete minus table its search labelled, in search order."""
+    complete minus table its search labelled, in search order.  The
+    search meets each model class once, so the models are the catalog's."""
     models, minus_tables = [], []
     label = oracle._label
 
@@ -170,6 +173,25 @@ def labelled_copies(monkeypatch, n: int):
     catalog = enumerate_axiom_models(n)
     monkeypatch.setattr(oracle, "_label", label)
     return catalog, models, minus_tables
+
+
+def zero_fixing_copies(
+    models: Iterable[FiniteAlgebra], count: int | None = None, seed: int = 0
+) -> list[FiniteAlgebra]:
+    """Each of ``models`` (with bottom 0) relabeled by every permutation
+    fixing 0, or by the identity and ``count`` seeded ones; each distinct
+    pair of tables once."""
+    rng, copies = random.Random(seed), {}
+    for alg in models:
+        rest = range(1, alg.size)
+        if count is None:
+            sigmas = itertools.permutations(rest)
+        else:
+            sigmas = [rest, *(rng.sample(rest, len(rest)) for _ in range(count))]
+        for sigma in sigmas:
+            copy = relabel(alg, [0, *sigma])
+            copies.setdefault((copy.minus, copy.restrict), copy)
+    return list(copies.values())
 
 
 def evaluate_law(alg: FiniteAlgebra, law: str | Law, assignment: Sequence[int]) -> bool:

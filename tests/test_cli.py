@@ -7,7 +7,7 @@ import tracemalloc
 
 import pytest
 
-from conftest import MALFORMED_DICTIONARIES, run_cli
+from conftest import MALFORMED_EDITS, malformed_dictionary, run_cli
 
 from diffrest import (
     BudgetExceededError,
@@ -293,10 +293,10 @@ def test_dictionary_not_closed_is_an_input_error(tmp_path):
     )
 
 
-@pytest.mark.parametrize("message", MALFORMED_DICTIONARIES)
+@pytest.mark.parametrize("message", MALFORMED_EDITS)
 def test_malformed_dictionary_is_an_input_error(tmp_path, message):
     bad = tmp_path / "bad.alg"
-    bad.write_text(MALFORMED_DICTIONARIES[message])
+    bad.write_text(malformed_dictionary(message))
     result = run_cli("check", str(bad))
     assert result.returncode == 2
     assert result.stdout == ""

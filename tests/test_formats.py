@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import MALFORMED_DICTIONARIES
+from conftest import MALFORMED_EDITS, malformed_dictionary
 
 from diffrest import (
     ConcreteAlgebra,
@@ -124,10 +124,10 @@ def test_dictionary_not_closed_names_the_missing_product():
         parse_algebras(text)
 
 
-@pytest.mark.parametrize("message", MALFORMED_DICTIONARIES)
+@pytest.mark.parametrize("message", MALFORMED_EDITS)
 def test_malformed_dictionary_is_a_partial_function_error(message):
     with pytest.raises(PfunError, match=message) as err:
-        parse_algebras(MALFORMED_DICTIONARIES[message])
+        parse_algebras(malformed_dictionary(message))
     assert isinstance(err.value, InconsistencyError)
 
 

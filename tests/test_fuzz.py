@@ -9,11 +9,14 @@ functions and relations.
 
 Each file example takes a valid serialization and inserts, deletes or
 replaces a few characters.  The runs are derandomized, so the examples
-are the same on every run.
+are the same on every run.  The inputs the strategies draw from are
+built on first use, so that a library fault fails the tests that draw
+them, not the collection of this module.
 """
 
 import contextlib
 import io
+from functools import cache
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -44,12 +47,14 @@ from test_completeness_scan import assert_agrees_with_subset_scan
 from test_law_engine import REFERENCE_AXIOM_LAWS, REFERENCE_DERIVED_LAWS, _scan_laws
 from test_pair_masks import reference_close_graphs, reference_tables_for
 
-VALID_TEXTS = (
-    serialize_concrete(make_f2()),
-    serialize_concrete(boolean_as_diffrest(2)),
-    serialize_algebra(make_n1()[0]),
-    serialize_algebra(make_f0()) + serialize_algebra(make_f2().abstract),
-)
+@cache
+def valid_texts() -> tuple[str, ...]:
+    return (
+        serialize_concrete(make_f2()),
+        serialize_concrete(boolean_as_diffrest(2)),
+        serialize_algebra(make_n1()[0]),
+        serialize_algebra(make_f0()) + serialize_algebra(make_f2().abstract),
+    )
 
 # Mostly the characters of the format itself, sometimes any character.
 CHARACTERS = st.one_of(
@@ -66,7 +71,7 @@ def fuzz(max_examples):
 
 @st.composite
 def mutated_texts(draw):
-    text = draw(st.sampled_from(VALID_TEXTS))
+    text = draw(st.sampled_from(valid_texts()))
     for _ in range(draw(st.integers(1, 4))):
         at = draw(st.integers(0, len(text)))
         edit = draw(st.sampled_from(("insert", "delete", "replace")))
@@ -144,12 +149,16 @@ def test_trace_search_matches_the_reference(alg, data):
     assert expected == (full if limit >= full[1] else ("limit", limit + 1))
 
 
-POWERSETS = tuple(boolean_as_diffrest(u).abstract for u in (1, 2, 3))
+@cache
+def small_powersets() -> tuple[FiniteAlgebra, ...]:
+    return tuple(boolean_as_diffrest(u).abstract for u in (1, 2, 3))
 
 
 # A powerset of up to 8 elements with one to three table cells changed.
-PERTURBED_POWERSETS = st.builds(
-    perturbed, st.sampled_from(POWERSETS), st.randoms(use_true_random=False)
+PERTURBED_POWERSETS = st.deferred(
+    lambda: st.builds(
+        perturbed, st.sampled_from(small_powersets()), st.randoms(use_true_random=False)
+    )
 )
 
 
@@ -162,23 +171,25 @@ def test_certificates_match_their_references(alg, data):
     checked_filter(alg, members)
 
 
-REPRESENTATIONS = tuple(
-    build(alg)
-    for alg in (
-        make_f0(),
-        *(make().abstract for make in (make_f1, make_f2, make_f3, make_f4)),
-        *(model for n in (4, 5) for model in enumerate_axiom_models(n).models),
-        boolean_as_diffrest(3).abstract,
+@cache
+def sample_representations() -> tuple:
+    return tuple(
+        build(alg)
+        for alg in (
+            make_f0(),
+            *(make().abstract for make in (make_f1, make_f2, make_f3, make_f4)),
+            *(model for n in (4, 5) for model in enumerate_axiom_models(n).models),
+            boolean_as_diffrest(3).abstract,
+        )
+        for build in CONSTRUCTIONS
     )
-    for build in CONSTRUCTIONS
-)
 
 
 @st.composite
 def perturbed_representations(draw):
     """A representation of at most 8 elements with up to 4 values
     edited: a pair dropped, or a point sent somewhere else."""
-    rep = draw(st.sampled_from(REPRESENTATIONS))
+    rep = draw(st.sampled_from(sample_representations()))
     rng = draw(st.randoms(use_true_random=False))
     for _ in range(draw(st.integers(0, 4))):
         rep = perturbed_representation(rep, rng, "point")

@@ -7,20 +7,24 @@ public ``canonical_form``, and catalogs list their classes in its
 ascending order.  The label is exact when it partitions its inputs as
 a brute-force form from ``lemmas`` does: equal labels exactly for
 equal forms, ``reference_canonical_form`` for models and
-``minus_form`` for minus tables.  That is checked on every labelled
-model and every complete minus table the enumerator reaches at sizes
-up to 5 (size 6 is the slow sweep in ``test_algebra.py``) and on seeded
-relabelings of them, including ones that move zero off id 0.
+``minus_form`` for minus tables.  That is checked at sizes up to 5
+(size 6 is the slow sweep in ``test_algebra.py``) on every complete
+minus table the enumerator reaches, on seeded relabelings fixing 0 of
+each catalog model (the search itself labels each model class once),
+and on seeded relabelings of both, including ones that move zero off
+id 0.
 """
 
-import inspect
 import random
 
 import pytest
 
+from conftest import source_mutant
+
 from diffrest import canonical_form, enumerate_axiom_models
 from diffrest import oracle
 from lemmas import labelled_copies, minus_form, reference_canonical_form, relabel, relabel_table
+from lemmas import zero_fixing_copies
 
 SIZES = (1, 2, 3, 4, 5)
 RELABELINGS = 6
@@ -58,13 +62,12 @@ def found():
 
 @pytest.fixture(scope="module")
 def label_corpus(found):
-    """Every labelled model at sizes up to 5, then relabelings of the
-    catalogs' models."""
+    """The catalogs' models at sizes up to 5 and their distinct seeded
+    relabelings fixing 0, then relabelings of the models."""
     rng = random.Random(20)
-    copies = [alg for _, algs, _ in found for alg in algs]
     models = [alg for catalog, _, _ in found for alg in catalog.models]
     relabeled = [relabel(alg, sigma) for alg in models for sigma in shuffles(rng, alg.size)]
-    return copies + models + relabeled
+    return zero_fixing_copies(models) + relabeled
 
 
 @pytest.fixture(scope="module")
@@ -82,12 +85,17 @@ def minus_corpus(found):
 
 
 def test_enumerator_labels_every_completed_copy(found):
-    assert [len(models) for _, models, _ in found] == [1, 1, 2, 6, 18]
+    # one labelled model per class: the catalog's, in search order
+    assert [len(models) for _, models, _ in found] == [1, 1, 2, 4, 7]
+    for catalog, models, _ in found:
+        assert sorted(map(model_label, models)) == list(map(model_label, catalog.models))
     assert [len(tables) for _, _, tables in found] == [1, 1, 1, 4, 13]
 
 
 def test_label_partitions_like_canonical_form(label_corpus):
     assert any(alg.zero != 0 for alg in label_corpus)
+    # every relabeling fixing 0 of each model: 1 + 1 + 2 + 8 + 51 tables
+    assert len({(alg.minus, alg.restrict) for alg in label_corpus if alg.zero == 0}) >= 63
     forms = [reference_canonical_form(alg) for alg in label_corpus]
     assert len(set(forms)) == 1 + 1 + 2 + 4 + 7
     assert same_partition([model_label(alg) for alg in label_corpus], forms)
@@ -120,15 +128,6 @@ def test_restrict_invariants_split_cells():
     assert sizes == [[1, 1, 1, 1, 1], [1, 1, 1, 2], [1, 1, 3], [1, 2, 2], [1, 4], [1, 4], [1, 4]]
 
 
-def mutant_label(old: str, new: str):
-    """``_label`` compiled from its source with ``old`` replaced by ``new``."""
-    source = inspect.getsource(oracle._label)
-    assert source.count(old) == 1
-    namespace = dict(vars(oracle))
-    exec(source.replace(old, new), namespace)
-    return namespace["_label"]
-
-
 MUTANTS = {
     # F3 and F4 share a minus table
     "minus rows only": ("for table in rows", "for table in rows[:1]"),
@@ -139,7 +138,7 @@ MUTANTS = {
 
 @pytest.mark.parametrize("mutant", MUTANTS)
 def test_comparison_catches_label_mutants(mutant, label_corpus):
-    label = mutant_label(*MUTANTS[mutant])
+    label = source_mutant(oracle, ("_cells", "_label"), *MUTANTS[mutant])
     forms = [reference_canonical_form(alg) for alg in label_corpus]
     labels = [label(alg.zero, (alg.minus, alg.restrict)) for alg in label_corpus]
     assert not same_partition(labels, forms)

@@ -4,17 +4,22 @@
 every law instance after each filled cell, kept with its two scans
 ``_laws_on_partial_minus`` and ``_laws_on_partial_restrict`` as the
 oracle.  Both run the restrict stage only for the first complete
-minus table of each isomorphism class; the reference decides
-isomorphism with the brute-force ``minus_form`` and
-``reference_canonical_form``, not with ``_label``, and orders its
-catalog by ``canonical_form``, which defines the catalog order.
+minus table of each isomorphism class, and there cut every restrict
+table that an automorphism of the minus table maps to a lesser one in
+fill order.  The reference decides isomorphism with the brute-force
+``minus_form`` and ``reference_canonical_form``, not with ``_label``,
+finds the automorphisms among all (n-1)! relabelings fixing 0, not
+within ``_label``'s cells, compares each from the first cell at every
+node, and orders its catalog by ``canonical_form``, which defines the
+catalog order.
 The incremental search must visit the same nodes, so it must return
 the identical models, in the identical order, with the identical node
 count and ``exhaustive`` flag, also when a node limit stops it inside
-either stage.  With the skip turned off, the reference must still find
-the same catalogs.  ``reference_fill`` is the same fill loop
-for one table, so that the two searches can also be compared from
-start states the enumerator never seeds, including violated ones.
+either stage.  With the skips turned off, the reference prunes no
+isomorph at all and must still find the same catalogs.
+``reference_fill`` is the same fill loop for one table, so that the
+two searches can also be compared from start states the enumerator
+never seeds, including violated ones.
 
 The cell checks are compiled from the law terms, so they are also
 compared one cell at a time with their definition, ``spec_check``: every
@@ -30,7 +35,7 @@ from functools import cache, lru_cache
 
 import pytest
 
-from conftest import run_cli
+from conftest import run_cli, source_mutant
 
 from diffrest import (
     FiniteAlgebra,
@@ -100,6 +105,33 @@ def _laws_on_partial_restrict(
     return True
 
 
+def automorphisms(minus: list[list[int]]) -> list[tuple[int, ...]]:
+    """Every relabeling that fixes 0 and maps the complete table ``minus``
+    onto itself, found among all (n-1)! relabelings fixing 0."""
+    n = len(minus)
+    return [
+        sigma
+        for sigma in map((0,).__add__, itertools.permutations(range(1, n)))
+        if all(sigma[minus[a][b]] == minus[sigma[a]][sigma[b]] for a in range(n) for b in range(n))
+    ]
+
+
+def leads(restrict: list[list[int | None]], free, auts) -> bool:
+    """Whether no image sigma(R)[sigma a][sigma b] = sigma(R[a][b]) of the
+    partial table R = ``restrict`` under ``auts`` is less than R, at the
+    first cell of ``free`` where the two differ, walking from the first
+    cell and stopping at a cell that either leaves unknown."""
+    for sigma in auts:
+        inverse = sorted(range(len(sigma)), key=sigma.__getitem__)
+        for a, b in free:
+            mine, source = restrict[a][b], restrict[inverse[a]][inverse[b]]
+            if None in (mine, source) or mine < sigma[source]:
+                break
+            if mine > sigma[source]:
+                return False
+    return True
+
+
 def reference_enumerate_axiom_models(
     n: int, budget: SearchBudget = DEFAULT_BUDGET, skip_copies: bool = True
 ) -> ModelCatalog:
@@ -110,11 +142,13 @@ def reference_enumerate_axiom_models(
     models are deduplicated by ``reference_canonical_form`` and listed
     in ascending ``canonical_form``.  With ``skip_copies``, the restrict
     stage runs only for the first complete minus table of each
-    ``minus_form``.
+    ``minus_form``, and cuts each restrict table that ``leads`` rejects
+    under the ``automorphisms`` of that minus table.
     """
     counter = [0]
     found: dict[str, FiniteAlgebra] = {}
     minus_forms: set = set()
+    auts: list[tuple[int, ...]] = []
 
     minus: list[list[int | None]] = [[None] * n for _ in range(n)]
     restrict: list[list[int | None]] = [[None] * n for _ in range(n)]
@@ -147,7 +181,7 @@ def reference_enumerate_axiom_models(
         a, b = free_restrict[k]
         for v in range(n):
             restrict[a][b] = v
-            if _laws_on_partial_restrict(minus, restrict, n):
+            if _laws_on_partial_restrict(minus, restrict, n) and leads(restrict, free_restrict, auts):
                 fill_restrict(k + 1)
             restrict[a][b] = None
 
@@ -159,6 +193,7 @@ def reference_enumerate_axiom_models(
             form = minus_form(0, minus)
             if not skip_copies or form not in minus_forms:
                 minus_forms.add(form)
+                auts[:] = automorphisms(minus) if skip_copies else []
                 fill_restrict(0)
             return
         a, b = free_minus[k]
@@ -224,21 +259,22 @@ def mismatches(cases) -> list[tuple[int, int]]:
 
 
 # Node counts of the exhaustive sweeps, pinned in tests/test_acceptance.py,
-# and of the reference that runs the restrict stage for every minus table.
-FULL = {1: 2, 2: 3, 3: 11, 4: 98, 5: 1548}
+# and of the reference that prunes no isomorph: it runs the restrict stage
+# for every minus table, with no symmetry cut.
+FULL = {1: 2, 2: 3, 3: 11, 4: 79, 5: 721}
 UNSKIPPED = {1: 2, 2: 3, 3: 11, 4: 133, 5: 5314}
 
 # A limit L stops the search at node L + 1.  At size 4 the restrict
-# stage counts nodes 12-27 and 43-91 and the minus stage the rest; nodes
-# 34 and 98 complete a minus table whose restrict stage is skipped.  So
+# stage counts nodes 12-27 and 43-72 and the minus stage the rest; nodes
+# 34 and 79 complete a minus table whose restrict stage is skipped.  So
 # the limits stop at every node of both stages.  At size 5 the restrict
-# stages count nodes 49-223 and 395-1410; nodes 239, 288, 304, 345, 352,
-# 372, 382, 1420, 1456, 1487 and 1532 complete skipped minus tables.  The
+# stages count nodes 49-213 and 385-583; nodes 229, 278, 294, 335, 342,
+# 362, 372, 593, 629, 660 and 705 complete skipped minus tables.  The
 # limits stop in the minus stage, at the first restrict node (whose check
 # of the seeded cells is the first), in the middle and at both ends of
 # restrict stages, on and after a skipped minus table, and at the last node.
 SIZE_FOUR_LIMITS = range(1, FULL[4] + 2)
-SIZE_FIVE_LIMITS = (1, 2, 48, 49, 50, 222, 223, 238, 239, 394, 395, 900, 1409, 1410, 1531, 1547)
+SIZE_FIVE_LIMITS = (1, 2, 48, 49, 50, 212, 213, 228, 229, 384, 385, 500, 582, 583, 704, 720)
 
 
 def test_exhaustive_sweeps_match_reference():
@@ -529,6 +565,7 @@ MUTANTS = {
     "no check of the known cells": ("_known_cells_ok", lambda *args: True),
     "<= read as =": ("_read", read_order_as_equality),
     "guards dropped": ("_read", read_no_guards),
+    "no symmetry cut": ("_lex_leader", lambda check, *tables: check),
 }
 
 
@@ -543,6 +580,15 @@ def test_comparison_catches_mutants(mutant, monkeypatch):
         or any(want != got for want, got in start_state_outcomes())
         or any(got != want for _, got, want in cell_check_outcomes())
     )
+
+
+def test_a_dropped_automorphism_admits_an_isomorphic_copy(monkeypatch):
+    # Without its first automorphism other than the identity, the cut
+    # keeps two restrict tables of one class at size 5.
+    mutant = source_mutant(oracle, ("_lex_leader",), "automorphisms[1:]", "automorphisms[2:]")
+    monkeypatch.setattr(oracle, "_lex_leader", mutant)
+    with pytest.raises(InconsistencyError, match="symmetry breaking admitted an isomorphic copy"):
+        enumerate_axiom_models(5)
 
 
 def render_models(catalog: ModelCatalog) -> str:
