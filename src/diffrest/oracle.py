@@ -637,9 +637,10 @@ def _lex_leader(check, minus: list[list[int]], restrict: list[list[int | None]],
     ]
     for sigma in automorphisms[1:]:  # the first is the identity
         # cell j of the image is sigma(R[free[p[j]]]); the comparison
-        # reaches it once cells j, p[j] and all before j are known
+        # reaches it once the cells up to j and p[0..j] are known, that
+        # is, up to the largest of p[0..j], a permutation's prefix
         p = sorted(range(len(free)), key=lambda k: tests[sigma[free[k][0]], sigma[free[k][1]]][0])
-        reach = itertools.accumulate(map(max, p, itertools.count()), max)
+        reach = itertools.accumulate(p, max)
         for k, j in {k: j for j, k in enumerate(reach)}.items():
             tests[free[k]][1].append((j + 1, p[: j + 1], sigma.ljust(256, b"\0")))
     vals = bytearray(len(free) + 1)  # the last byte takes the seeded cells
