@@ -14,7 +14,7 @@ import re
 from typing import NamedTuple
 
 from .algebra import AlgebraError, FiniteAlgebra
-from .pfun import ConcreteAlgebra, PartialFunction, format_pf_literal
+from .pfun import ConcreteAlgebra, FunctionalityError, PartialFunction, format_pf_literal
 
 
 # The most points a ``base lo..hi`` range may name.  The range is built
@@ -56,6 +56,14 @@ def _int_at(line: _Line, idx: int, what: str) -> int:
     except (IndexError, ValueError):
         col = line.cols[idx] if idx < len(line.tokens) else line.cols[-1] + len(line.tokens[-1])
         raise ParseError(f"expected {what}", line.number, col) from None
+
+
+def _end_at(line: _Line, idx: int, what: str) -> None:
+    """Refuse a token after the first ``idx`` tokens of a keyword line."""
+    if len(line.tokens) > idx:
+        raise ParseError(
+            f"unexpected {line.tokens[idx]!r} after {what}", line.number, line.cols[idx]
+        )
 
 
 def _parse_rows(lines: list[_Line], at: int, n: int, label: str) -> tuple[list[list[int]], int]:
@@ -100,7 +108,10 @@ def parse_pf_literal(text: str, base: frozenset[int], line: int, col: int = 1) -
             if x not in base or y not in base:
                 raise ParseError(f"pair {chunk!r} is outside the base", line, col)
             pairs.append((x, y))
-    return PartialFunction(base, pairs)
+    try:
+        return PartialFunction(base, pairs)
+    except FunctionalityError as err:
+        raise ParseError(str(err), line, col) from None
 
 
 def _parse_base(line: _Line) -> frozenset[int]:
@@ -139,6 +150,7 @@ def parse_algebras(text: str) -> list[FiniteAlgebra | ConcreteAlgebra]:
         n = _int_at(line, 1, "the element count")
         if n < 1:
             raise ParseError("size must be at least 1", line.number, line.cols[1])
+        _end_at(line, 2, "'size <n>'")
         at += 1
 
         def expect_keyword(word: str) -> None:
@@ -146,6 +158,7 @@ def parse_algebras(text: str) -> list[FiniteAlgebra | ConcreteAlgebra]:
             if at >= len(lines) or lines[at].tokens[0] != word:
                 number = lines[at].number if at < len(lines) else lines[-1].number + 1
                 raise ParseError(f"expected '{word}'", number)
+            _end_at(lines[at], 1, f"'{word}'")
             at += 1
 
         expect_keyword("minus")
@@ -162,7 +175,12 @@ def parse_algebras(text: str) -> list[FiniteAlgebra | ConcreteAlgebra]:
                     line.number,
                     line.cols[0],
                 )
-            names = list(line.tokens[1:])
+            names = line.tokens[1:]
+            for i, name in enumerate(names):
+                if name in names[:i]:
+                    raise ParseError(
+                        f"repeated element name {name!r}", line.number, line.cols[i + 1]
+                    )
             at += 1
 
         alg = FiniteAlgebra.from_tables(minus, restrict, names)
@@ -181,9 +199,8 @@ def parse_algebras(text: str) -> list[FiniteAlgebra | ConcreteAlgebra]:
                     raise ParseError(f"bad dictionary id {idx}", line.number, line.cols[0])
                 literal_start = line.raw.index(line.tokens[0]) + len(line.tokens[0])
                 literal = line.raw.split("#", 1)[0][literal_start:]
-                elements[idx] = parse_pf_literal(
-                    literal, base, line.number, literal_start + 1
-                )
+                col = literal_start + 1 + len(literal) - len(literal.lstrip())
+                elements[idx] = parse_pf_literal(literal, base, line.number, col)
                 at += 1
             docs.append(ConcreteAlgebra(base, tuple(elements), alg))
         else:

@@ -156,22 +156,31 @@ def minus_form(zero: int, minus: Sequence[Sequence[int]]) -> tuple[tuple[int, ..
 
 
 def labelled_copies(monkeypatch, n: int):
-    """The model catalog of size ``n``, then every model and every
-    complete minus table its search labelled, in search order.  The
-    search meets each model class once, so the models are the catalog's."""
+    """The model catalog of size ``n``, then every model its search
+    labelled and every complete minus table it reached, in search order.
+    The search meets each model class and each minus-table class once,
+    so the models are the catalog's."""
     models, minus_tables = [], []
-    label = oracle._label
+    label, fill = oracle._label, oracle._fill_cells
 
-    def spy(zero, tables):
-        if len(tables) == 2:
-            models.append(FiniteAlgebra.from_tables(*tables))
-        else:
-            minus_tables.append([list(row) for row in tables[0]])
+    def spy_label(zero, tables):
+        models.append(FiniteAlgebra.from_tables(*tables))
         return label(zero, tables)
 
-    monkeypatch.setattr(oracle, "_label", spy)
+    def spy_fill(table, free, check, cuts, counter, limit, complete):
+        if not minus_tables:  # the minus stage: the restrict stages run once it reaches a table
+            def reached():
+                minus_tables.append([list(row) for row in table])
+                complete()
+
+            return fill(table, free, check, cuts, counter, limit, reached)
+        return fill(table, free, check, cuts, counter, limit, complete)
+
+    monkeypatch.setattr(oracle, "_label", spy_label)
+    monkeypatch.setattr(oracle, "_fill_cells", spy_fill)
     catalog = enumerate_axiom_models(n)
     monkeypatch.setattr(oracle, "_label", label)
+    monkeypatch.setattr(oracle, "_fill_cells", fill)
     return catalog, models, minus_tables
 
 

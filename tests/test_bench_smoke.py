@@ -17,7 +17,7 @@ WORKER = Path(__file__).resolve().parent.parent / "bench" / "worker.py"
 # Search node counts at the default seeds; they do not depend on the
 # machine.  The embedding counts depend on ``generating_set`` too.
 PINNED_COUNTS = {
-    "models5": {"oracle.enumerate_axiom_models.nodes": 816},
+    "models5": {"oracle.enumerate_axiom_models.nodes": 510},
     "large": {
         "oracle.brute_force_embedding.nodes": 62_995,
         "represent.completeness_report.subsets": 2_448,

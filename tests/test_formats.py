@@ -188,6 +188,30 @@ _F2_TABLES = "size 2\nminus\n0 0\n1 0\nrestrict\n0 0\n0 1\n"
             _F2_TABLES + "base 1\ndictionary\n0 {}\n  x {}\n",
             "line 11, column 3: expected an element id",
         ),
+        # a token after a keyword line's own is named, not ignored
+        (
+            "size 1 junk\nminus extra\n0\nrestrict more\n0\n",
+            "line 1, column 8: unexpected 'junk' after 'size <n>'",
+        ),
+        (
+            "size 1\nminus extra\n0\nrestrict\n0\n",
+            "line 2, column 7: unexpected 'extra' after 'minus'",
+        ),
+        (
+            "size 1\nminus\n0\nrestrict\tmore 0\n0\n",
+            "line 4, column 10: unexpected 'more' after 'restrict'",
+        ),
+        (
+            _F2_TABLES + "base 1\ndictionary {} # 0\n0 {}\n1 {1->1}\n",
+            "line 9, column 12: unexpected '{}' after 'dictionary'",
+        ),
+        # a literal that maps a point twice, at the literal
+        (
+            _F2_TABLES + "base 1 2\ndictionary\n0 {}\n1  {1->1, 1->2}\n",
+            "line 11, column 4: not functional: (1, 1) and (1, 2)",
+        ),
+        # a repeated element name, at its second occurrence
+        (_F2_TABLES + "element_names z  z\n", "line 8, column 18: repeated element name 'z'"),
     ],
 )
 def test_parse_errors_name_line_and_column(text, where):

@@ -1,20 +1,19 @@
 """The isomorphism label, against brute-force forms.
 
-``_label`` keys the enumerator's complete minus tables by ``(minus,)``,
-so that the restrict stage runs once per class, and deduplicates its
-labelled models by ``(minus, restrict)``.  That model label is the
-public ``canonical_form``, and catalogs list their classes in its
-ascending order.  The label is exact when it partitions its inputs as
-a brute-force form from ``lemmas`` does: equal labels exactly for
-equal forms, ``reference_canonical_form`` for models and
-``minus_form`` for minus tables.  That is checked at sizes up to 5
-(size 6 is the slow sweep in ``test_algebra.py``) on every complete
-minus table the enumerator reaches, on seeded relabelings fixing 0 of
-each catalog model (the search itself labels each model class once),
-and on seeded relabelings of both, including ones that move zero off
-id 0.
+``_label`` deduplicates the enumerator's models by ``(minus,
+restrict)``.  That model label is the public ``canonical_form``, and
+catalogs list their classes in its ascending order.  The label is
+exact when it partitions its inputs as a brute-force form from
+``lemmas`` does: equal labels exactly for equal forms,
+``reference_canonical_form`` for models and ``minus_form`` for minus
+tables alone.  That is checked at sizes up to 5 (size 6 is the slow
+sweep in ``test_algebra.py``) on every complete minus table, relabeled
+with 0 fixed from the one per class that the enumerator's symmetry cut
+reaches, on seeded relabelings fixing 0 of each catalog model (the
+search itself labels each model class once), and on seeded relabelings
+of both, including ones that move zero off id 0.
 """
-
+import itertools
 import random
 
 import pytest
@@ -72,10 +71,17 @@ def label_corpus(found):
 
 @pytest.fixture(scope="module")
 def minus_corpus(found):
-    """Every labelled minus table at sizes up to 5, then relabelings of
-    them, each with its zero."""
+    """Every complete minus table at sizes up to 5: each relabeling fixing
+    0 of each table the enumerator reached.  Then relabelings of them,
+    each with its zero."""
     rng = random.Random(21)
-    tables = [minus for _, _, minus_tables in found for minus in minus_tables]
+    copies = {
+        tuple(map(tuple, relabel_table(minus, (0, *sigma)))): None
+        for _, _, minus_tables in found
+        for minus in minus_tables
+        for sigma in itertools.permutations(range(1, len(minus)))
+    }
+    tables = [list(map(list, minus)) for minus in copies]
     relabeled = [
         (sigma[0], relabel_table(minus, sigma))
         for minus in tables
@@ -89,7 +95,10 @@ def test_enumerator_labels_every_completed_copy(found):
     assert [len(models) for _, models, _ in found] == [1, 1, 2, 4, 7]
     for catalog, models, _ in found:
         assert sorted(map(model_label, models)) == list(map(model_label, catalog.models))
-    assert [len(tables) for _, _, tables in found] == [1, 1, 1, 4, 13]
+    # one complete minus table per class
+    assert [len(tables) for _, _, tables in found] == [1, 1, 1, 2, 2]
+    for _, _, tables in found:
+        assert len({minus_form(0, minus) for minus in tables}) == len(tables)
 
 
 def test_label_partitions_like_canonical_form(label_corpus):
@@ -103,6 +112,9 @@ def test_label_partitions_like_canonical_form(label_corpus):
 
 def test_minus_label_partitions_like_minus_form(minus_corpus):
     assert any(zero != 0 for zero, _ in minus_corpus)
+    # every complete minus table with bottom 0
+    tables = {tuple(map(tuple, minus)) for zero, minus in minus_corpus if zero == 0}
+    assert len(tables) == 1 + 1 + 1 + 4 + 13
     forms = [minus_form(zero, minus) for zero, minus in minus_corpus]
     assert len(set(forms)) == 1 + 1 + 1 + 2 + 2
     labels = [oracle._label(zero, (minus,)) for zero, minus in minus_corpus]
@@ -138,7 +150,7 @@ MUTANTS = {
 
 @pytest.mark.parametrize("mutant", MUTANTS)
 def test_comparison_catches_label_mutants(mutant, label_corpus):
-    label = source_mutant(oracle, ("_cells", "_label"), *MUTANTS[mutant])
+    label = source_mutant(oracle, ("_label",), *MUTANTS[mutant])
     forms = [reference_canonical_form(alg) for alg in label_corpus]
     labels = [label(alg.zero, (alg.minus, alg.restrict)) for alg in label_corpus]
     assert not same_partition(labels, forms)

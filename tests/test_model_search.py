@@ -3,15 +3,15 @@
 ``reference_enumerate_axiom_models`` is the enumerator that re-scanned
 every law instance after each filled cell, kept with its two scans
 ``_laws_on_partial_minus`` and ``_laws_on_partial_restrict`` as the
-oracle.  Both run the restrict stage only for the first complete
-minus table of each isomorphism class, and there cut every restrict
-table that an automorphism of the minus table maps to a lesser one in
-fill order.  The reference decides isomorphism with the brute-force
-``minus_form`` and ``reference_canonical_form``, not with ``_label``,
-finds the automorphisms among all (n-1)! relabelings fixing 0, not
-within ``_label``'s cells, compares each from the first cell at every
-node, and orders its catalog by ``canonical_form``, which defines the
-catalog order.
+oracle.  Both cut every minus table that a relabeling fixing 0 maps to
+a lesser one in fill order, and every restrict table that an
+automorphism of its minus table maps to a lesser one.  The reference
+compares each relabeling from the first cell at every node, not only
+at the cells that complete a comparison, finds the automorphisms by
+testing all (n-1)! relabelings fixing 0, deduplicates its models with
+the brute-force ``reference_canonical_form``, not with ``_label``, and
+orders its catalog by ``canonical_form``, which defines the catalog
+order.  It raises if it meets two minus tables of one ``minus_form``.
 The incremental search must visit the same nodes, so it must return
 the identical models, in the identical order, with the identical node
 count and ``exhaustive`` flag, also when a node limit stops it inside
@@ -43,7 +43,6 @@ from diffrest import (
     SearchBudget,
     canonical_form,
     check_axioms,
-    enumerate_axiom_models,
     serialize_algebra,
 )
 from diffrest import oracle
@@ -116,15 +115,15 @@ def automorphisms(minus: list[list[int]]) -> list[tuple[int, ...]]:
     ]
 
 
-def leads(restrict: list[list[int | None]], free, auts) -> bool:
-    """Whether no image sigma(R)[sigma a][sigma b] = sigma(R[a][b]) of the
-    partial table R = ``restrict`` under ``auts`` is less than R, at the
+def leads(table: list[list[int | None]], free, relabelings) -> bool:
+    """Whether no image sigma(T)[sigma a][sigma b] = sigma(T[a][b]) of the
+    partial table T = ``table`` under ``relabelings`` is less than T, at the
     first cell of ``free`` where the two differ, walking from the first
     cell and stopping at a cell that either leaves unknown."""
-    for sigma in auts:
+    for sigma in relabelings:
         inverse = sorted(range(len(sigma)), key=sigma.__getitem__)
         for a, b in free:
-            mine, source = restrict[a][b], restrict[inverse[a]][inverse[b]]
+            mine, source = table[a][b], table[inverse[a]][inverse[b]]
             if None in (mine, source) or mine < sigma[source]:
                 break
             if mine > sigma[source]:
@@ -140,14 +139,16 @@ def reference_enumerate_axiom_models(
     Backtracks over the two tables with the forced cells seeded (bottom
     fixed at element 0) and the laws re-checked as cells fill; complete
     models are deduplicated by ``reference_canonical_form`` and listed
-    in ascending ``canonical_form``.  With ``skip_copies``, the restrict
-    stage runs only for the first complete minus table of each
-    ``minus_form``, and cuts each restrict table that ``leads`` rejects
-    under the ``automorphisms`` of that minus table.
+    in ascending ``canonical_form``.  With ``skip_copies``, it cuts each
+    minus table that ``leads`` rejects under every relabeling fixing 0,
+    raises if two complete minus tables share a ``minus_form``, and cuts
+    each restrict table that ``leads`` rejects under the
+    ``automorphisms`` of its minus table.
     """
     counter = [0]
     found: dict[str, FiniteAlgebra] = {}
     minus_forms: set = set()
+    relabelings = list(map((0,).__add__, itertools.permutations(range(1, n))))[1:]
     auts: list[tuple[int, ...]] = []
 
     minus: list[list[int | None]] = [[None] * n for _ in range(n)]
@@ -190,16 +191,20 @@ def reference_enumerate_axiom_models(
         if counter[0] > budget.node_limit:
             raise _NodeLimit
         if k == len(free_minus):
-            form = minus_form(0, minus)
-            if not skip_copies or form not in minus_forms:
+            if skip_copies:
+                form = minus_form(0, minus)
+                if form in minus_forms:
+                    raise InconsistencyError("the reference met a minus table class twice")
                 minus_forms.add(form)
-                auts[:] = automorphisms(minus) if skip_copies else []
-                fill_restrict(0)
+                auts[:] = automorphisms(minus)
+            fill_restrict(0)
             return
         a, b = free_minus[k]
         for v in range(n):
             minus[a][b] = v
-            if _laws_on_partial_minus(minus, n):
+            if _laws_on_partial_minus(minus, n) and (
+                not skip_copies or leads(minus, free_minus, relabelings)
+            ):
                 fill_minus(k + 1)
             minus[a][b] = None
 
@@ -213,9 +218,11 @@ def reference_enumerate_axiom_models(
     return ModelCatalog(n, models, exhaustive, counter[0])
 
 
-def reference_fill(table, free, laws_hold, counter, limit, complete) -> None:
-    """The reference enumerator's fill loop for one table: every value
-    is followed by a full re-scan, ``laws_hold()``."""
+def reference_fill(table, free, laws_hold, cuts, counter, limit, complete) -> None:
+    """The reference enumerator's fill loop for one table with no
+    symmetry cut (``cuts`` must be empty): every value is followed by a
+    full re-scan, ``laws_hold()``."""
+    assert not any(cuts)
     n = len(table)
 
     def fill(k: int) -> None:
@@ -250,7 +257,7 @@ def mismatches(cases) -> list[tuple[int, int]]:
     out = []
     for n, limit in cases:
         try:
-            got = catalog_key(enumerate_axiom_models(n, SearchBudget(node_limit=limit)))
+            got = catalog_key(oracle.enumerate_axiom_models(n, SearchBudget(node_limit=limit)))
         except InconsistencyError as err:
             got = str(err)
         if got != reference_key(n, limit):
@@ -261,20 +268,19 @@ def mismatches(cases) -> list[tuple[int, int]]:
 # Node counts of the exhaustive sweeps, pinned in tests/test_acceptance.py,
 # and of the reference that prunes no isomorph: it runs the restrict stage
 # for every minus table, with no symmetry cut.
-FULL = {1: 2, 2: 3, 3: 11, 4: 79, 5: 721}
+FULL = {1: 2, 2: 3, 3: 11, 4: 66, 5: 428}
 UNSKIPPED = {1: 2, 2: 3, 3: 11, 4: 133, 5: 5314}
 
 # A limit L stops the search at node L + 1.  At size 4 the restrict
-# stage counts nodes 12-27 and 43-72 and the minus stage the rest; nodes
-# 34 and 79 complete a minus table whose restrict stage is skipped.  So
-# the limits stop at every node of both stages.  At size 5 the restrict
-# stages count nodes 49-213 and 385-583; nodes 229, 278, 294, 335, 342,
-# 362, 372, 593, 629, 660 and 705 complete skipped minus tables.  The
-# limits stop in the minus stage, at the first restrict node (whose check
-# of the seeded cells is the first), in the middle and at both ends of
-# restrict stages, on and after a skipped minus table, and at the last node.
+# stage counts nodes 12-27 and 35-64 and the minus stage the rest; nodes
+# 11 and 34 complete the two minus tables.  So the limits stop at every
+# node of both stages.  At size 5 the restrict stages count nodes 34-198
+# and 217-415; nodes 33 and 216 complete the two minus tables.  The
+# limits stop in the minus stage, on a complete minus table, at the
+# first restrict node (whose check of the seeded cells is the first), in
+# the middle and at both ends of restrict stages, and at the last node.
 SIZE_FOUR_LIMITS = range(1, FULL[4] + 2)
-SIZE_FIVE_LIMITS = (1, 2, 48, 49, 50, 212, 213, 228, 229, 384, 385, 500, 582, 583, 704, 720)
+SIZE_FIVE_LIMITS = (1, 2, 32, 33, 34, 100, 197, 198, 215, 216, 300, 414, 415, 427)
 
 
 def test_exhaustive_sweeps_match_reference():
@@ -335,8 +341,9 @@ START_LIMIT = 3_000
 
 
 def run_fill(fill, make_check, minus, restrict, free):
-    """Run one fill loop from a copy of the state: nodes, the complete
-    tables reached in order, and whether the node limit stopped it."""
+    """Run one fill loop from a copy of the state, with no symmetry cut:
+    nodes, the complete tables reached in order, and whether the node
+    limit stopped it."""
     minus = [row[:] for row in minus]
     restrict = None if restrict is None else [row[:] for row in restrict]
     table = minus if restrict is None else restrict
@@ -346,7 +353,8 @@ def run_fill(fill, make_check, minus, restrict, free):
         reached.append(tuple(map(tuple, table)))
 
     try:
-        fill(table, free, make_check(minus, restrict), counter, START_LIMIT, complete)
+        check, cuts = make_check(minus, restrict), [()] * len(free)
+        fill(table, free, check, cuts, counter, START_LIMIT, complete)
         stopped = False
     except _NodeLimit:
         stopped = True
@@ -565,7 +573,7 @@ MUTANTS = {
     "no check of the known cells": ("_known_cells_ok", lambda *args: True),
     "<= read as =": ("_read", read_order_as_equality),
     "guards dropped": ("_read", read_no_guards),
-    "no symmetry cut": ("_lex_leader", lambda check, *tables: check),
+    "no symmetry cut": ("_cuts", lambda free, group: [()] * len(free)),
 }
 
 
@@ -582,13 +590,27 @@ def test_comparison_catches_mutants(mutant, monkeypatch):
     )
 
 
-def test_a_dropped_automorphism_admits_an_isomorphic_copy(monkeypatch):
-    # Without its first automorphism other than the identity, the cut
-    # keeps two restrict tables of one class at size 5.
-    mutant = source_mutant(oracle, ("_lex_leader",), "automorphisms[1:]", "automorphisms[2:]")
-    monkeypatch.setattr(oracle, "_lex_leader", mutant)
+def test_a_dropped_automorphism_admits_an_isomorphic_copy():
+    # Without its first automorphism other than the identity, the restrict
+    # stage's cut keeps two restrict tables of one class at size 5.
+    mutant = source_mutant(
+        oracle, ("enumerate_axiom_models",),
+        "_cuts(free_restrict, automorphisms)", "_cuts(free_restrict, automorphisms[1:])",
+    )
     with pytest.raises(InconsistencyError, match="symmetry breaking admitted an isomorphic copy"):
-        enumerate_axiom_models(5)
+        mutant(5)
+
+
+def test_comparison_catches_a_dropped_minus_relabeling(monkeypatch):
+    # Without its first relabeling other than the identity, the minus
+    # stage's cut prunes later: the same catalogs in more nodes.
+    mutant = source_mutant(
+        oracle, ("enumerate_axiom_models",),
+        "_cuts(free_minus, group)", "_cuts(free_minus, group[1:])",
+    )
+    monkeypatch.setattr(oracle, "enumerate_axiom_models", mutant)
+    limit = DEFAULT_BUDGET.node_limit
+    assert mismatches((n, limit) for n in FULL) == [(4, limit), (5, limit)]
 
 
 def render_models(catalog: ModelCatalog) -> str:
