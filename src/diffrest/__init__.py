@@ -46,7 +46,6 @@ from .oracle import (
     ModelCatalog,
     SearchBudget,
     brute_force_embedding,
-    canonical_form,
     differential_check,
     enumerate_axiom_models,
     generating_set,

@@ -148,6 +148,9 @@ class FiniteAlgebra:
             names_t = tuple(str(s) for s in names)
             if len(names_t) != n:
                 raise TableError(f"got {len(names_t)} element names, expected {n}")
+            for i, name in enumerate(names_t):
+                if name in names_t[:i]:
+                    raise TableError(f"repeated element name {name!r}")
         return cls(n, minus_t, restrict_t, zero, names_t)
 
     def element_name(self, a: int) -> str:

@@ -2,9 +2,9 @@
 
 Two oracles: an exhaustive embedding search deciding whether an
 abstract algebra is isomorphic to an algebra of partial functions at
-all, and an exhaustive model enumerator for the defining laws with
-isomorph rejection.  A differential driver cross-checks the law
-checker against the embedding search on whole corpora.
+all, and an exhaustive model enumerator for the defining laws that
+meets each isomorphism class once.  A differential driver cross-checks
+the law checker against the embedding search on whole corpora.
 
 The embedding search works point by point.  The trace of a base point
 assigns to every algebra element either "undefined" or a value point;
@@ -40,10 +40,9 @@ or filter theory, since it is the oracle for the claim that they
 follow.  Isomorph rejection is one lex-leader cut in the fill loop
 (``_cuts``): by every relabeling fixing 0 in the minus stage, which so
 completes the least minus table of each class only, and by that
-table's automorphisms in the restrict stage, so each model class is met
-once.  The model label, the least tables over the relabelings within
-cells of equal invariants, is the public ``canonical_form``, and the
-catalog lists the classes in its ascending order.
+table's automorphisms in the restrict stage.  So each model class is
+met once, at its least ``(minus, restrict)``, and the catalog lists the
+models in the order the search meets them, which is ascending.
 """
 
 from __future__ import annotations
@@ -52,7 +51,6 @@ import heapq
 import itertools
 from dataclasses import dataclass, replace
 from functools import cache
-from operator import eq, itemgetter
 from typing import Iterator, NamedTuple, Sequence
 
 from .algebra import (
@@ -384,52 +382,6 @@ class ModelCatalog:
     nodes: int
 
 
-def _label(zero: int, tables: tuple) -> bytes:
-    """An exact isomorphism label of square tables over ids with a
-    ``zero``: equal labels iff a relabeling fixing zero maps one onto the other.
-
-    Each element a gets invariants: whether it is zero, and per table T
-    how many b have ``T[a][b] = b`` and ``T[b][a] = a`` and the zeros in
-    a's row and column.  Elements with equal invariants form a cell, and
-    cells are ordered by invariant.  The label is the cell sizes and the
-    least tables, as one byte string, over the relabelings that permute
-    elements within their cells.  Zero is its own cell, so this tries
-    the product of the other cells' factorials, never more than (n-1)!:
-    keep it to desk-scale sizes.  Ids must fit in a byte.  The model
-    enumerator labels its models by ``(minus, restrict)``, as
-    ``canonical_form`` does.
-    """
-    n = len(tables[0])
-    keys = [[a != zero] for a in range(n)]
-    for table in tables:
-        for a, (row, column) in enumerate(zip(table, zip(*table))):
-            keys[a] += (sum(map(eq, row, range(n))), column.count(a),
-                        row.count(zero), column.count(zero))
-    cells: dict[tuple, list[int]] = {}
-    for a, key in enumerate(keys):
-        cells.setdefault(tuple(key), []).append(a)
-    ordered = [cells[key] for key in sorted(cells)]
-    rows = [tuple(map(bytes, table)) for table in tables]
-    sigma, best = bytearray(256), None
-    for parts in itertools.product(*map(itertools.permutations, ordered)):
-        inv = [a for part in parts for a in part]
-        for new, old in enumerate(inv):
-            sigma[old] = new
-        pick = itemgetter(*inv) if n > 1 else itemgetter(slice(1))
-        form = b"".join(bytes(pick(row)) for table in rows for row in pick(table))
-        form = form.translate(sigma)
-        if best is None or form < best:
-            best = form
-    return bytes(map(len, ordered)) + best
-
-
-def canonical_form(alg: FiniteAlgebra) -> bytes:
-    """Equal forms exactly for isomorphic algebras: the ``_label`` of
-    both tables.  Model catalogs list their classes in ascending order
-    of it."""
-    return _label(alg.zero, (alg.minus, alg.restrict))
-
-
 def _rewrite(term: Term, sigma: dict[str, str], target: str = "") -> Term:
     """``term`` with its variables renamed by ``sigma``, as the stage that
     fills ``target`` reads it (meet as two minus cells while minus fills)."""
@@ -657,10 +609,10 @@ def enumerate_axiom_models(n: int, budget: SearchBudget = DEFAULT_BUDGET) -> Mod
     stage over M cuts with M's automorphisms, the relabelings fixing 0
     that map M onto itself.  That cut is exact too: an isomorphism of two
     models over M fixes 0 and maps M onto itself, so it keeps exactly the
-    least restrict table of each class.  So each class is met once, and a
-    second model with a known ``_label`` of ``(minus, restrict)`` is an
-    ``InconsistencyError``.  The classes are listed in ascending order of
-    that label, their ``canonical_form``.  Sizes 1-7 take 2, 3, 11, 66,
+    least restrict table of each class.  So each class is met once, at
+    its least ``(minus, restrict)`` over the relabelings fixing 0, and
+    the catalog lists the models in the order the search meets them:
+    ascending in ``(minus, restrict)``.  Sizes 1-7 take 2, 3, 11, 66,
     428, 5,649 and 310,606 nodes; size 8 finds 6 models within the
     default node limit.  Sizes above 8 are refused before any table is
     built.
@@ -671,7 +623,7 @@ def enumerate_axiom_models(n: int, budget: SearchBudget = DEFAULT_BUDGET) -> Mod
     if n > 8:  # the node limit does not bound time: each node's checks scan rows
         raise BudgetExceededError(f"model search size {n} exceeds the limit 8")
     counter = [0]
-    found: dict[bytes, FiniteAlgebra] = {}
+    found: list[FiniteAlgebra] = []
     minus_check, restrict_check = _cell_checks()
 
     minus: list[list[int | None]] = [[None] * n for _ in range(n)]
@@ -689,10 +641,7 @@ def enumerate_axiom_models(n: int, budget: SearchBudget = DEFAULT_BUDGET) -> Mod
         alg = FiniteAlgebra.from_tables(minus, restrict)
         if not check_axioms(alg).passed:
             raise InconsistencyError("incremental pruning admitted a non-model")
-        key = _label(0, (alg.minus, alg.restrict))
-        if key in found:
-            raise InconsistencyError("symmetry breaking admitted an isomorphic copy")
-        found[key] = alg
+        found.append(alg)
 
     def minus_complete() -> None:
         cells = [(a, b, t) for a, row in enumerate(minus) for b, t in enumerate(row)]
@@ -707,8 +656,7 @@ def enumerate_axiom_models(n: int, budget: SearchBudget = DEFAULT_BUDGET) -> Mod
     except _NodeLimit:
         exhaustive = False
 
-    models = tuple(found[key] for key in sorted(found))
-    return ModelCatalog(n, models, exhaustive, counter[0])
+    return ModelCatalog(n, tuple(found), exhaustive, counter[0])
 
 
 # ---------------------------------------------------------------------------

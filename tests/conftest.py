@@ -300,10 +300,24 @@ def corpus(corpus200):
     return [conc.abstract for conc in corpus200]
 
 
+# The fixtures were built when catalogs listed their classes in another
+# order (that of an isomorphism label), and the perturbed families, the
+# pinned representations and the golden digests draw from them in order.
+# Position i of a size-n fixture list holds catalog model FIXTURE_ORDER[n][i],
+# so those inputs stay byte-identical.
+FIXTURE_ORDER = {4: (2, 0, 1, 3), 5: (1, 0, 4, 3, 2, 5, 6)}
+
+
+def law_models(n: int) -> list[FiniteAlgebra]:
+    """The law models of size ``n``, in the fixtures' order."""
+    models = enumerate_axiom_models(n).models
+    return [models[i] for i in FIXTURE_ORDER.get(n, range(len(models)))]
+
+
 @pytest.fixture(scope="session")
 def models():
     """The law models of size <= 5."""
-    found = [model for n in range(1, 6) for model in enumerate_axiom_models(n).models]
+    found = [model for n in range(1, 6) for model in law_models(n)]
     assert len(found) == 15
     return found
 

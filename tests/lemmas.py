@@ -4,9 +4,8 @@ Nothing in the library calls these: they check side results of the
 paper (the filter lemmas, the quotient, homomorphisms restricted to
 downsets, subtraction rebuilt from Boolean downsets, atomisticity),
 re-evaluate single law instances, scan the complement-only laws on a
-bare minus table, relabel tables, label minus tables
-and algebras by brute force, collect what the model enumerator labels,
-relabel models with bottom fixed,
+bare minus table, relabel tables, label minus tables and algebras by
+brute force, collect the minus tables the model enumerator completes,
 enumerate partial functions, and close arbitrary relations, which is
 how the non-functional fixture N1 gets its tables.
 """
@@ -14,7 +13,6 @@ how the non-functional fixture N1 gets its tables.
 from __future__ import annotations
 
 import itertools
-import random
 from typing import Iterable, NamedTuple, Sequence
 
 from diffrest import (
@@ -115,9 +113,7 @@ def relabel(alg: FiniteAlgebra, sigma: Sequence[int]) -> FiniteAlgebra:
 
 def reference_canonical_form(alg: FiniteAlgebra) -> str:
     """Minimal table serialization over all (n-1)! relabelings sending
-    bottom to 0: equal forms exactly for isomorphic algebras.  The
-    brute-force reference for ``_label``, which the library's
-    ``canonical_form`` is."""
+    bottom to 0: equal forms exactly for isomorphic algebras."""
     n = alg.size
     rest = [e for e in range(n) if e != alg.zero]
     best: str | None = None
@@ -155,17 +151,10 @@ def minus_form(zero: int, minus: Sequence[Sequence[int]]) -> tuple[tuple[int, ..
     return best
 
 
-def labelled_copies(monkeypatch, n: int):
-    """The model catalog of size ``n``, then every model its search
-    labelled and every complete minus table it reached, in search order.
-    The search meets each model class and each minus-table class once,
-    so the models are the catalog's."""
-    models, minus_tables = [], []
-    label, fill = oracle._label, oracle._fill_cells
-
-    def spy_label(zero, tables):
-        models.append(FiniteAlgebra.from_tables(*tables))
-        return label(zero, tables)
+def minus_tables_reached(monkeypatch, n: int):
+    """The model catalog of size ``n``, then every complete minus table
+    its search reached, in search order."""
+    minus_tables, fill = [], oracle._fill_cells
 
     def spy_fill(table, free, check, cuts, counter, limit, complete):
         if not minus_tables:  # the minus stage: the restrict stages run once it reaches a table
@@ -176,31 +165,10 @@ def labelled_copies(monkeypatch, n: int):
             return fill(table, free, check, cuts, counter, limit, reached)
         return fill(table, free, check, cuts, counter, limit, complete)
 
-    monkeypatch.setattr(oracle, "_label", spy_label)
     monkeypatch.setattr(oracle, "_fill_cells", spy_fill)
     catalog = enumerate_axiom_models(n)
-    monkeypatch.setattr(oracle, "_label", label)
     monkeypatch.setattr(oracle, "_fill_cells", fill)
-    return catalog, models, minus_tables
-
-
-def zero_fixing_copies(
-    models: Iterable[FiniteAlgebra], count: int | None = None, seed: int = 0
-) -> list[FiniteAlgebra]:
-    """Each of ``models`` (with bottom 0) relabeled by every permutation
-    fixing 0, or by the identity and ``count`` seeded ones; each distinct
-    pair of tables once."""
-    rng, copies = random.Random(seed), {}
-    for alg in models:
-        rest = range(1, alg.size)
-        if count is None:
-            sigmas = itertools.permutations(rest)
-        else:
-            sigmas = [rest, *(rng.sample(rest, len(rest)) for _ in range(count))]
-        for sigma in sigmas:
-            copy = relabel(alg, [0, *sigma])
-            copies.setdefault((copy.minus, copy.restrict), copy)
-    return list(copies.values())
+    return catalog, minus_tables
 
 
 def evaluate_law(alg: FiniteAlgebra, law: str | Law, assignment: Sequence[int]) -> bool:

@@ -21,6 +21,7 @@ from diffrest import (
     check_derived_laws,
     derived_relations,
     domain_quotient,
+    enumerate_axiom_models,
     enumerate_filters,
 )
 from diffrest.algebra import mask_of
@@ -29,11 +30,10 @@ from lemmas import (
     check_subtraction_axioms,
     complemented_semilattice_of,
     evaluate_law,
-    labelled_copies,
     minus_form,
+    minus_tables_reached,
     reference_canonical_form,
     subtraction_from_boolean_downsets,
-    zero_fixing_copies,
 )
 
 AXIOMS = ("Ax.1", "Ax.2", "Ax.3", "Ax.4", "Ax.5")
@@ -76,6 +76,11 @@ def test_table_entry_out_of_range_rejected():
 def test_ill_defined_bottom_rejected():
     with pytest.raises(TableError, match="bottom"):
         FiniteAlgebra.from_tables([[0, 0], [1, 1]], [[0, 0], [0, 1]])
+
+
+def test_repeated_element_names_rejected():
+    with pytest.raises(TableError, match="repeated element name 'z'"):
+        FiniteAlgebra.from_tables([[0, 0], [1, 0]], [[0, 0], [0, 1]], ["z", "z"])
 
 
 def test_size_cap():
@@ -133,41 +138,44 @@ def test_axiom_implies_derived_exhaustively_at_small_sizes(models):
 
 # SHA-256 of what ``diffrest search models --size 6`` prints before its
 # last line (the ``PASS models`` line with the node count): the 14 models
-# in ascending ``canonical_form``.
-SIZE_SIX_CATALOG_SHA256 = "f4d130ac284e382230c2ea0c27ca6a1837195f6183426c36dc0ba5492dbf89dd"
+# in catalog order, ascending in (minus, restrict).
+SIZE_SIX_CATALOG_SHA256 = "2f04dd5c1792ad4ec6ca63fab1bf86c13685d7eb744bcefc39058db747c4574d"
 
 
 @pytest.mark.slow
 def test_axiom_implies_derived_exhaustively_at_size_six(monkeypatch, capsys):
     # Completes the soundness sweep at size 6; takes about 2 seconds.
-    # It also checks the enumerator's isomorphism label on 92 distinct
-    # relabelings fixing 0 of the 14 models (equal labels exactly for
-    # equal reference forms), that the search labels each model class
-    # once and reaches one complete minus table per class (3 of the 91,
-    # with distinct minus forms, and distinct labels), and that ``search
-    # models`` prints the same catalog.
-    from diffrest import oracle
+    # It also checks that the 14 models are pairwise non-isomorphic, that
+    # the search reaches one complete minus table per class (3 of the 91,
+    # with distinct minus forms), and that ``search models`` prints the
+    # same catalog.
     from diffrest.cli import main
 
-    catalog, labelled, minus_tables = labelled_copies(monkeypatch, 6)
+    catalog, minus_tables = minus_tables_reached(monkeypatch, 6)
     assert catalog.exhaustive
     assert (len(catalog.models), catalog.nodes) == (14, 5_649)
     for model in catalog.models:
         assert check_derived_laws(model).passed
-    assert (len(labelled), len(minus_tables)) == (14, 3)
-    copies = zero_fixing_copies(catalog.models, 8, 0)
-    assert len(copies) == 92
-    pairs = {
-        (oracle._label(0, (alg.minus, alg.restrict)), reference_canonical_form(alg))
-        for alg in copies
-    }
-    assert len(pairs) == len({p[0] for p in pairs}) == len({p[1] for p in pairs}) == 14
-    pairs = {(oracle._label(0, (minus,)), minus_form(0, minus)) for minus in minus_tables}
-    assert len(pairs) == len({p[0] for p in pairs}) == len({p[1] for p in pairs}) == 3
+    assert len({reference_canonical_form(model) for model in catalog.models}) == 14
+    assert len({minus_form(0, minus) for minus in minus_tables}) == len(minus_tables) == 3
     assert main(["search", "models", "--size", "6"]) == 0
     *printed, last = capsys.readouterr().out.splitlines(keepends=True)
     assert last == "PASS models size=6 count=14 exhaustive=yes nodes=5649\n"
     assert hashlib.sha256("".join(printed).encode()).hexdigest() == SIZE_SIX_CATALOG_SHA256
+
+
+@pytest.mark.slow
+def test_axiom_implies_derived_exhaustively_at_size_seven():
+    # The soundness sweep at size 7; takes about 7 seconds.  The catalog
+    # ascends in (minus, restrict) and its 30 models are pairwise
+    # non-isomorphic, so the symmetry cut admits no isomorphic copy here.
+    catalog = enumerate_axiom_models(7)
+    assert (len(catalog.models), catalog.nodes, catalog.exhaustive) == (30, 310_606, True)
+    tables = [(model.minus, model.restrict) for model in catalog.models]
+    assert tables == sorted(tables)
+    assert len({reference_canonical_form(model) for model in catalog.models}) == 30
+    for model in catalog.models:
+        assert check_derived_laws(model).passed
 
 
 def test_derived_relations_f2(f2):

@@ -15,9 +15,9 @@ import os
 import sys
 from pathlib import Path
 
-from conftest import make_f0, make_f1, make_f2, make_f3, make_f4, make_n1
+from conftest import law_models, make_f0, make_f1, make_f2, make_f3, make_f4, make_n1
 
-from diffrest import enumerate_axiom_models, serialize_algebra, serialize_concrete
+from diffrest import serialize_algebra, serialize_concrete
 from diffrest.cli import MODES, main
 
 GOLDEN = Path(__file__).with_name("cli_golden.json")
@@ -31,7 +31,7 @@ def golden_inputs() -> dict[str, str]:
         inputs[f"{name}.alg"] = serialize_concrete(make())
     inputs["N1.alg"] = serialize_algebra(make_n1()[0])
     for n in range(1, 6):
-        for i, model in enumerate(enumerate_axiom_models(n).models):
+        for i, model in enumerate(law_models(n)):
             inputs[f"model{n}_{i}.alg"] = serialize_algebra(model)
     return inputs
 

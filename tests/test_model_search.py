@@ -8,15 +8,16 @@ a lesser one in fill order, and every restrict table that an
 automorphism of its minus table maps to a lesser one.  The reference
 compares each relabeling from the first cell at every node, not only
 at the cells that complete a comparison, finds the automorphisms by
-testing all (n-1)! relabelings fixing 0, deduplicates its models with
-the brute-force ``reference_canonical_form``, not with ``_label``, and
-orders its catalog by ``canonical_form``, which defines the catalog
-order.  It raises if it meets two minus tables of one ``minus_form``.
-The incremental search must visit the same nodes, so it must return
-the identical models, in the identical order, with the identical node
-count and ``exhaustive`` flag, also when a node limit stops it inside
-either stage.  With the skips turned off, the reference prunes no
-isomorph at all and must still find the same catalogs.
+testing all (n-1)! relabelings fixing 0, and lists its models in the
+order it meets them.  It raises if it meets two minus tables of one
+``minus_form`` or two models of one brute-force
+``reference_canonical_form``.  The incremental search must visit the
+same nodes, so it must return the identical models, in the identical
+order, with the identical node count and ``exhaustive`` flag, also when
+a node limit stops it inside either stage.  With the skips turned off,
+the reference prunes no isomorph at all and keeps the first model of
+each class it meets, the least in fill order, so it must still find the
+same catalogs.
 ``reference_fill`` is the same fill loop for one table, so that the
 two searches can also be compared from start states the enumerator
 never seeds, including violated ones.
@@ -41,14 +42,13 @@ from diffrest import (
     FiniteAlgebra,
     InconsistencyError,
     SearchBudget,
-    canonical_form,
     check_axioms,
     serialize_algebra,
 )
 from diffrest import oracle
 from diffrest.algebra import AXIOM_LAWS, LAW_TABLE, SUBTRACTION_LAWS, parse_law
 from diffrest.oracle import DEFAULT_BUDGET, ModelCatalog, _NodeLimit
-from lemmas import minus_form, reference_canonical_form
+from lemmas import minus_form, minus_tables_reached, reference_canonical_form, relabel_table
 
 
 def _laws_on_partial_minus(minus: list[list[int | None]], n: int) -> bool:
@@ -138,12 +138,14 @@ def reference_enumerate_axiom_models(
 
     Backtracks over the two tables with the forced cells seeded (bottom
     fixed at element 0) and the laws re-checked as cells fill; complete
-    models are deduplicated by ``reference_canonical_form`` and listed
-    in ascending ``canonical_form``.  With ``skip_copies``, it cuts each
+    models are listed in the order the search meets them, one per
+    ``reference_canonical_form``.  With ``skip_copies``, it cuts each
     minus table that ``leads`` rejects under every relabeling fixing 0,
-    raises if two complete minus tables share a ``minus_form``, and cuts
+    raises if two complete minus tables share a ``minus_form``, cuts
     each restrict table that ``leads`` rejects under the
-    ``automorphisms`` of its minus table.
+    ``automorphisms`` of its minus table, and raises if two models share
+    a ``reference_canonical_form``; without, it keeps the first model of
+    each form.
     """
     counter = [0]
     found: dict[str, FiniteAlgebra] = {}
@@ -177,7 +179,10 @@ def reference_enumerate_axiom_models(
                 raise InconsistencyError(
                     "incremental pruning admitted a non-model"
                 )
-            found.setdefault(reference_canonical_form(alg), alg)
+            form = reference_canonical_form(alg)
+            if skip_copies and form in found:
+                raise InconsistencyError("symmetry breaking admitted an isomorphic copy")
+            found.setdefault(form, alg)
             return
         a, b = free_restrict[k]
         for v in range(n):
@@ -214,8 +219,7 @@ def reference_enumerate_axiom_models(
     except _NodeLimit:
         exhaustive = False
 
-    models = tuple(sorted(found.values(), key=canonical_form))
-    return ModelCatalog(n, models, exhaustive, counter[0])
+    return ModelCatalog(n, tuple(found.values()), exhaustive, counter[0])
 
 
 def reference_fill(table, free, laws_hold, cuts, counter, limit, complete) -> None:
@@ -290,6 +294,28 @@ def test_exhaustive_sweeps_match_reference():
         unskipped = catalog_key(reference_enumerate_axiom_models(n, skip_copies=False))
         assert unskipped[:2] == reference_key(n, DEFAULT_BUDGET.node_limit)[:2]
         assert unskipped[2] == UNSKIPPED[n]
+
+
+def least_relabeling(minus, restrict):
+    """The least (minus, restrict) over the relabelings fixing 0."""
+    return min(
+        tuple(tuple(map(tuple, relabel_table(t, (0, *sigma)))) for t in (minus, restrict))
+        for sigma in itertools.permutations(range(1, len(minus)))
+    )
+
+
+def test_catalogs_list_the_least_model_of_each_class_in_ascending_order():
+    for n in range(1, 7):
+        tables = [(m.minus, m.restrict) for m in oracle.enumerate_axiom_models(n).models]
+        assert tables == sorted(set(tables))
+        assert [least_relabeling(*pair) for pair in tables] == tables
+
+
+def test_the_search_completes_one_minus_table_per_class(monkeypatch):
+    reached = [minus_tables_reached(monkeypatch, n)[1] for n in range(1, 6)]
+    assert list(map(len, reached)) == [1, 1, 1, 2, 2]
+    for tables in reached:
+        assert len({minus_form(0, minus) for minus in tables}) == len(tables)
 
 
 def test_every_node_limit_at_size_four_matches_reference():
@@ -590,15 +616,19 @@ def test_comparison_catches_mutants(mutant, monkeypatch):
     )
 
 
-def test_a_dropped_automorphism_admits_an_isomorphic_copy():
+def test_a_dropped_automorphism_admits_an_isomorphic_copy(monkeypatch):
     # Without its first automorphism other than the identity, the restrict
-    # stage's cut keeps two restrict tables of one class at size 5.
+    # stage's cut keeps two restrict tables of one class at size 5, and
+    # prunes later at size 4: the same catalog in more nodes.
     mutant = source_mutant(
         oracle, ("enumerate_axiom_models",),
         "_cuts(free_restrict, automorphisms)", "_cuts(free_restrict, automorphisms[1:])",
     )
-    with pytest.raises(InconsistencyError, match="symmetry breaking admitted an isomorphic copy"):
-        mutant(5)
+    models = mutant(5).models
+    assert (len(models), len({reference_canonical_form(m) for m in models})) == (8, 7)
+    monkeypatch.setattr(oracle, "enumerate_axiom_models", mutant)
+    limit = DEFAULT_BUDGET.node_limit
+    assert mismatches((n, limit) for n in FULL) == [(4, limit), (5, limit)]
 
 
 def test_comparison_catches_a_dropped_minus_relabeling(monkeypatch):
