@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import ast
 import re
-from dataclasses import dataclass
 from functools import cached_property, wraps
 from itertools import combinations, product
 from operator import itemgetter
@@ -108,19 +107,35 @@ def mask_of(elements) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class FiniteAlgebra:
-    """Immutable finite algebra of the two-operation signature.
+def _frozen(self, name: str, *value) -> None:
+    """``__setattr__`` and ``__delattr__`` of the immutable types that
+    keep derived structure in an instance ``__dict__``."""
+    raise AttributeError(f"cannot assign to field {name!r}")
 
-    ``zero`` is the common value of ``a - a``; construction rejects
-    tables where that value depends on ``a``.
-    """
 
+def _checked_make(cls, fields):
+    """``_make``, and so ``_replace``, of the NamedTuple types whose
+    constructor checks its input: through that constructor."""
+    return cls(*fields)
+
+
+class _AlgebraFields(NamedTuple):
     size: int
     minus: Table
     restrict: Table
     zero: int
     names: tuple[str, ...] | None = None
+
+
+class FiniteAlgebra(_AlgebraFields):
+    """Immutable finite algebra of the two-operation signature.
+
+    ``zero`` is the common value of ``a - a``; construction rejects
+    tables where that value depends on ``a``.  Derived structure is
+    computed once and kept in the instance ``__dict__``.
+    """
+
+    __setattr__ = __delattr__ = _frozen
 
     @classmethod
     def from_tables(
@@ -149,6 +164,11 @@ class FiniteAlgebra:
             if len(names_t) != n:
                 raise TableError(f"got {len(names_t)} element names, expected {n}")
             for i, name in enumerate(names_t):
+                # The file format splits on whitespace and cuts comments at '#'.
+                if name.split() != [name] or "#" in name:
+                    raise TableError(
+                        f"element name {name!r} is empty or holds whitespace or '#'"
+                    )
                 if name in names_t[:i]:
                     raise TableError(f"repeated element name {name!r}")
         return cls(n, minus_t, restrict_t, zero, names_t)
@@ -589,15 +609,13 @@ def law_failures(law: Law, t: LawTables) -> Iterator[tuple[int, ...]]:
     return (_SCANS.get(law) or _compile(law))(t)
 
 
-@dataclass(frozen=True)
-class LawVerdict:
+class LawVerdict(NamedTuple):
     law: str
     passed: bool
     witness: tuple[int, ...] | None
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(NamedTuple):
     verdicts: tuple[LawVerdict, ...]
 
     @property
@@ -707,8 +725,7 @@ def derived_relations(alg: FiniteAlgebra) -> DerivedRelations:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DomainQuotient:
+class DomainQuotient(NamedTuple):
     """Quotient of an algebra by equality of domains.
 
     Classes are numbered by their least-index member.  ``meet`` is the
@@ -817,8 +834,7 @@ def domain_quotient(alg: FiniteAlgebra) -> DomainQuotient:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BooleanDownset:
+class BooleanDownset(NamedTuple):
     """The downset of an element, as a Boolean algebra.
 
     ``members`` lists the elements below ``top`` in increasing id order.

@@ -16,12 +16,13 @@ the ultrafilters of a downset are all bitmasks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from typing import NamedTuple
 
 from .algebra import (
     FiniteAlgebra,
     InconsistencyError,
+    _checked_make,
+    _frozen,
     boolean_downset,
     mask_iter,
     mask_of,
@@ -29,15 +30,19 @@ from .algebra import (
 )
 
 
-@dataclass(frozen=True)
-class Filter:
-    """A nonempty, upward-closed, meet-closed set of elements, held and hashed as a mask."""
-
-    parent: FiniteAlgebra = field(hash=False)
+class _FilterFields(NamedTuple):
+    parent: FiniteAlgebra
     members: int
 
-    def __post_init__(self):
-        alg, mask = self.parent, self.members
+
+class Filter(_FilterFields):
+    """A nonempty, upward-closed, meet-closed set of elements, held and hashed as a mask."""
+
+    __slots__ = ()
+    _make = classmethod(_checked_make)
+
+    def __new__(cls, parent: FiniteAlgebra, members: int):
+        alg, mask = parent, members
         if mask < 0:
             raise InconsistencyError(f"filter mask {mask} is negative")
         if not mask:
@@ -52,6 +57,10 @@ class Filter:
             if ids.translate(meet[a]).translate(None, ids):
                 b = next(b for b in ids if not mask >> meet[a][b] & 1)
                 raise InconsistencyError(f"{list(ids)} is not meet-closed at ({a}, {b})")
+        return tuple.__new__(cls, (parent, members))
+
+    def __hash__(self) -> int:
+        return hash((self.members,))
 
     @property
     def proper(self) -> bool:
@@ -89,27 +98,50 @@ def _stable(alg: FiniteAlgebra, members: int) -> int:
     return mask_of(g for g, row in rows if not ids.translate(row).translate(None, inside))
 
 
-@dataclass(frozen=True)
 class FilterFamily:
     """All filters of an algebra with the lifted preorder precomputed.
 
     ``domhat[i]`` is the mask of the j such that filter i is below
     filter j; ``approx_class`` assigns each filter its equivalence class
-    id, numbered by least filter index.
+    id, numbered by least filter index.  An immutable value, compared
+    and hashed by its fields; a plain class, not a tuple, so that it
+    can be weakly referenced.
     """
 
-    parent: FiniteAlgebra
-    all_filters: tuple[Filter, ...]
-    maximal: tuple[Filter, ...]
-    domhat: tuple[int, ...]
-    approx_class: tuple[int, ...]
+    _fields = ("parent", "all_filters", "maximal", "domhat", "approx_class")
+    __slots__ = (*_fields, "_index", "__weakref__")
+    __setattr__ = __delattr__ = _frozen
+
+    def __init__(
+        self,
+        parent: FiniteAlgebra,
+        all_filters: tuple[Filter, ...],
+        maximal: tuple[Filter, ...],
+        domhat: tuple[int, ...],
+        approx_class: tuple[int, ...],
+    ):
+        index = {g.members: i for i, g in enumerate(all_filters)}
+        values = (parent, all_filters, maximal, domhat, approx_class, index)
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if type(other) is not FilterFamily:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"FilterFamily({fields})"
 
     def index_of(self, f: Filter) -> int:
         return self._index[f.members]
-
-    @cached_property
-    def _index(self) -> dict[int, int]:
-        return {g.members: i for i, g in enumerate(self.all_filters)}
 
     @property
     def n_classes(self) -> int:

@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, replace
 from functools import cache
 from typing import Iterator, NamedTuple, Sequence
 
@@ -65,7 +64,7 @@ from .algebra import (
     Term,
     check_axioms,
 )
-from .algebra import _define, _fold, _read, _subterms
+from .algebra import _checked_make, _define, _fold, _read, _subterms
 from .pfun import PartialFunction
 from .represent import Representation, verify_representation
 
@@ -74,8 +73,12 @@ class BudgetExceededError(AlgebraError):
     """A request falls outside the search budget."""
 
 
-@dataclass(frozen=True)
-class SearchBudget:
+class _BudgetFields(NamedTuple):
+    max_base_size: int
+    node_limit: int
+
+
+class SearchBudget(_BudgetFields):
     """Limits for the oracles, which are deterministic, so a budget
     holds no seed.
 
@@ -85,14 +88,15 @@ class SearchBudget:
     silent miss.  Algebras above ``SIZE_CAP`` elements are refused.
     """
 
-    max_base_size: int = 4
-    node_limit: int = 2_000_000
+    __slots__ = ()
+    _make = classmethod(_checked_make)
 
-    def __post_init__(self):
-        if self.max_base_size < 0:
+    def __new__(cls, max_base_size: int = 4, node_limit: int = 2_000_000):
+        if max_base_size < 0:
             raise BudgetExceededError("max_base_size must be nonnegative")
-        if self.node_limit <= 0:
+        if node_limit <= 0:
             raise BudgetExceededError("budget limits must be positive")
+        return tuple.__new__(cls, (max_base_size, node_limit))
 
 
 def _check_size(n: int) -> None:
@@ -118,8 +122,7 @@ def generating_set(alg: FiniteAlgebra) -> tuple[int, ...]:
     return tuple(level.gen for level in _propagation_plan(alg))
 
 
-@dataclass(frozen=True)
-class EmbeddingResult:
+class EmbeddingResult(NamedTuple):
     """The verdict of one embedding search.
 
     ``nodes`` counts every search node: one per generator value that the
@@ -374,8 +377,7 @@ def brute_force_embedding(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ModelCatalog:
+class ModelCatalog(NamedTuple):
     size: int
     models: tuple[FiniteAlgebra, ...]
     exhaustive: bool
@@ -664,16 +666,14 @@ def enumerate_axiom_models(n: int, budget: SearchBudget = DEFAULT_BUDGET) -> Mod
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DifferentialEntry:
+class DifferentialEntry(NamedTuple):
     index: int
     axioms: AxiomReport
     embedding: EmbeddingResult
     agree: bool | None  # None when the search was inconclusive
 
 
-@dataclass(frozen=True)
-class DifferentialReport:
+class DifferentialReport(NamedTuple):
     entries: tuple[DifferentialEntry, ...]
 
     @property
@@ -703,7 +703,7 @@ def differential_check(
             base = len(alg.order_atoms())
         else:
             base = budget.max_base_size
-        result = brute_force_embedding(alg, replace(budget, max_base_size=base))
+        result = brute_force_embedding(alg, SearchBudget(base, budget.node_limit))
         if result.verdict == "inconclusive":
             agree = None
         else:

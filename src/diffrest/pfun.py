@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .algebra import (
     SIZE_CAP,
@@ -26,6 +25,8 @@ from .algebra import (
     SizeCapError,
     Table,
     TableError,
+    _checked_make,
+    _frozen,
     check_axioms,
     mask_iter,
 )
@@ -69,14 +70,18 @@ class NotClosedError(DictionaryError):
     """A product of two listed partial functions is not in the list."""
 
 
-@dataclass(frozen=True)
-class PartialFunction:
-    """An immutable partial function on a finite base set."""
-
+class _PartialFunctionFields(NamedTuple):
     base: frozenset[int]
     graph: Graph
 
-    def __init__(self, base: Iterable[int], graph: Iterable[Pair]):
+
+class PartialFunction(_PartialFunctionFields):
+    """An immutable partial function on a finite base set."""
+
+    __setattr__ = __delattr__ = _frozen
+    _make = classmethod(_checked_make)
+
+    def __new__(cls, base: Iterable[int], graph: Iterable[Pair]):
         base_f = frozenset(base)
         graph_f = frozenset((int(x), int(y)) for x, y in graph)
         seen: dict[int, int] = {}
@@ -86,8 +91,7 @@ class PartialFunction:
             if x in seen and seen[x] != y:
                 raise FunctionalityError(((x, seen[x]), (x, y)))
             seen[x] = y
-        object.__setattr__(self, "base", base_f)
-        object.__setattr__(self, "graph", graph_f)
+        return tuple.__new__(cls, (base_f, graph_f))
 
     @cached_property
     def domain(self) -> frozenset[int]:
@@ -218,8 +222,13 @@ def _not_closed(pairs, masks, doms, index) -> NotClosedError:
     )
 
 
-@dataclass(frozen=True)
-class ConcreteAlgebra:
+class _ConcreteFields(NamedTuple):
+    base: frozenset[int]
+    elements: tuple[PartialFunction, ...]
+    abstract: FiniteAlgebra
+
+
+class ConcreteAlgebra(_ConcreteFields):
     """A closed list of partial functions plus its abstract tables.
 
     Construction re-derives both tables pointwise, so a value of this
@@ -227,26 +236,28 @@ class ConcreteAlgebra:
     ``elements``.
     """
 
-    base: frozenset[int]
-    elements: tuple[PartialFunction, ...]
-    abstract: FiniteAlgebra
+    __slots__ = ()
+    _make = classmethod(_checked_make)
 
-    def __post_init__(self):
-        graphs = [f.graph for f in self.elements]
+    def __new__(
+        cls, base: frozenset[int], elements: tuple[PartialFunction, ...], abstract: FiniteAlgebra
+    ):
+        graphs = [f.graph for f in elements]
         if len(set(graphs)) != len(graphs):
             raise DictionaryError("concrete elements are not distinct")
-        for f in self.elements:
-            if f.base != self.base:
+        for f in elements:
+            if f.base != base:
                 raise BaseMismatchError("element base differs from algebra base")
-        if self.abstract.size != len(self.elements):
+        if abstract.size != len(elements):
             raise DictionaryError(
-                f"abstract size {self.abstract.size} != {len(self.elements)} elements"
+                f"abstract size {abstract.size} != {len(elements)} elements"
             )
         minus_t, restrict_t = _tables_for(graphs)
-        if minus_t != self.abstract.minus or restrict_t != self.abstract.restrict:
+        if minus_t != abstract.minus or restrict_t != abstract.restrict:
             raise DictionaryError(
                 "abstract tables disagree with pointwise evaluation"
             )
+        return tuple.__new__(cls, (base, elements, abstract))
 
 
 def close_generators(

@@ -11,8 +11,8 @@ element and pair stands in for every subset.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 from .algebra import (
     AlgebraError,
@@ -33,8 +33,7 @@ class NotAtomicError(AlgebraError):
     """The atom-based constructions require an atomic algebra."""
 
 
-@dataclass(frozen=True)
-class Representation:
+class Representation(NamedTuple):
     """A state set plus one partial function on it per algebra element.
 
     ``states`` holds descriptors (filter member tuples, class tags,
@@ -48,21 +47,18 @@ class Representation:
     assignment: tuple[PartialFunction, ...]
 
 
-@dataclass(frozen=True)
-class VerificationFailure:
+class VerificationFailure(NamedTuple):
     check: str
     witness: tuple
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     passed: bool
     failures: tuple[VerificationFailure, ...]
     image: ConcreteAlgebra | None
 
 
-@dataclass(frozen=True)
-class CompletenessReport:
+class CompletenessReport(NamedTuple):
     meet_complete: bool
     meet_witness: frozenset[int] | None
     join_complete: bool

@@ -30,7 +30,6 @@ products breadth-first, ties by lexicographic graph):
   N1: c=0, d=1, empty=2, e=3            relations over base {1, 2}
 """
 
-import dataclasses
 import inspect
 import random
 import subprocess
@@ -40,6 +39,7 @@ import pytest
 
 from diffrest import (
     AlgebraError,
+    ConcreteAlgebra,
     FiniteAlgebra,
     PartialFunction,
     Representation,
@@ -172,10 +172,7 @@ def perturbed_family(sources, seed, draws, table=None):
 def relation(base, graph):
     """A ``PartialFunction`` value that skips the functionality check,
     as a representation-shaped object from outside may hold."""
-    f = object.__new__(PartialFunction)
-    object.__setattr__(f, "base", frozenset(base))
-    object.__setattr__(f, "graph", frozenset(graph))
-    return f
+    return tuple.__new__(PartialFunction, (frozenset(base), frozenset(graph)))
 
 
 # The edits of ``perturbed_representation``.  Edited values are built
@@ -234,7 +231,7 @@ def perturbed_representation(rep, rng, edit):
 
 def named(conc, names):
     alg = FiniteAlgebra.from_tables(conc.abstract.minus, conc.abstract.restrict, names)
-    return dataclasses.replace(conc, abstract=alg)
+    return ConcreteAlgebra(conc.base, conc.elements, alg)
 
 
 def make_f0() -> FiniteAlgebra:

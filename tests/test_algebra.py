@@ -83,6 +83,14 @@ def test_repeated_element_names_rejected():
         FiniteAlgebra.from_tables([[0, 0], [1, 0]], [[0, 0], [0, 1]], ["z", "z"])
 
 
+@pytest.mark.parametrize("name", ["x y", "a#b", "", "\tz"])
+def test_names_the_file_format_cannot_hold_rejected(name):
+    # The parser splits element_names on whitespace and cuts comments at '#'.
+    message = f"element name {name!r} is empty or holds whitespace or '#'"
+    with pytest.raises(TableError, match=f"^{re.escape(message)}$"):
+        FiniteAlgebra.from_tables([[0, 0], [1, 0]], [[0, 0], [0, 1]], [name, "z"])
+
+
 def test_size_cap():
     n = 65
     table = [[0] * n for _ in range(n)]
