@@ -88,7 +88,7 @@ def _check_square(n: int, **tables: Table) -> None:
             if len(row) != n:
                 raise TableError(f"{label} row {i} has {len(row)} entries, expected {n}")
             for j, v in enumerate(row):
-                if not isinstance(v, int) or not 0 <= v < n:
+                if type(v) is not int or not 0 <= v < n:
                     raise TableError(f"{label}[{i}][{j}] = {v!r} is not an element id")
 
 

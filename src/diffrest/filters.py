@@ -3,9 +3,9 @@
 A filter is a nonempty, upward-closed, meet-closed subset of the
 elements.  In a finite meet-semilattice every filter contains the meet
 of its members and hence is the principal upset of that meet, so there
-are exactly as many filters as elements; enumeration builds them
-directly and the tests cross-check exhaustiveness against a subset
-scan.
+are exactly as many filters as elements; enumeration builds filter i
+as the up-set of element i, and the tests cross-check exhaustiveness
+against a subset scan.
 
 The domain preorder lifts to filters: F sits below G when restricting
 the members of F by the members of G never leaves F: the up-set of every
@@ -22,7 +22,6 @@ from .algebra import (
     FiniteAlgebra,
     InconsistencyError,
     _checked_make,
-    _frozen,
     boolean_downset,
     mask_iter,
     mask_of,
@@ -98,50 +97,24 @@ def _stable(alg: FiniteAlgebra, members: int) -> int:
     return mask_of(g for g, row in rows if not ids.translate(row).translate(None, inside))
 
 
-class FilterFamily:
+class FilterFamily(NamedTuple):
     """All filters of an algebra with the lifted preorder precomputed.
 
-    ``domhat[i]`` is the mask of the j such that filter i is below
-    filter j; ``approx_class`` assigns each filter its equivalence class
-    id, numbered by least filter index.  An immutable value, compared
-    and hashed by its fields; a plain class, not a tuple, so that it
-    can be weakly referenced.
+    Filter i is the principal filter of element i, so ``all_filters[i]``
+    has the members ``parent.up_masks[i]``.  ``domhat[i]`` is the mask of
+    the j such that filter i is below filter j; ``approx_class`` assigns
+    each filter its equivalence class id, numbered by least filter index.
     """
 
-    _fields = ("parent", "all_filters", "maximal", "domhat", "approx_class")
-    __slots__ = (*_fields, "_index", "__weakref__")
-    __setattr__ = __delattr__ = _frozen
-
-    def __init__(
-        self,
-        parent: FiniteAlgebra,
-        all_filters: tuple[Filter, ...],
-        maximal: tuple[Filter, ...],
-        domhat: tuple[int, ...],
-        approx_class: tuple[int, ...],
-    ):
-        index = {g.members: i for i, g in enumerate(all_filters)}
-        values = (parent, all_filters, maximal, domhat, approx_class, index)
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
-
-    def __eq__(self, other):
-        if type(other) is not FilterFamily:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"FilterFamily({fields})"
+    parent: FiniteAlgebra
+    all_filters: tuple[Filter, ...]
+    maximal: tuple[Filter, ...]
+    domhat: tuple[int, ...]
+    approx_class: tuple[int, ...]
 
     def index_of(self, f: Filter) -> int:
-        return self._index[f.members]
+        """The element whose up-set ``f`` is; ValueError for no element."""
+        return self.parent.up_masks.index(f.members)
 
     @property
     def n_classes(self) -> int:
@@ -236,7 +209,7 @@ def ultrafilter_bijection(
     for nu in sorted(ufs, key=lambda m: list(mask_iter(m))):
         up = alg.up_closure(nu)
         # Reuse the family's filter, already checked upward and meet closed.
-        mu = family.all_filters[family._index[up]] if up in family._index else Filter(alg, up)
+        mu = family.all_filters[alg.up_masks.index(up)] if up in alg.up_masks else Filter(alg, up)
         # The family's maximal filters passed ``is_maximal`` when it was built.
         if mu not in maximal and not is_maximal(mu):
             raise InconsistencyError("upward closure of an ultrafilter is not maximal")

@@ -19,7 +19,8 @@ from .pfun import ConcreteAlgebra, FunctionalityError, PartialFunction, format_p
 
 # The most points a ``base lo..hi`` range may name.  The range is built
 # point by point, so a file of a few bytes could otherwise fill memory;
-# larger bases are written as point lists.
+# larger bases are written as point lists.  The embedding search takes
+# the same cap on its base size.
 BASE_RANGE_CAP = 1 << 16
 
 

@@ -65,6 +65,7 @@ from .algebra import (
     check_axioms,
 )
 from .algebra import _checked_make, _define, _fold, _read, _subterms
+from .formats import BASE_RANGE_CAP
 from .pfun import PartialFunction
 from .represent import Representation, verify_representation
 
@@ -83,9 +84,11 @@ class SearchBudget(_BudgetFields):
     holds no seed.
 
     ``max_base_size`` may be zero (the empty base is a legitimate
-    search target); ``node_limit`` bounds backtracking nodes and turns
-    an exhausted budget into an explicit inconclusive verdict, never a
-    silent miss.  Algebras above ``SIZE_CAP`` elements are refused.
+    search target) and is at most ``BASE_RANGE_CAP``, because a found
+    embedding builds its base point by point; ``node_limit`` bounds
+    backtracking nodes and turns an exhausted budget into an explicit
+    inconclusive verdict, never a silent miss.  Algebras above
+    ``SIZE_CAP`` elements are refused.
     """
 
     __slots__ = ()
@@ -94,6 +97,8 @@ class SearchBudget(_BudgetFields):
     def __new__(cls, max_base_size: int = 4, node_limit: int = 2_000_000):
         if max_base_size < 0:
             raise BudgetExceededError("max_base_size must be nonnegative")
+        if max_base_size > BASE_RANGE_CAP:
+            raise BudgetExceededError(f"max_base_size exceeds the cap of {BASE_RANGE_CAP} points")
         if node_limit <= 0:
             raise BudgetExceededError("budget limits must be positive")
         return tuple.__new__(cls, (max_base_size, node_limit))

@@ -83,7 +83,11 @@ class PartialFunction(_PartialFunctionFields):
 
     def __new__(cls, base: Iterable[int], graph: Iterable[Pair]):
         base_f = frozenset(base)
-        graph_f = frozenset((int(x), int(y)) for x, y in graph)
+        pairs = [(x, y) for x, y in graph]
+        for x, y in pairs:  # before sorting, which mixed types would break
+            if type(x) is not int or type(y) is not int:
+                raise PfunError(f"pair ({x!r}, {y!r}) holds a point that is not an integer")
+        graph_f = frozenset(pairs)
         seen: dict[int, int] = {}
         for x, y in sorted(graph_f):
             if x not in base_f or y not in base_f:

@@ -3,7 +3,6 @@
 import gc
 import hashlib
 import re
-import weakref
 
 import pytest
 
@@ -11,6 +10,7 @@ from conftest import F, G, H, K, M, N1_C, N1_D, F2_ZERO, edited, make_f2, pairs
 
 from diffrest import (
     BooleanLawError,
+    FilterFamily,
     FiniteAlgebra,
     InconsistencyError,
     SizeCapError,
@@ -76,6 +76,14 @@ def test_table_entry_out_of_range_rejected():
 def test_ill_defined_bottom_rejected():
     with pytest.raises(TableError, match="bottom"):
         FiniteAlgebra.from_tables([[0, 0], [1, 1]], [[0, 0], [0, 1]])
+
+
+@pytest.mark.parametrize("entry", [True, False])
+def test_table_entry_that_is_not_an_int_rejected(entry):
+    # serialize_algebra would write True as "True", which the parser refuses.
+    message = f"minus[1][0] = {entry!r} is not an element id"
+    with pytest.raises(TableError, match=f"^{re.escape(message)}$"):
+        FiniteAlgebra.from_tables([[0, 0], [entry, 0]], [[0, 0], [0, 1]])
 
 
 def test_repeated_element_names_rejected():
@@ -337,15 +345,19 @@ def test_check_subtraction_axioms_refuses_tables_over_the_size_cap(n):
     assert str(caught.value) == f"size {n} exceeds the cap of 64 elements"
 
 
+def live_filter_families() -> int:
+    gc.collect()
+    return sum(type(x) is FilterFamily for x in gc.get_objects())
+
+
 def test_derived_structure_is_computed_once_and_freed_with_its_algebra():
     alg = make_f2().abstract
     for derive in (check_axioms, domain_quotient, enumerate_filters):
         assert derive(alg) is derive(alg)
     assert boolean_downset(alg, H) is boolean_downset(alg, H)
-    family = weakref.ref(enumerate_filters(alg))
+    live = live_filter_families()
     del alg
-    gc.collect()
-    assert family() is None
+    assert live_filter_families() == live - 1
 
 
 def test_monotonicity_failure_witness(f2):

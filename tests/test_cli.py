@@ -416,3 +416,17 @@ def test_huge_base_range_is_an_input_error_in_little_memory(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("ERROR line 6, column 6: base range")
     # Building the range point by point took 84 MB already at 10**6 points.
     assert peak < 2**21
+
+
+def test_huge_search_base_is_an_input_error_in_little_memory(files, capsys):
+    argv = ["search", "embed", "--file", files["f2"], "--max-base", "1000000"]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert capsys.readouterr() == ("", "ERROR max_base_size exceeds the cap of 65536 points\n")
+    # A found embedding built its base point by point: 117 MB at 10**6 points.
+    assert peak < 2**21

@@ -14,6 +14,7 @@ from diffrest import (
     SearchBudget,
     boolean_as_diffrest,
     check_axioms,
+    enumerate_filters,
     principal_filter,
 )
 
@@ -59,6 +60,9 @@ def _twins():
         "PartialFunction": (a.elements[1], b.elements[1], "graph", {(1, 1), (1, 2)}),
         "ConcreteAlgebra": (a, b, "elements", a.elements[::-1]),
         "Filter": (principal_filter(a.abstract, 1), principal_filter(b.abstract, 1), "members", 0),
+        "FilterFamily": (
+            enumerate_filters(a.abstract), enumerate_filters(b.abstract), "domhat", None
+        ),
         "SearchBudget": (SearchBudget(2), SearchBudget(max_base_size=2), "node_limit", 0),
         "AxiomReport": (check_axioms(a.abstract), check_axioms(b.abstract), "verdicts", None),
     }

@@ -1,6 +1,7 @@
 """Pointwise operations, closures, and the identity-function interpretation."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from diffrest import (
     BaseMismatchError,
     FunctionalityError,
     PartialFunction,
+    PfunError,
     SizeCapError,
     boolean_as_diffrest,
     check_axioms,
@@ -88,6 +90,23 @@ def test_functionality_rejected():
 def test_pair_outside_base_rejected():
     with pytest.raises(AlgebraError, match="outside the base"):
         pf([(1, 3)])
+
+
+@pytest.mark.parametrize(
+    "pair, shown",
+    [((1.7, 2.2), "(1.7, 2.2)"), (("1", "2"), "('1', '2')"), ([1, True], "(1, True)")],
+    ids=["float", "str", "bool"],
+)
+def test_points_that_are_not_integers_rejected(pair, shown):
+    # Listed after an integer pair, so sorting the mixed graph would fail first.
+    message = f"pair {shown} holds a point that is not an integer"
+    with pytest.raises(PfunError, match=f"^{re.escape(message)}$"):
+        pf([(1, 2), pair])
+
+
+def test_two_sequences_become_pairs():
+    assert pf([[1, 2]]) == pf([(1, 2)])
+    assert pf([[1, 2]]).graph == frozenset({(1, 2)})
 
 
 def test_close_generators_f3(f3):
