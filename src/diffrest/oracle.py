@@ -20,8 +20,9 @@ through the trace, are the operations on the values (one byte
 comparison each).  The plan only compares values, so the points are
 interchangeable: one trace per equality pattern is searched and its
 relabelings are only counted.  A second search covers the injectivity
-requirements with relabeled traces, merging at each node the sorted
-relabelings of just the traces that separate a pair still unseparated.
+requirements with one column per trace, its least relabeling, since
+every relabeling separates the same pairs; at each node it opens just
+the columns that separate a pair still unseparated.
 A representation on fewer points extends to one on more points by
 padding the base, so exhausting the maximum base size decides
 non-representability up to that size.  The search prunes only with the
@@ -47,10 +48,9 @@ models in the order the search meets them, which is ascending.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from functools import cache
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .algebra import (
     AXIOM_LAWS,
@@ -95,6 +95,8 @@ class SearchBudget(_BudgetFields):
     _make = classmethod(_checked_make)
 
     def __new__(cls, max_base_size: int = 4, node_limit: int = 2_000_000):
+        if type(max_base_size) is not int or type(node_limit) is not int:
+            raise BudgetExceededError("budget limits must be integers")
         if max_base_size < 0:
             raise BudgetExceededError("max_base_size must be nonnegative")
         if max_base_size > BASE_RANGE_CAP:
@@ -131,8 +133,10 @@ class EmbeddingResult(NamedTuple):
     """The verdict of one embedding search.
 
     ``nodes`` counts every search node: one per generator value that the
-    full trace enumeration tries, plus one per cover-search node.  Copies
-    of a trace under relabeling of the points are counted but not visited.
+    full trace enumeration tries, plus one per cover-search node.  The
+    trace enumeration counts the copies of a trace under relabeling of
+    the points but does not visit them; the cover search neither visits
+    nor counts them, since they separate the same pairs.
     ``trace_nodes`` is the share spent enumerating traces.
     """
 
@@ -222,9 +226,8 @@ def _columns_and_masks(
     symmetry comes from the tables, not from the laws.  A generator tries
     0, the values in use and one fresh value, so one canonical trace per
     equality pattern is searched; ``counter`` still counts every value
-    the full search tries.  Every relabeling of a trace (``_relabelings``)
-    is consistent too and shares its mask, since it separates the same
-    pairs.
+    the full search tries.  Every relabeling of a trace is consistent
+    too and shares its mask, since it separates the same pairs.
     """
     plan = [(*level, level.tables(alg)) for level in _propagation_plan(alg)]
     n, top = alg.size, min(m, len(plan)) + 1
@@ -264,16 +267,6 @@ def _columns_and_masks(
 
     assign(0, 0, 1)
     return traces, _separation_masks(traces, n, m)
-
-
-def _relabelings(trace: tuple[int, ...], m: int) -> Iterator[tuple[int, ...]]:
-    """Every relabeling of the points of ``trace`` into 1..m, in
-    lexicographic order: ``permutations`` assigns the point images in the
-    order in which the values first appear along the element ids."""
-    rank = {v: i for i, v in enumerate(dict.fromkeys((0, *trace)))}
-    ranked = [rank[v] for v in trace]
-    for sigma in map((0,).__add__, itertools.permutations(range(1, m + 1), len(rank) - 1)):
-        yield tuple([sigma[v] for v in ranked])
 
 
 def _separation_masks(columns: list[tuple[int, ...]], n: int, m: int) -> list[int]:
@@ -319,13 +312,17 @@ def brute_force_embedding(
         return EmbeddingResult("inconclusive", None, m, counter[0], counter[0])
     trace_nodes = counter[0]
 
-    # Columns are tried by descending mask popcount, then lexicographically.
-    by_count: dict[int, list[tuple[tuple[int, ...], int]]] = {}
+    # One column per trace, its least relabeling (the points numbered in
+    # the order they first appear): every relabeling separates the same
+    # pairs, so the subtree below each is the same.  Columns are tried by
+    # descending mask popcount, then lexicographically.
+    columns = []
     coverage = 0
     for trace, mask in zip(traces, trace_masks):
-        by_count.setdefault(-mask.bit_count(), []).append((trace, mask))
+        rank = {v: i for i, v in enumerate(dict.fromkeys((0, *trace)))}
+        columns.append((-mask.bit_count(), tuple([rank[v] for v in trace]), mask))
         coverage |= mask
-    groups = [group for _, group in sorted(by_count.items())]
+    columns.sort()
 
     path: list[tuple[int, ...]] = []
 
@@ -344,14 +341,8 @@ def brute_force_embedding(
             return list(path)
         if depth == m or unseparated & ~coverage:
             return None
-        for group in groups:
-            # Only traces with new bits are opened.
-            streams = [
-                zip(_relabelings(trace, m), itertools.repeat(mask))
-                for trace, mask in group
-                if mask & unseparated
-            ]
-            for col, mask in heapq.merge(*streams):
+        for _, col, mask in columns:
+            if mask & unseparated:  # only columns with new bits are opened
                 path.append(col)
                 result = dfs(depth + 1, unseparated & ~mask)
                 if result is not None:

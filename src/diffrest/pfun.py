@@ -83,6 +83,9 @@ class PartialFunction(_PartialFunctionFields):
 
     def __new__(cls, base: Iterable[int], graph: Iterable[Pair]):
         base_f = frozenset(base)
+        for p in base_f:  # True == 1, so a bool would pass for a point
+            if type(p) is not int:
+                raise PfunError(f"base point {p!r} is not an integer")
         pairs = [(x, y) for x, y in graph]
         for x, y in pairs:  # before sorting, which mixed types would break
             if type(x) is not int or type(y) is not int:

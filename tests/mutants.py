@@ -40,6 +40,14 @@ class Mutant(NamedTuple):
     tests: tuple[str, ...]
 
 
+EMBEDDING_CORPUS = (
+    "tests/test_embedding_search.py::test_search_matches_reference_on_acceptance_corpus"
+)
+MASKS_CORPUS = "tests/test_pair_masks.py::test_mask_paths_match_the_set_paths_on_acceptance_corpus"
+MASKS_FIXTURES = (
+    "tests/test_pair_masks.py::test_mask_paths_match_the_set_paths_on_fixtures_and_small_models"
+)
+
 MUTANTS = (
     Mutant(
         "per_algebra keeps a module-level cache",
@@ -95,6 +103,137 @@ MUTANTS = (
             if False:
 """,
         ("tests/test_pfun.py::test_points_that_are_not_integers_rejected",),
+    ),
+    Mutant(
+        "PartialFunction takes base points of any type",
+        "src/diffrest/pfun.py",
+        "            if type(p) is not int:\n",
+        "            if False:\n",
+        ("tests/test_pfun.py::test_base_points_that_are_not_integers_rejected",),
+    ),
+    Mutant(
+        "SearchBudget takes limits that are not integers",
+        "src/diffrest/oracle.py",
+        "if type(max_base_size) is not int or type(node_limit) is not int:",
+        "if False:",
+        ("tests/test_cli.py::test_search_budget_fields_that_are_not_integers_rejected",),
+    ),
+    # The cover search: one column per trace, its least relabeling.
+    Mutant(
+        "cover columns keep the canonical trace, not its least relabeling",
+        "src/diffrest/oracle.py",
+        "columns.append((-mask.bit_count(), tuple([rank[v] for v in trace]), mask))",
+        "columns.append((-mask.bit_count(), trace, mask))",
+        (EMBEDDING_CORPUS,),
+    ),
+    Mutant(
+        "cover search opens columns that separate nothing new",
+        "src/diffrest/oracle.py",
+        "if mask & unseparated:",
+        "if True:",
+        (EMBEDDING_CORPUS,),
+    ),
+    Mutant(
+        "cover columns tried by ascending popcount",
+        "src/diffrest/oracle.py",
+        "columns.append((-mask.bit_count(),",
+        "columns.append((mask.bit_count(),",
+        (EMBEDDING_CORPUS,),
+    ),
+    # The pair-mask closure and verifier.
+    Mutant(
+        "old x new products skipped in a wave",
+        "src/diffrest/pfun.py",
+        "tail = elems if i >= wave else elems[wave:]",
+        "tail = elems if i >= wave else []",
+        (MASKS_CORPUS,),
+    ),
+    Mutant(
+        "wave order by int value",
+        "src/diffrest/pfun.py",
+        "for g in sorted(fresh, key=lambda g: list(mask_iter(g))):",
+        "for g in sorted(fresh):",
+        (MASKS_CORPUS,),
+    ),
+    Mutant(
+        "_not_closed tries restrict first",
+        "src/diffrest/pfun.py",
+        "next(p for p in products if p[3] not in index)",
+        "next(p for p in sorted(products, key=lambda p: p[0] == \"minus\") if p[3] not in index)",
+        (MASKS_FIXTURES,),
+    ),
+    Mutant(
+        "closure cap checked with >",
+        "src/diffrest/pfun.py",
+        "if len(elems) >= cap:",
+        "if len(elems) > cap:",
+        (MASKS_FIXTURES,),
+    ),
+    Mutant(
+        "pairs indexed in reverse",
+        "src/diffrest/pfun.py",
+        "pairs = sorted(set().union(*graphs))",
+        "pairs = sorted(set().union(*graphs), reverse=True)",
+        (MASKS_FIXTURES,),
+    ),
+    Mutant(
+        "verifier's restrict check with operands swapped",
+        "src/diffrest/represent.py",
+        "if masks[alg.restrict[a][b]] != masks[b] & doms[a]:",
+        "if masks[alg.restrict[a][b]] != masks[a] & doms[b]:",
+        (MASKS_FIXTURES,),
+    ),
+    Mutant(
+        "verifier names the last mixed base",
+        "src/diffrest/represent.py",
+        'failures.append(VerificationFailure("base", (0, mixed[0])))',
+        'failures.append(VerificationFailure("base", (0, mixed[-1])))',
+        (MASKS_FIXTURES,),
+    ),
+    Mutant(
+        "verifier goes on after the base failure",
+        "src/diffrest/represent.py",
+        """        failures.append(VerificationFailure("base", (0, mixed[0])))
+        return VerificationReport(False, tuple(failures), None)
+""",
+        """        failures.append(VerificationFailure("base", (0, mixed[0])))
+""",
+        (MASKS_FIXTURES,),
+    ),
+    Mutant(
+        "pair rows keyed and read by the second point",
+        "src/diffrest/pfun.py",
+        """    for i, (x, _) in enumerate(pairs):
+        rows[x] = rows.get(x, 0) | 1 << i
+
+    def dom(mask: int) -> int:
+        out = 0
+        while rest := mask & ~out:
+            out |= rows[pairs[(rest & -rest).bit_length() - 1][0]]
+""",
+        """    for i, (_, x) in enumerate(pairs):
+        rows[x] = rows.get(x, 0) | 1 << i
+
+    def dom(mask: int) -> int:
+        out = 0
+        while rest := mask & ~out:
+            out |= rows[pairs[(rest & -rest).bit_length() - 1][1]]
+""",
+        ("tests/test_fuzz.py::test_mask_closure_matches_the_set_closure",),
+    ),
+    Mutant(
+        "closure restricts as h & ~dom",
+        "src/diffrest/pfun.py",
+        "fresh.update([g & ~h for h in tail], [h & d for h in tail])",
+        "fresh.update([g & ~h for h in tail], [h & ~d for h in tail])",
+        ("tests/test_fuzz.py::test_mask_closure_matches_the_set_closure",),
+    ),
+    Mutant(
+        "closure seeds get zeroed domain masks",
+        "src/diffrest/pfun.py",
+        "doms = [dom(g) for g in elems]",
+        "doms = [0 for g in elems]",
+        ("tests/test_pair_masks.py::test_a_passing_verification_derives_the_tables_once",),
     ),
 )
 

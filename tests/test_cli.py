@@ -12,7 +12,9 @@ from conftest import MALFORMED_EDITS, malformed_dictionary, run_cli
 from diffrest import (
     BudgetExceededError,
     ConcreteAlgebra,
+    SearchBudget,
     boolean_as_diffrest,
+    brute_force_embedding,
     enumerate_axiom_models,
     enumerate_filters,
     parse_algebras,
@@ -121,6 +123,15 @@ def test_search_embed_inconclusive_exit_code(files):
     )
     assert result.returncode == 3
     assert result.stdout.startswith("INCONCLUSIVE")
+
+
+def test_search_embed_one_point_short_of_the_powerset_is_none(tmp_path, capsys):
+    # Inconclusive after 2,000,001 nodes and about 12 s while the cover
+    # search walked each failed subtree once per relabeling.
+    path = tmp_path / "powerset.alg"
+    path.write_text(serialize_concrete(boolean_as_diffrest(6)))
+    assert main(["search", "embed", "--file", str(path), "--max-base", "5"]) == 1
+    assert capsys.readouterr() == ("FAIL embedding verdict=none base=5 nodes=1723\n", "")
 
 
 def test_search_models(files):
@@ -430,3 +441,14 @@ def test_huge_search_base_is_an_input_error_in_little_memory(files, capsys):
     assert capsys.readouterr() == ("", "ERROR max_base_size exceeds the cap of 65536 points\n")
     # A found embedding built its base point by point: 117 MB at 10**6 points.
     assert peak < 2**21
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [{"max_base_size": 2.5}, {"max_base_size": True}, {"node_limit": 10.0}, {"node_limit": "9"}],
+    ids=["float-base", "bool-base", "float-limit", "str-limit"],
+)
+def test_search_budget_fields_that_are_not_integers_rejected(fields, f2):
+    # A float base reached the search and died there in a raw TypeError.
+    with pytest.raises(BudgetExceededError, match="^budget limits must be integers$"):
+        brute_force_embedding(f2.abstract, SearchBudget(**fields))

@@ -104,6 +104,19 @@ def test_points_that_are_not_integers_rejected(pair, shown):
         pf([(1, 2), pair])
 
 
+@pytest.mark.parametrize(
+    "base, graph, shown",
+    [({True, 2}, [(1, 2)], "True"), ({1.5, 2}, [], "1.5"), ({"a"}, [], "'a'")],
+    ids=["bool", "float", "str"],
+)
+def test_base_points_that_are_not_integers_rejected(base, graph, shown):
+    # A closure over the base {True, 2} serialized as "base True..2",
+    # which the parser refuses.
+    message = f"base point {shown} is not an integer"
+    with pytest.raises(PfunError, match=f"^{re.escape(message)}$"):
+        PartialFunction(base, graph)
+
+
 def test_two_sequences_become_pairs():
     assert pf([[1, 2]]) == pf([(1, 2)])
     assert pf([[1, 2]]).graph == frozenset({(1, 2)})
