@@ -238,11 +238,12 @@ class FiniteAlgebra(_AlgebraFields):
 
 def per_algebra(fn):
     """Compute ``fn(alg, *args)`` once per algebra value and keep the
-    result on that value, so it lives exactly as long as the algebra."""
+    result on that value, so it lives exactly as long as the algebra.
+    The key holds the arguments' types too, since True == 1 == 1.0."""
 
     @wraps(fn)
     def cached(alg: FiniteAlgebra, *args):
-        key = (fn, *args)
+        key = (fn, *args, *map(type, args))
         if key not in alg._memo:
             alg._memo[key] = fn(alg, *args)
         return alg._memo[key]
@@ -949,8 +950,8 @@ def _boolean_law_failure(
 @per_algebra
 def boolean_downset(alg: FiniteAlgebra, a: int) -> BooleanDownset:
     """Carve out the downset of ``a`` and certify it is a Boolean algebra."""
-    if not 0 <= a < alg.size:
-        raise TableError(f"no element {a}")
+    if type(a) is not int or not 0 <= a < alg.size:
+        raise TableError(f"no element {a!r}")
     members = tuple(mask_iter(alg.down_masks[a]))
     failure = _boolean_law_failure(alg.tables["meet"], alg.minus[a], a, alg.zero, members)
     if failure is not None:

@@ -49,7 +49,7 @@ from .oracle import (
     differential_check,
     enumerate_axiom_models,
 )
-from .pfun import PfunError, boolean_as_diffrest, format_pf_literal
+from .pfun import ConcreteAlgebra, PfunError, boolean_as_diffrest, format_pf_literal
 from .represent import (
     CompletenessReport,
     Representation,
@@ -234,7 +234,8 @@ def cmd_represent(args) -> int:
     print(comp_line)
     if report.passed and args.emit_concrete:
         with open(args.emit_concrete, "w", encoding="utf-8") as handle:
-            handle.write(serialize_concrete(report.image))
+            image = ConcreteAlgebra(rep.assignment[0].base, rep.assignment, alg)
+            handle.write(serialize_concrete(image))
     return EXIT_PASS if report.passed and complete_ok else EXIT_FAIL
 
 

@@ -21,6 +21,7 @@ from typing import NamedTuple
 from .algebra import (
     FiniteAlgebra,
     InconsistencyError,
+    TableError,
     _checked_make,
     boolean_downset,
     mask_iter,
@@ -42,6 +43,8 @@ class Filter(_FilterFields):
 
     def __new__(cls, parent: FiniteAlgebra, members: int):
         alg, mask = parent, members
+        if type(mask) is not int:
+            raise InconsistencyError(f"filter mask {mask!r} is not an integer")
         if mask < 0:
             raise InconsistencyError(f"filter mask {mask} is negative")
         if not mask:
@@ -82,6 +85,8 @@ class Filter(_FilterFields):
 
 
 def principal_filter(alg: FiniteAlgebra, a: int) -> Filter:
+    if type(a) is not int or not 0 <= a < alg.size:
+        raise TableError(f"no element {a!r}")
     return Filter(alg, alg.up_masks[a])
 
 

@@ -615,6 +615,8 @@ def enumerate_axiom_models(n: int, budget: SearchBudget = DEFAULT_BUDGET) -> Mod
     default node limit.  Sizes above 8 are refused before any table is
     built.
     """
+    if type(n) is not int:
+        raise TableError(f"model size {n!r} is not an integer")
     if n < 1:
         raise TableError(f"algebras are nonempty, so size {n} has no models")
     _check_size(n)

@@ -3,11 +3,11 @@
 A partial function is a functional set of pairs over a base set of
 integer points.  The two pointwise operations are set difference of
 graphs and restriction of the second argument to the domain of the
-first.  Closure, table derivation and the verifier index the pairs
-that occur in a list of graphs and hold each graph as an int mask over
-that index, so each operation is one bitwise step.  Generator sets are
-closed into concrete algebras whose operation tables are handed to
-:mod:`diffrest.algebra`.
+first.  Closure, table derivation and the product walk that certifies
+graphs against tables index the pairs that occur in a list of graphs
+and hold each graph as an int mask over that index, so each operation
+is one bitwise step.  Generator sets are closed into concrete algebras
+whose operation tables are handed to :mod:`diffrest.algebra`.
 """
 
 from __future__ import annotations
@@ -201,32 +201,25 @@ def _graphs_of(pairs, masks) -> list[Graph]:
     return [frozenset(pairs[i] for i in mask_iter(g)) for g in masks]
 
 
-def _tables_for(graphs: Sequence[Graph]) -> tuple[Table, Table]:
-    pairs, masks, doms, _ = _pair_masks(graphs)
-    return _tables_of(pairs, masks, doms)
-
-
-def _tables_of(pairs, masks, doms) -> tuple[Table, Table]:
-    """Both tables of the graphs with these masks and domain masks."""
+def _tables_of(masks, doms) -> tuple[Table, Table]:
+    """Both tables of a closed list of graphs with these masks and domain masks."""
     index = {g: i for i, g in enumerate(masks)}
-    try:
-        minus_t = tuple(tuple(index[g & ~h] for h in masks) for g in masks)
-        restrict_t = tuple(tuple(index[h & d] for h in masks) for d in doms)
-    except KeyError:
-        raise _not_closed(pairs, masks, doms, index) from None
-    return minus_t, restrict_t
+    minus_t = tuple(tuple(index[g & ~h] for h in masks) for g in masks)
+    return minus_t, tuple(tuple(index[h & d] for h in masks) for d in doms)
 
 
-def _not_closed(pairs, masks, doms, index) -> NotClosedError:
-    """The error naming the first pair whose product is missing."""
-    n = len(masks)
-    products = [("minus", i, j, masks[i] & ~masks[j]) for i in range(n) for j in range(n)]
-    products += [("restrict", i, j, masks[j] & doms[i]) for i in range(n) for j in range(n)]
-    name, i, j, product = next(p for p in products if p[3] not in index)
-    literal = ", ".join(f"{x}->{y}" for x, y in (pairs[k] for k in mask_iter(product)))
-    return NotClosedError(
-        f"elements are not closed: {name}({i}, {j}) = {{{literal}}} is not an element"
-    )
+def _broken_products(alg: FiniteAlgebra, masks, doms):
+    """Yield ``(op, a, b, product)`` for each product of the graphs with
+    these masks and domain masks that is not the graph ``alg``'s table
+    names; a, then b, with minus before restrict.  None is yielded
+    exactly when the graphs realise both tables."""
+    for a, (g, d) in enumerate(zip(masks, doms)):
+        minus_row, restrict_row = alg.minus[a], alg.restrict[a]
+        for b, h in enumerate(masks):
+            if masks[minus_row[b]] != g & ~h:
+                yield "minus", a, b, g & ~h
+            if masks[restrict_row[b]] != h & d:
+                yield "restrict", a, b, h & d
 
 
 class _ConcreteFields(NamedTuple):
@@ -238,9 +231,9 @@ class _ConcreteFields(NamedTuple):
 class ConcreteAlgebra(_ConcreteFields):
     """A closed list of partial functions plus its abstract tables.
 
-    Construction re-derives both tables pointwise, so a value of this
-    type is a certificate that ``abstract`` really is the algebra of its
-    ``elements``.
+    Construction checks every product on pair masks against the tables,
+    so a value of this type is a certificate that ``abstract`` really is
+    the algebra of its ``elements``.
     """
 
     __slots__ = ()
@@ -259,11 +252,15 @@ class ConcreteAlgebra(_ConcreteFields):
             raise DictionaryError(
                 f"abstract size {abstract.size} != {len(elements)} elements"
             )
-        minus_t, restrict_t = _tables_for(graphs)
-        if minus_t != abstract.minus or restrict_t != abstract.restrict:
-            raise DictionaryError(
-                "abstract tables disagree with pointwise evaluation"
-            )
+        pairs, masks, doms, _ = _pair_masks(graphs)
+        if broken := list(_broken_products(abstract, masks, doms)):
+            if missing := [p for p in broken if p[3] not in masks]:
+                op, a, b, product = min(missing)  # minus first, then row-major
+                literal = ", ".join(f"{x}->{y}" for x, y in (pairs[k] for k in mask_iter(product)))
+                raise NotClosedError(
+                    f"elements are not closed: {op}({a}, {b}) = {{{literal}}} is not an element"
+                )
+            raise DictionaryError("abstract tables disagree with pointwise evaluation")
         return tuple.__new__(cls, (base, elements, abstract))
 
 
@@ -285,9 +282,9 @@ def close_generators(
             raise BaseMismatchError(
                 f"generator base {_base_text(g.base)} differs from {_base_text(base_f)}"
             )
-    # The closure's masks give the tables; ConcreteAlgebra re-derives them.
+    # The closure's masks give the tables; ConcreteAlgebra checks each product.
     pairs, masks, doms = _close_masks([g.graph for g in generators])
-    abstract = FiniteAlgebra.from_tables(*_tables_of(pairs, masks, doms))
+    abstract = FiniteAlgebra.from_tables(*_tables_of(masks, doms))
     elements = tuple(PartialFunction(base_f, g) for g in _graphs_of(pairs, masks))
     return ConcreteAlgebra(base_f, elements, abstract)
 
@@ -306,6 +303,8 @@ def boolean_as_diffrest(universe: int) -> ConcreteAlgebra:
     realize the two operations.  The resulting tables are checked
     against all five laws.
     """
+    if type(universe) is not int:
+        raise TableError(f"universe size {universe!r} is not an integer")
     if universe < 0:
         raise TableError("universe size must be nonnegative")
     if universe > SIZE_CAP.bit_length() - 1:
@@ -314,23 +313,16 @@ def boolean_as_diffrest(universe: int) -> ConcreteAlgebra:
         size = 2**universe if universe <= 256 else f"2**{universe}"
         raise SizeCapError(f"size {size} exceeds the cap of {SIZE_CAP} elements")
     base = frozenset(range(1, universe + 1))
-    family = sorted(
-        (frozenset(c) for k in range(universe + 1) for c in itertools.combinations(base, k)),
-        key=sorted,
-    )
-    elements = tuple(PartialFunction(base, ((x, x) for x in s)) for s in family)
-    # Complement within a set and intersection are the two operations;
-    # the ConcreteAlgebra certificate re-derives them pointwise.
-    index = {s: i for i, s in enumerate(family)}
-    minus_t = [[index[s - t] for t in family] for s in family]
-    restrict_t = [[index[s & t] for t in family] for s in family]
-    abstract = FiniteAlgebra.from_tables(minus_t, restrict_t)
+    subsets = (c for k in range(universe + 1) for c in itertools.combinations(base, k))
+    graphs = sorted((frozenset((x, x) for x in c) for c in subsets), key=sorted)
+    _, masks, doms, _ = _pair_masks(graphs)
+    abstract = FiniteAlgebra.from_tables(*_tables_of(masks, doms))
     report = check_axioms(abstract)
     if not report.passed:
         raise InconsistencyError(
             f"identity-function algebra violates {report.failures()[0].law}"
         )
-    return ConcreteAlgebra(base, elements, abstract)
+    return ConcreteAlgebra(base, tuple(PartialFunction(base, g) for g in graphs), abstract)
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,11 @@
 Four constructions are provided: the canonical one over maximal
 filters, its injective refinement over equivalence classes of maximal
 filters, and the two atom-based complete versions.  A verifier checks
-any representation-shaped object independently, and a completeness
-report decides exactly, in polynomial time, whether existing meets and
-joins are turned into intersections and unions: one bound set per
-element and pair stands in for every subset.
+any representation-shaped object independently, with the product walk
+of ``ConcreteAlgebra``, and a completeness report decides exactly, in
+polynomial time, whether existing meets and joins are turned into
+intersections and unions: one bound set per element and pair stands in
+for every subset.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .algebra import (
     per_algebra,
 )
 from .filters import Filter, enumerate_filters
-from .pfun import ConcreteAlgebra, DictionaryError, PartialFunction, _pair_masks
+from .pfun import PartialFunction, _broken_products, _pair_masks
 
 
 class NotAtomicError(AlgebraError):
@@ -55,7 +56,6 @@ class VerificationFailure(NamedTuple):
 class VerificationReport(NamedTuple):
     passed: bool
     failures: tuple[VerificationFailure, ...]
-    image: ConcreteAlgebra | None
 
 
 class CompletenessReport(NamedTuple):
@@ -230,9 +230,9 @@ def verify_representation(rep: Representation) -> VerificationReport:
 
     Verifies functionality of every value, injectivity of the
     assignment, one base for all values, and preservation of both
-    operations on all pairs.  The image algebra derives both tables once
-    and certifies exactly that every pair is preserved; only when it
-    fails are the pairs walked on pair masks, to list every failure.
+    operations on all pairs.  One walk of the products on pair masks,
+    the walk ``ConcreteAlgebra`` certifies with, lists every pair that
+    is not preserved.
     """
     alg = rep.source
     failures: list[VerificationFailure] = []
@@ -240,7 +240,7 @@ def verify_representation(rep: Representation) -> VerificationReport:
         failures.append(
             VerificationFailure("assignment-size", (len(rep.assignment), alg.size))
         )
-        return VerificationReport(False, tuple(failures), None)
+        return VerificationReport(False, tuple(failures))
 
     for a in range(alg.size):
         seen: dict[int, int] = {}
@@ -263,24 +263,12 @@ def verify_representation(rep: Representation) -> VerificationReport:
     mixed = [a for a, f in enumerate(rep.assignment) if f.base != rep.assignment[0].base]
     if mixed:
         failures.append(VerificationFailure("base", (0, mixed[0])))
-        return VerificationReport(False, tuple(failures), None)
-
-    if not failures:
-        try:
-            image = ConcreteAlgebra(rep.assignment[0].base, rep.assignment, alg)
-        except DictionaryError:
-            pass
-        else:
-            return VerificationReport(True, (), image)
+        return VerificationReport(False, tuple(failures))
 
     _, masks, doms, _ = _pair_masks([f.graph for f in rep.assignment])
-    for a in range(alg.size):
-        for b in range(alg.size):
-            if masks[alg.minus[a][b]] != masks[a] & ~masks[b]:
-                failures.append(VerificationFailure("minus-preserved", (a, b)))
-            if masks[alg.restrict[a][b]] != masks[b] & doms[a]:
-                failures.append(VerificationFailure("restrict-preserved", (a, b)))
-    return VerificationReport(False, tuple(failures), None)
+    for op, a, b, _ in _broken_products(alg, masks, doms):
+        failures.append(VerificationFailure(f"{op}-preserved", (a, b)))
+    return VerificationReport(not failures, tuple(failures))
 
 
 # ---------------------------------------------------------------------------
@@ -314,8 +302,9 @@ def completeness_report(
     into an intersection and every existing join into a union, and
     whether the algebra is atomic for it.
 
-    Raises ``InconsistencyError`` unless the element order is a partial
-    order.  Let holders(p) be the elements whose graph holds the pair p.
+    Raises ``InconsistencyError`` unless the assignment has one value
+    per element and the element order is a partial order.  Let
+    holders(p) be the elements whose graph holds the pair p.
     h is meet complete iff it is monotone and no element w and pair
     p not in h(w) give a nonempty U = holders(p) & up(w) with glb(U) = w.
     It is join complete iff it is monotone and no w and pair p in h(w)
@@ -338,8 +327,10 @@ def completeness_report(
     (``bench/worker.py``) is the one caller that still passes it.
     """
     alg = rep.source
-    _check_partial_order(alg)
     n, down, up = alg.size, alg.down_masks, alg.up_masks
+    if len(rep.assignment) != n:
+        raise InconsistencyError(f"assignment has {len(rep.assignment)} values for {n} elements")
+    _check_partial_order(alg)
     graphs = [f.graph for f in rep.assignment]
     held_by: dict[tuple[int, int], int] = {}
     for a, g in enumerate(graphs):

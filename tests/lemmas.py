@@ -46,7 +46,7 @@ from diffrest.algebra import (
     mask_iter,
     mask_of,
 )
-from diffrest.pfun import _close_masks, _graphs_of, _tables_for
+from diffrest.pfun import _close_masks, _graphs_of, _tables_of
 
 
 class ImproperFilterError(AlgebraError):
@@ -77,9 +77,9 @@ def close_relations(
     Functionality is never assumed: this is how non-functional inputs
     are turned into tables so the law checker can report on them.
     """
-    closed = close_graphs([frozenset(g) for g in graphs])
-    minus_t, restrict_t = _tables_for(closed)
-    return FiniteAlgebra.from_tables(minus_t, restrict_t), tuple(closed)
+    pairs, masks, doms = _close_masks([frozenset(g) for g in graphs])
+    alg = FiniteAlgebra.from_tables(*_tables_of(masks, doms))
+    return alg, tuple(_graphs_of(pairs, masks))
 
 
 def enumerate_pfuns(

@@ -54,7 +54,7 @@ MUTANTS = (
         "src/diffrest/algebra.py",
         """    @wraps(fn)
     def cached(alg: FiniteAlgebra, *args):
-        key = (fn, *args)
+        key = (fn, *args, *map(type, args))
         if key not in alg._memo:
             alg._memo[key] = fn(alg, *args)
         return alg._memo[key]
@@ -156,10 +156,10 @@ MUTANTS = (
         (MASKS_CORPUS,),
     ),
     Mutant(
-        "_not_closed tries restrict first",
+        "missing products sorted restrict first",
         "src/diffrest/pfun.py",
-        "next(p for p in products if p[3] not in index)",
-        "next(p for p in sorted(products, key=lambda p: p[0] == \"minus\") if p[3] not in index)",
+        "op, a, b, product = min(missing)",
+        "op, a, b, product = min(missing, key=lambda p: (p[0] == \"minus\", p[1:3]))",
         (MASKS_FIXTURES,),
     ),
     Mutant(
@@ -177,10 +177,31 @@ MUTANTS = (
         (MASKS_FIXTURES,),
     ),
     Mutant(
-        "verifier's restrict check with operands swapped",
+        "product walk's restrict check with operands swapped",
+        "src/diffrest/pfun.py",
+        "if masks[restrict_row[b]] != h & d:",
+        "if masks[restrict_row[b]] != g & doms[b]:",
+        (MASKS_FIXTURES,),
+    ),
+    Mutant(
+        "product walk skips restrict products",
+        "src/diffrest/pfun.py",
+        "if masks[restrict_row[b]] != h & d:",
+        "if False:",
+        (MASKS_FIXTURES,),
+    ),
+    Mutant(
+        "ConcreteAlgebra reports a missing product as a table disagreement",
+        "src/diffrest/pfun.py",
+        "if missing := [p for p in broken if p[3] not in masks]:",
+        "if missing := []:",
+        (MASKS_FIXTURES,),
+    ),
+    Mutant(
+        "verifier passes whatever it finds",
         "src/diffrest/represent.py",
-        "if masks[alg.restrict[a][b]] != masks[b] & doms[a]:",
-        "if masks[alg.restrict[a][b]] != masks[a] & doms[b]:",
+        "return VerificationReport(not failures, tuple(failures))",
+        "return VerificationReport(True, tuple(failures))",
         (MASKS_FIXTURES,),
     ),
     Mutant(
@@ -194,7 +215,7 @@ MUTANTS = (
         "verifier goes on after the base failure",
         "src/diffrest/represent.py",
         """        failures.append(VerificationFailure("base", (0, mixed[0])))
-        return VerificationReport(False, tuple(failures), None)
+        return VerificationReport(False, tuple(failures))
 """,
         """        failures.append(VerificationFailure("base", (0, mixed[0])))
 """,
@@ -228,12 +249,57 @@ MUTANTS = (
         "fresh.update([g & ~h for h in tail], [h & ~d for h in tail])",
         ("tests/test_fuzz.py::test_mask_closure_matches_the_set_closure",),
     ),
+    # Input checks on element ids, masks, sizes and assignment lengths.
+    Mutant(
+        "per_algebra keys ignore the arguments' types",
+        "src/diffrest/algebra.py",
+        "key = (fn, *args, *map(type, args))",
+        "key = (fn, *args)",
+        ("tests/test_algebra.py::test_boolean_downset_refuses_what_is_not_an_element",),
+    ),
+    Mutant(
+        "principal_filter takes any index",
+        "src/diffrest/filters.py",
+        """    if type(a) is not int or not 0 <= a < alg.size:
+        raise TableError(f"no element {a!r}")
+    return Filter(alg, alg.up_masks[a])""",
+        "    return Filter(alg, alg.up_masks[a])",
+        ("tests/test_filters.py::test_principal_filter_refuses_what_is_not_an_element",),
+    ),
+    Mutant(
+        "Filter takes masks that are not integers",
+        "src/diffrest/filters.py",
+        "if type(mask) is not int:",
+        "if False:",
+        ("tests/test_filters.py::test_filter_rejects_a_mask_that_is_not_an_integer",),
+    ),
+    Mutant(
+        "boolean_as_diffrest takes sizes that are not integers",
+        "src/diffrest/pfun.py",
+        "if type(universe) is not int:",
+        "if False:",
+        ("tests/test_algebra.py::test_sizes_that_are_not_integers_rejected",),
+    ),
+    Mutant(
+        "enumerate_axiom_models takes sizes that are not integers",
+        "src/diffrest/oracle.py",
+        "if type(n) is not int:",
+        "if False:",
+        ("tests/test_algebra.py::test_sizes_that_are_not_integers_rejected",),
+    ),
+    Mutant(
+        "completeness_report takes an assignment of any length",
+        "src/diffrest/represent.py",
+        "if len(rep.assignment) != n:",
+        "if False:",
+        ("tests/test_represent.py::test_completeness_refuses_an_assignment_of_the_wrong_length",),
+    ),
     Mutant(
         "closure seeds get zeroed domain masks",
         "src/diffrest/pfun.py",
         "doms = [dom(g) for g in elems]",
         "doms = [0 for g in elems]",
-        ("tests/test_pair_masks.py::test_a_passing_verification_derives_the_tables_once",),
+        ("tests/test_pair_masks.py::test_a_passing_verification_indexes_the_pairs_once",),
     ),
 )
 

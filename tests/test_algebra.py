@@ -111,6 +111,13 @@ def test_empty_algebra_rejected():
         FiniteAlgebra.from_tables([], [])
 
 
+@pytest.mark.parametrize("build", [enumerate_axiom_models, boolean_as_diffrest])
+@pytest.mark.parametrize("size", [2.0, True])
+def test_sizes_that_are_not_integers_rejected(build, size):
+    with pytest.raises(TableError, match=f"size {size} is not an integer$"):
+        build(size)
+
+
 def test_derived_laws_pass_on_fixtures(f1, f2, f3, f4):
     for conc in (f1, f2, f3, f4):
         assert check_derived_laws(conc.abstract).passed
@@ -300,6 +307,14 @@ def test_boolean_downset_rejects_non_boolean():
     error = caught.value
     assert (error.top, error.law, error.witness) == (2, "join-idempotent", (1,))
     assert str(error) == "downset of 2 violates Boolean law join-idempotent at ('1',)"
+
+
+@pytest.mark.parametrize("a", [1.5, True, 1.0])
+def test_boolean_downset_refuses_what_is_not_an_element(f2, a):
+    alg = f2.abstract
+    boolean_downset(alg, 1)  # its cache entry must not answer for True or 1.0
+    with pytest.raises(TableError, match=f"^no element {a}$"):
+        boolean_downset(alg, a)
 
 
 def test_subtraction_roundtrip(f2, f3, f0):

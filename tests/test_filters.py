@@ -10,6 +10,7 @@ from diffrest import (
     Filter,
     FiniteAlgebra,
     InconsistencyError,
+    TableError,
     boolean_as_diffrest,
     domain_quotient,
     enumerate_filters,
@@ -120,6 +121,18 @@ def test_filter_rejects_elements_outside_the_algebra(f2, outside):
 def test_filter_rejects_a_negative_mask(f2, mask):
     with pytest.raises(InconsistencyError, match=f"^filter mask {mask} is negative$"):
         Filter(f2.abstract, mask)
+
+
+@pytest.mark.parametrize("mask", [1.5, True])
+def test_filter_rejects_a_mask_that_is_not_an_integer(f2, mask):
+    with pytest.raises(InconsistencyError, match=f"^filter mask {mask} is not an integer$"):
+        Filter(f2.abstract, mask)
+
+
+@pytest.mark.parametrize("a", [-1, 4, 1.5, True])
+def test_principal_filter_refuses_what_is_not_an_element(f2, a):
+    with pytest.raises(TableError, match=f"^no element {a}$"):
+        principal_filter(f2.abstract, a)
 
 
 def test_meet_closure_error_names_the_lexicographically_first_pair():

@@ -1,12 +1,14 @@
-"""Closure, table derivation and the verifier on pair masks, against the
-set-based code they replaced.
+"""Closure, the ``ConcreteAlgebra`` certificate and the verifier on pair
+masks, against the set-based code they replaced.
 
 The ``reference_*`` functions are that code, kept verbatim apart from
 their names: graphs are frozensets of pairs, minus is set difference
 and restrict filters the pairs of the second graph by the domain of the
 first.  ``reference_verify_failures`` is the verifier's loop with one
 addition, the base check that now comes before the preservation checks.
-Element lists, tables, ``NotClosedError`` texts, ``SizeCapError``s and
+``reference_certificate`` is ``ConcreteAlgebra``'s checks with the
+tables derived on sets and compared whole.  Element lists, certificates,
+``NotClosedError`` and ``DictionaryError`` texts, ``SizeCapError``s and
 verifier failure tuples must all be equal, on conftest's representations
 and their perturbed copies.
 """
@@ -18,8 +20,14 @@ from lemmas import close_graphs
 
 from diffrest import verify_representation
 from diffrest import pfun, represent
-from diffrest.algebra import SIZE_CAP, SizeCapError
-from diffrest.pfun import NotClosedError, _tables_for
+from diffrest.algebra import SIZE_CAP, FiniteAlgebra, SizeCapError
+from diffrest.pfun import (
+    BaseMismatchError,
+    ConcreteAlgebra,
+    DictionaryError,
+    NotClosedError,
+    PartialFunction,
+)
 from diffrest.represent import VerificationFailure
 
 FAILURE_CHECKS = (
@@ -94,6 +102,25 @@ def reference_not_closed(graphs, index):
     raise AssertionError("every product is an element")
 
 
+def reference_certificate(base, elements, abstract):
+    graphs = [f.graph for f in elements]
+    if len(set(graphs)) != len(graphs):
+        raise DictionaryError("concrete elements are not distinct")
+    if any(f.base != base for f in elements):
+        raise BaseMismatchError("element base differs from algebra base")
+    if abstract.size != len(elements):
+        raise DictionaryError(f"abstract size {abstract.size} != {len(elements)} elements")
+    if reference_tables_for(graphs) != (abstract.minus, abstract.restrict):
+        raise DictionaryError("abstract tables disagree with pointwise evaluation")
+    return base, elements, abstract
+
+
+def assert_certificates_agree(base, elements, abstract):
+    got = outcome(ConcreteAlgebra, base, elements, abstract)
+    assert got == outcome(reference_certificate, base, elements, abstract)
+    return got
+
+
 def reference_verify_failures(rep):
     alg = rep.source
     failures = []
@@ -145,29 +172,38 @@ def assert_verifier_agrees(rep):
     report = verify_representation(rep)
     assert report.failures == reference_verify_failures(rep)
     assert report.passed == (not report.failures)
-    if report.passed:
-        assert report.image.elements == rep.assignment
-        assert report.image.abstract is rep.source
-    if len(rep.assignment) == rep.source.size:
-        graphs = [f.graph for f in rep.assignment]
-        assert outcome(_tables_for, graphs) == outcome(reference_tables_for, graphs)
+    base = rep.assignment[0].base if rep.assignment else frozenset()
+    image = assert_certificates_agree(base, rep.assignment, rep.source)
+    assert isinstance(image, ConcreteAlgebra) or not report.passed
     return report.failures
 
 
-def assert_closures_agree(graphs, rng):
-    """Closures of a few seed lists drawn from ``graphs``, once without a
-    cap and once one element short of the closure; tables of the closed
-    list and of the list with one element missing or one added."""
+def zero_algebra(n):
+    """All-zero tables of size ``n``, clamped to the sizes an algebra can
+    have; the certificate refuses them by size or by a broken product."""
+    n = min(max(n, 1), SIZE_CAP)
+    zeros = [[0] * n] * n
+    return FiniteAlgebra.from_tables(zeros, zeros)
+
+
+def assert_closures_agree(conc, rng):
+    """Closures of a few seed lists drawn from the graphs of ``conc``, once
+    without a cap and once one element short of the closure; certificates
+    of the closed list with its own tables, and of the list with one
+    element missing or one added with all-zero tables of its size."""
+    graphs = [f.graph for f in conc.elements]
     drawn = rng.sample(graphs, min(3, len(graphs)))
     for seeds in (graphs[:1], graphs[:3], graphs[::-1][:2], drawn):
         closed = reference_close_graphs(seeds)
         assert close_graphs(seeds) == closed
         short = max(len(closed) - 1, 1)
         assert outcome(close_graphs, seeds, short) == outcome(reference_close_graphs, seeds, short)
+    base = conc.base | {-1}
     not_closed = 0
     for listed in (graphs, graphs[:-1], [*graphs, frozenset({(-1, -1)})]):
-        got = outcome(_tables_for, listed)
-        assert got == outcome(reference_tables_for, listed)
+        abstract = conc.abstract if listed is graphs else zero_algebra(len(listed))
+        elements = tuple(PartialFunction(base, g) for g in listed)
+        got = assert_certificates_agree(base, elements, abstract)
         not_closed += str(got).startswith("NotClosedError: ")
     return not_closed
 
@@ -181,9 +217,7 @@ def check_algebras(reps, concrete):
         assert edit or not failures
         checks.update(f.check for f in failures)
     rng = random.Random(11)
-    not_closed = sum(
-        assert_closures_agree([f.graph for f in conc.elements], rng) for conc in concrete
-    )
+    not_closed = sum(assert_closures_agree(conc, rng) for conc in concrete)
     assert checks == set(FAILURE_CHECKS) and not_closed
 
 
@@ -202,9 +236,9 @@ def test_mask_paths_match_the_set_paths_on_the_large_algebras(representations, l
     check_algebras(representations["large"], large_concrete)
 
 
-def test_a_passing_verification_derives_the_tables_once(monkeypatch, f0, f1, f2, f3, f4):
-    # The image certificate indexes the pairs and derives both tables;
-    # the pair walk, which would index them again, runs only on failure.
+def test_a_passing_verification_indexes_the_pairs_once(monkeypatch, f0, f1, f2, f3, f4):
+    # The verifier indexes the pairs once and walks the products on the
+    # masks; no table is derived.
     calls = {"_tables_of": 0, "_pair_masks": 0}
 
     def counted(module, name):
@@ -224,4 +258,4 @@ def test_a_passing_verification_derives_the_tables_once(monkeypatch, f0, f1, f2,
             rep = build(alg)
             calls.update(dict.fromkeys(calls, 0))
             assert verify_representation(rep).passed
-            assert calls == {"_tables_of": 1, "_pair_masks": 1}
+            assert calls == {"_tables_of": 0, "_pair_masks": 1}

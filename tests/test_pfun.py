@@ -167,7 +167,7 @@ def pair_mask_calls(monkeypatch):
 
 def test_close_generators_indexes_pairs_twice(pair_mask_calls):
     """Once for the closure, whose masks give the tables, and once for
-    the ConcreteAlgebra certificate that re-derives them."""
+    the ConcreteAlgebra certificate that checks every product on them."""
     rng, base = random.Random(3), range(1, 5)
     for k in range(1, 30):
         conc = close_generators(base, random_generators(rng, base, k % 4 + 1))
@@ -175,12 +175,13 @@ def test_close_generators_indexes_pairs_twice(pair_mask_calls):
     assert conc.abstract.size > 1
 
 
-def test_boolean_as_diffrest_indexes_pairs_once(pair_mask_calls):
-    """Only in the ConcreteAlgebra certificate: the tables come from the
-    set operations."""
+def test_boolean_as_diffrest_indexes_pairs_twice(pair_mask_calls):
+    """Once for the identity functions, whose masks give the tables, and
+    once for the ConcreteAlgebra certificate that checks every product
+    on them."""
     for k, universe in enumerate(range(5), 1):
         assert boolean_as_diffrest(universe).abstract.size > 0
-        assert len(pair_mask_calls) == k
+        assert len(pair_mask_calls) == 2 * k
 
 
 def test_close_relations_n1(n1):

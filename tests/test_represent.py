@@ -8,6 +8,7 @@ from conftest import F, G, H, K, M, edited
 
 from diffrest import (
     AxiomFailure,
+    ConcreteAlgebra,
     FiniteAlgebra,
     InconsistencyError,
     PartialFunction,
@@ -189,8 +190,16 @@ def test_verify_reports_values_over_different_bases():
     alg = boolean_as_diffrest(1).abstract
     values = (PartialFunction({1}, ()), PartialFunction({1, 2}, [(1, 1)]))
     report = verify_representation(Representation(alg, "external", (1, 2), values))
-    assert not report.passed and report.image is None
+    assert not report.passed
     assert [(f.check, f.witness) for f in report.failures] == [("base", (0, 1))]
+
+
+@pytest.mark.parametrize("count", [3, 5])
+def test_completeness_refuses_an_assignment_of_the_wrong_length(f2, count):
+    rep = canonical_theta(f2.abstract)
+    values = (rep.assignment * 2)[:count]
+    with pytest.raises(InconsistencyError, match=f"^assignment has {count} values for 4 elements$"):
+        completeness_report(rep._replace(assignment=values))
 
 
 def test_completeness_atomic_theta_f2(f2):
@@ -239,7 +248,9 @@ def test_verify_hom_restriction_identity(f2):
 
 def test_verify_hom_restriction_via_image(f2):
     alg = f2.abstract
-    image = verify_representation(canonical_theta(alg)).image
+    rep = canonical_theta(alg)
+    assert verify_representation(rep).passed
+    image = ConcreteAlgebra(rep.assignment[0].base, rep.assignment, alg)
     assert verify_hom_restriction(alg, image.abstract, list(range(alg.size)), H)
 
 
