@@ -28,7 +28,7 @@ from __future__ import annotations
 import ast
 import re
 from functools import cached_property, wraps
-from itertools import combinations, product
+from itertools import combinations, compress, product
 from operator import itemgetter
 from typing import Callable, Iterator, NamedTuple, Sequence
 
@@ -105,6 +105,27 @@ def mask_of(elements) -> int:
     for e in elements:
         out |= 1 << e
     return out
+
+
+# _EQUALS[v] translates byte v to b"1" and every other byte to b"0";
+# _BITS translates those two to bytes 1 and 0.
+_EQUALS = [b"0" * v + b"1" + b"0" * (255 - v) for v in range(SIZE_CAP)]
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _value_masks(lines: Sequence[bytes], n: int) -> tuple[int, ...]:
+    """Per line a, the mask of the b < n with line[b] == a: the line read
+    through ``_EQUALS[a]`` and backwards is that mask as a binary numeral."""
+    return tuple(int(line[:n].translate(eq)[::-1], 2) for line, eq in zip(lines, _EQUALS))
+
+
+def _fixed_masks(lines: Sequence[bytes], n: int) -> tuple[int, ...]:
+    """Per line, the mask of the b < n with line[b] == b: where the line,
+    read as a little-endian number, XOR 0, 1, ..., n - 1 read the same
+    way, has a zero byte."""
+    ids = int.from_bytes(bytes(range(n)), "little")
+    diffs = (int.from_bytes(line[:n], "little") ^ ids for line in lines)
+    return tuple(int(d.to_bytes(n, "little").translate(_EQUALS[0])[::-1], 2) for d in diffs)
 
 
 def _frozen(self, name: str, *value) -> None:
@@ -196,16 +217,15 @@ class FiniteAlgebra(_AlgebraFields):
 
     @cached_property
     def down_masks(self) -> tuple[int, ...]:
-        """down_masks[a] = bitmask of all b with b <= a."""
-        return tuple(
-            mask_of(b for b in range(self.size) if self.leq(b, a))
-            for a in range(self.size)
-        )
+        """down_masks[a] = bitmask of all b with b <= a: the fixed points
+        of column a of meet."""
+        return _fixed_masks(self.tables["meet_cols"], self.size)
 
     @cached_property
     def up_masks(self) -> tuple[int, ...]:
-        """up_masks[a] = bitmask of all b with a <= b."""
-        return tuple(map(mask_of, self.tables.up_lists))
+        """up_masks[a] = bitmask of all b with a <= b: where row a of meet
+        holds a."""
+        return _value_masks(self.tables["meet"], self.size)
 
     @cached_property
     def all_mask(self) -> int:
@@ -361,8 +381,11 @@ class LawTables(dict):
     @cached_property
     def up_lists(self) -> tuple[bytes, ...]:
         """up_lists[a] = the b with a <= b, ascending."""
-        ids, meet = self.everything, self["meet"]
-        return tuple(bytes([b for b, m in zip(ids, meet[a]) if m == a]) for a in ids)
+        ids, n = self.everything, len(self.everything)
+        return tuple(
+            bytes(compress(ids, line[:n].translate(eq).translate(_BITS)))
+            for line, eq in zip(self["meet"], _EQUALS)
+        )
 
     @cached_property
     def up_picks(self) -> tuple[Callable[[list], Sequence], ...]:
@@ -689,13 +712,11 @@ def derived_relations(alg: FiniteAlgebra) -> DerivedRelations:
     "below and domain-above implies equal".  Each check names its
     lexicographically first witness.
     """
-    n, zero, leq = alg.size, alg.zero, alg.up_masks
+    n, zero, leq, t = alg.size, alg.zero, alg.up_masks, alg.tables
     # a is domain-below b where restrict[b][a] == a: column a of restrict.
-    domleq = tuple(
-        mask_of(b for b, v in enumerate(col) if v == a) for a, col in enumerate(zip(*alg.restrict))
-    )
-    # under[a]: the b domain-below a, from row a.
-    under = tuple(mask_of(b for b, v in enumerate(row) if v == b) for row in alg.restrict)
+    domleq = _value_masks(t["restrict_cols"], n)
+    # under[a]: the b domain-below a, the fixed points of row a.
+    under = _fixed_masks(t["restrict"], n)
     domeq = tuple(d & u for d, u in zip(domleq, under))
 
     for a in range(n):

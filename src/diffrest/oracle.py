@@ -14,10 +14,12 @@ the closure, once per search, both picks the generators and plans the
 propagation: it takes the elements from the top of the order down and
 opens a level at each one that the earlier levels do not determine,
 with the steps that derive each newly determined element from two
-known ones.  The search assigns one generator at a time and prunes the
-prefix unless both tables over the elements known by then, read
-through the trace, are the operations on the values (one byte
-comparison each).  The plan only compares values, so the points are
+known ones.  Each newly known element's products with the elements
+known before it are gathered as one byte string, whose unknown cells
+one more translate and ``find`` locate.  The search assigns one
+generator at a time and prunes the prefix unless both tables over the
+elements known by then, read through the trace, are the operations on
+the values (one byte comparison each).  The plan only compares values, so the points are
 interchangeable: one trace per equality pattern is searched and its
 relabelings are only counted.  A second search covers the injectivity
 requirements with one column per trace, its least relabeling, since
@@ -185,32 +187,41 @@ def _propagation_plan(alg: FiniteAlgebra) -> tuple[_PlanLevel, ...]:
     and opens a level at each one that the earlier levels have not made
     known.  Each newly known element is combined, both ways and by both
     operations, with itself and each element known before it, so every
-    pair is read once.  Which elements become known depends only on the
-    tables, not on the values chosen, so the plan is built once per search.
+    pair is read once: four ``translate`` calls through its table rows
+    and columns, interleaved into one byte string in that order, and
+    one through the known elements, whose zeros ``find`` visits.  Which
+    elements become known depends only on the tables, not on the values
+    chosen, so the plan is built once per search.
     """
-    n = alg.size
-    tables = (alg.minus, alg.restrict)
-    known: list[int] = []
-    is_known = [False] * n
+    t = alg.tables
+    # Position p of ``cells`` is op(e, x), or op(x, e) if p & 2, for x =
+    # prefix[p >> 2] and op p & 1: the pairs and operations in walk order.
+    lines = t["minus"], t["restrict"], t["minus_cols"], t["restrict_cols"]
+    known, is_known = bytearray(), bytearray(256)
     levels = []
-    for g in sorted(range(n), key=lambda e: (-alg.down_masks[e].bit_count(), e)):
+    for g in sorted(range(alg.size), key=lambda e: (-alg.down_masks[e].bit_count(), e)):
         if is_known[g]:
             continue
-        is_known[g] = True
+        is_known[g] = 1
         known.append(g)
         derive = []
         qi = len(known) - 1
         while qi < len(known):
             e = known[qi]
             qi += 1
-            for x in known[:qi]:
-                for a, b in ((e, x), (x, e)) if x != e else ((e, e),):
-                    for op in (_MINUS, _RESTRICT):
-                        cell = tables[op][a][b]
-                        if not is_known[cell]:
-                            is_known[cell] = True
-                            known.append(cell)
-                            derive.append((cell, op, a, b))
+            prefix, cells = known[:qi], bytearray(4 * qi)
+            for i, line in enumerate(lines):
+                cells[i::4] = prefix.translate(line[e])
+            unknown = cells.translate(is_known)
+            p = unknown.find(0)
+            while p >= 0:
+                # A cell met twice in this pass is known after the first.
+                if not is_known[cell := cells[p]]:
+                    is_known[cell] = 1
+                    known.append(cell)
+                    x = prefix[p >> 2]
+                    derive.append((cell, p & 1, *((x, e) if p & 2 else (e, x))))
+                p = unknown.find(0, p + 1)
         levels.append(_PlanLevel(g, tuple(derive), bytes(known)))
     return tuple(levels)
 

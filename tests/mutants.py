@@ -294,6 +294,42 @@ MUTANTS = (
         "if False:",
         ("tests/test_represent.py::test_completeness_refuses_an_assignment_of_the_wrong_length",),
     ),
+    # The order kernels, the plan walk and the shared bounds.
+    Mutant(
+        "order kernel matches the value a + 1 in line a",
+        "src/diffrest/algebra.py",
+        "for line, eq in zip(lines, _EQUALS))",
+        "for line, eq in zip(lines, _EQUALS[1:]))",
+        ("tests/test_relation_masks.py::test_order_masks_match_the_pairwise_order",),
+    ),
+    Mutant(
+        "fixed-point kernel skips index n - 1",
+        "src/diffrest/algebra.py",
+        'int(d.to_bytes(n, "little").translate(_EQUALS[0])[::-1], 2)',
+        'int(d.to_bytes(n, "little")[:-1].translate(_EQUALS[0])[::-1] or b"0", 2)',
+        ("tests/test_relation_masks.py::test_order_masks_match_the_pairwise_order",),
+    ),
+    Mutant(
+        "plan decode swaps (e, x) and (x, e)",
+        "src/diffrest/oracle.py",
+        "*((x, e) if p & 2 else (e, x))",
+        "*((e, x) if p & 2 else (x, e))",
+        ("tests/test_embedding_search.py::test_plan_levels_match_the_reference_plan",),
+    ),
+    Mutant(
+        "plan decode reads the operation from p & 2",
+        "src/diffrest/oracle.py",
+        "derive.append((cell, p & 1,",
+        "derive.append((cell, p & 2,",
+        ("tests/test_embedding_search.py::test_plan_levels_match_the_reference_plan",),
+    ),
+    Mutant(
+        "shared bounds keyed by the subset alone",
+        "src/diffrest/represent.py",
+        "key = bound, bound_set",
+        "key = bound_set",
+        ("tests/test_completeness_scan.py::test_reports_on_one_algebra_take_each_bound_once",),
+    ),
     Mutant(
         "closure seeds get zeroed domain masks",
         "src/diffrest/pfun.py",

@@ -11,6 +11,12 @@ union of the graphs.  The representations are conftest's: each
 construction and its copies with one pair dropped or added, or with
 one element given another's value over one more state
 (``SCANNED_EDITS``); the subset scan is too slow to read every edit.
+
+The reports on one algebra share its bounds.  Every report of the
+``corpus`` and ``large`` representations, edited copies included, must
+equal the report on a freshly parsed copy of its algebra, and the
+reports on one algebra must take each (bound, subset) pair that their
+definition names exactly once.
 """
 
 import itertools
@@ -20,6 +26,8 @@ from collections import Counter
 
 import pytest
 
+from conftest import outcome
+
 from diffrest import (
     FiniteAlgebra,
     InconsistencyError,
@@ -28,7 +36,10 @@ from diffrest import (
     atomic_theta,
     boolean_as_diffrest,
     completeness_report,
+    parse_algebras,
+    serialize_algebra,
 )
+from diffrest import represent
 from diffrest.algebra import mask_iter
 from diffrest.represent import CompletenessReport, _glb, _lub
 
@@ -254,3 +265,70 @@ def test_an_order_that_is_not_partial_is_an_error(fault):
     with pytest.raises(InconsistencyError) as error:
         completeness_report(rep)
     assert str(error.value) == f"the element order is {fault}"
+
+
+
+
+def fresh(alg):
+    """A freshly parsed copy of ``alg``, whose caches start empty."""
+    (copy,) = parse_algebras(serialize_algebra(alg))
+    return copy
+
+
+def by_source(reps):
+    """The representations of ``reps`` grouped by source algebra, each
+    group moved onto one freshly parsed copy of its source."""
+    groups = {}
+    for _, rep in reps:
+        if id(rep.source) not in groups:
+            groups[id(rep.source)] = fresh(rep.source), []
+        copy, group = groups[id(rep.source)]
+        group.append(rep._replace(source=copy))
+    return [group for _, group in groups.values()]
+
+
+def test_shared_bounds_give_the_reports_of_fresh_copies(representations):
+    # Every report on one algebra shares its bounds: the four
+    # constructions' and their edited copies'.  Each must be the report
+    # on a copy of the algebra whose bounds are not yet taken.
+    for _, rep in representations["corpus"] + representations["large"]:
+        want = outcome(completeness_report, rep._replace(source=fresh(rep.source)))
+        assert outcome(completeness_report, rep) == want
+
+
+def bound_keys(rep):
+    """The (bound, subset) pairs the report on ``rep`` decides, by its
+    definition: per element w and holder set H of a pair, the lub of
+    down(w) - H if w is in H, else the glb of H & up(w) if not empty."""
+    alg, holders = rep.source, {}
+    for a, f in enumerate(rep.assignment):
+        for pair in f.graph:
+            holders[pair] = holders.get(pair, 0) | 1 << a
+    keys = set()
+    for w, held in itertools.product(range(alg.size), set(holders.values())):
+        if held >> w & 1:
+            keys.add(("_lub", alg.down_masks[w] & ~held))
+        elif held & alg.up_masks[w]:
+            keys.add(("_glb", held & alg.up_masks[w]))
+    return keys
+
+
+def test_reports_on_one_algebra_take_each_bound_once(representations, monkeypatch):
+    calls = []
+    for name in ("_glb", "_lub"):
+        bound = getattr(represent, name)
+        counted = lambda alg, subset, name=name, bound=bound: (
+            calls.append((name, subset)) or bound(alg, subset)
+        )
+        monkeypatch.setattr(represent, name, counted)
+    both = 0
+    for group in by_source(representations["corpus"] + representations["large"]):
+        calls.clear()
+        reps = [rep for rep in group if len(rep.assignment) == rep.source.size]
+        for rep in reps:
+            completeness_report(rep)
+        assert sorted(calls) == sorted(set().union(*map(bound_keys, reps)))
+        # A subset taken both as a glb and as a lub: a key without the
+        # bound would give one of them the other's result.
+        both += len({subset for _, subset in calls}) < len(calls)
+    assert both

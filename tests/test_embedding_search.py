@@ -18,8 +18,11 @@ enumerates every combination of generator values and only then
 propagates it through the tables.  ``reference_separation_masks`` is
 the pair walk that the row-shift masks replaced.
 ``reference_generating_set`` is the greedy choice before its closure
-went semi-naive, kept verbatim: each round re-combines every pair of the
-closed set; it must choose the identical generators.
+went semi-naive, kept verbatim but for reading down-set sizes pair by
+pair from ``FiniteAlgebra.leq``, not from the order masks: each round
+re-combines every pair of the closed set; it must choose the identical
+generators, and the plan walk the reference plan's levels, on the
+perturbed small, corpus and ``large`` copies too.
 ``reference_expansion`` and ``reference_cover_search`` are the cover
 search before it went lazy, kept verbatim: every relabeling of every
 canonical trace is listed, sorted and walked by index.  Over the least
@@ -385,9 +388,10 @@ def reference_generating_set(alg: FiniteAlgebra) -> tuple[int, ...]:
                 return mask
             mask = new
 
+    # Down-set sizes from the pairwise order, not the order masks.
     order = sorted(
         range(alg.size),
-        key=lambda e: (-alg.down_masks[e].bit_count(), e),
+        key=lambda e: (-sum(alg.leq(b, e) for b in range(alg.size)), e),
     )
     chosen: list[int] = []
     closed = 0
@@ -554,19 +558,26 @@ def seed1_relabelings(large_concrete):
 
 
 def test_generating_set_matches_the_all_pairs_closure(
-    small, corpus, large_concrete, seed1_relabelings
+    small, corpus, large_concrete, seed1_relabelings, perturbed_small, perturbed_corpus, request
 ):
     # Not the ``large`` fixture: it relabels until ``generating_set`` has
-    # 5 elements, which a broken closure may never reach.
-    for alg in [*small, *corpus, large_concrete[0].abstract, *seed1_relabelings]:
+    # 5 elements, which a broken closure may never reach.  So
+    # ``perturbed_large``, which draws from it, is set up last.
+    perturbed = [*perturbed_small, *perturbed_corpus]
+    for alg in [*small, *corpus, large_concrete[0].abstract, *seed1_relabelings, *perturbed]:
+        assert generating_set(alg) == reference_generating_set(alg)
+    for alg in request.getfixturevalue("perturbed_large"):
         assert generating_set(alg) == reference_generating_set(alg)
 
 
-def test_plan_levels_match_the_reference_plan(small, corpus, large, seed1_relabelings):
+def test_plan_levels_match_the_reference_plan(
+    small, corpus, large, seed1_relabelings, perturbed_small, perturbed_corpus, perturbed_large
+):
     # The walk that picks the generators emits the levels the reference
     # plan gives for them.  The reference lists no known elements: a
     # level makes its generator known, then each derived cell in order.
-    for alg in [*small, *corpus, *large, *seed1_relabelings[1:]]:
+    perturbed = [*perturbed_small, *perturbed_corpus, *perturbed_large]
+    for alg in [*small, *corpus, *large, *seed1_relabelings[1:], *perturbed]:
         got = oracle._propagation_plan(alg)
         want = reference_propagation_plan(alg, generating_set(alg))
         assert len(got) == len(want)

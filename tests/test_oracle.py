@@ -7,6 +7,7 @@ import pytest
 from diffrest import (
     BudgetExceededError,
     FiniteAlgebra,
+    InconsistencyError,
     SearchBudget,
     brute_force_embedding,
     check_axioms,
@@ -16,6 +17,8 @@ from diffrest import (
     verify_representation,
     Representation,
 )
+from diffrest import oracle
+from diffrest.represent import VerificationFailure, VerificationReport
 from lemmas import enumerate_pfuns, reference_canonical_form
 
 
@@ -57,6 +60,17 @@ def test_embedding_found_for_f2(f2):
         f2.abstract, "external", tuple(range(1, 3)), result.assignment
     )
     assert verify_representation(rep).passed
+
+
+def test_an_assignment_that_fails_verification_is_an_error(f2, monkeypatch):
+    # The search only returns assignments the tables admit, so a failing
+    # verifier stands in for a faulty search.
+    failure = VerificationFailure("minus-preserved", (0, 1))
+    report = VerificationReport(False, (failure,))
+    monkeypatch.setattr(oracle, "verify_representation", lambda rep: report)
+    with pytest.raises(InconsistencyError) as error:
+        brute_force_embedding(f2.abstract, SearchBudget(max_base_size=2))
+    assert str(error.value) == f"search produced an assignment that fails verification: {failure}"
 
 
 def test_embedding_none_for_relational_tables(n1):
