@@ -68,7 +68,6 @@ from .pfun import (
 )
 from .represent import (
     CompletenessReport,
-    NotAtomicError,
     Representation,
     VerificationReport,
     atomic_eta,
@@ -77,7 +76,6 @@ from .represent import (
     canonical_theta,
     completeness_report,
     injective_eta,
-    is_atomic,
     verify_representation,
 )
 

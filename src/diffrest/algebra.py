@@ -704,6 +704,7 @@ class DerivedRelations(NamedTuple):
     domeq: tuple[int, ...]
 
 
+@per_algebra
 def derived_relations(alg: FiniteAlgebra) -> DerivedRelations:
     """Compute the element order, the domain preorder, and its equivalence.
 
@@ -740,6 +741,20 @@ def derived_relations(alg: FiniteAlgebra) -> DerivedRelations:
                 )
             raise InconsistencyError(f"({a}, {b}) are below/domain-above yet distinct")
     return DerivedRelations(leq, domleq, domeq)
+
+
+@per_algebra
+def _domain_classes(alg: FiniteAlgebra) -> tuple[int, ...]:
+    """The class of each element under domain equality, the classes
+    numbered in the order of their least members: the one numbering that
+    ``domain_quotient``, ``enumerate_filters`` and the constructions share."""
+    domeq, class_of, count = derived_relations(alg).domeq, [-1] * alg.size, 0
+    for a in range(alg.size):
+        if class_of[a] == -1:
+            for b in mask_iter(domeq[a]):
+                class_of[b] = count
+            count += 1
+    return tuple(class_of)
 
 
 # ---------------------------------------------------------------------------
@@ -785,20 +800,9 @@ def domain_quotient(alg: FiniteAlgebra) -> DomainQuotient:
     satisfies the complement-only laws, and that inside every downset the
     element order and the domain preorder agree.
     """
-    n = alg.size
-    rels = derived_relations(alg)
-    class_of_list: list[int] = [-1] * n
-    reps: list[int] = []
-    for a in range(n):
-        if class_of_list[a] != -1:
-            continue
-        cid = len(reps)
-        reps.append(a)
-        for b in mask_iter(rels.domeq[a]):
-            class_of_list[b] = cid
-    class_of = tuple(class_of_list)
-    class_rep = tuple(reps)
-    k = len(reps)
+    n, rels, class_of = alg.size, derived_relations(alg), _domain_classes(alg)
+    class_rep = tuple(class_of.index(c) for c in range(max(class_of) + 1))
+    k = len(class_rep)
 
     # Class tables as rows of bytes: meet[i][j] is the class of
     # rep_i |> rep_j, qminus[i][j] that of rep_i - (rep_j |> rep_i).
@@ -881,21 +885,23 @@ class BooleanDownset(NamedTuple):
 
 def _boolean_certificate(
     meet: Sequence[Sequence[int]], comp: Sequence[int], top: int, bottom: int,
-    members: Sequence[int],
+    members: Sequence[int], downs: Sequence[int],
 ) -> bool:
     """Whether the atom map certifies ``members`` Boolean, in O(k^2).
 
-    phi(b) is the mask of the atoms below b, an atom being a member other
-    than ``bottom`` with nothing but itself and ``bottom`` below it (c <= b
-    iff ``meet[c][b] == c``).  phi must be injective, send ``bottom`` and
-    ``top`` to 0 and full, and send ``comp`` and ``meet``, which must stay
-    in ``members``, to complement and intersection.  Then phi embeds
-    ``members`` in the powerset of the atoms, the De Morgan join going to
-    union, so every closure and identity of the battery in
-    ``_boolean_law_failure`` holds.  Conversely, if the battery passes,
-    phi is the Stone isomorphism of a finite Boolean algebra.
+    ``downs[i]`` is the mask of the members c <= ``members[i]`` (those
+    with ``meet[c][members[i]] == c``).  phi(b) is the mask of the atoms
+    below b, an atom being a member other than ``bottom`` with nothing
+    but itself and ``bottom`` below it.  phi must be injective, send
+    ``bottom`` and ``top`` to 0 and full, and send ``comp`` and ``meet``,
+    which must stay in ``members``, to complement and intersection.
+    Then phi embeds ``members`` in the powerset of the atoms, the De
+    Morgan join going to union, so every closure and identity of the
+    battery in ``_boolean_law_failure`` holds.  Conversely, if the
+    battery passes, phi is the Stone isomorphism of a finite Boolean
+    algebra.
     """
-    down = {b: mask_of(c for c in members if meet[c][b] == c) for b in members}
+    down = dict(zip(members, downs))
     atoms = [b for b in members if b != bottom and down[b] == 1 << b | 1 << bottom]
     phi = {b: mask_of(i for i, x in enumerate(atoms) if down[b] >> x & 1) for b in members}
     full = (1 << len(atoms)) - 1
@@ -911,14 +917,15 @@ def _boolean_certificate(
 
 def _boolean_law_failure(
     meet: Sequence[Sequence[int]], comp: Sequence[int], top: int, bottom: int,
-    members: Sequence[int],
+    members: Sequence[int], downs: Sequence[int],
 ) -> tuple[str, tuple[int, ...]] | None:
     """The first Boolean law, with its witness, that ``members`` (the
-    downset of ``top``) breaks under a full ``meet`` table and the
-    complements ``comp[b]``, joins being their De Morgan duals; None if
-    the downset is a Boolean algebra.  The battery runs only when
-    ``_boolean_certificate`` fails, to name the law."""
-    if _boolean_certificate(meet, comp, top, bottom, members):
+    downset of ``top``, with the down-sets ``downs`` inside it) breaks
+    under a full ``meet`` table and the complements ``comp[b]``, joins
+    being their De Morgan duals; None if the downset is a Boolean
+    algebra.  The battery runs only when ``_boolean_certificate`` fails,
+    to name the law."""
+    if _boolean_certificate(meet, comp, top, bottom, members, downs):
         return None
     member_set = set(members)
 
@@ -973,8 +980,10 @@ def boolean_downset(alg: FiniteAlgebra, a: int) -> BooleanDownset:
     """Carve out the downset of ``a`` and certify it is a Boolean algebra."""
     if type(a) is not int or not 0 <= a < alg.size:
         raise TableError(f"no element {a!r}")
-    members = tuple(mask_iter(alg.down_masks[a]))
-    failure = _boolean_law_failure(alg.tables["meet"], alg.minus[a], a, alg.zero, members)
+    below = alg.down_masks[a]
+    members = tuple(mask_iter(below))
+    downs = [alg.down_masks[b] & below for b in members]
+    failure = _boolean_law_failure(alg.tables["meet"], alg.minus[a], a, alg.zero, members, downs)
     if failure is not None:
         law, witness = failure
         raise BooleanLawError(

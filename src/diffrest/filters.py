@@ -3,15 +3,16 @@
 A filter is a nonempty, upward-closed, meet-closed subset of the
 elements.  In a finite meet-semilattice every filter contains the meet
 of its members and hence is the principal upset of that meet, so there
-are exactly as many filters as elements; enumeration builds filter i
-as the up-set of element i, and the tests cross-check exhaustiveness
-against a subset scan.
+are exactly as many filters as elements: filter i is the up-set of
+element i, and the tests cross-check exhaustiveness against a subset
+scan.
 
-The domain preorder lifts to filters: F sits below G when restricting
-the members of F by the members of G never leaves F: the up-set of every
-g |> f (g in G, f in F) lies in F.  So one mask per F, of the g that pass
-for every f, decides every G.  Filters, the rows of this preorder and
-the ultrafilters of a downset are all bitmasks.
+On an algebra that passes the axioms the rest is read off the order.
+The maximal filters are the up-sets of the atoms.  F sits below G in
+the lifted domain preorder when restricting the members of F by those
+of G never leaves F; on principal filters that is the domain preorder
+of their generators, so its classes are the domain classes.  Filters,
+preorder rows and ultrafilters are all bitmasks.
 """
 
 from __future__ import annotations
@@ -19,13 +20,16 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .algebra import (
+    AxiomFailure,
     FiniteAlgebra,
     InconsistencyError,
     TableError,
     _checked_make,
+    _domain_classes,
     boolean_downset,
+    check_axioms,
+    derived_relations,
     mask_iter,
-    mask_of,
     per_algebra,
 )
 
@@ -90,25 +94,15 @@ def principal_filter(alg: FiniteAlgebra, a: int) -> Filter:
     return Filter(alg, alg.up_masks[a])
 
 
-def _inside(alg: FiniteAlgebra, mask: int) -> int:
-    """The elements whose whole up-set lies in ``mask``."""
-    return mask_of(x for x, up in enumerate(alg.up_masks) if not up & ~mask)
-
-
-def _stable(alg: FiniteAlgebra, members: int) -> int:
-    """The g such that the up-set of each g |> f, f in ``members``, lies in ``members``."""
-    inside, ids = bytes(mask_iter(_inside(alg, members))), bytes(mask_iter(members))
-    rows = enumerate(alg.tables["restrict"])
-    return mask_of(g for g, row in rows if not ids.translate(row).translate(None, inside))
-
-
 class FilterFamily(NamedTuple):
     """All filters of an algebra with the lifted preorder precomputed.
 
     Filter i is the principal filter of element i, so ``all_filters[i]``
-    has the members ``parent.up_masks[i]``.  ``domhat[i]`` is the mask of
-    the j such that filter i is below filter j; ``approx_class`` assigns
-    each filter its equivalence class id, numbered by least filter index.
+    has the members ``parent.up_masks[i]``.  ``maximal`` holds the
+    filters of the atoms, in id order.  ``domhat[i]`` is the mask of the
+    j such that filter i is below filter j, the domain preorder's row i;
+    ``approx_class`` assigns each filter the domain class of its
+    generator, the classes numbered by least member.
     """
 
     parent: FiniteAlgebra
@@ -128,34 +122,19 @@ class FilterFamily(NamedTuple):
 
 @per_algebra
 def enumerate_filters(alg: FiniteAlgebra) -> FilterFamily:
-    """Enumerate every filter, the lifted preorder, and its classes."""
-    n = alg.size
-    filters = tuple(principal_filter(alg, a) for a in range(n))
-    if len(set(alg.up_masks)) != n:
-        raise InconsistencyError("principal upsets are not distinct")
+    """Enumerate every filter, the lifted preorder, and its classes.
 
-    # below[i] is the mask of the j with filter i below filter j.
-    below = tuple(_inside(alg, _stable(alg, f.members)) for f in filters)
-    # The lifted preorder must contain reverse inclusion.
-    for i, up in enumerate(alg.up_masks):
-        if missing := _inside(alg, up) & ~below[i]:
-            raise InconsistencyError(
-                f"lifted preorder misses inclusion at ({i}, {next(mask_iter(missing))})"
-            )
-
-    approx = [-1] * n
-    next_class = 0
-    for i in range(n):
-        if approx[i] != -1:
-            continue
-        approx[i] = next_class
-        for j in range(i + 1, n):
-            if below[i] >> j & below[j] >> i & 1:
-                approx[j] = next_class
-        next_class += 1
-
-    maximal = tuple(f for f in filters if f.proper and is_maximal(f))
-    return FilterFamily(alg, filters, maximal, below, tuple(approx))
+    Raises ``AxiomFailure`` unless ``alg`` passes the axioms.  On an
+    algebra that does, the maximal filters are the up-sets of the atoms
+    and the lifted preorder is the domain preorder, so the family is read
+    off the element order, the domain preorder and its classes.
+    """
+    report = check_axioms(alg)
+    if not report.passed:
+        raise AxiomFailure(report)
+    filters = tuple(principal_filter(alg, a) for a in range(alg.size))
+    maximal = tuple(filters[x] for x in alg.order_atoms())
+    return FilterFamily(alg, filters, maximal, derived_relations(alg).domleq, _domain_classes(alg))
 
 
 def is_maximal(f: Filter) -> bool:
@@ -192,13 +171,14 @@ def ultrafilter_bijection(
 
     Forward: intersect with the downset.  Backward: upward closure.
     Ultrafilters are masks.  Both composites are checked to be
-    identities.  For ``a`` equal to bottom both maps are empty.
+    identities.  For ``a`` equal to bottom both maps are empty.  Raises
+    ``AxiomFailure`` unless ``alg`` passes the axioms.
     """
+    maximal = maximal_filters(alg)
     if a == alg.zero:
         return {}, {}
     downset = boolean_downset(alg, a)
     ufs = set(downset.ultrafilters())
-    maximal = maximal_filters(alg)
 
     forward: dict[Filter, int] = {}
     for mu in (f for f in maximal if f.members >> a & 1):
@@ -215,7 +195,7 @@ def ultrafilter_bijection(
         up = alg.up_closure(nu)
         # Reuse the family's filter, already checked upward and meet closed.
         mu = family.all_filters[alg.up_masks.index(up)] if up in alg.up_masks else Filter(alg, up)
-        # The family's maximal filters passed ``is_maximal`` when it was built.
+        # ``maximal_filters`` checked the family's maximal filters against the poset.
         if mu not in maximal and not is_maximal(mu):
             raise InconsistencyError("upward closure of an ultrafilter is not maximal")
         backward[nu] = mu

@@ -2,7 +2,11 @@
 
 Four constructions are provided: the canonical one over maximal
 filters, its injective refinement over equivalence classes of maximal
-filters, and the two atom-based complete versions.  A verifier checks
+filters, and the two atom-based complete versions.  On a finite algebra
+that passes the axioms the maximal filters are the up-sets of the atoms
+and their classes are the atoms' domain classes, so all four are built
+from the atoms; the filter kinds label each atom with its filter's
+members and list the atoms in the order of those labels.  A verifier checks
 any representation-shaped object independently, with the product walk
 of ``ConcreteAlgebra``, and a completeness report decides exactly, in
 polynomial time, whether existing meets and joins are turned into
@@ -16,22 +20,16 @@ from functools import partial
 from typing import NamedTuple
 
 from .algebra import (
-    AlgebraError,
     AxiomFailure,
     FiniteAlgebra,
     InconsistencyError,
+    _domain_classes,
     check_axioms,
-    domain_quotient,
     mask_iter,
-    mask_of,
     per_algebra,
 )
-from .filters import Filter, enumerate_filters
+from .filters import Filter
 from .pfun import PartialFunction, _broken_products, _pair_masks
-
-
-class NotAtomicError(AlgebraError):
-    """The atom-based constructions require an atomic algebra."""
 
 
 class Representation(NamedTuple):
@@ -131,47 +129,37 @@ def atoms(alg: FiniteAlgebra) -> tuple[int, ...]:
     return ats
 
 
-def is_atomic(alg: FiniteAlgebra) -> bool:
-    """Every nonzero element bounds an atom (always true at finite sizes)."""
-    atom_mask = mask_of(alg.order_atoms())
-    return all(
-        alg.down_masks[e] & atom_mask
-        for e in range(alg.size)
-        if e != alg.zero
-    )
-
-
 # ---------------------------------------------------------------------------
 # The representation constructions
 # ---------------------------------------------------------------------------
 
 
-def _maximal_filter_states(alg: FiniteAlgebra):
-    family = enumerate_filters(alg)
-    mf = sorted(family.maximal, key=lambda f: f.sort_key())
-    classes = tuple(family.approx_class[family.index_of(f)] for f in mf)
-    return "filter", tuple(f.sort_key() for f in mf), tuple(f.members for f in mf), classes
+@per_algebra
+def _atom_states(alg: FiniteAlgebra, tag: str):
+    """The states of the constructions tagged ``tag`` ("filter" or
+    "atom"): labels, the masks of the elements above each state's atom,
+    and class ids.  A filter state is an atom's up-set, its maximal
+    filter, labelled and sorted by its member tuple."""
+    ats, up, classes = atoms(alg), alg.up_masks, _domain_classes(alg)
+    if tag == "filter":
+        ats = sorted(ats, key=lambda x: tuple(mask_iter(up[x])))
+        labels = tuple(tuple(mask_iter(up[x])) for x in ats)
+    else:
+        labels = ats
+    return labels, tuple(up[x] for x in ats), tuple(classes[x] for x in ats)
 
 
-def _atom_states(alg: FiniteAlgebra):
-    if not is_atomic(alg):
-        raise NotAtomicError("the atom-based construction needs an atomic algebra")
-    ats = atoms(alg)
-    quot = domain_quotient(alg)
-    return "atom", ats, tuple(alg.up_masks[x] for x in ats), tuple(quot.class_of[x] for x in ats)
-
-
-def _build(alg: FiniteAlgebra, kind: str, provider, injective: bool) -> Representation:
-    """Gate on the axioms, then build over the states ``provider(alg)``
-    gives as (tag, labels, masks of the elements containing each state,
-    class ids).  An element acts on equivalent states, sending each to
-    the states containing it; the injective kind sends a tag per class
-    instead.
+def _build(alg: FiniteAlgebra, kind: str, tag: str, injective: bool) -> Representation:
+    """Gate on the axioms, then build over the states that
+    ``_atom_states`` gives for ``tag``.  An element acts on equivalent
+    states, sending each to the states containing it; the injective kind
+    sends a tag per class instead, and its states are ``("class", c)``
+    and ``(tag, label)``.
     """
     report = check_axioms(alg)
     if not report.passed:
         raise AxiomFailure(report)
-    tag, labels, masks, cls = provider(alg)
+    labels, masks, cls = _atom_states(alg, tag)
     k = len(labels)
     # Functionality certificate: equivalent states sharing any element
     # coincide.
@@ -209,22 +197,22 @@ def _build(alg: FiniteAlgebra, kind: str, provider, injective: bool) -> Represen
 def canonical_theta(alg: FiniteAlgebra) -> Representation:
     """States are maximal filters; an element acts on equivalent filters
     containing it."""
-    return _build(alg, "canonical-theta", _maximal_filter_states, injective=False)
+    return _build(alg, "canonical-theta", "filter", injective=False)
 
 
 def injective_eta(alg: FiniteAlgebra) -> Representation:
     """States are class tags plus maximal filters; values are injective."""
-    return _build(alg, "injective-eta", _maximal_filter_states, injective=True)
+    return _build(alg, "injective-eta", "filter", injective=True)
 
 
 def atomic_theta(alg: FiniteAlgebra) -> Representation:
     """States are atoms; an element acts on equivalent-domain atoms below it."""
-    return _build(alg, "atomic-theta", _atom_states, injective=False)
+    return _build(alg, "atomic-theta", "atom", injective=False)
 
 
 def atomic_eta(alg: FiniteAlgebra) -> Representation:
     """States are atom classes plus atoms; values are injective."""
-    return _build(alg, "atomic-eta", _atom_states, injective=True)
+    return _build(alg, "atomic-eta", "atom", injective=True)
 
 
 # ---------------------------------------------------------------------------

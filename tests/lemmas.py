@@ -2,12 +2,12 @@
 
 Nothing in the library calls these: they check side results of the
 paper (the filter lemmas, the quotient, homomorphisms restricted to
-downsets, subtraction rebuilt from Boolean downsets, atomisticity),
-re-evaluate single law instances, scan the complement-only laws on a
-bare minus table, relabel tables, label minus tables and algebras by
-brute force, collect the minus tables the model enumerator completes,
-enumerate partial functions, and close arbitrary relations, which is
-how the non-functional fixture N1 gets its tables.
+downsets, subtraction rebuilt from Boolean downsets, atomicity and
+atomisticity), re-evaluate single law instances, scan the
+complement-only laws on a bare minus table, relabel tables, label minus
+tables and algebras by brute force, collect the minus tables the model
+enumerator completes, enumerate partial functions, and close arbitrary
+relations, which is how the non-functional fixture N1 gets its tables.
 """
 
 from __future__ import annotations
@@ -237,7 +237,8 @@ def subtraction_from_boolean_downsets(sl: ComplementedSemilattice) -> Table:
     bottom = next(z for z in range(n) if all(mt[z][a] == z for a in range(n)))
     for a in range(n):
         members = [b for b in range(n) if mt[b][a] == b]
-        failure = _boolean_law_failure(mt, sl.complement[a], a, bottom, members)
+        downs = [mask_of(c for c in members if mt[c][b] == c) for b in members]
+        failure = _boolean_law_failure(mt, sl.complement[a], a, bottom, members, downs)
         if failure is not None:
             law, witness = failure
             raise BooleanLawError(
@@ -373,7 +374,7 @@ def filter_up_check(mu: Filter, f: Filter) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Order bounds: atomisticity and homomorphisms restricted to downsets
+# Order bounds: atomicity, atomisticity and homomorphisms restricted to downsets
 # ---------------------------------------------------------------------------
 
 
@@ -385,6 +386,12 @@ def _bound_within(cones: Sequence[int], subset_mask: int, within: int) -> int | 
     for s in mask_iter(subset_mask):
         common &= cones[s]
     return next((g for g in mask_iter(common) if not common & ~cones[g]), None)
+
+
+def is_atomic(alg: FiniteAlgebra) -> bool:
+    """Every nonzero element bounds an atom (always true at finite sizes)."""
+    atom_mask = mask_of(alg.order_atoms())
+    return all(alg.down_masks[e] & atom_mask for e in range(alg.size) if e != alg.zero)
 
 
 def is_atomistic(alg: FiniteAlgebra) -> bool:

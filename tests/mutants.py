@@ -47,6 +47,7 @@ MASKS_CORPUS = "tests/test_pair_masks.py::test_mask_paths_match_the_set_paths_on
 MASKS_FIXTURES = (
     "tests/test_pair_masks.py::test_mask_paths_match_the_set_paths_on_fixtures_and_small_models"
 )
+LIFTED_PREORDER = "tests/test_certificates.py::test_lifted_preorder_matches_the_pair_walk"
 
 MUTANTS = (
     Mutant(
@@ -329,6 +330,38 @@ MUTANTS = (
         "key = bound, bound_set",
         "key = bound_set",
         ("tests/test_completeness_scan.py::test_reports_on_one_algebra_take_each_bound_once",),
+    ),
+    # The filter family read off the order, and the one state provider.
+    Mutant(
+        "maximal filters taken from every nonzero element",
+        "src/diffrest/filters.py",
+        "maximal = tuple(filters[x] for x in alg.order_atoms())",
+        "maximal = tuple(f for f in filters if f.proper)",
+        ("tests/test_filters.py::test_f2_filters",),
+    ),
+    Mutant(
+        "domain classes numbered by least member id",
+        "src/diffrest/algebra.py",
+        "class_of[b] = count",
+        "class_of[b] = a",
+        (LIFTED_PREORDER,),
+    ),
+    Mutant(
+        "enumerate_filters without its axiom gate",
+        "src/diffrest/filters.py",
+        """    report = check_axioms(alg)
+    if not report.passed:
+        raise AxiomFailure(report)
+    filters = tuple(""",
+        "    filters = tuple(",
+        (LIFTED_PREORDER,),
+    ),
+    Mutant(
+        "filter states left in atom-id order",
+        "src/diffrest/represent.py",
+        "        ats = sorted(ats, key=lambda x: tuple(mask_iter(up[x])))\n",
+        "",
+        ("tests/test_represent.py::test_filter_kinds_match_the_reference_maximal_filters",),
     ),
     Mutant(
         "closure seeds get zeroed domain masks",

@@ -1,20 +1,24 @@
-"""The Boolean-downset certificate and the mask-based lifted preorder
-against the paths they replaced.
+"""The Boolean-downset certificate and the filter family against the
+paths they replaced.
 
 The battery of ``_boolean_law_failure``, run with the certificate
 switched off, is the reference for ``_boolean_certificate``: on every
 downset below the certificate holds exactly when the battery finds no
-broken law.  ``reference_family`` is the pair-walk ``enumerate_filters``
-as it was before the lifted preorder moved to masks, kept verbatim with
-its pairwise ``domhat_pair``, now in the lemma module; the family and
-its errors must agree with it everywhere below.
+broken law.  Both get each member's down-set within the downset read
+pair by pair from the meet table.  ``reference_family`` is the
+pair-walk ``enumerate_filters`` as it was before the family was read
+off the order, kept verbatim with its pairwise ``domhat_pair``, now in
+the lemma module.  The family must equal it wherever the axioms hold,
+and ``enumerate_filters`` must refuse with ``AxiomFailure`` wherever
+they fail; the reference still runs on every algebra below.
 """
 
 import pytest
 
-from conftest import edited, outcome
+from conftest import edited, law_models, outcome
 
 from diffrest import (
+    AxiomFailure,
     BooleanLawError,
     FiniteAlgebra,
     Filter,
@@ -22,6 +26,7 @@ from diffrest import (
     InconsistencyError,
     boolean_as_diffrest,
     boolean_downset,
+    check_axioms,
     enumerate_filters,
     is_maximal,
     principal_filter,
@@ -35,12 +40,17 @@ from lemmas import domhat_pair as reference_domhat_pair
 # ---------------------------------------------------------------------------
 
 
-def battery(meet, comp, top, bottom, members):
+def pairwise_downs(meet, members) -> list[int]:
+    """Per member b, the mask of the members c with ``meet[c][b] == c``."""
+    return [mask_of(c for c in members if meet[c][b] == c) for b in members]
+
+
+def battery(meet, comp, top, bottom, members, downs):
     """``_boolean_law_failure`` with the certificate switched off."""
     certificate = algebra._boolean_certificate
     algebra._boolean_certificate = lambda *args: False
     try:
-        return algebra._boolean_law_failure(meet, comp, top, bottom, members)
+        return algebra._boolean_law_failure(meet, comp, top, bottom, members, downs)
     finally:
         algebra._boolean_certificate = certificate
 
@@ -108,8 +118,9 @@ def downset_verdicts(alg: FiniteAlgebra) -> list[bool]:
     the certificate's verdicts."""
     verdicts = []
     for a in range(alg.size):
-        members = tuple(mask_iter(alg.down_masks[a]))
-        args = (alg.tables["meet"], alg.minus[a], a, alg.zero, members)
+        members = tuple(b for b in range(alg.size) if alg.leq(b, a))
+        meet = alg.tables["meet"]
+        args = (meet, alg.minus[a], a, alg.zero, members, pairwise_downs(meet, members))
         holds = _boolean_certificate(*args)
         failure = battery(*args)
         assert holds == (failure is None), (a, failure)
@@ -136,14 +147,18 @@ def checked_filter(alg: FiniteAlgebra, members: frozenset[int]) -> Filter | None
 
 
 def assert_same_family(alg: FiniteAlgebra) -> bool:
-    """The family or error equals the reference's, and each principal
-    filter is checked like the reference; returns whether the family
-    was built."""
-    expected = outcome(reference_family, alg)
+    """The family equals the reference's where the axioms hold, and is
+    refused with ``AxiomFailure`` where they fail; each principal filter
+    is checked like the reference.  Returns whether the family was built."""
+    report, expected = check_axioms(alg), outcome(reference_family, alg)
+    if report.passed:
+        assert isinstance(expected, FilterFamily), expected
+    else:
+        expected = f"AxiomFailure: {AxiomFailure(report)}"
     assert outcome(enumerate_filters, alg) == expected
     for up in alg.up_masks:
         checked_filter(alg, frozenset(mask_iter(up)))
-    return isinstance(expected, FilterFamily)
+    return report.passed
 
 
 def test_certificate_matches_the_battery_on_law_models(small, corpus, large):
@@ -160,18 +175,20 @@ def test_certificate_matches_the_battery_on_perturbed_powersets(perturbed_powers
 
 def test_certificate_needs_bottom_among_the_members():
     # A one-member "downset" without bottom: every other check passes.
-    args = (((0, 0), (0, 1)), (0, 1), 1, 0, (1,))
+    meet = ((0, 0), (0, 1))
+    args = (meet, (0, 1), 1, 0, (1,), pairwise_downs(meet, (1,)))
     assert not _boolean_certificate(*args)
     assert battery(*args) == ("bottom-member", (1,))
 
 
-def test_lifted_preorder_matches_the_pair_walk(small, corpus, large):
-    assert all(assert_same_family(alg) for alg in small + corpus + large)
+def test_lifted_preorder_matches_the_pair_walk(small, n1, corpus, large):
+    algebras = small + corpus + large + law_models(6)
+    assert [assert_same_family(alg) for alg in algebras] == [alg is not n1[0] for alg in algebras]
 
 
 def test_lifted_preorder_matches_the_pair_walk_on_perturbed_restrict_tables(perturbed_restrict):
     built = [assert_same_family(alg) for alg in perturbed_restrict]
-    assert built.count(True) > 50 and built.count(False) > 50
+    assert (len(built), built.count(True)) == (190, 12)
 
 
 # ---------------------------------------------------------------------------

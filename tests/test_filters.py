@@ -7,11 +7,13 @@ import pytest
 from conftest import F, G, H, K, M
 
 from diffrest import (
+    AxiomFailure,
     Filter,
     FiniteAlgebra,
     InconsistencyError,
     TableError,
     boolean_as_diffrest,
+    check_axioms,
     domain_quotient,
     enumerate_filters,
     is_maximal,
@@ -174,6 +176,17 @@ def test_ultrafilter_bijection_f2(f2):
 
 def test_ultrafilter_bijection_at_bottom(f2):
     assert ultrafilter_bijection(f2.abstract, f2.abstract.zero) == ({}, {})
+
+
+def test_filter_family_refuses_tables_that_fail_the_axioms(n1):
+    alg, _ = n1
+    message = str(AxiomFailure(check_axioms(alg)))
+    calls = [(enumerate_filters, alg), (maximal_filters, alg)]
+    calls += [(ultrafilter_bijection, alg, a) for a in range(alg.size)]
+    for fn, *args in calls:
+        with pytest.raises(AxiomFailure) as caught:
+            fn(*args)
+        assert str(caught.value) == message
 
 
 def test_ultrafilter_bijection_at_atom(f4):

@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from conftest import F, G, H, K, M, edited
+from conftest import F, G, H, K, M, edited, law_models
 
 from diffrest import (
     AxiomFailure,
@@ -20,16 +20,18 @@ from diffrest import (
     boolean_downset,
     canonical_theta,
     completeness_report,
+    check_axioms,
     injective_eta,
-    is_atomic,
     is_injective_pf,
     principal_filter,
     verify_representation,
 )
+from diffrest import represent
 from diffrest.algebra import mask_of
 from diffrest.represent import _build
 import lemmas
-from lemmas import NonHomomorphismError, is_atomistic, verify_hom_restriction
+from lemmas import NonHomomorphismError, is_atomic, is_atomistic, verify_hom_restriction
+from test_certificates import reference_family
 
 
 def test_canonical_theta_f4(f4):
@@ -149,6 +151,31 @@ def test_atomic_theta_agrees_with_canonical_theta(f0, f1, f2, f3, f4, corpus200)
         for a in range(alg.size):
             mapped = {(to_filter[i], to_filter[j]) for i, j in atomic.assignment[a].graph}
             assert mapped == canonical.assignment[a].graph
+
+
+def test_filter_kinds_match_the_reference_maximal_filters(
+    small, n1, corpus, large, perturbed_restrict
+):
+    # The atom states against the pair-walk family's maximal filters,
+    # sorted by members, and the classes of their generators.
+    algebras = [alg for alg in small if alg is not n1[0]] + corpus + large + law_models(6)
+    algebras += [alg for alg in perturbed_restrict if check_axioms(alg).passed]
+    assert len(algebras) == 20 + 200 + 2 + 14 + 12
+    for alg in algebras:
+        family = reference_family(alg)
+        maximal = sorted(family.maximal, key=lambda f: f.sort_key())
+        states = tuple(f.sort_key() for f in maximal)
+        cls = [family.approx_class[family.index_of(f)] for f in maximal]
+        theta, eta = canonical_theta(alg), injective_eta(alg)
+        class_ids = sorted(set(cls))
+        assert theta.states == states
+        assert eta.states == (*(("class", c) for c in class_ids), *(("filter", s) for s in states))
+        for a in range(alg.size):
+            holds = [j for j, f in enumerate(maximal) if f.members >> a & 1]
+            pairs = {(i, j) for j in holds for i in range(len(states)) if cls[i] == cls[j]}
+            assert theta.assignment[a].graph == pairs
+            tags = {(class_ids.index(cls[j]), len(class_ids) + j) for j in holds}
+            assert eta.assignment[a].graph == tags
 
 
 def test_atomic_eta_is_injective(f2, f3, f4):
@@ -291,11 +318,12 @@ def test_verify_hom_restriction_is_false_when_an_image_leaves_the_target_downset
     assert verify_hom_restriction(source, target, list(range(source.size)), H) is False
 
 
-def test_functionality_certificate_names_the_two_filters(f2):
+def test_functionality_certificate_names_the_two_filters(f2, monkeypatch):
     # Two distinct maximal filters that share H, given as one class.
     alg = f2.abstract
     states = ((K, H), (M, H))
-    provider = lambda alg: ("filter", states, tuple(map(mask_of, states)), (0, 0))
+    provider = lambda alg, tag: (states, tuple(map(mask_of, states)), (0, 0))
+    monkeypatch.setattr(represent, "_atom_states", provider)
     expected = r"^equivalent maximal filters \{k, h\} and \{m, h\} share an element but differ$"
     with pytest.raises(InconsistencyError, match=expected):
-        _build(alg, "canonical-theta", provider, injective=False)
+        _build(alg, "canonical-theta", "filter", injective=False)
