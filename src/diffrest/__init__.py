@@ -25,7 +25,6 @@ from .filters import (
     Filter,
     FilterFamily,
     enumerate_filters,
-    is_maximal,
     maximal_filters,
     principal_filter,
     ultrafilter_bijection,

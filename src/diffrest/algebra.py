@@ -152,19 +152,16 @@ class FiniteAlgebra(_AlgebraFields):
     """Immutable finite algebra of the two-operation signature.
 
     ``zero`` is the common value of ``a - a``; construction rejects
-    tables where that value depends on ``a``.  Derived structure is
-    computed once and kept in the instance ``__dict__``.
+    tables where that value depends on ``a``, and a ``size`` or ``zero``
+    that disagrees with the tables.  ``_make`` and ``_replace`` run the
+    same checks.  Derived structure is computed once and kept in the
+    instance ``__dict__``.
     """
 
     __setattr__ = __delattr__ = _frozen
+    _make = classmethod(_checked_make)
 
-    @classmethod
-    def from_tables(
-        cls,
-        minus: Sequence[Sequence[int]],
-        restrict: Sequence[Sequence[int]],
-        names: Sequence[str] | None = None,
-    ) -> "FiniteAlgebra":
+    def __new__(cls, size: int, minus: Table, restrict: Table, zero: int, names=None):
         minus_t = _freeze_table(minus)
         restrict_t = _freeze_table(restrict)
         n = len(minus_t)
@@ -172,13 +169,17 @@ class FiniteAlgebra(_AlgebraFields):
             raise TableError("algebras are nonempty: need at least one element")
         _check_size(n)
         _check_square(n, minus=minus_t, restrict=restrict_t)
-        zero = minus_t[0][0]
+        if type(size) is not int or size != n:
+            raise TableError(f"size {size!r} disagrees with the {n}-row tables")
+        bottom = minus_t[0][0]
         for a in range(n):
-            if minus_t[a][a] != zero:
+            if minus_t[a][a] != bottom:
                 raise TableError(
                     f"bottom is not well defined: minus[{a}][{a}] = {minus_t[a][a]} "
-                    f"but minus[0][0] = {zero}"
+                    f"but minus[0][0] = {bottom}"
                 )
+        if type(zero) is not int or zero != bottom:
+            raise TableError(f"zero {zero!r} is not the bottom minus[0][0] = {bottom}")
         names_t: tuple[str, ...] | None = None
         if names is not None:
             names_t = tuple(str(s) for s in names)
@@ -192,7 +193,19 @@ class FiniteAlgebra(_AlgebraFields):
                     )
                 if name in names_t[:i]:
                     raise TableError(f"repeated element name {name!r}")
-        return cls(n, minus_t, restrict_t, zero, names_t)
+        return tuple.__new__(cls, (n, minus_t, restrict_t, zero, names_t))
+
+    @classmethod
+    def from_tables(
+        cls,
+        minus: Sequence[Sequence[int]],
+        restrict: Sequence[Sequence[int]],
+        names: Sequence[str] | None = None,
+    ) -> "FiniteAlgebra":
+        minus_t = _freeze_table(minus)
+        # Where minus has no entry [0][0] the constructor refuses its shape first.
+        zero = minus_t[0][0] if minus_t and minus_t[0] else None
+        return cls(len(minus_t), minus_t, restrict, zero, names)
 
     def element_name(self, a: int) -> str:
         return self.names[a] if self.names is not None else str(a)
@@ -871,17 +884,6 @@ class BooleanDownset(NamedTuple):
     top: int
     members: tuple[int, ...]
 
-    def atoms(self) -> tuple[int, ...]:
-        down, zero = self.parent.down_masks, self.parent.zero
-        return tuple(
-            b for b in self.members if b != zero and down[b] & down[self.top] == 1 << b | 1 << zero
-        )
-
-    def ultrafilters(self) -> tuple[int, ...]:
-        """Maximal proper filters of the downset, one mask per atom."""
-        alg = self.parent
-        return tuple(alg.up_masks[x] & alg.down_masks[self.top] for x in self.atoms())
-
 
 def _boolean_certificate(
     meet: Sequence[Sequence[int]], comp: Sequence[int], top: int, bottom: int,
@@ -891,10 +893,11 @@ def _boolean_certificate(
 
     ``downs[i]`` is the mask of the members c <= ``members[i]`` (those
     with ``meet[c][members[i]] == c``).  phi(b) is the mask of the atoms
-    below b, an atom being a member other than ``bottom`` with nothing
-    but itself and ``bottom`` below it.  phi must be injective, send
-    ``bottom`` and ``top`` to 0 and full, and send ``comp`` and ``meet``,
-    which must stay in ``members``, to complement and intersection.
+    below b, ``downs`` cut to the atom mask, an atom being a member
+    other than ``bottom`` with nothing but itself and ``bottom`` below
+    it.  phi must be injective, send ``bottom`` and ``top`` to 0 and the
+    atom mask, and send ``comp`` and ``meet``, which must stay in
+    ``members``, to complement within the atom mask and intersection.
     Then phi embeds ``members`` in the powerset of the atoms, the De
     Morgan join going to union, so every closure and identity of the
     battery in ``_boolean_law_failure`` holds.  Conversely, if the
@@ -902,14 +905,13 @@ def _boolean_certificate(
     algebra.
     """
     down = dict(zip(members, downs))
-    atoms = [b for b in members if b != bottom and down[b] == 1 << b | 1 << bottom]
-    phi = {b: mask_of(i for i, x in enumerate(atoms) if down[b] >> x & 1) for b in members}
-    full = (1 << len(atoms)) - 1
-    if len(set(phi.values())) != len(members) or phi.get(bottom) != 0 or phi.get(top) != full:
+    atoms = mask_of(b for b in members if b != bottom and down[b] == 1 << b | 1 << bottom)
+    phi = {b: d & atoms for b, d in down.items()}
+    if len(set(phi.values())) != len(members) or phi.get(bottom) != 0 or phi.get(top) != atoms:
         return False
     # phi.get gives None outside ``members``, which fails every test.
     return all(
-        phi.get(comp[b]) == full & ~pb
+        phi.get(comp[b]) == atoms & ~pb
         and all(phi.get(meet[b][c]) == pb & pc for c, pc in phi.items())
         for b, pb in phi.items()
     )

@@ -8,7 +8,9 @@ element i, and the tests cross-check exhaustiveness against a subset
 scan.
 
 On an algebra that passes the axioms the rest is read off the order.
-The maximal filters are the up-sets of the atoms.  F sits below G in
+The maximal filters are the up-sets of the atoms; cut to the downset
+of an element a, those that hold a are the ultrafilters of that
+Boolean downset, one per atom below a.  F sits below G in
 the lifted domain preorder when restricting the members of F by those
 of G never leaves F; on principal filters that is the domain preorder
 of their generators, so its classes are the domain classes.  Filters,
@@ -75,14 +77,6 @@ class Filter(_FilterFields):
     def sort_key(self) -> tuple[int, ...]:
         return tuple(mask_iter(self.members))
 
-    def generator(self) -> int:
-        """The least element of the filter in the element order."""
-        meet, g = self.parent.tables["meet"], None
-        for a in mask_iter(self.members):
-            if g is None or meet[a][g] == a:
-                g = a
-        return g
-
     def render(self) -> str:
         inner = ", ".join(self.parent.element_name(a) for a in self.sort_key())
         return "{" + inner + "}"
@@ -137,16 +131,6 @@ def enumerate_filters(alg: FiniteAlgebra) -> FilterFamily:
     return FilterFamily(alg, filters, maximal, derived_relations(alg).domleq, _domain_classes(alg))
 
 
-def is_maximal(f: Filter) -> bool:
-    """A filter with least member ``w`` is maximal precisely when it is
-    proper and for every ``b`` exactly one of ``w meet b`` and ``w - b``
-    belongs to it."""
-    w, members = f.generator(), f.members
-    # zip stops at the n entries of the minus row, before the meet row's padding.
-    rows = zip(f.parent.tables["meet"][w], f.parent.minus[w])
-    return f.proper and all(members >> m & 1 != members >> d & 1 for m, d in rows)
-
-
 @per_algebra
 def maximal_filters(alg: FiniteAlgebra) -> tuple[Filter, ...]:
     """Maximal proper filters, cross-checked against the inclusion poset."""
@@ -169,41 +153,13 @@ def ultrafilter_bijection(
 ) -> tuple[dict[Filter, int], dict[int, Filter]]:
     """Match maximal filters containing ``a`` with ultrafilters of its downset.
 
-    Forward: intersect with the downset.  Backward: upward closure.
-    Ultrafilters are masks.  Both composites are checked to be
-    identities.  For ``a`` equal to bottom both maps are empty.  Raises
-    ``AxiomFailure`` unless ``alg`` passes the axioms.
+    Forward cuts each one to the downset; backward is the inverse, in
+    increasing order of the ultrafilters' member lists.  Ultrafilters
+    are masks.  At bottom both maps are empty.  Raises ``AxiomFailure``
+    unless ``alg`` passes the axioms, and what ``boolean_downset`` raises.
     """
     maximal = maximal_filters(alg)
-    if a == alg.zero:
-        return {}, {}
-    downset = boolean_downset(alg, a)
-    ufs = set(downset.ultrafilters())
-
-    forward: dict[Filter, int] = {}
-    for mu in (f for f in maximal if f.members >> a & 1):
-        nu = mu.members & alg.down_masks[a]
-        if nu not in ufs:
-            raise InconsistencyError(
-                f"{mu.render()} does not cut the downset of {alg.element_name(a)} "
-                "to an ultrafilter"
-            )
-        forward[mu] = nu
-    backward: dict[int, Filter] = {}
-    family = enumerate_filters(alg)
-    for nu in sorted(ufs, key=lambda m: list(mask_iter(m))):
-        up = alg.up_closure(nu)
-        # Reuse the family's filter, already checked upward and meet closed.
-        mu = family.all_filters[alg.up_masks.index(up)] if up in alg.up_masks else Filter(alg, up)
-        # ``maximal_filters`` checked the family's maximal filters against the poset.
-        if mu not in maximal and not is_maximal(mu):
-            raise InconsistencyError("upward closure of an ultrafilter is not maximal")
-        backward[nu] = mu
-
-    for mu, nu in forward.items():
-        if backward[nu].members != mu.members:
-            raise InconsistencyError("round trip through the downset moved a filter")
-    for nu, mu in backward.items():
-        if forward[mu] != nu:
-            raise InconsistencyError("round trip through the algebra moved an ultrafilter")
-    return forward, backward
+    boolean_downset(alg, a)  # refuses an id that is not an element, and certifies the downset
+    forward = {mu: mu.members & alg.down_masks[a] for mu in maximal if mu.members >> a & 1}
+    order = sorted(forward.items(), key=lambda item: list(mask_iter(item[1])))
+    return forward, {nu: mu for mu, nu in order}

@@ -89,8 +89,9 @@ class SearchBudget(_BudgetFields):
     search target) and is at most ``BASE_RANGE_CAP``, because a found
     embedding builds its base point by point; ``node_limit`` bounds
     backtracking nodes and turns an exhausted budget into an explicit
-    inconclusive verdict, never a silent miss.  Algebras above
-    ``SIZE_CAP`` elements are refused.
+    inconclusive verdict, never a silent miss.  No algebra exceeds
+    ``SIZE_CAP`` elements (``FiniteAlgebra`` refuses more), and model
+    searches above it are refused.
     """
 
     __slots__ = ()
@@ -106,11 +107,6 @@ class SearchBudget(_BudgetFields):
         if node_limit <= 0:
             raise BudgetExceededError("budget limits must be positive")
         return tuple.__new__(cls, (max_base_size, node_limit))
-
-
-def _check_size(n: int) -> None:
-    if n > SIZE_CAP:
-        raise BudgetExceededError(f"algebra size {n} exceeds the budget limit {SIZE_CAP}")
 
 
 DEFAULT_BUDGET = SearchBudget()
@@ -312,7 +308,6 @@ def brute_force_embedding(
     base padding rules out every smaller base as well.
     """
     n = alg.size
-    _check_size(n)
     m = budget.max_base_size
     counter = [0]
     all_pairs_mask = (1 << (n * (n - 1) // 2)) - 1
@@ -630,7 +625,8 @@ def enumerate_axiom_models(n: int, budget: SearchBudget = DEFAULT_BUDGET) -> Mod
         raise TableError(f"model size {n!r} is not an integer")
     if n < 1:
         raise TableError(f"algebras are nonempty, so size {n} has no models")
-    _check_size(n)
+    if n > SIZE_CAP:
+        raise BudgetExceededError(f"algebra size {n} exceeds the budget limit {SIZE_CAP}")
     if n > 8:  # the node limit does not bound time: each node's checks scan rows
         raise BudgetExceededError(f"model search size {n} exceeds the limit 8")
     counter = [0]

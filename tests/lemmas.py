@@ -1,8 +1,9 @@
 """Paper lemmas that the tests check, and the N1 fixture builder.
 
 Nothing in the library calls these: they check side results of the
-paper (the filter lemmas, the quotient, homomorphisms restricted to
-downsets, subtraction rebuilt from Boolean downsets, atomicity and
+paper (the filter lemmas, maximality, the ultrafilters of a Boolean
+downset, the quotient, homomorphisms restricted to downsets,
+subtraction rebuilt from Boolean downsets, atomicity and
 atomisticity), re-evaluate single law instances, scan the
 complement-only laws on a bare minus table, relabel tables, label minus
 tables and algebras by brute force, collect the minus tables the model
@@ -17,6 +18,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from diffrest import (
     AlgebraError,
+    BooleanDownset,
     BooleanLawError,
     BudgetExceededError,
     Filter,
@@ -28,7 +30,6 @@ from diffrest import (
     domain_quotient,
     enumerate_axiom_models,
     enumerate_filters,
-    is_maximal,
     oracle,
 )
 from diffrest.algebra import (
@@ -253,6 +254,39 @@ def subtraction_from_boolean_downsets(sl: ComplementedSemilattice) -> Table:
 # ---------------------------------------------------------------------------
 
 
+def generator(f: Filter) -> int:
+    """The least element of the filter in the element order."""
+    meet, g = f.parent.tables["meet"], None
+    for a in mask_iter(f.members):
+        if g is None or meet[a][g] == a:
+            g = a
+    return g
+
+
+def is_maximal(f: Filter) -> bool:
+    """A filter with least member ``w`` is maximal precisely when it is
+    proper and for every ``b`` exactly one of ``w meet b`` and ``w - b``
+    belongs to it."""
+    w, members = generator(f), f.members
+    # zip stops at the n entries of the minus row, before the meet row's padding.
+    rows = zip(f.parent.tables["meet"][w], f.parent.minus[w])
+    return f.proper and all(members >> m & 1 != members >> d & 1 for m, d in rows)
+
+
+def downset_atoms(ds: BooleanDownset) -> tuple[int, ...]:
+    """The atoms of the downset, in increasing id order."""
+    down, zero = ds.parent.down_masks, ds.parent.zero
+    return tuple(
+        b for b in ds.members if b != zero and down[b] & down[ds.top] == 1 << b | 1 << zero
+    )
+
+
+def ultrafilters(ds: BooleanDownset) -> tuple[int, ...]:
+    """Maximal proper filters of the downset, one mask per atom."""
+    alg = ds.parent
+    return tuple(alg.up_masks[x] & alg.down_masks[ds.top] for x in downset_atoms(ds))
+
+
 def _product_upset(alg: FiniteAlgebra, left: int, right: int) -> int:
     """Upward closure of all restrictions of ``right`` members by ``left``
     members, all three as masks."""
@@ -293,7 +327,7 @@ def extend_to_maximal(f: Filter) -> Filter:
     downset = boolean_downset(alg, a)
     trace = f.members & alg.down_masks[a]
     candidates = [
-        nu for nu in downset.ultrafilters() if not trace & ~nu
+        nu for nu in ultrafilters(downset) if not trace & ~nu
     ]
     if not candidates:
         raise InconsistencyError(

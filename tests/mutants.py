@@ -48,6 +48,7 @@ MASKS_FIXTURES = (
     "tests/test_pair_masks.py::test_mask_paths_match_the_set_paths_on_fixtures_and_small_models"
 )
 LIFTED_PREORDER = "tests/test_certificates.py::test_lifted_preorder_matches_the_pair_walk"
+ULTRAFILTER_REFERENCE = "tests/test_filters.py::test_ultrafilter_bijection_matches_the_reference"
 
 MUTANTS = (
     Mutant(
@@ -362,6 +363,35 @@ MUTANTS = (
         "        ats = sorted(ats, key=lambda x: tuple(mask_iter(up[x])))\n",
         "",
         ("tests/test_represent.py::test_filter_kinds_match_the_reference_maximal_filters",),
+    ),
+    Mutant(
+        "FiniteAlgebra takes a zero that disagrees with the tables",
+        "src/diffrest/algebra.py",
+        "if type(zero) is not int or zero != bottom:",
+        "if False:",
+        ("tests/test_algebra.py::test_a_size_or_zero_that_disagrees_with_the_tables_is_refused",),
+    ),
+    # The ultrafilter bijection read off the atoms, and the atom-mask certificate.
+    Mutant(
+        "ultrafilter backward map left in forward order",
+        "src/diffrest/filters.py",
+        "    order = sorted(forward.items(), key=lambda item: list(mask_iter(item[1])))\n",
+        "    order = forward.items()\n",
+        (ULTRAFILTER_REFERENCE,),
+    ),
+    Mutant(
+        "ultrafilter forward map keeps maximal filters that miss a",
+        "src/diffrest/filters.py",
+        "for mu in maximal if mu.members >> a & 1}",
+        "for mu in maximal}",
+        (ULTRAFILTER_REFERENCE,),
+    ),
+    Mutant(
+        "certificate's phi cut to every member, not to the atoms",
+        "src/diffrest/algebra.py",
+        "phi = {b: d & atoms for b, d in down.items()}",
+        "phi = {b: d for b, d in down.items()}",
+        ("tests/test_certificates.py::test_certificate_matches_the_battery_on_law_models",),
     ),
     Mutant(
         "closure seeds get zeroed domain masks",

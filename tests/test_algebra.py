@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from conftest import F, G, H, K, M, N1_C, N1_D, F2_ZERO, edited, make_f2, pairs
+from conftest import F, G, H, K, M, N1_C, N1_D, F2_ZERO, edited, make_f2, outcome, pairs
 
 from diffrest import (
     BooleanLawError,
@@ -34,6 +34,7 @@ from lemmas import (
     minus_tables_reached,
     reference_canonical_form,
     subtraction_from_boolean_downsets,
+    ultrafilters,
 )
 
 AXIOMS = ("Ax.1", "Ax.2", "Ax.3", "Ax.4", "Ax.5")
@@ -109,6 +110,44 @@ def test_size_cap():
 def test_empty_algebra_rejected():
     with pytest.raises(TableError, match="nonempty"):
         FiniteAlgebra.from_tables([], [])
+
+
+# (minus, restrict, names) that ``from_tables`` refuses, one per check.
+REFUSED_TABLES = (
+    ([], [], None),
+    ([[0] * 65] * 65, [[0] * 65] * 65, None),
+    ([[0, 0], [1]], [[0, 0], [0, 1]], None),
+    ([[0, 7], [1, 0]], [[0, 0], [0, 1]], None),
+    ([[0, 0], [1, 0]], [[0, 0], [0, True]], None),
+    ([[0, 0], [1, 1]], [[0, 0], [0, 1]], None),
+    ([[0, 0], [1, 0]], [[0, 0], [0, 1]], ["z"]),
+    ([[0, 0], [1, 0]], [[0, 0], [0, 1]], ["z", "a#b"]),
+    ([[0, 0], [1, 0]], [[0, 0], [0, 1]], ["z", "z"]),
+)
+
+
+@pytest.mark.parametrize("minus, restrict, names", REFUSED_TABLES)
+def test_the_raw_constructor_refuses_what_from_tables_refuses(minus, restrict, names):
+    expected = outcome(FiniteAlgebra.from_tables, minus, restrict, names)
+    assert isinstance(expected, str), expected
+    assert outcome(FiniteAlgebra, len(minus), minus, restrict, 0, names) == expected
+    assert outcome(FiniteAlgebra._make, (len(minus), minus, restrict, 0, names)) == expected
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("zero", 3, "zero 3 is not the bottom minus[0][0] = 0"),
+        ("zero", False, "zero False is not the bottom minus[0][0] = 0"),
+        ("size", 5, "size 5 disagrees with the 4-row tables"),
+        ("size", 4.0, "size 4.0 disagrees with the 4-row tables"),
+    ],
+)
+def test_a_size_or_zero_that_disagrees_with_the_tables_is_refused(field, value, message):
+    # With zero 3 the powerset passed check_axioms, but had no atoms.
+    alg = boolean_as_diffrest(2).abstract
+    with pytest.raises(TableError, match=f"^{re.escape(message)}$"):
+        alg._replace(**{field: value})
 
 
 @pytest.mark.parametrize("build", [enumerate_axiom_models, boolean_as_diffrest])
@@ -280,7 +319,7 @@ def test_boolean_downset_f2(f2):
     ds = boolean_downset(alg, H)
     assert ds.members == (K, M, H, F2_ZERO)
     assert alg.minus[H][K] == M
-    assert set(ds.ultrafilters()) == {
+    assert set(ultrafilters(ds)) == {
         mask_of({K, H}),
         mask_of({M, H}),
     }

@@ -28,12 +28,11 @@ from diffrest import (
     boolean_downset,
     check_axioms,
     enumerate_filters,
-    is_maximal,
     principal_filter,
 )
 from diffrest import algebra
 from diffrest.algebra import _boolean_certificate, mask_iter, mask_of
-from lemmas import domhat_pair as reference_domhat_pair
+from lemmas import domhat_pair as reference_domhat_pair, is_maximal
 
 # ---------------------------------------------------------------------------
 # References

@@ -1,10 +1,17 @@
-"""Filter enumeration, the lifted preorder, and the downset bijection."""
+"""Filter enumeration, the lifted preorder, and the downset bijection.
+
+``reference_ultrafilter_bijection`` is ``ultrafilter_bijection`` as it
+was before it was read off the atoms: forward cuts each maximal filter
+to the downset, backward takes the upward closure of each ultrafilter
+of the downset, and both round trips are checked.  The library's maps
+must equal it item by item, in order.
+"""
 
 import itertools
 
 import pytest
 
-from conftest import F, G, H, K, M
+from conftest import F, G, H, K, M, law_models, outcome
 
 from diffrest import (
     AxiomFailure,
@@ -13,15 +20,15 @@ from diffrest import (
     InconsistencyError,
     TableError,
     boolean_as_diffrest,
+    boolean_downset,
     check_axioms,
     domain_quotient,
     enumerate_filters,
-    is_maximal,
     maximal_filters,
     principal_filter,
     ultrafilter_bijection,
 )
-from diffrest.algebra import mask_of
+from diffrest.algebra import mask_iter, mask_of
 from lemmas import (
     ImproperFilterError,
     domhat_pair,
@@ -29,7 +36,9 @@ from lemmas import (
     filter_down,
     filter_meet,
     filter_up_check,
+    is_maximal,
     project_filter,
+    ultrafilters,
 )
 
 
@@ -176,6 +185,76 @@ def test_ultrafilter_bijection_f2(f2):
 
 def test_ultrafilter_bijection_at_bottom(f2):
     assert ultrafilter_bijection(f2.abstract, f2.abstract.zero) == ({}, {})
+
+
+@pytest.mark.parametrize("a", [0.0, False, -1, 4])
+def test_ultrafilter_bijection_refuses_what_is_not_an_element(a):
+    # 0.0 and False equal the powerset's bottom 0.
+    alg = boolean_as_diffrest(2).abstract
+    with pytest.raises(TableError, match=f"^no element {a}$"):
+        ultrafilter_bijection(alg, a)
+
+
+def reference_ultrafilter_bijection(
+    alg: FiniteAlgebra, a: int
+) -> tuple[dict[Filter, int], dict[int, Filter]]:
+    """Match maximal filters containing ``a`` with ultrafilters of its downset.
+
+    Forward: intersect with the downset.  Backward: upward closure.
+    Ultrafilters are masks.  Both composites are checked to be
+    identities.  For ``a`` equal to bottom both maps are empty.  Raises
+    ``AxiomFailure`` unless ``alg`` passes the axioms.
+    """
+    maximal = maximal_filters(alg)
+    if a == alg.zero:
+        return {}, {}
+    downset = boolean_downset(alg, a)
+    ufs = set(ultrafilters(downset))
+
+    forward: dict[Filter, int] = {}
+    for mu in (f for f in maximal if f.members >> a & 1):
+        nu = mu.members & alg.down_masks[a]
+        if nu not in ufs:
+            raise InconsistencyError(
+                f"{mu.render()} does not cut the downset of {alg.element_name(a)} "
+                "to an ultrafilter"
+            )
+        forward[mu] = nu
+    backward: dict[int, Filter] = {}
+    family = enumerate_filters(alg)
+    for nu in sorted(ufs, key=lambda m: list(mask_iter(m))):
+        up = alg.up_closure(nu)
+        # Reuse the family's filter, already checked upward and meet closed.
+        mu = family.all_filters[alg.up_masks.index(up)] if up in alg.up_masks else Filter(alg, up)
+        # ``maximal_filters`` checked the family's maximal filters against the poset.
+        if mu not in maximal and not is_maximal(mu):
+            raise InconsistencyError("upward closure of an ultrafilter is not maximal")
+        backward[nu] = mu
+
+    for mu, nu in forward.items():
+        if backward[nu].members != mu.members:
+            raise InconsistencyError("round trip through the downset moved a filter")
+    for nu, mu in backward.items():
+        if forward[mu] != nu:
+            raise InconsistencyError("round trip through the algebra moved an ultrafilter")
+    return forward, backward
+
+
+def test_ultrafilter_bijection_matches_the_reference(small, n1, corpus, large):
+    """Item by item and in order at every element; the same
+    ``AxiomFailure`` on N1, the one algebra that fails the axioms."""
+    algebras = small + corpus + large + law_models(6)
+    pairs = 0
+    for alg in algebras:
+        for a in range(alg.size):
+            got = outcome(ultrafilter_bijection, alg, a)
+            expected = outcome(reference_ultrafilter_bijection, alg, a)
+            if alg is n1[0]:
+                assert got == expected == f"AxiomFailure: {AxiomFailure(check_axioms(alg))}"
+                continue
+            assert [list(m.items()) for m in got] == [list(m.items()) for m in expected]
+            pairs += len(got[0])
+    assert pairs > 0
 
 
 def test_filter_family_refuses_tables_that_fail_the_axioms(n1):

@@ -9,6 +9,7 @@ from diffrest import (
     FiniteAlgebra,
     InconsistencyError,
     SearchBudget,
+    SizeCapError,
     brute_force_embedding,
     check_axioms,
     differential_check,
@@ -94,15 +95,13 @@ def test_embedding_deterministic(f2):
 
 
 def test_embedding_search_refuses_a_raw_algebra_above_the_size_cap():
-    # ``from_tables`` refuses 65 elements itself; the raw constructor
-    # does not, so the search checks the size before reading a table.
+    # The raw constructor checks the size as ``from_tables`` does, so
+    # the search is never handed an algebra above the cap.
     table = ((0,) * 65,) * 65
-    alg = FiniteAlgebra(65, table, table, 0)
     start = time.perf_counter()
-    with pytest.raises(BudgetExceededError) as raised:
-        brute_force_embedding(alg)
+    with pytest.raises(SizeCapError, match="^size 65 exceeds the cap of 64 elements$"):
+        brute_force_embedding(FiniteAlgebra(65, table, table, 0))
     assert time.perf_counter() - start < 1.0
-    assert str(raised.value) == "algebra size 65 exceeds the budget limit 64"
 
 
 def test_embedding_inconclusive_on_tiny_node_limit(f2):

@@ -56,7 +56,7 @@ def _twins():
     constructor checks nothing)."""
     a, b = boolean_as_diffrest(2), boolean_as_diffrest(2)
     return {
-        "FiniteAlgebra": (a.abstract, b.abstract, "size", None),
+        "FiniteAlgebra": (a.abstract, b.abstract, "zero", 3),
         "PartialFunction": (a.elements[1], b.elements[1], "graph", {(1, 1), (1, 2)}),
         "ConcreteAlgebra": (a, b, "elements", a.elements[::-1]),
         "Filter": (principal_filter(a.abstract, 1), principal_filter(b.abstract, 1), "members", 0),
